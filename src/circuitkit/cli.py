@@ -32,7 +32,8 @@ EXIT_GUARD_EXCEEDED = 3
 
 def format_rational(value: Fraction) -> str:
     value = Fraction(value)
-    return f"{value.numerator}/{value.denominator}"
+    with partition.unlimited_int_digits():
+        return f"{value.numerator}/{value.denominator}"
 
 
 def bundled_corpus_dir() -> Path:
@@ -214,6 +215,13 @@ def run_verification(corpus_dir: Path, n_mc: int = 50_000, seed: int = 20260810)
         _check(results, f"parse+roundtrip {path.name}", parse_map)
 
     for name, g in loaded.items():
+        def engine_vs_enumerator(name=name, g=g):
+            tally = partition.circuit_count_tally(g)
+            expected = partition.IntPolynomial(tuple(tally.get(t, 0) for t in range(max(tally) + 1)))
+            _assert_equal(partition.circuit_partition_polynomial(g), expected, "engine == enumerator")
+            return f"{sum(tally.values())} systems"
+        _check(results, f"engine vs enumerator {name}", engine_vs_enumerator)
+
         def counting(name=name, g=g):
             poly = partition.circuit_partition_polynomial(g)
             expected = partition.transition_system_count(g)
@@ -393,7 +401,8 @@ def _add_ensemble_args(p: argparse.ArgumentParser) -> None:
 def _configure_j(p):
     p.add_argument("input", help="directed or undirected graph file")
     p.add_argument("--guard-enumeration", type=int, default=None,
-                   help=f"max transition systems (default {partition.DEFAULT_ENUMERATION_GUARD})")
+                   help="max work units of the splitting recursion, summed over its states as "
+                        f"branches x edges (default {partition.DEFAULT_ENUMERATION_GUARD})")
     _add_format(p)
 
 
@@ -453,11 +462,11 @@ def _configure_verify(p):
 
 COMMANDS: tuple[Command, ...] = (
     Command("j", cmd_j, _configure_j, "circuit partition polynomial",
-            ("parse_graph", "circuit_partition_polynomial", "enumerate_transition_systems",
-             "circuit_count")),
+            ("parse_graph", "eulerian_check", "circuit_partition_polynomial")),
     Command("q-predict", cmd_q_predict, _configure_q_predict,
             "exact q(G;k) from the partition polynomial",
-            ("parse_graph", "predicted_q", "eulerian_check", "xd_scaling", "evaluate")),
+            ("parse_graph", "predicted_q", "eulerian_check", "circuit_partition_polynomial",
+             "xd_scaling", "evaluate")),
     Command("q-estimate", cmd_q_estimate, _configure_q_estimate, "Monte Carlo q(G;k)",
             ("parse_graph", "estimate_q", "sample_vector", "product_of_inner_products")),
     Command("q-exact", cmd_q_exact, _configure_q_exact, "brute-force contraction q(G;k)",
@@ -468,8 +477,8 @@ COMMANDS: tuple[Command, ...] = (
     Command("tutte", cmd_tutte, _configure_tutte, "Tutte polynomial by subset expansion",
             ("parse_graph", "tutte_subset_expansion", "component_count")),
     Command("martin", cmd_martin, _configure_martin, "check j(G_m;z) = z^c T(G;z+1,z+1)",
-            ("martin_check", "medial_graph", "faces", "tutte_subset_expansion",
-             "circuit_partition_polynomial", "evaluate")),
+            ("martin_check", "medial_graph", "faces", "component_count", "tutte_subset_expansion",
+             "eulerian_check", "circuit_partition_polynomial", "evaluate")),
     Command("verify", cmd_verify, _configure_verify, "run the invariant suite over a corpus",
             ("parse_graph", "eulerian_check", "component_count", "enumerate_transition_systems",
              "circuit_count", "circuit_partition_polynomial", "evaluate",

@@ -1,29 +1,56 @@
-"""Exact circuit partition polynomials by transition-system enumeration.
+"""Exact circuit partition polynomials of Eulerian multigraphs.
 
-A transition system picks, at every vertex, how entering edges continue to
-leaving edges: a bijection from incoming to outgoing edge slots (directed)
-or a perfect matching of the incident half-edge slots (undirected). Each
-transition system induces a partition of the edges into circuits; tallying
-circuit counts over all systems gives the polynomial coefficients r_t.
+The engine is the transition (splitting) recursion of Las Vergnas (Ann.
+Discrete Math. 17, 1983) and Ellis-Monaghan (J. Combin. Theory Ser. B 74,
+1998). Every circuit partition continues each edge entering a vertex v on
+exactly one edge leaving it, so pairing one entering edge at v (directed), or
+one half-edge at v (undirected), with each possible continuation and splicing
+the pair into a single edge splits the partitions of G among smaller graphs.
+A loop paired with itself closes a circuit and contributes a factor z.
 
-Enumeration is lexicographic in the per-vertex wiring indices (vertex 0 most
-significant), with per-vertex wirings ordered by Lehmer code (bijections) or
-by canonical smallest-first pairing (matchings). Any index range [start, stop)
-of that order can be enumerated independently, so tallies may be computed in
-pieces and merged by addition.
+1. Vertices with a single transition (d_v = 1 directed, degree 2 undirected)
+   are spliced away first, in linear time: each chain of them becomes one
+   edge between branching vertices, and a chain that closes on itself is one
+   circuit, a factor z.
+2. What remains is a sorted tuple of edge codes, the memo key. Each split
+   happens at a vertex of least remaining degree and removes exactly one
+   edge, so the states are swept layer by layer in decreasing edge count:
+   equal keys within a layer merge (the memo), and only two layers are held
+   at a time. Nothing recurses in Python, whatever the depth.
+3. The guard counts work units: for every expanded state, its branch count
+   times its key length. The sweep refuses as soon as the running total
+   passes the guard. The worst case stays exponential, as #P-completeness
+   demands.
+
+The transition-system enumerator (`enumerate_transition_systems`,
+`circuit_count`, `circuit_count_tally`) is kept apart as a reference oracle.
+A transition system picks, at every vertex, a bijection from incoming to
+outgoing edge slots (directed) or a perfect matching of the incident
+half-edge slots (undirected); tallying the circuits each induces gives the
+coefficients r_t again. Enumeration is lexicographic in the per-vertex wiring
+indices (vertex 0 most significant), with per-vertex wirings ordered by
+Lehmer code (bijections) or by canonical smallest-first pairing (matchings),
+and any index range [start, stop) of that order can be enumerated on its
+own. Its guard counts transition systems.
 """
 
 from __future__ import annotations
 
 import itertools
+import sys
+from bisect import bisect_left, insort
+from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial, prod
-from typing import Iterator
+from typing import Callable, Iterator
 
 from .errors import GuardExceededError, NotEulerianError
 from .graphs import DirectedMultigraph, Multigraph, UndirectedMultigraph, eulerian_check
 
+# Work units for the engine (branches x key length per expanded state);
+# transition systems for the reference enumerator.
 DEFAULT_ENUMERATION_GUARD = 10**8
 
 # Per-vertex wiring lists are precomputed up to this many entries; beyond it
@@ -63,9 +90,10 @@ class IntPolynomial:
             coeffs = (0,)
         if any(c < 0 for c in coeffs):
             raise ValueError("coefficients must be nonnegative")
-        while len(coeffs) > 1 and coeffs[-1] == 0:
-            coeffs = coeffs[:-1]
-        object.__setattr__(self, "coefficients", coeffs)
+        top = len(coeffs) - 1
+        while top > 0 and coeffs[top] == 0:
+            top -= 1
+        object.__setattr__(self, "coefficients", coeffs[:top + 1])
 
     @property
     def degree(self) -> int:
@@ -93,10 +121,12 @@ class IntPolynomial:
         return sum(self.coefficients)
 
     def to_text(self) -> str:
-        return " ".join(str(c) for c in self.coefficients)
+        with unlimited_int_digits():
+            return " ".join(str(c) for c in self.coefficients)
 
     def to_json_dict(self) -> dict:
-        return {"coefficients": [str(c) for c in self.coefficients]}
+        with unlimited_int_digits():
+            return {"coefficients": [str(c) for c in self.coefficients]}
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "IntPolynomial":
@@ -105,6 +135,25 @@ class IntPolynomial:
 
 def evaluate(p: IntPolynomial, z) -> Fraction:
     return p.evaluate(z)
+
+
+@contextmanager
+def unlimited_int_digits():
+    """Lift Python's int-to-decimal digit limit for the enclosed block only.
+
+    Exact outputs may have any number of digits; the previous limit is put
+    back on exit, so the rest of the process keeps its protection.
+    """
+    get_limit = getattr(sys, "get_int_max_str_digits", None)
+    if get_limit is None:  # interpreters without the limit
+        yield
+        return
+    previous = get_limit()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(previous)
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +311,7 @@ def enumerate_transition_systems(
 
 
 # ---------------------------------------------------------------------------
-# Circuit counting
+# Circuit counting (reference oracle)
 # ---------------------------------------------------------------------------
 
 def circuit_count(g: Multigraph, ts: TransitionSystem) -> int:
@@ -271,59 +320,77 @@ def circuit_count(g: Multigraph, ts: TransitionSystem) -> int:
         raise ValueError("circuit_count requires at least one edge")
     if len(ts.wirings) != g.vertex_count:
         raise ValueError("transition system does not match the graph's vertex count")
+    return _circuit_counter(g)(ts)
+
+
+def _circuit_counter(g: Multigraph) -> Callable[[TransitionSystem], int]:
+    """A circuit counter for g's transition systems; g's slot tables are built once."""
     if isinstance(g, DirectedMultigraph):
-        return _circuit_count_directed(g, ts)
-    return _circuit_count_undirected(g, ts)
+        return _directed_counter(g)
+    return _undirected_counter(g)
 
 
-def _circuit_count_directed(g: DirectedMultigraph, ts: TransitionSystem) -> int:
+def _directed_counter(g: DirectedMultigraph) -> Callable[[TransitionSystem], int]:
     ins, outs = _directed_slots(g)
-    successor = [0] * g.edge_count
-    for v in range(g.vertex_count):
-        sigma = ts.wirings[v]
-        if sorted(sigma) != list(range(len(ins[v]))):
-            raise ValueError(f"wiring at vertex {v} is not a bijection on {len(ins[v])} slots")
-        for slot, e in enumerate(ins[v]):
-            successor[e] = outs[v][sigma[slot]]
-    seen = [False] * g.edge_count
-    cycles = 0
-    for e in range(g.edge_count):
-        if seen[e]:
-            continue
-        cycles += 1
-        while not seen[e]:
-            seen[e] = True
-            e = successor[e]
-    return cycles
+    m = g.edge_count
+
+    def count(ts: TransitionSystem) -> int:
+        successor = [0] * m
+        for v, sigma in enumerate(ts.wirings):
+            if sorted(sigma) != list(range(len(ins[v]))):
+                raise ValueError(f"wiring at vertex {v} is not a bijection on {len(ins[v])} slots")
+            for slot, e in enumerate(ins[v]):
+                successor[e] = outs[v][sigma[slot]]
+        seen = [False] * m
+        cycles = 0
+        for e in range(m):
+            if seen[e]:
+                continue
+            cycles += 1
+            while not seen[e]:
+                seen[e] = True
+                e = successor[e]
+        return cycles
+
+    return count
 
 
-def _circuit_count_undirected(g: UndirectedMultigraph, ts: TransitionSystem) -> int:
-    # Partner of each half-edge under the per-vertex transition matchings.
-    partner = [-1] * g.half_edge_count
-    for v in range(g.vertex_count):
-        slots = g.half_edges_at(v)
-        pairs = ts.wirings[v]
-        flat = sorted(i for pair in pairs for i in pair)
-        if flat != list(range(len(slots))):
-            raise ValueError(f"wiring at vertex {v} is not a perfect matching of {len(slots)} slots")
-        for a, b in pairs:
-            partner[slots[a]] = slots[b]
-            partner[slots[b]] = slots[a]
-    # Circuits are the alternating cycles of (twin pairs) + (transition pairs):
-    # walk half-edges alternating the two pairings until the start reappears.
-    seen = [False] * g.half_edge_count
-    circuits = 0
+def _undirected_counter(g: UndirectedMultigraph) -> Callable[[TransitionSystem], int]:
+    # Half-edges at each vertex, ascending (what g.half_edges_at(v) returns).
+    at: list[list[int]] = [[] for _ in range(g.vertex_count)]
     for h in range(g.half_edge_count):
-        if seen[h]:
-            continue
-        circuits += 1
-        current = h
-        while not seen[current]:
-            seen[current] = True
-            across = current ^ 1  # other end of the same edge
-            seen[across] = True
-            current = partner[across]
-    return circuits
+        at[g.edges[h >> 1][h & 1]].append(h)
+    halves = g.half_edge_count
+
+    def count(ts: TransitionSystem) -> int:
+        # Partner of each half-edge under the per-vertex transition matchings.
+        partner = [-1] * halves
+        for v, pairs in enumerate(ts.wirings):
+            slots = at[v]
+            flat = sorted(i for pair in pairs for i in pair)
+            if flat != list(range(len(slots))):
+                raise ValueError(f"wiring at vertex {v} is not a perfect matching of {len(slots)} slots")
+            for a, b in pairs:
+                partner[slots[a]] = slots[b]
+                partner[slots[b]] = slots[a]
+        # Circuits are the alternating cycles of (twin pairs) + (transition
+        # pairs): walk half-edges alternating the two pairings until the
+        # start reappears.
+        seen = [False] * halves
+        circuits = 0
+        for h in range(halves):
+            if seen[h]:
+                continue
+            circuits += 1
+            current = h
+            while not seen[current]:
+                seen[current] = True
+                across = current ^ 1  # other end of the same edge
+                seen[across] = True
+                current = partner[across]
+        return circuits
+
+    return count
 
 
 def circuit_count_tally(
@@ -332,12 +399,193 @@ def circuit_count_tally(
     stop: int | None = None,
     guard: int | None = None,
 ) -> dict[int, int]:
-    """Map circuit count -> number of transition systems, over an index range."""
+    """Map circuit count -> number of transition systems, over an index range.
+
+    The edgeless graph has one (empty) system, with zero circuits.
+    """
+    count = _circuit_counter(g)
     tally: dict[int, int] = {}
     for ts in enumerate_transition_systems(g, start, stop, guard):
-        t = circuit_count(g, ts)
+        t = count(ts)
         tally[t] = tally.get(t, 0) + 1
     return tally
+
+
+# ---------------------------------------------------------------------------
+# The engine: forced-vertex contraction, then the memoized splitting sweep
+# ---------------------------------------------------------------------------
+
+# The contracted (core) graph is a key: its edges among n branching vertices
+# as a sorted tuple of codes. A directed edge a -> b is coded a * n + b; an
+# undirected edge {a, b} is coded min * n + max. Branching vertices are
+# labelled in order of degree (see _core_key): a split changes the degree of
+# the split vertex only, so the vertex of least remaining degree is always
+# the least label still touched by an edge, the one of key[0]. All of its
+# out-edges (directed) or edges (undirected) form a prefix of the key.
+# A split move: (codes removed, code added or None, circuits closed, multiplicity).
+_Move = tuple[tuple[int, ...], int | None, int, int]
+
+
+def _core_key(pairs: list[tuple[int, int]], degree: tuple[int, ...],
+              directed: bool) -> tuple[tuple[int, ...], int]:
+    """Label the branching vertices that `pairs` join and code the core edges.
+
+    Labels follow degree, then breadth-first rank within each component, so
+    that vertices split one after another lie close together and few partial
+    states coexist in a layer.
+    """
+    adjacent: dict[int, list[int]] = {}
+    for u, v in pairs:
+        adjacent.setdefault(u, []).append(v)
+        adjacent.setdefault(v, []).append(u)
+    rank: dict[int, int] = {}
+    for root in sorted(adjacent):
+        if root in rank:
+            continue
+        rank[root] = len(rank)
+        queue = [root]
+        for u in queue:  # grows while it is read: a breadth-first queue
+            for w in adjacent[u]:
+                if w not in rank:
+                    rank[w] = len(rank)
+                    queue.append(w)
+    order = sorted(rank, key=lambda v: (degree[v], rank[v]))
+    label = {v: i for i, v in enumerate(order)}
+    n = len(order)
+    if directed:
+        codes = [label[u] * n + label[v] for u, v in pairs]
+    else:
+        codes = [min(label[u], label[v]) * n + max(label[u], label[v]) for u, v in pairs]
+    codes.sort()
+    return tuple(codes), n
+
+
+def _contract_directed(g: DirectedMultigraph, degree: tuple[int, ...]) -> tuple[list[tuple[int, int]], int]:
+    """Splice chains through forced vertices: (branching endpoints of each chain, closed cycles)."""
+    heads = [v for _, v in g.edges]
+    only_out = [-1] * g.vertex_count  # the single out-edge of a forced vertex
+    for e, (u, _) in enumerate(g.edges):
+        if degree[u] == 1:
+            only_out[u] = e
+    used = bytearray(g.edge_count)
+    pairs = []
+    for e, (u, v) in enumerate(g.edges):
+        if degree[u] > 1:  # follow the chain leaving a branching vertex
+            used[e] = 1
+            while degree[v] == 1:
+                e = only_out[v]
+                used[e] = 1
+                v = heads[e]
+            pairs.append((u, v))
+    closed = 0
+    for e in range(g.edge_count):
+        if not used[e]:  # a cycle through forced vertices only
+            closed += 1
+            while not used[e]:
+                used[e] = 1
+                e = only_out[heads[e]]
+    return pairs, closed
+
+
+def _contract_undirected(g: UndirectedMultigraph, degree: tuple[int, ...]) -> tuple[list[tuple[int, int]], int]:
+    """Splice chains through forced vertices: (branching endpoints of each chain, closed cycles)."""
+    ends = [x for edge in g.edges for x in edge]  # half-edge h sits at ends[h]
+    other = [-1] * len(ends)  # the other half-edge at a forced vertex
+    first = [-1] * g.vertex_count
+    for h, v in enumerate(ends):
+        if degree[v] == 2:
+            if first[v] < 0:
+                first[v] = h
+            else:
+                other[h], other[first[v]] = first[v], h
+    used = bytearray(g.edge_count)
+    pairs = []
+    for h, u in enumerate(ends):
+        if degree[u] > 2 and not used[h >> 1]:  # follow the chain leaving a branching vertex
+            used[h >> 1] = 1
+            h ^= 1
+            while degree[ends[h]] == 2:
+                h = other[h]
+                used[h >> 1] = 1
+                h ^= 1
+            pairs.append((u, ends[h]))
+    closed = 0
+    for e in range(g.edge_count):
+        if not used[e]:  # a cycle through forced vertices only
+            closed += 1
+            used[e] = 1
+            h = other[2 * e + 1]
+            while not used[h >> 1]:
+                used[h >> 1] = 1
+                h = other[h ^ 1]
+    return pairs, closed
+
+
+def _split_directed(key: tuple[int, ...], n: int) -> list[_Move]:
+    """Pair the first in-edge a -> v of the split vertex v with each out-edge v -> b."""
+    v = key[0] // n
+    first = next(c for c in key if c % n == v)
+    a = first // n
+    moves: list[_Move] = []
+    if a == v:
+        moves.append(((first,), None, 1, 1))  # the loop continues into itself
+    for c, copies in Counter(key[:bisect_left(key, (v + 1) * n)]).items():
+        if c == first:
+            copies -= 1  # the loop itself is taken
+        if copies:
+            moves.append(((first, c), a * n + c % n, 0, copies))
+    return moves
+
+
+def _split_undirected(key: tuple[int, ...], n: int) -> list[_Move]:
+    """Pair one half-edge of key[0] = {v, a} at v with each other half-edge at v."""
+    first = key[0]
+    v, a = divmod(first, n)
+    moves: list[_Move] = []
+    if a == v:
+        moves.append(((first,), None, 1, 1))  # the loop's two halves paired together
+    for c, copies in Counter(key[:bisect_left(key, (v + 1) * n)]).items():
+        if c == first:
+            copies -= 1  # the chosen half-edge itself is taken
+        if copies:
+            b = c % n
+            halves = 2 if b == v else 1  # a loop offers either half
+            moves.append(((first, c), min(a, b) * n + max(a, b), 0, copies * halves))
+    return moves
+
+
+def _sweep(key: tuple[int, ...], n: int, split: Callable[[tuple[int, ...], int], list[_Move]],
+           guard: int) -> list[int]:
+    """Coefficients of the partition polynomial of the core graph `key`.
+
+    Every move removes exactly one edge, so all states of a layer have the
+    same key length and each layer feeds only the next. A state's value is
+    the polynomial summed over the paths that reach it from the start.
+    """
+    layer = {key: [1]}
+    work = 0
+    for _ in range(len(key)):
+        following: dict[tuple[int, ...], list[int]] = {}
+        for state, weight in layer.items():
+            moves = split(state, n)
+            work += len(moves) * len(state)
+            if work > guard:
+                raise GuardExceededError(
+                    "circuit partition recursion refused (work units: branches x edges per state)",
+                    work, guard)
+            for removed, added, shift, copies in moves:
+                rest = list(state)
+                for c in removed:
+                    del rest[bisect_left(rest, c)]
+                if added is not None:
+                    insort(rest, added)
+                acc = following.setdefault(tuple(rest), [])
+                if len(acc) < len(weight) + shift:
+                    acc.extend([0] * (len(weight) + shift - len(acc)))
+                for i, c in enumerate(weight, shift):
+                    acc[i] += copies * c
+        layer = following
+    return layer[()]
 
 
 def circuit_partition_polynomial(g: Multigraph, guard: int | None = None) -> IntPolynomial:
@@ -345,13 +593,18 @@ def circuit_partition_polynomial(g: Multigraph, guard: int | None = None) -> Int
 
     The edgeless graph yields the constant polynomial 1: its single (empty)
     partition has zero circuits, which keeps the disjoint-union product law
-    and the moment identities valid in the degenerate case.
+    and the moment identities valid in the degenerate case. `guard` caps the
+    work units of the splitting sweep (see the module docstring).
     """
-    variant = "directed" if isinstance(g, DirectedMultigraph) else "undirected"
-    if g.edge_count == 0:
-        _require_eulerian(g)  # vacuously true, but keeps the error contract uniform
-        return IntPolynomial((1,), variant)
-    coeffs = [0] * (g.edge_count + 1)
-    for t, count in circuit_count_tally(g, guard=guard).items():
-        coeffs[t] = count
-    return IntPolynomial(tuple(coeffs), variant)
+    guard = DEFAULT_ENUMERATION_GUARD if guard is None else guard
+    _require_eulerian(g)
+    directed = isinstance(g, DirectedMultigraph)
+    if directed:
+        variant, split, degree = "directed", _split_directed, g.in_degrees()
+        pairs, closed = _contract_directed(g, degree)
+    else:
+        variant, split, degree = "undirected", _split_undirected, g.degrees()
+        pairs, closed = _contract_undirected(g, degree)
+    key, n = _core_key(pairs, degree, directed)
+    coeffs = _sweep(key, n, split, guard)
+    return IntPolynomial((0,) * closed + tuple(coeffs), variant)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import decimal
 import json
 
 from circuitkit import cli
@@ -153,6 +154,7 @@ def test_verify_bundled_corpus(capsys):
     assert code == 0
     assert "FAIL" not in out
     assert "checks passed" in out
+    assert out.count("engine vs enumerator") == 5  # one per corpus graph
 
 
 def test_verify_fails_on_missing_corpus(capsys, tmp_path):
@@ -178,3 +180,18 @@ def test_every_operation_is_reachable_from_a_command():
 def test_command_table_is_complete():
     names = {command.name for command in cli.COMMANDS}
     assert names == {"j", "q-predict", "q-estimate", "q-exact", "medial", "tutte", "martin", "verify"}
+
+
+def test_exact_output_of_any_length(capsys, tmp_path):
+    # q = 2^(1-m) on the m-edge directed cycle at k = 2, complex-sphere; the
+    # denominator has more digits than Python's default int-to-str limit.
+    m = 15_000
+    path = tmp_path / "cycle.graph"
+    path.write_text(f"directed\n{m} {m}\n" + "".join(f"{u} {(u + 1) % m}\n" for u in range(m)))
+    code, out, err = run(capsys, "q-predict", str(path), "--k", "2", "--ensemble", "complex-sphere")
+    assert (code, err) == (0, "")
+    with decimal.localcontext() as ctx:
+        ctx.prec = 5000
+        digits = str(decimal.Decimal(2) ** (m - 1))
+    assert len(digits) == 4516
+    assert out == f"1/{digits}\n"

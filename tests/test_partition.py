@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import decimal
+import sys
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial, prod
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -20,7 +22,7 @@ from circuitkit import (
     evaluate,
     transition_system_count,
 )
-from circuitkit.partition import circuit_count_tally, double_factorial
+from circuitkit.partition import circuit_count_tally, double_factorial, unlimited_int_digits
 
 
 # ---------------------------------------------------------------------------
@@ -327,3 +329,151 @@ def test_random_undirected_against_walk_oracle(g):
         assert t == circuit_count(g, ts)
         tally[t] = tally.get(t, 0) + 1
     assert sum(tally.values()) == transition_system_count(g)
+
+
+# ---------------------------------------------------------------------------
+# The splitting engine against the enumerator, and at sizes past it
+# ---------------------------------------------------------------------------
+
+def tally_polynomial(g) -> IntPolynomial:
+    """j(G;z) from the reference enumerator."""
+    tally = circuit_count_tally(g)
+    return IntPolynomial(tuple(tally.get(t, 0) for t in range(max(tally) + 1)))
+
+
+def directed_circulant(n: int, d: int) -> DirectedMultigraph:
+    """circ(n, d): edges u -> u + s mod n for s = 1..d; every vertex has d_v = d."""
+    return DirectedMultigraph(n, tuple((u, (u + s) % n) for u in range(n) for s in range(1, d + 1)))
+
+
+def best_r1(g: DirectedMultigraph) -> int:
+    """Single-circuit partitions of a connected directed Eulerian graph by the
+    BEST theorem: t_w(G) * prod_v (d_v - 1)!, the arborescence count t_w an
+    exact Fraction determinant of the reduced Laplacian (loops ignored)."""
+    n = g.vertex_count
+    lap = [[Fraction(0)] * n for _ in range(n)]
+    for u, v in g.edges:
+        if u != v:
+            lap[u][u] += 1
+            lap[u][v] -= 1
+    minor = [row[1:] for row in lap[1:]]
+    det = Fraction(1)
+    for col in range(n - 1):
+        pivot = next((r for r in range(col, n - 1) if minor[r][col] != 0), None)
+        if pivot is None:
+            return 0
+        if pivot != col:
+            minor[col], minor[pivot] = minor[pivot], minor[col]
+            det = -det
+        det *= minor[col][col]
+        for r in range(col + 1, n - 1):
+            factor = minor[r][col] / minor[col][col]
+            for c in range(col, n - 1):
+                minor[r][c] -= factor * minor[col][c]
+    arborescences = int(det)
+    return arborescences * prod(factorial(d - 1) for d in g.in_degrees())
+
+
+@st.composite
+def eulerian_multigraphs(draw):
+    """Unions of closed walks: loops (walks of length 1), parallel edges
+    (repeated steps), several components, isolated vertices and the
+    edgeless graph (no walks)."""
+    directed = draw(st.booleans())
+    n = draw(st.integers(0, 6))
+    walks = draw(st.lists(st.lists(st.integers(0, n - 1), min_size=1, max_size=4),
+                          max_size=3)) if n else []
+    edges = tuple((u, walk[(i + 1) % len(walk)]) for walk in walks for i, u in enumerate(walk))
+    return (DirectedMultigraph if directed else UndirectedMultigraph)(n, edges)
+
+
+@settings(max_examples=150, deadline=None)
+@given(eulerian_multigraphs())
+def test_engine_matches_enumerator(g):
+    assume(transition_system_count(g) <= 20_000)
+    assert circuit_partition_polynomial(g) == tally_polynomial(g)
+
+
+@settings(max_examples=30, deadline=None)
+@given(eulerian_multigraphs(), eulerian_multigraphs())
+def test_disjoint_union_product_law(g1, g2):
+    assume(type(g1) is type(g2))
+    union = disjoint_union(g1, g2)
+    assert circuit_partition_polynomial(union) == (
+        circuit_partition_polynomial(g1) * circuit_partition_polynomial(g2))
+
+
+def test_disjoint_union_product_law_past_the_enumeration_guard():
+    big, bigger = directed_circulant(6, 4), directed_circulant(10, 3)
+    assert circuit_partition_polynomial(disjoint_union(big, bigger)) == (
+        circuit_partition_polynomial(big) * circuit_partition_polynomial(bigger))
+
+
+@pytest.mark.parametrize("n, d", [(6, 4), (10, 3)])
+def test_counts_and_best_theorem_past_the_enumeration_guard(n, d):
+    g = directed_circulant(n, d)
+    systems = transition_system_count(g)
+    assert systems == factorial(d) ** n > 10**7
+    poly = circuit_partition_polynomial(g)
+    assert poly.coefficient_sum() == systems
+    assert poly.coefficients[1] == best_r1(g)
+
+
+@pytest.mark.parametrize("loops", [0, 1, 3, 40])
+def test_long_directed_cycle_with_loops(loops):
+    m = 20_000
+    edges = tuple((u, (u + 1) % m) for u in range(m)) + tuple((v, v) for v in range(0, m, 499)[:loops])
+    poly = circuit_partition_polynomial(DirectedMultigraph(m, edges))
+    assert poly.coefficients == (0,) + tuple(comb(loops, i) for i in range(loops + 1))
+
+
+@pytest.mark.parametrize("directed", [True, False])
+def test_cycle_with_a_loop_at_every_vertex(directed):
+    # The states form a chain deeper than the default recursion limit.
+    n = 1000
+    edges = tuple((u, (u + 1) % n) for u in range(n)) + tuple((v, v) for v in range(n))
+    g = (DirectedMultigraph if directed else UndirectedMultigraph)(n, edges)
+    poly = circuit_partition_polynomial(g)
+    # z (1 + z)^n directed; z (z + 2)^n undirected
+    expected = [comb(n, i) * (1 if directed else 2 ** (n - i)) for i in range(n + 1)]
+    assert poly.coefficients == (0, *expected)
+
+
+def test_engine_guard_refuses_with_work_count():
+    g = directed_circulant(6, 3)
+    with pytest.raises(GuardExceededError) as excinfo:
+        circuit_partition_polynomial(g, guard=50)
+    assert excinfo.value.limit == 50
+    assert excinfo.value.required > 50
+    assert circuit_partition_polynomial(g, guard=10**5).coefficient_sum() == 6**6
+
+
+def test_normalization_of_long_coefficient_tuples():
+    long = IntPolynomial((3,) + (0,) * 20_000)
+    assert long.coefficients == (3,)
+    middle = IntPolynomial((0,) * 10_000 + (7,) + (0,) * 10_000)
+    assert middle.degree == 10_000
+    assert middle.coefficients[-1] == 7
+
+
+def test_text_output_of_huge_coefficients():
+    huge = 7 ** 9000  # 7,606 digits, past Python's default int-to-str limit
+    poly = IntPolynomial((0, huge))
+    with decimal.localcontext() as ctx:
+        ctx.prec = 8000
+        digits = str(decimal.Decimal(7) ** 9000)
+    assert poly.to_text() == f"0 {digits}"
+    assert poly.to_json_dict() == {"coefficients": ["0", digits]}
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str limit")
+def test_int_digit_limit_is_lifted_only_inside():
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4321)
+    try:
+        with unlimited_int_digits():
+            assert sys.get_int_max_str_digits() == 0
+        IntPolynomial((1, 2)).to_text()
+        assert sys.get_int_max_str_digits() == 4321
+    finally:
+        sys.set_int_max_str_digits(previous)
