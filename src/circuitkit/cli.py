@@ -40,27 +40,11 @@ def bundled_corpus_dir() -> Path:
     return Path(str(resources.files("circuitkit").joinpath("corpus")))
 
 
-def _load_file(path: str):
+def _read(path: str) -> str:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise GraphFormatError(f"cannot read {path}: {exc.strerror or exc}") from exc
-    return graphs.parse_graph_file(text)
-
-
-def _load_graph(path: str) -> graphs.Multigraph:
-    """Any graph file; planar maps contribute their underlying undirected graph."""
-    _, graph, _ = _load_file(path)
-    return graph
-
-
-def _load_planar(path: str) -> planar.PlanarMap:
-    kind, graph, rotations = _load_file(path)
-    if kind != "planar":
-        raise GraphFormatError(f"{path}: expected a planar map file, got kind {kind!r}")
-    pmap = planar.PlanarMap(graph, rotations)
-    planar.faces(pmap)
-    return pmap
 
 
 def _emit(args, text_value: str, json_value: dict) -> None:
@@ -75,7 +59,7 @@ def _emit(args, text_value: str, json_value: dict) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_j(args) -> int:
-    g = _load_graph(args.input)
+    g = graphs.parse_graph(_read(args.input))
     poly = partition.circuit_partition_polynomial(g, guard=args.guard_enumeration)
     payload = {"schema": SCHEMA, "variant": poly.variant}
     payload.update(poly.to_json_dict())
@@ -84,9 +68,9 @@ def cmd_j(args) -> int:
 
 
 def cmd_q_predict(args) -> int:
-    g = _load_graph(args.input)
+    g = graphs.parse_graph(_read(args.input))
     ensemble = diagrams.Ensemble.from_string(args.ensemble)
-    value = sampling.predicted_q(g, args.k, ensemble)
+    value = sampling.predicted_q(g, args.k, ensemble, guard=args.guard_enumeration)
     payload = {"schema": SCHEMA, "value": format_rational(value), "k": args.k,
                "ensemble": ensemble.value}
     if not graphs.eulerian_check(g).is_eulerian:
@@ -96,7 +80,7 @@ def cmd_q_predict(args) -> int:
 
 
 def cmd_q_exact(args) -> int:
-    g = _load_graph(args.input)
+    g = graphs.parse_graph(_read(args.input))
     ensemble = diagrams.Ensemble.from_string(args.ensemble)
     value = diagrams.contract_q_exact(g, args.k, ensemble, guard=args.guard_contraction)
     payload = {"schema": SCHEMA, "value": format_rational(value), "k": args.k,
@@ -106,7 +90,7 @@ def cmd_q_exact(args) -> int:
 
 
 def cmd_q_estimate(args) -> int:
-    g = _load_graph(args.input)
+    g = graphs.parse_graph(_read(args.input))
     ensemble = diagrams.Ensemble.from_string(args.ensemble)
     estimate = sampling.estimate_q(g, args.k, ensemble, args.n, args.seed, workers=args.workers)
     payload = {"schema": SCHEMA}
@@ -118,14 +102,14 @@ def cmd_q_estimate(args) -> int:
 
 
 def cmd_medial(args) -> int:
-    pmap = _load_planar(args.input)
+    pmap = planar.parse_planar_map(_read(args.input))
     medial = planar.medial_graph(pmap)
     _emit(args, graphs.serialize_graph(medial).rstrip("\n"), graphs.graph_to_json_dict(medial))
     return EXIT_OK
 
 
 def cmd_tutte(args) -> int:
-    g = _load_graph(args.input)
+    g = graphs.parse_graph(_read(args.input))
     if isinstance(g, graphs.DirectedMultigraph):
         raise GraphFormatError("the subset expansion needs an undirected or planar file")
     x, y = Fraction(args.x), Fraction(args.y)
@@ -137,7 +121,7 @@ def cmd_tutte(args) -> int:
 
 
 def cmd_martin(args) -> int:
-    pmap = _load_planar(args.input)
+    pmap = planar.parse_planar_map(_read(args.input))
     z = Fraction(args.z)
     check = planar.martin_check(pmap, z, enumeration_guard=args.guard_enumeration,
                                 subset_guard=args.guard_subsets)
@@ -466,19 +450,19 @@ COMMANDS: tuple[Command, ...] = (
     Command("q-predict", cmd_q_predict, _configure_q_predict,
             "exact q(G;k) from the partition polynomial",
             ("parse_graph", "predicted_q", "eulerian_check", "circuit_partition_polynomial",
-             "xd_scaling", "evaluate")),
+             "vertex_scaling", "xd_scaling", "evaluate")),
     Command("q-estimate", cmd_q_estimate, _configure_q_estimate, "Monte Carlo q(G;k)",
             ("parse_graph", "estimate_q", "sample_vector", "product_of_inner_products")),
     Command("q-exact", cmd_q_exact, _configure_q_exact, "brute-force contraction q(G;k)",
             ("parse_graph", "contract_q_exact", "enumerate_permutations", "enumerate_matchings",
-             "xd_scaling")),
+             "vertex_scaling", "xd_scaling")),
     Command("medial", cmd_medial, _configure_medial, "oriented medial graph of a planar map",
-            ("medial_graph", "faces")),
+            ("parse_planar_map", "medial_graph", "faces")),
     Command("tutte", cmd_tutte, _configure_tutte, "Tutte polynomial by subset expansion",
             ("parse_graph", "tutte_subset_expansion", "component_count")),
     Command("martin", cmd_martin, _configure_martin, "check j(G_m;z) = z^c T(G;z+1,z+1)",
-            ("martin_check", "medial_graph", "faces", "component_count", "tutte_subset_expansion",
-             "eulerian_check", "circuit_partition_polynomial", "evaluate")),
+            ("parse_planar_map", "martin_check", "medial_graph", "faces", "component_count",
+             "tutte_subset_expansion", "eulerian_check", "circuit_partition_polynomial", "evaluate")),
     Command("verify", cmd_verify, _configure_verify, "run the invariant suite over a corpus",
             ("parse_graph", "eulerian_check", "component_count", "enumerate_transition_systems",
              "circuit_count", "circuit_partition_polynomial", "evaluate",

@@ -22,8 +22,8 @@ from fractions import Fraction
 from math import factorial, prod
 from typing import Iterator, Sequence
 
-from .errors import GuardExceededError, NotEulerianError
-from .graphs import DirectedMultigraph, Multigraph, UndirectedMultigraph, eulerian_check
+from .errors import GuardExceededError
+from .graphs import DirectedMultigraph, Multigraph, UndirectedMultigraph, require_eulerian
 
 DEFAULT_PERMUTATION_LIMIT = 8
 DEFAULT_MATCHING_LIMIT = 7
@@ -155,7 +155,7 @@ def enumerate_permutations(d: int, limit: int | None = None) -> Iterator[Permuta
         yield PermutationDiagram(d, image)
 
 
-def _iter_pairings(points: tuple[int, ...]) -> Iterator[tuple[tuple[int, int], ...]]:
+def perfect_matchings(points: tuple[int, ...]) -> Iterator[tuple[tuple[int, int], ...]]:
     """Perfect matchings of an ordered point list, smallest-endpoint-first order."""
     if not points:
         yield ()
@@ -163,7 +163,7 @@ def _iter_pairings(points: tuple[int, ...]) -> Iterator[tuple[tuple[int, int], .
     a = points[0]
     for idx in range(1, len(points)):
         rest = points[1:idx] + points[idx + 1:]
-        for tail in _iter_pairings(rest):
+        for tail in perfect_matchings(rest):
             yield ((a, points[idx]),) + tail
 
 
@@ -172,7 +172,7 @@ def enumerate_matchings(d: int, limit: int | None = None) -> Iterator[MatchingDi
     limit = DEFAULT_MATCHING_LIMIT if limit is None else limit
     if d > limit:
         raise GuardExceededError("matching diagram enumeration refused", d, limit)
-    for pairs in _iter_pairings(tuple(range(2 * d))):
+    for pairs in perfect_matchings(tuple(range(2 * d))):
         yield MatchingDiagram(d, pairs)
 
 
@@ -265,6 +265,19 @@ def xd_scaling(d: int, k: int, ensemble: Ensemble) -> Fraction:
     return Fraction(1, k**d)
 
 
+def vertex_scaling(g: Multigraph, k: int, ensemble: Ensemble) -> Fraction:
+    """Product of the per-vertex scalings xd_scaling(d_v, k, ensemble).
+
+    d_v is the in-degree of a directed vertex and half the degree of an
+    undirected one: the tensor power of x_v that its edges contract.
+    """
+    if isinstance(g, DirectedMultigraph):
+        powers = g.in_degrees()
+    else:
+        powers = tuple(d // 2 for d in g.degrees())
+    return prod((xd_scaling(d, k, ensemble) for d in powers), start=Fraction(1))
+
+
 # ---------------------------------------------------------------------------
 # Brute-force contraction oracle
 # ---------------------------------------------------------------------------
@@ -275,12 +288,6 @@ def ensure_ensemble_matches(g: Multigraph, ensemble: Ensemble) -> None:
         raise ValueError("directed graphs pair with complex ensembles")
     if isinstance(g, UndirectedMultigraph) and not ensemble.is_real:
         raise ValueError("undirected graphs pair with real ensembles")
-
-
-def _require_balanced(g: Multigraph) -> None:
-    report = eulerian_check(g)
-    if not report.is_eulerian:
-        raise NotEulerianError(f"graph is not Eulerian: {report.describe()}", report)
 
 
 def contract_q_exact(g: Multigraph, k: int, ensemble: Ensemble, guard: int | None = None) -> Fraction:
@@ -297,17 +304,13 @@ def contract_q_exact(g: Multigraph, k: int, ensemble: Ensemble, guard: int | Non
     if k < 1:
         raise ValueError("k must be >= 1")
     ensure_ensemble_matches(g, ensemble)
-    _require_balanced(g)
+    require_eulerian(g)
     m = g.edge_count
     if k**m > guard:
         raise GuardExceededError("contraction oracle refused", k**m, guard)
 
     if isinstance(g, DirectedMultigraph):
-        ins: list[list[int]] = [[] for _ in range(g.vertex_count)]
-        outs: list[list[int]] = [[] for _ in range(g.vertex_count)]
-        for e, (u, v) in enumerate(g.edges):
-            outs[u].append(e)
-            ins[v].append(e)
+        ins, outs = g.slots()
         degrees = g.in_degrees()
         diagram_lists = {d: list(enumerate_permutations(d, limit=max(d, DEFAULT_PERMUTATION_LIMIT)))
                          for d in set(degrees)}
@@ -321,12 +324,8 @@ def contract_q_exact(g: Multigraph, k: int, ensemble: Ensemble, guard: int | Non
                 cached = sum(p.delta_product(uppers, lowers) for p in diagram_lists[degrees[v]])
                 memos[v][key] = cached
             return cached
-
-        scaling = prod((xd_scaling(d, k, ensemble) for d in degrees), start=Fraction(1))
     else:
-        slot_edges: list[list[int]] = [
-            [h // 2 for h in g.half_edges_at(v)] for v in range(g.vertex_count)
-        ]
+        slot_edges = [[h // 2 for h in halves] for halves in g.slots()]
         degrees = g.degrees()
         diagram_lists = {d: list(enumerate_matchings(d // 2, limit=max(d // 2, DEFAULT_MATCHING_LIMIT)))
                          for d in set(degrees)}
@@ -340,8 +339,6 @@ def contract_q_exact(g: Multigraph, k: int, ensemble: Ensemble, guard: int | Non
                 memos[v][values] = cached
             return cached
 
-        scaling = prod((xd_scaling(d // 2, k, ensemble) for d in degrees), start=Fraction(1))
-
     memos: list[dict] = [{} for _ in range(g.vertex_count)]
     total = 0
     vertices = range(g.vertex_count)
@@ -354,4 +351,4 @@ def contract_q_exact(g: Multigraph, k: int, ensemble: Ensemble, guard: int | Non
                 break
             term *= c
         total += term
-    return total * scaling
+    return total * vertex_scaling(g, k, ensemble)

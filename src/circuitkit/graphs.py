@@ -22,7 +22,7 @@ import json
 from dataclasses import dataclass
 from typing import Iterable
 
-from .errors import GraphFormatError
+from .errors import GraphFormatError, NotEulerianError
 
 JSON_SCHEMA = "circuitkit/1"
 
@@ -58,6 +58,20 @@ class DirectedMultigraph:
             degs[u] += 1
         return tuple(degs)
 
+    def slots(self) -> tuple[list[list[int]], list[list[int]]]:
+        """(incoming, outgoing) edge indices per vertex, in file order.
+
+        In-slot i of vertex v is ins[v][i] and out-slot j is outs[v][j]; the
+        transition systems, the contraction oracle and the medial wirings all
+        index slots this way.
+        """
+        ins: list[list[int]] = [[] for _ in range(self.vertex_count)]
+        outs: list[list[int]] = [[] for _ in range(self.vertex_count)]
+        for e, (u, v) in enumerate(self.edges):
+            outs[u].append(e)
+            ins[v].append(e)
+        return ins, outs
+
     def reversed_edges(self) -> "DirectedMultigraph":
         """The graph with every edge direction flipped (edge order kept)."""
         return DirectedMultigraph(self.vertex_count, tuple((v, u) for u, v in self.edges))
@@ -92,7 +106,14 @@ class UndirectedMultigraph:
 
     def half_edges_at(self, v: int) -> tuple[int, ...]:
         """Half-edge ids incident to v, ascending; a self-loop contributes both of its ids."""
-        return tuple(h for h in range(self.half_edge_count) if self.half_edge_vertex(h) == v)
+        return tuple(self.slots()[v])
+
+    def slots(self) -> list[list[int]]:
+        """Half-edge ids incident to each vertex, ascending, in one pass over the edges."""
+        at: list[list[int]] = [[] for _ in range(self.vertex_count)]
+        for h, v in enumerate(x for edge in self.edges for x in edge):
+            at[v].append(h)
+        return at
 
     def degrees(self) -> tuple[int, ...]:
         degs = [0] * self.vertex_count
@@ -145,6 +166,13 @@ def eulerian_check(g: Multigraph) -> EulerianReport:
             if deg % 2 != 0:
                 offending.append((v, deg))
     return EulerianReport(not offending, tuple(offending))
+
+
+def require_eulerian(g: Multigraph) -> None:
+    """Raise NotEulerianError, citing the offending vertices, unless g is balanced."""
+    report = eulerian_check(g)
+    if not report.is_eulerian:
+        raise NotEulerianError(f"graph is not Eulerian: {report.describe()}", report)
 
 
 class _DisjointSet:

@@ -27,11 +27,10 @@ The transition-system enumerator (`enumerate_transition_systems`,
 A transition system picks, at every vertex, a bijection from incoming to
 outgoing edge slots (directed) or a perfect matching of the incident
 half-edge slots (undirected); tallying the circuits each induces gives the
-coefficients r_t again. Enumeration is lexicographic in the per-vertex wiring
-indices (vertex 0 most significant), with per-vertex wirings ordered by
-Lehmer code (bijections) or by canonical smallest-first pairing (matchings),
-and any index range [start, stop) of that order can be enumerated on its
-own. Its guard counts transition systems.
+coefficients r_t again. Enumeration is an odometer over lazy per-vertex
+wiring generators, lexicographic with vertex 0 most significant: bijections
+in lexicographic image order, matchings in canonical smallest-first pairing
+order. Its guard counts transition systems.
 """
 
 from __future__ import annotations
@@ -46,17 +45,13 @@ from fractions import Fraction
 from math import factorial, prod
 from typing import Callable, Iterator
 
-from .errors import GuardExceededError, NotEulerianError
-from .graphs import DirectedMultigraph, Multigraph, UndirectedMultigraph, eulerian_check
+from .diagrams import perfect_matchings
+from .errors import GuardExceededError
+from .graphs import DirectedMultigraph, Multigraph, UndirectedMultigraph, require_eulerian
 
 # Work units for the engine (branches x key length per expanded state);
 # transition systems for the reference enumerator.
 DEFAULT_ENUMERATION_GUARD = 10**8
-
-# Per-vertex wiring lists are precomputed up to this many entries; beyond it
-# wirings are unranked on demand so a single high-degree vertex cannot blow
-# up memory even when the total count clears the guard.
-_MATERIALIZE_LIMIT = 100_000
 
 
 def double_factorial(n: int) -> int:
@@ -130,11 +125,8 @@ class IntPolynomial:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "IntPolynomial":
-        return cls(tuple(int(c) for c in data["coefficients"]))
-
-
-def evaluate(p: IntPolynomial, z) -> Fraction:
-    return p.evaluate(z)
+        with unlimited_int_digits():
+            return cls(tuple(int(c) for c in data["coefficients"]))
 
 
 @contextmanager
@@ -172,22 +164,6 @@ class TransitionSystem:
     wirings: tuple[tuple, ...]
 
 
-def _require_eulerian(g: Multigraph) -> None:
-    report = eulerian_check(g)
-    if not report.is_eulerian:
-        raise NotEulerianError(f"graph is not Eulerian: {report.describe()}", report)
-
-
-def _directed_slots(g: DirectedMultigraph) -> tuple[list[list[int]], list[list[int]]]:
-    """(incoming, outgoing) edge indices per vertex, in file order."""
-    ins: list[list[int]] = [[] for _ in range(g.vertex_count)]
-    outs: list[list[int]] = [[] for _ in range(g.vertex_count)]
-    for e, (u, v) in enumerate(g.edges):
-        outs[u].append(e)
-        ins[v].append(e)
-    return ins, outs
-
-
 def transition_system_count(g: Multigraph) -> int:
     """prod_v d_v! (directed, d_v = in = out) or prod_v (degree_v - 1)!! (undirected)."""
     if isinstance(g, DirectedMultigraph):
@@ -195,119 +171,38 @@ def transition_system_count(g: Multigraph) -> int:
     return prod(double_factorial(d - 1) for d in g.degrees())
 
 
-def _unrank_permutation(d: int, r: int) -> tuple[int, ...]:
-    """r-th permutation of range(d) in lexicographic order (Lehmer decode)."""
-    pool = list(range(d))
-    image = []
-    for i in range(d, 0, -1):
-        block = factorial(i - 1)
-        image.append(pool.pop(r // block))
-        r %= block
-    return tuple(image)
+def enumerate_transition_systems(g: Multigraph, guard: int | None = None) -> Iterator[TransitionSystem]:
+    """Yield every transition system of g, lexicographically, vertex 0 most significant.
 
-
-def _unrank_matching(count: int, r: int) -> tuple[tuple[int, int], ...]:
-    """r-th perfect matching of range(count) in canonical smallest-first order."""
-    slots = list(range(count))
-    pairs = []
-    while slots:
-        a = slots.pop(0)
-        block = double_factorial(len(slots) - 2)
-        b = slots.pop(r // block)
-        r %= block
-        pairs.append((a, b))
-    return tuple(pairs)
-
-
-def _iter_matchings(count: int) -> Iterator[tuple[tuple[int, int], ...]]:
-    """All perfect matchings of range(count), canonical order."""
-
-    def rec(slots: tuple[int, ...]):
-        if not slots:
-            yield ()
-            return
-        a = slots[0]
-        for idx in range(1, len(slots)):
-            rest = slots[1:idx] + slots[idx + 1:]
-            for tail in rec(rest):
-                yield ((a, slots[idx]),) + tail
-
-    return rec(tuple(range(count)))
-
-
-class _VertexWirings:
-    """Lazy indexed access to one vertex's wiring options."""
-
-    def __init__(self, kind: str, size: int):
-        # size is d_v (bijections of d_v slots) for directed vertices and the
-        # full degree (matchings of `size` slots) for undirected ones.
-        self.kind = kind
-        self.size = size
-        self.count = factorial(size) if kind == "directed" else double_factorial(size - 1)
-        self._table = None
-        if self.count <= _MATERIALIZE_LIMIT:
-            if kind == "directed":
-                self._table = list(itertools.permutations(range(size)))
-            else:
-                self._table = list(_iter_matchings(size))
-
-    def __getitem__(self, r: int):
-        if self._table is not None:
-            return self._table[r]
-        if self.kind == "directed":
-            return _unrank_permutation(self.size, r)
-        return _unrank_matching(self.size, r)
-
-
-def _vertex_wirings(g: Multigraph) -> list[_VertexWirings]:
-    if isinstance(g, DirectedMultigraph):
-        return [_VertexWirings("directed", d) for d in g.in_degrees()]
-    return [_VertexWirings("undirected", d) for d in g.degrees()]
-
-
-def enumerate_transition_systems(
-    g: Multigraph,
-    start: int = 0,
-    stop: int | None = None,
-    guard: int | None = None,
-) -> Iterator[TransitionSystem]:
-    """Yield transition systems with lexicographic indices in [start, stop).
-
-    Defaults cover the full range. The graph must be Eulerian (directed) or
-    all-even-degree (undirected), and the total count must clear the guard.
+    The graph must be Eulerian (directed) or all-even-degree (undirected), and
+    the total count must clear the guard. Each vertex's wirings are generated
+    lazily, so a single high-degree vertex never holds its options in memory.
     """
     guard = DEFAULT_ENUMERATION_GUARD if guard is None else guard
-    _require_eulerian(g)
+    require_eulerian(g)
     total = transition_system_count(g)
     if total > guard:
         raise GuardExceededError("transition-system enumeration refused", total, guard)
-    stop = total if stop is None else stop
-    if not (0 <= start <= stop <= total):
-        raise ValueError(f"invalid range [{start}, {stop}) for {total} transition systems")
-    if start == stop:
-        return
+    if isinstance(g, DirectedMultigraph):
+        sizes, wirings = g.in_degrees(), lambda d: itertools.permutations(range(d))
+    else:
+        sizes, wirings = g.degrees(), lambda d: perfect_matchings(tuple(range(d)))
 
-    per_vertex = _vertex_wirings(g)
-    radices = [w.count for w in per_vertex]
-
-    # Mixed-radix decode of `start`, vertex 0 most significant.
-    digits = [0] * len(radices)
-    r = start
-    for v in range(len(radices) - 1, -1, -1):
-        digits[v] = r % radices[v]
-        r //= radices[v]
-
-    current = [per_vertex[v][digits[v]] for v in range(len(radices))]
-    for _ in range(stop - start):
+    wheels = [wirings(d) for d in sizes]
+    current = [next(it) for it in wheels]
+    while True:
         yield TransitionSystem(tuple(current))
-        # Odometer increment, least significant vertex last.
-        for v in range(len(radices) - 1, -1, -1):
-            digits[v] += 1
-            if digits[v] < radices[v]:
-                current[v] = per_vertex[v][digits[v]]
+        # Odometer increment, least significant vertex last; a digit that
+        # wraps restarts its vertex's generator.
+        for v in range(len(wheels) - 1, -1, -1):
+            wiring = next(wheels[v], None)
+            if wiring is not None:
+                current[v] = wiring
                 break
-            digits[v] = 0
-            current[v] = per_vertex[v][0]
+            wheels[v] = wirings(sizes[v])
+            current[v] = next(wheels[v])
+        else:
+            return
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +226,7 @@ def _circuit_counter(g: Multigraph) -> Callable[[TransitionSystem], int]:
 
 
 def _directed_counter(g: DirectedMultigraph) -> Callable[[TransitionSystem], int]:
-    ins, outs = _directed_slots(g)
+    ins, outs = g.slots()
     m = g.edge_count
 
     def count(ts: TransitionSystem) -> int:
@@ -356,10 +251,7 @@ def _directed_counter(g: DirectedMultigraph) -> Callable[[TransitionSystem], int
 
 
 def _undirected_counter(g: UndirectedMultigraph) -> Callable[[TransitionSystem], int]:
-    # Half-edges at each vertex, ascending (what g.half_edges_at(v) returns).
-    at: list[list[int]] = [[] for _ in range(g.vertex_count)]
-    for h in range(g.half_edge_count):
-        at[g.edges[h >> 1][h & 1]].append(h)
+    at = g.slots()
     halves = g.half_edge_count
 
     def count(ts: TransitionSystem) -> int:
@@ -393,19 +285,14 @@ def _undirected_counter(g: UndirectedMultigraph) -> Callable[[TransitionSystem],
     return count
 
 
-def circuit_count_tally(
-    g: Multigraph,
-    start: int = 0,
-    stop: int | None = None,
-    guard: int | None = None,
-) -> dict[int, int]:
-    """Map circuit count -> number of transition systems, over an index range.
+def circuit_count_tally(g: Multigraph, guard: int | None = None) -> dict[int, int]:
+    """Map circuit count -> number of transition systems.
 
     The edgeless graph has one (empty) system, with zero circuits.
     """
     count = _circuit_counter(g)
     tally: dict[int, int] = {}
-    for ts in enumerate_transition_systems(g, start, stop, guard):
+    for ts in enumerate_transition_systems(g, guard):
         t = count(ts)
         tally[t] = tally.get(t, 0) + 1
     return tally
@@ -597,7 +484,7 @@ def circuit_partition_polynomial(g: Multigraph, guard: int | None = None) -> Int
     work units of the splitting sweep (see the module docstring).
     """
     guard = DEFAULT_ENUMERATION_GUARD if guard is None else guard
-    _require_eulerian(g)
+    require_eulerian(g)
     directed = isinstance(g, DirectedMultigraph)
     if directed:
         variant, split, degree = "directed", _split_directed, g.in_degrees()

@@ -14,7 +14,6 @@ medial vertex has in- and out-degree 2 and the medial graph is Eulerian.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, NamedTuple
@@ -213,11 +212,7 @@ def subset_to_partition_circuits(pmap: PlanarMap, subset: Iterable[int]) -> int:
     chosen = set(subset)
     medial = medial_graph_with_sides(pmap)
     g = medial.graph
-    in_slots: list[list[int]] = [[] for _ in range(g.vertex_count)]
-    out_slots: list[list[int]] = [[] for _ in range(g.vertex_count)]
-    for idx, (tail, head) in enumerate(g.edges):
-        out_slots[tail].append(idx)
-        in_slots[head].append(idx)
+    in_slots, out_slots = g.slots()
 
     wirings = []
     for e in range(g.vertex_count):
@@ -268,7 +263,3 @@ def planar_map_from_json_dict(data: dict) -> PlanarMap:
         int(data["vertex_count"]), tuple((int(u), int(v)) for u, v in data["edges"])
     )
     return PlanarMap(graph, tuple(tuple(int(d) for d in rot) for rot in data["rotation"]))
-
-
-def planar_map_to_json(pmap: PlanarMap) -> str:
-    return json.dumps(planar_map_to_json_dict(pmap))

@@ -22,12 +22,11 @@ from math import factorial, prod, sqrt
 
 import numpy as np
 
-from .diagrams import Ensemble, ensure_ensemble_matches, xd_scaling
+from .diagrams import Ensemble, ensure_ensemble_matches, vertex_scaling
 from .graphs import DirectedMultigraph, Multigraph, eulerian_check
 from .partition import circuit_partition_polynomial
 
 CHUNK_SIZE = 8192
-_MASK64 = (1 << 64) - 1
 
 # One length-k row per vertex; complex or real dtype per the ensemble.
 VectorAssignment = np.ndarray
@@ -60,7 +59,7 @@ class MCEstimate:
 
 
 def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
-    key = ((seed & _MASK64) << 64) | (chunk_index & _MASK64)
+    key = (seed << 64) | chunk_index
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -126,10 +125,15 @@ def estimate_q(g: Multigraph, k: int, ensemble: Ensemble, n_samples: int, seed: 
 
     Bit-reproducible for a fixed (seed, n_samples) regardless of workers; the
     standard error is the per-sample standard deviation of the complex values
-    over sqrt(n_samples).
+    over sqrt(n_samples). The seed must lie in [0, 2**64): it is the high half
+    of every chunk's Philox key, so no two seeds share a stream.
     """
     if n_samples < 2:
         raise ValueError("n_samples must be >= 2")
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed must be in [0, 2**64), got {seed}")
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     ensure_ensemble_matches(g, ensemble)
 
     n_chunks = (n_samples + CHUNK_SIZE - 1) // CHUNK_SIZE
@@ -156,26 +160,23 @@ def estimate_q(g: Multigraph, k: int, ensemble: Ensemble, n_samples: int, seed: 
     return MCEstimate(mean, sqrt(variance / n_samples), n_samples, ensemble, k, seed)
 
 
-def predicted_q(g: Multigraph, k: int, ensemble: Ensemble) -> Fraction:
+def predicted_q(g: Multigraph, k: int, ensemble: Ensemble, guard: int | None = None) -> Fraction:
     """Exact q(G;k): the circuit partition polynomial at z = k times the
     product of per-vertex scalings.
 
     A graph with unbalanced (directed) or odd (undirected) degrees has
     q(G;k) = 0 exactly: a uniform phase or sign flip at an unbalanced vertex
     preserves its ensemble but scales the product. That zero is returned
-    directly instead of running the formula.
+    directly instead of running the formula. `guard` caps the work of the
+    partition polynomial (see circuit_partition_polynomial).
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     ensure_ensemble_matches(g, ensemble)
     if not eulerian_check(g).is_eulerian:
         return Fraction(0)
-    j = circuit_partition_polynomial(g)
-    if isinstance(g, DirectedMultigraph):
-        scaling = prod((xd_scaling(d, k, ensemble) for d in g.in_degrees()), start=Fraction(1))
-    else:
-        scaling = prod((xd_scaling(d // 2, k, ensemble) for d in g.degrees()), start=Fraction(1))
-    return scaling * j.evaluate(k)
+    j = circuit_partition_polynomial(g, guard=guard)
+    return vertex_scaling(g, k, ensemble) * j.evaluate(k)
 
 
 def norm_moment(d: int, k: int, ensemble: Ensemble) -> Fraction:

@@ -195,3 +195,24 @@ def test_exact_output_of_any_length(capsys, tmp_path):
         digits = str(decimal.Decimal(2) ** (m - 1))
     assert len(digits) == 4516
     assert out == f"1/{digits}\n"
+
+
+def test_q_predict_honours_the_guard(capsys, corpus_dir):
+    code, out, err = run(capsys, "q-predict", corpus("fig1.graph", corpus_dir), "--k", "2",
+                         "--ensemble", "complex-sphere", "--guard-enumeration", "1")
+    assert code == cli.EXIT_GUARD_EXCEEDED
+    assert out == ""
+    assert "guard" in err
+
+
+def test_q_estimate_rejects_aliasing_arguments(capsys, corpus_dir):
+    argv = ["q-estimate", corpus("fig1.graph", corpus_dir), "--k", "2",
+            "--ensemble", "complex-sphere", "--n", "100"]
+    for extra in (["--seed", "-1"], ["--seed", str(2**64)], ["--workers", "0"]):
+        code, out, err = run(capsys, *argv, *extra)
+        assert code == cli.EXIT_INPUT_ERROR
+        assert out == ""
+        assert "must be" in err
+    code, out, _ = run(capsys, *argv, "--seed", str(2**64 - 1))
+    assert code == 0
+    assert f"seed={2**64 - 1})" in out

@@ -25,6 +25,7 @@ from circuitkit import (
     predicted_q,
     xd_scaling,
 )
+from circuitkit.diagrams import vertex_scaling
 
 CUPCAP = MatchingDiagram(2, ((0, 1), (2, 3)))
 EXCHANGE = MatchingDiagram(2, ((0, 3), (1, 2)))
@@ -151,6 +152,13 @@ def test_xd_scaling_normalizes_the_trace():
         for k in range(1, 5):
             assert xd_scaling(d, k, Ensemble.COMPLEX_SPHERE) * cycle_genfunc_permutations(d, k) == 1
             assert xd_scaling(d, k, Ensemble.REAL_SPHERE) * cycle_genfunc_matchings(d, k) == 1
+
+
+def test_vertex_scaling_multiplies_per_vertex_scalings(fig1, figure_eight):
+    # fig1 has in-degrees (1, 1, 2, 1); the figure eight is one vertex of degree 4.
+    assert vertex_scaling(fig1, 2, Ensemble.COMPLEX_SPHERE) == Fraction(1, 2) ** 3 * Fraction(1, 6)
+    assert vertex_scaling(figure_eight, 2, Ensemble.REAL_SPHERE) == Fraction(1, 8)
+    assert vertex_scaling(DirectedMultigraph(0, ()), 3, Ensemble.COMPLEX_GAUSSIAN) == 1
 
 
 # ---------------------------------------------------------------------------

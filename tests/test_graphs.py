@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 from circuitkit import (
     DirectedMultigraph,
     GraphFormatError,
+    NotEulerianError,
     UndirectedMultigraph,
     component_count,
     disjoint_union,
@@ -15,7 +16,7 @@ from circuitkit import (
     parse_graph,
     serialize_graph,
 )
-from circuitkit.graphs import graph_from_json, graph_to_json, parse_graph_file
+from circuitkit.graphs import graph_from_json, graph_to_json, parse_graph_file, require_eulerian
 
 from conftest import GRAPH_NAMES, load_graph
 
@@ -117,6 +118,13 @@ def test_odd_degree_reported():
     assert "odd" in report.describe()
 
 
+def test_require_eulerian_cites_the_report(fig1):
+    require_eulerian(fig1)
+    with pytest.raises(NotEulerianError) as excinfo:
+        require_eulerian(UndirectedMultigraph(2, ((0, 1),)))
+    assert excinfo.value.report.offending_vertices == ((0, 1), (1, 1))
+
+
 def test_directed_self_loop_balances_degrees():
     g = DirectedMultigraph(1, ((0, 0),))
     assert g.in_degrees() == (1,)
@@ -187,6 +195,17 @@ def test_degree_sum_undirected(g):
 def test_half_edges_partition(g):
     owned = sorted(h for v in range(g.vertex_count) for h in g.half_edges_at(v))
     assert owned == list(range(g.half_edge_count))
+    for v, halves in enumerate(g.slots()):
+        assert halves == sorted(halves)
+        assert all(g.half_edge_vertex(h) == v for h in halves)
+
+
+@given(directed_graphs())
+def test_directed_slots_list_edges_in_file_order(g):
+    ins, outs = g.slots()
+    for v in range(g.vertex_count):
+        assert ins[v] == [e for e, (_, head) in enumerate(g.edges) if head == v]
+        assert outs[v] == [e for e, (tail, _) in enumerate(g.edges) if tail == v]
 
 
 @given(st.one_of(directed_graphs(), undirected_graphs()))

@@ -1,0 +1,69 @@
+"""Static hygiene of the package source: no unused imports, no private
+machinery without a caller, and an export list that resolves.
+
+Uses only the standard library's ast module.
+"""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import circuitkit
+
+PACKAGE_DIR = Path(circuitkit.__file__).parent
+MODULES = sorted(p for p in PACKAGE_DIR.glob("*.py") if p.name != "__init__.py")
+
+
+def _tree(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def _names_loaded(nodes, skip: ast.AST | None = None) -> set[str]:
+    """Every name read under `nodes`, leaving out the subtree `skip`."""
+    found: set[str] = set()
+    stack = list(nodes)
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            found.add(node.id)
+        stack.extend(ast.iter_child_nodes(node))
+    return found
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_level_imports_are_used(path):
+    tree = _tree(path)
+    used = _names_loaded(tree.body)
+    unused = []
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                bound = alias.asname or alias.name.split(".")[0]
+                if bound not in used:
+                    unused.append(bound)
+    assert not unused, f"{path.name}: unused imports {unused}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_private_definitions_have_a_caller(path):
+    tree = _tree(path)
+    orphans = []
+    for node in tree.body:
+        if (isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name.startswith("_")
+                and not node.name.startswith("__")):
+            if node.name not in _names_loaded(tree.body, skip=node):
+                orphans.append(node.name)
+    assert not orphans, f"{path.name}: private definitions without a caller {orphans}"
+
+
+def test_every_exported_name_resolves():
+    assert len(set(circuitkit.__all__)) == len(circuitkit.__all__)
+    missing = [name for name in circuitkit.__all__ if not hasattr(circuitkit, name)]
+    assert not missing
