@@ -239,16 +239,12 @@ def run_verification(corpus_dir: Path, n_mc: int = 50_000, seed: int = 20260810)
         _check(results, f"martin identity {name}", martin)
 
         def bijection(name=name, pmap=pmap):
-            g = pmap.graph
-            n, m = g.vertex_count, g.edge_count
-            for mask in range(2**m):
-                subset = [i for i in range(m) if mask >> i & 1]
-                c_s = graphs.component_count(g, subset)
-                expected = 2 * c_s + len(subset) - n
-                actual = planar.subset_to_partition_circuits(pmap, subset)
+            for term in planar.subset_expansion_terms(pmap.graph):
+                expected = term.components + term.excess
+                actual = planar.subset_to_partition_circuits(pmap, term.subset)
                 if actual != expected:
-                    raise AssertionError(f"S={subset}: {actual} circuits, expected {expected}")
-            return f"{2**m} subsets"
+                    raise AssertionError(f"S={list(term.subset)}: {actual} circuits, expected {expected}")
+            return f"{2**pmap.graph.edge_count} subsets"
         _check(results, f"subset bijection {name}", bijection)
 
         def medial_eulerian(name=name, pmap=pmap):
@@ -454,7 +450,7 @@ COMMANDS: tuple[Command, ...] = (
     Command("q-estimate", cmd_q_estimate, _configure_q_estimate, "Monte Carlo q(G;k)",
             ("parse_graph", "estimate_q", "sample_vector", "product_of_inner_products")),
     Command("q-exact", cmd_q_exact, _configure_q_exact, "brute-force contraction q(G;k)",
-            ("parse_graph", "contract_q_exact", "enumerate_permutations", "enumerate_matchings",
+            ("parse_graph", "contract_q_exact", "permutation_entry", "matching_entry",
              "vertex_scaling", "xd_scaling")),
     Command("medial", cmd_medial, _configure_medial, "oriented medial graph of a planar map",
             ("parse_planar_map", "medial_graph", "faces")),
@@ -467,10 +463,11 @@ COMMANDS: tuple[Command, ...] = (
             ("parse_graph", "eulerian_check", "component_count", "enumerate_transition_systems",
              "circuit_count", "circuit_partition_polynomial", "evaluate",
              "enumerate_permutations", "enumerate_matchings", "cycle_genfunc_permutations",
-             "cycle_genfunc_matchings", "xd_scaling", "contract_q_exact", "sample_vector",
+             "cycle_genfunc_matchings", "xd_scaling", "contract_q_exact", "permutation_entry",
+             "matching_entry", "sample_vector",
              "product_of_inner_products", "estimate_q", "predicted_q", "norm_moment",
              "faces", "medial_graph", "tutte_subset_expansion", "martin_check",
-             "subset_to_partition_circuits")),
+             "subset_expansion_terms", "subset_to_partition_circuits")),
 )
 
 

@@ -16,6 +16,7 @@ independent check of the partition-based predictions.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -146,11 +147,10 @@ class MatchingDiagram:
 # Enumeration: direct, and by expanding the staged product
 # ---------------------------------------------------------------------------
 
-def enumerate_permutations(d: int, limit: int | None = None) -> Iterator[PermutationDiagram]:
+def enumerate_permutations(d: int) -> Iterator[PermutationDiagram]:
     """All d! permutation diagrams in lexicographic image order."""
-    limit = DEFAULT_PERMUTATION_LIMIT if limit is None else limit
-    if d > limit:
-        raise GuardExceededError("permutation diagram enumeration refused", d, limit)
+    if d > DEFAULT_PERMUTATION_LIMIT:
+        raise GuardExceededError("permutation diagram enumeration refused", d, DEFAULT_PERMUTATION_LIMIT)
     for image in itertools.permutations(range(d)):
         yield PermutationDiagram(d, image)
 
@@ -167,25 +167,23 @@ def perfect_matchings(points: tuple[int, ...]) -> Iterator[tuple[tuple[int, int]
             yield ((a, points[idx]),) + tail
 
 
-def enumerate_matchings(d: int, limit: int | None = None) -> Iterator[MatchingDiagram]:
+def enumerate_matchings(d: int) -> Iterator[MatchingDiagram]:
     """All (2d-1)!! matching diagrams in canonical pairing order."""
-    limit = DEFAULT_MATCHING_LIMIT if limit is None else limit
-    if d > limit:
-        raise GuardExceededError("matching diagram enumeration refused", d, limit)
+    if d > DEFAULT_MATCHING_LIMIT:
+        raise GuardExceededError("matching diagram enumeration refused", d, DEFAULT_MATCHING_LIMIT)
     for pairs in perfect_matchings(tuple(range(2 * d))):
         yield MatchingDiagram(d, pairs)
 
 
-def expand_permutation_product(d: int, limit: int | None = None) -> list[PermutationDiagram]:
+def expand_permutation_product(d: int) -> list[PermutationDiagram]:
     """Second enumeration path: expand the staged transposition product.
 
     Stage t contributes a factor (1 + sum_i swap(i, t)); choosing one term per
     stage and composing yields every permutation exactly once, which the test
     suite checks against direct enumeration as a multiset.
     """
-    limit = DEFAULT_PERMUTATION_LIMIT if limit is None else limit
-    if d > limit:
-        raise GuardExceededError("permutation product expansion refused", d, limit)
+    if d > DEFAULT_PERMUTATION_LIMIT:
+        raise GuardExceededError("permutation product expansion refused", d, DEFAULT_PERMUTATION_LIMIT)
     results = [tuple(range(d))]
     for t in range(1, d):
         staged = []
@@ -199,7 +197,7 @@ def expand_permutation_product(d: int, limit: int | None = None) -> list[Permuta
     return [PermutationDiagram(d, img) for img in results]
 
 
-def expand_matching_product(d: int, limit: int | None = None) -> list[MatchingDiagram]:
+def expand_matching_product(d: int) -> list[MatchingDiagram]:
     """Second enumeration path for matchings, one staged factor at a time.
 
     Stage t contributes 2t - 1 terms: the identity pairs the new upper and
@@ -208,9 +206,8 @@ def expand_matching_product(d: int, limit: int | None = None) -> list[MatchingDi
     of two orientations, leaving the loop count unchanged. The multiset must
     match direct enumeration, which the tests check.
     """
-    limit = DEFAULT_MATCHING_LIMIT if limit is None else limit
-    if d > limit:
-        raise GuardExceededError("matching product expansion refused", d, limit)
+    if d > DEFAULT_MATCHING_LIMIT:
+        raise GuardExceededError("matching product expansion refused", d, DEFAULT_MATCHING_LIMIT)
     if d == 0:
         return [MatchingDiagram(0, ())]
 
@@ -230,8 +227,17 @@ def expand_matching_product(d: int, limit: int | None = None) -> list[MatchingDi
 
 
 # ---------------------------------------------------------------------------
-# Generating functions and scalings
+# Generating functions, satisfied-diagram counts and scalings
 # ---------------------------------------------------------------------------
+
+def double_factorial(n: int) -> int:
+    """n!! = n(n-2)(n-4)...; by convention 0!! = (-1)!! = 1."""
+    result = 1
+    while n > 1:
+        result *= n
+        n -= 2
+    return result
+
 
 def cycle_genfunc_permutations(d: int, k: int) -> int:
     """sum over S_d of k^(cycle count), by brute-force enumeration.
@@ -244,6 +250,34 @@ def cycle_genfunc_permutations(d: int, k: int) -> int:
 def cycle_genfunc_matchings(d: int, k: int) -> int:
     """sum over matchings of k^(closure loop count); equals k(k+2)...(k+2d-2)."""
     return sum(k ** m.closure_loop_count() for m in enumerate_matchings(d))
+
+
+def permutation_entry(values: Sequence[int]) -> int:
+    """Permutation diagrams whose wiring the index values satisfy, in closed form.
+
+    values holds the d upper indices, then the d lower ones. A satisfied
+    diagram maps every lower index to an upper one of equal value, so there
+    are prod_a c_a! of them when both halves carry the same multiset of values
+    (c_a copies of value a), and none otherwise.
+    """
+    d = len(values) // 2
+    uppers = Counter(values[:d])
+    if uppers != Counter(values[d:]):
+        return 0
+    return prod(factorial(c) for c in uppers.values())
+
+
+def matching_entry(values: Sequence[int]) -> int:
+    """Matching diagrams whose wiring the 2d index values satisfy, in closed form.
+
+    A satisfied diagram pairs equal values only, so there are
+    prod_a (c_a - 1)!! of them when every value occurs an even number c_a of
+    times, and none otherwise.
+    """
+    counts = Counter(values).values()
+    if any(c % 2 for c in counts):
+        return 0
+    return prod(double_factorial(c - 1) for c in counts)
 
 
 def xd_scaling(d: int, k: int, ensemble: Ensemble) -> Fraction:
@@ -293,12 +327,15 @@ def ensure_ensemble_matches(g: Multigraph, ensemble: Ensemble) -> None:
 def contract_q_exact(g: Multigraph, k: int, ensemble: Ensemble, guard: int | None = None) -> Fraction:
     """q(G;k) by summing the contraction over all k^m edge-index assignments.
 
-    Each vertex contributes the entry of its expected tensor at the incident
-    edge indices: incoming edges feed the upper indices and outgoing edges
-    the lower ones (file order), or all incident half-edges in the undirected
-    case. Entries are scaling * (number of diagrams whose wiring the index
-    values satisfy), so the sum of integer diagram counts is taken exactly
-    and scaled once at the end.
+    Each vertex contributes the entry of its expected tensor at the indices
+    of its half-edges: the heads of its incoming edges are the upper indices
+    and the tails of its outgoing edges the lower ones (file order), or all
+    incident half-edges in the undirected case. An entry is scaling * (number
+    of diagrams whose wiring the index values satisfy); that number has a
+    closed form (permutation_entry, matching_entry) and is memoized per
+    vertex on the value tuple. The integer counts are summed exactly and
+    scaled once at the end, so the work is the k^m assignments times the
+    half-edge count, which is what the guard bounds.
     """
     guard = DEFAULT_CONTRACTION_GUARD if guard is None else guard
     if k < 1:
@@ -311,41 +348,18 @@ def contract_q_exact(g: Multigraph, k: int, ensemble: Ensemble, guard: int | Non
 
     if isinstance(g, DirectedMultigraph):
         ins, outs = g.slots()
-        degrees = g.in_degrees()
-        diagram_lists = {d: list(enumerate_permutations(d, limit=max(d, DEFAULT_PERMUTATION_LIMIT)))
-                         for d in set(degrees)}
-
-        def vertex_count(v: int, assign: tuple[int, ...]) -> int:
-            uppers = tuple(assign[e] for e in ins[v])
-            lowers = tuple(assign[e] for e in outs[v])
-            key = (uppers, lowers)
-            cached = memos[v].get(key)
-            if cached is None:
-                cached = sum(p.delta_product(uppers, lowers) for p in diagram_lists[degrees[v]])
-                memos[v][key] = cached
-            return cached
+        indices, entry = [i + o for i, o in zip(ins, outs)], permutation_entry
     else:
-        slot_edges = [[h // 2 for h in halves] for halves in g.slots()]
-        degrees = g.degrees()
-        diagram_lists = {d: list(enumerate_matchings(d // 2, limit=max(d // 2, DEFAULT_MATCHING_LIMIT)))
-                         for d in set(degrees)}
-
-        def vertex_count(v: int, assign: tuple[int, ...]) -> int:
-            values = tuple(assign[e] for e in slot_edges[v])
-            cached = memos[v].get(values)
-            if cached is None:
-                half = len(values) // 2
-                cached = sum(mu.delta_product(values[:half], values[half:]) for mu in diagram_lists[degrees[v]])
-                memos[v][values] = cached
-            return cached
-
-    memos: list[dict] = [{} for _ in range(g.vertex_count)]
+        indices, entry = [[h >> 1 for h in halves] for halves in g.half_edges()], matching_entry
+    memos: list[dict[tuple[int, ...], int]] = [{} for _ in indices]
     total = 0
-    vertices = range(g.vertex_count)
     for assign in itertools.product(range(k), repeat=m):
         term = 1
-        for v in vertices:
-            c = vertex_count(v, assign)
+        for edges, memo in zip(indices, memos):
+            values = tuple(assign[e] for e in edges)
+            c = memo.get(values)
+            if c is None:
+                c = memo[values] = entry(values)
             if c == 0:
                 term = 0
                 break

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .errors import GraphFormatError, NotEulerianError
 
@@ -28,63 +28,19 @@ JSON_SCHEMA = "circuitkit/1"
 
 
 @dataclass(frozen=True)
-class DirectedMultigraph:
-    """Directed multigraph as an ordered edge list of (tail, head) pairs."""
+class Multigraph:
+    """Ordered edge list over vertices 0..n-1; the base of both graph kinds.
+
+    Edge e owns half-edge 2e at edges[e][0] (the tail of a directed edge) and
+    half-edge 2e+1 at edges[e][1] (its head).
+    """
 
     vertex_count: int
     edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "edges", tuple((int(u), int(v)) for u, v in self.edges))
-        if self.vertex_count < 0:
-            raise ValueError("vertex_count must be nonnegative")
-        for u, v in self.edges:
-            if not (0 <= u < self.vertex_count and 0 <= v < self.vertex_count):
-                raise ValueError(f"edge ({u}, {v}) out of range for {self.vertex_count} vertices")
-
-    @property
-    def edge_count(self) -> int:
-        return len(self.edges)
-
-    def in_degrees(self) -> tuple[int, ...]:
-        degs = [0] * self.vertex_count
-        for _, v in self.edges:
-            degs[v] += 1
-        return tuple(degs)
-
-    def out_degrees(self) -> tuple[int, ...]:
-        degs = [0] * self.vertex_count
-        for u, _ in self.edges:
-            degs[u] += 1
-        return tuple(degs)
-
-    def slots(self) -> tuple[list[list[int]], list[list[int]]]:
-        """(incoming, outgoing) edge indices per vertex, in file order.
-
-        In-slot i of vertex v is ins[v][i] and out-slot j is outs[v][j]; the
-        transition systems, the contraction oracle and the medial wirings all
-        index slots this way.
-        """
-        ins: list[list[int]] = [[] for _ in range(self.vertex_count)]
-        outs: list[list[int]] = [[] for _ in range(self.vertex_count)]
-        for e, (u, v) in enumerate(self.edges):
-            outs[u].append(e)
-            ins[v].append(e)
-        return ins, outs
-
-    def reversed_edges(self) -> "DirectedMultigraph":
-        """The graph with every edge direction flipped (edge order kept)."""
-        return DirectedMultigraph(self.vertex_count, tuple((v, u) for u, v in self.edges))
-
-
-@dataclass(frozen=True)
-class UndirectedMultigraph:
-    """Undirected multigraph; edge i owns half-edges 2i (first endpoint) and 2i+1."""
-
-    vertex_count: int
-    edges: tuple[tuple[int, int], ...]
-
-    def __post_init__(self):
+        if type(self) is Multigraph:
+            raise TypeError("construct a DirectedMultigraph or an UndirectedMultigraph")
         object.__setattr__(self, "edges", tuple((int(u), int(v)) for u, v in self.edges))
         if self.vertex_count < 0:
             raise ValueError("vertex_count must be nonnegative")
@@ -101,19 +57,62 @@ class UndirectedMultigraph:
         return 2 * len(self.edges)
 
     def half_edge_vertex(self, h: int) -> int:
-        """Endpoint vertex of half-edge h (2i sits at edges[i][0], 2i+1 at edges[i][1])."""
+        """Endpoint vertex of half-edge h (2e sits at edges[e][0], 2e+1 at edges[e][1])."""
         return self.edges[h // 2][h % 2]
 
-    def half_edges_at(self, v: int) -> tuple[int, ...]:
-        """Half-edge ids incident to v, ascending; a self-loop contributes both of its ids."""
-        return tuple(self.slots()[v])
+    def half_edges(self) -> list[list[int]]:
+        """Half-edge ids at each vertex, ascending, in one pass over the edges.
 
-    def slots(self) -> list[list[int]]:
-        """Half-edge ids incident to each vertex, ascending, in one pass over the edges."""
+        A loop contributes both of its ids. The engine's contraction, the
+        transition systems, the contraction oracle and the rotation parser
+        all read incidence from this table.
+        """
         at: list[list[int]] = [[] for _ in range(self.vertex_count)]
-        for h, v in enumerate(x for edge in self.edges for x in edge):
-            at[v].append(h)
+        for e, (u, v) in enumerate(self.edges):
+            at[u].append(2 * e)
+            at[v].append(2 * e + 1)
         return at
+
+    def half_edges_at(self, v: int) -> tuple[int, ...]:
+        """Half-edge ids incident to v, ascending."""
+        return tuple(self.half_edges()[v])
+
+
+class DirectedMultigraph(Multigraph):
+    """Directed multigraph as an ordered edge list of (tail, head) pairs."""
+
+    def in_degrees(self) -> tuple[int, ...]:
+        degs = [0] * self.vertex_count
+        for _, v in self.edges:
+            degs[v] += 1
+        return tuple(degs)
+
+    def out_degrees(self) -> tuple[int, ...]:
+        degs = [0] * self.vertex_count
+        for u, _ in self.edges:
+            degs[u] += 1
+        return tuple(degs)
+
+    def slots(self) -> tuple[list[list[int]], list[list[int]]]:
+        """(incoming, outgoing) edge indices per vertex, in file order.
+
+        Read off half_edges(): the heads (odd ids) at v are its in-slots and
+        the tails (even ids) its out-slots. In-slot i of vertex v is ins[v][i]
+        and out-slot j is outs[v][j]; the transition systems and the medial
+        wirings index slots this way.
+        """
+        at = self.half_edges()
+        ins = [[h >> 1 for h in halves if h & 1] for halves in at]
+        outs = [[h >> 1 for h in halves if not h & 1] for halves in at]
+        return ins, outs
+
+    def reversed_edges(self) -> "DirectedMultigraph":
+        """The graph with every edge direction flipped (edge order kept)."""
+        return DirectedMultigraph(self.vertex_count, tuple((v, u) for u, v in self.edges))
+
+
+class UndirectedMultigraph(Multigraph):
+    """Undirected multigraph; edge e owns half-edges 2e (first endpoint) and 2e+1."""
 
     def degrees(self) -> tuple[int, ...]:
         degs = [0] * self.vertex_count
@@ -121,9 +120,6 @@ class UndirectedMultigraph:
             degs[u] += 1
             degs[v] += 1
         return tuple(degs)
-
-
-Multigraph = DirectedMultigraph | UndirectedMultigraph
 
 
 @dataclass(frozen=True)
@@ -222,9 +218,17 @@ def disjoint_union(g1: Multigraph, g2: Multigraph) -> Multigraph:
 _KINDS = ("directed", "undirected", "planar")
 
 
-def _split_lines(text: str) -> list[tuple[int, str]]:
-    """(1-based line number, content) for every physical line."""
-    return list(enumerate(text.split("\n"), start=1))
+def _content_lines(text: str) -> Iterator[tuple[int, str]]:
+    """(1-based line number, stripped content) of every line that is not a '#' comment."""
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        stripped = raw.strip()
+        if not stripped.startswith("#"):
+            yield lineno, stripped
+
+
+def header_line(text: str) -> int:
+    """Line number of the kind header, the first line with content (1 if there is none)."""
+    return next((lineno for lineno, content in _content_lines(text) if content), 1)
 
 
 def parse_graph_file(text: str) -> tuple[str, Multigraph, tuple[tuple[int, ...], ...] | None]:
@@ -235,20 +239,13 @@ def parse_graph_file(text: str) -> tuple[str, Multigraph, tuple[tuple[int, ...],
     exactly once, at the vertex owning it); whether they describe a plane
     embedding is the planar module's Euler check.
     """
-    lines = _split_lines(text)
-    cursor = 0
+    lines = _content_lines(text)
+    last_line = text.count("\n") + 1
 
     def next_content_line(allow_blank: bool = False) -> tuple[int, str] | None:
-        nonlocal cursor
-        while cursor < len(lines):
-            lineno, raw = lines[cursor]
-            cursor += 1
-            stripped = raw.strip()
-            if stripped.startswith("#"):
-                continue
-            if not stripped and not allow_blank:
-                continue
-            return lineno, stripped
+        for lineno, content in lines:
+            if content or allow_blank:
+                return lineno, content
         return None
 
     header = next_content_line()
@@ -260,7 +257,7 @@ def parse_graph_file(text: str) -> tuple[str, Multigraph, tuple[tuple[int, ...],
 
     counts = next_content_line()
     if counts is None:
-        raise GraphFormatError("missing '<n> <m>' line", lines[-1][0])
+        raise GraphFormatError("missing '<n> <m>' line", last_line)
     lineno, content = counts
     fields = content.split()
     if len(fields) != 2:
@@ -276,7 +273,7 @@ def parse_graph_file(text: str) -> tuple[str, Multigraph, tuple[tuple[int, ...],
     for i in range(m):
         entry = next_content_line()
         if entry is None:
-            raise GraphFormatError(f"expected {m} edges, found only {i}", lines[-1][0])
+            raise GraphFormatError(f"expected {m} edges, found only {i}", last_line)
         lineno, content = entry
         fields = content.split()
         if len(fields) != 2:
@@ -289,58 +286,45 @@ def parse_graph_file(text: str) -> tuple[str, Multigraph, tuple[tuple[int, ...],
             raise GraphFormatError(f"vertex index out of range [0, {n}) in edge ({u}, {v})", lineno)
         edges.append((u, v))
 
-    rotations: tuple[tuple[int, ...], ...] | None = None
-    if kind == "planar":
-        rotations = _parse_rotations(n, edges, next_content_line, lines)
+    graph = (DirectedMultigraph if kind == "directed" else UndirectedMultigraph)(n, tuple(edges))
+    rotations = _parse_rotations(graph, next_content_line, last_line) if kind == "planar" else None
 
     trailing = next_content_line()
     if trailing is not None:
         raise GraphFormatError(
             f"unexpected extra content {trailing[1]!r} (wrong edge count in header?)", trailing[0]
         )
-
-    if kind == "directed":
-        return kind, DirectedMultigraph(n, tuple(edges)), None
-    return kind, UndirectedMultigraph(n, tuple(edges)), rotations
+    return kind, graph, rotations
 
 
-def _parse_rotations(n, edges, next_content_line, lines) -> tuple[tuple[int, ...], ...]:
-    dart_home = {}
-    for i, (u, v) in enumerate(edges):
-        dart_home[2 * i] = u
-        dart_home[2 * i + 1] = v
-    degree = [0] * n
-    for u, v in edges:
-        degree[u] += 1
-        degree[v] += 1
-
+def _parse_rotations(g: UndirectedMultigraph, next_content_line, last_line: int) -> tuple[tuple[int, ...], ...]:
     rotations: list[tuple[int, ...]] = []
     seen: dict[int, int] = {}
-    for v in range(n):
+    for v, halves in enumerate(g.half_edges()):
         # Degree-0 vertices may omit their (empty) rotation line at EOF;
         # otherwise a blank line stands for the empty rotation.
         entry = next_content_line(allow_blank=True)
         if entry is None:
-            if degree[v] == 0:
+            if not halves:
                 rotations.append(())
                 continue
-            raise GraphFormatError(f"missing rotation line for vertex {v}", lines[-1][0])
+            raise GraphFormatError(f"missing rotation line for vertex {v}", last_line)
         lineno, content = entry
         try:
             darts = tuple(int(f) for f in content.split())
         except ValueError:
             raise GraphFormatError(f"rotation for vertex {v} is not a list of ints: {content!r}", lineno) from None
         for d in darts:
-            if d not in dart_home:
-                raise GraphFormatError(f"dart {d} out of range [0, {2 * len(edges)})", lineno)
-            if dart_home[d] != v:
-                raise GraphFormatError(f"dart {d} belongs to vertex {dart_home[d]}, not {v}", lineno)
+            if not 0 <= d < g.half_edge_count:
+                raise GraphFormatError(f"dart {d} out of range [0, {g.half_edge_count})", lineno)
+            if g.half_edge_vertex(d) != v:
+                raise GraphFormatError(f"dart {d} belongs to vertex {g.half_edge_vertex(d)}, not {v}", lineno)
             if d in seen:
                 raise GraphFormatError(f"dart {d} already listed on line {seen[d]}", lineno)
             seen[d] = lineno
-        if len(darts) != degree[v]:
+        if len(darts) != len(halves):
             raise GraphFormatError(
-                f"vertex {v} has degree {degree[v]} but rotation lists {len(darts)} darts", lineno
+                f"vertex {v} has degree {len(halves)} but rotation lists {len(darts)} darts", lineno
             )
         rotations.append(darts)
     return tuple(rotations)

@@ -8,10 +8,10 @@ one half-edge at v (undirected), with each possible continuation and splicing
 the pair into a single edge splits the partitions of G among smaller graphs.
 A loop paired with itself closes a circuit and contributes a factor z.
 
-1. Vertices with a single transition (d_v = 1 directed, degree 2 undirected)
-   are spliced away first, in linear time: each chain of them becomes one
-   edge between branching vertices, and a chain that closes on itself is one
-   circuit, a factor z.
+1. Vertices with a single transition, those with exactly two half-edges
+   (d_v = 1 directed, degree 2 undirected), are spliced away first, in
+   linear time: each chain of them becomes one edge between branching
+   vertices, and a chain that closes on itself is one circuit, a factor z.
 2. What remains is a sorted tuple of edge codes, the memo key. Each split
    happens at a vertex of least remaining degree and removes exactly one
    edge, so the states are swept layer by layer in decreasing edge count:
@@ -45,22 +45,13 @@ from fractions import Fraction
 from math import factorial, prod
 from typing import Callable, Iterator
 
-from .diagrams import perfect_matchings
+from .diagrams import double_factorial, perfect_matchings
 from .errors import GuardExceededError
-from .graphs import DirectedMultigraph, Multigraph, UndirectedMultigraph, require_eulerian
+from .graphs import DirectedMultigraph, Multigraph, require_eulerian
 
 # Work units for the engine (branches x key length per expanded state);
 # transition systems for the reference enumerator.
 DEFAULT_ENUMERATION_GUARD = 10**8
-
-
-def double_factorial(n: int) -> int:
-    """n!! = n(n-2)(n-4)...; by convention 0!! = (-1)!! = 1."""
-    result = 1
-    while n > 1:
-        result *= n
-        n -= 2
-    return result
 
 
 # ---------------------------------------------------------------------------
@@ -219,67 +210,45 @@ def circuit_count(g: Multigraph, ts: TransitionSystem) -> int:
 
 
 def _circuit_counter(g: Multigraph) -> Callable[[TransitionSystem], int]:
-    """A circuit counter for g's transition systems; g's slot tables are built once."""
+    """A circuit counter for g's transition systems; g's slot tables are built once.
+
+    Each wiring first becomes pairs of half-edges joined at its vertex: the
+    head of in-slot i with the tail of out-slot sigma[i] (directed), or the
+    two matched half-edges (undirected). Circuits are then the alternating
+    cycles of twin pairs (the two ends of one edge) and joined pairs.
+    """
     if isinstance(g, DirectedMultigraph):
-        return _directed_counter(g)
-    return _undirected_counter(g)
+        ins, outs = g.slots()
 
-
-def _directed_counter(g: DirectedMultigraph) -> Callable[[TransitionSystem], int]:
-    ins, outs = g.slots()
-    m = g.edge_count
-
-    def count(ts: TransitionSystem) -> int:
-        successor = [0] * m
-        for v, sigma in enumerate(ts.wirings):
+        def joined(v: int, sigma: tuple[int, ...]) -> list[tuple[int, int]]:
             if sorted(sigma) != list(range(len(ins[v]))):
                 raise ValueError(f"wiring at vertex {v} is not a bijection on {len(ins[v])} slots")
-            for slot, e in enumerate(ins[v]):
-                successor[e] = outs[v][sigma[slot]]
-        seen = [False] * m
-        cycles = 0
-        for e in range(m):
-            if seen[e]:
-                continue
-            cycles += 1
-            while not seen[e]:
-                seen[e] = True
-                e = successor[e]
-        return cycles
+            return [(2 * e + 1, 2 * outs[v][j]) for e, j in zip(ins[v], sigma)]
+    else:
+        at = g.half_edges()
 
-    return count
+        def joined(v: int, pairs: tuple[tuple[int, int], ...]) -> list[tuple[int, int]]:
+            if sorted(i for pair in pairs for i in pair) != list(range(len(at[v]))):
+                raise ValueError(f"wiring at vertex {v} is not a perfect matching of {len(at[v])} slots")
+            return [(at[v][a], at[v][b]) for a, b in pairs]
 
-
-def _undirected_counter(g: UndirectedMultigraph) -> Callable[[TransitionSystem], int]:
-    at = g.slots()
     halves = g.half_edge_count
 
     def count(ts: TransitionSystem) -> int:
-        # Partner of each half-edge under the per-vertex transition matchings.
         partner = [-1] * halves
-        for v, pairs in enumerate(ts.wirings):
-            slots = at[v]
-            flat = sorted(i for pair in pairs for i in pair)
-            if flat != list(range(len(slots))):
-                raise ValueError(f"wiring at vertex {v} is not a perfect matching of {len(slots)} slots")
-            for a, b in pairs:
-                partner[slots[a]] = slots[b]
-                partner[slots[b]] = slots[a]
-        # Circuits are the alternating cycles of (twin pairs) + (transition
-        # pairs): walk half-edges alternating the two pairings until the
-        # start reappears.
+        for v, wiring in enumerate(ts.wirings):
+            for a, b in joined(v, wiring):
+                partner[a] = b
+                partner[b] = a
         seen = [False] * halves
         circuits = 0
         for h in range(halves):
             if seen[h]:
                 continue
             circuits += 1
-            current = h
-            while not seen[current]:
-                seen[current] = True
-                across = current ^ 1  # other end of the same edge
-                seen[across] = True
-                current = partner[across]
+            while not seen[h]:
+                seen[h] = seen[h ^ 1] = True  # both ends of the edge
+                h = partner[h ^ 1]
         return circuits
 
     return count
@@ -313,13 +282,13 @@ def circuit_count_tally(g: Multigraph, guard: int | None = None) -> dict[int, in
 _Move = tuple[tuple[int, ...], int | None, int, int]
 
 
-def _core_key(pairs: list[tuple[int, int]], degree: tuple[int, ...],
+def _core_key(pairs: list[tuple[int, int]], degree: list[int],
               directed: bool) -> tuple[tuple[int, ...], int]:
     """Label the branching vertices that `pairs` join and code the core edges.
 
-    Labels follow degree, then breadth-first rank within each component, so
-    that vertices split one after another lie close together and few partial
-    states coexist in a layer.
+    Labels follow degree (half-edges per vertex), then breadth-first rank
+    within each component, so that vertices split one after another lie
+    close together and few partial states coexist in a layer.
     """
     adjacent: dict[int, list[int]] = {}
     for u, v in pairs:
@@ -347,51 +316,30 @@ def _core_key(pairs: list[tuple[int, int]], degree: tuple[int, ...],
     return tuple(codes), n
 
 
-def _contract_directed(g: DirectedMultigraph, degree: tuple[int, ...]) -> tuple[list[tuple[int, int]], int]:
-    """Splice chains through forced vertices: (branching endpoints of each chain, closed cycles)."""
-    heads = [v for _, v in g.edges]
-    only_out = [-1] * g.vertex_count  # the single out-edge of a forced vertex
-    for e, (u, _) in enumerate(g.edges):
-        if degree[u] == 1:
-            only_out[u] = e
-    used = bytearray(g.edge_count)
-    pairs = []
-    for e, (u, v) in enumerate(g.edges):
-        if degree[u] > 1:  # follow the chain leaving a branching vertex
-            used[e] = 1
-            while degree[v] == 1:
-                e = only_out[v]
-                used[e] = 1
-                v = heads[e]
-            pairs.append((u, v))
-    closed = 0
-    for e in range(g.edge_count):
-        if not used[e]:  # a cycle through forced vertices only
-            closed += 1
-            while not used[e]:
-                used[e] = 1
-                e = only_out[heads[e]]
-    return pairs, closed
+def _contract(g: Multigraph, at: list[list[int]]) -> tuple[list[tuple[int, int]], int]:
+    """Splice chains through forced vertices: (branching ends of each chain, closed cycles).
 
-
-def _contract_undirected(g: UndirectedMultigraph, degree: tuple[int, ...]) -> tuple[list[tuple[int, int]], int]:
-    """Splice chains through forced vertices: (branching endpoints of each chain, closed cycles)."""
-    ends = [x for edge in g.edges for x in edge]  # half-edge h sits at ends[h]
+    A vertex is forced when it has exactly two half-edges (d_v = 1 directed,
+    degree 2 undirected); a chain enters it on one and leaves on the other.
+    Directed chains are followed from their tails only, so each records its
+    ends tail first.
+    """
+    ends = list(itertools.chain.from_iterable(g.edges))  # half-edge h sits at ends[h]
+    forced = [len(halves) == 2 for halves in at]
     other = [-1] * len(ends)  # the other half-edge at a forced vertex
-    first = [-1] * g.vertex_count
-    for h, v in enumerate(ends):
-        if degree[v] == 2:
-            if first[v] < 0:
-                first[v] = h
-            else:
-                other[h], other[first[v]] = first[v], h
+    for halves in at:
+        if len(halves) == 2:
+            a, b = halves
+            other[a], other[b] = b, a
     used = bytearray(g.edge_count)
     pairs = []
-    for h, u in enumerate(ends):
-        if degree[u] > 2 and not used[h >> 1]:  # follow the chain leaving a branching vertex
-            used[h >> 1] = 1
-            h ^= 1
-            while degree[ends[h]] == 2:
+    step = 2 if isinstance(g, DirectedMultigraph) else 1
+    for start in range(0, len(ends), step):
+        u = ends[start]
+        if not forced[u] and not used[start >> 1]:  # follow the chain leaving a branching vertex
+            used[start >> 1] = 1
+            h = start ^ 1
+            while forced[ends[h]]:
                 h = other[h]
                 used[h >> 1] = 1
                 h ^= 1
@@ -486,12 +434,8 @@ def circuit_partition_polynomial(g: Multigraph, guard: int | None = None) -> Int
     guard = DEFAULT_ENUMERATION_GUARD if guard is None else guard
     require_eulerian(g)
     directed = isinstance(g, DirectedMultigraph)
-    if directed:
-        variant, split, degree = "directed", _split_directed, g.in_degrees()
-        pairs, closed = _contract_directed(g, degree)
-    else:
-        variant, split, degree = "undirected", _split_undirected, g.degrees()
-        pairs, closed = _contract_undirected(g, degree)
-    key, n = _core_key(pairs, degree, directed)
-    coeffs = _sweep(key, n, split, guard)
-    return IntPolynomial((0,) * closed + tuple(coeffs), variant)
+    at = g.half_edges()
+    pairs, closed = _contract(g, at)
+    key, n = _core_key(pairs, [len(halves) for halves in at], directed)
+    coeffs = _sweep(key, n, _split_directed if directed else _split_undirected, guard)
+    return IntPolynomial((0,) * closed + tuple(coeffs), "directed" if directed else "undirected")

@@ -24,6 +24,7 @@ from .graphs import (
     DirectedMultigraph,
     UndirectedMultigraph,
     component_count,
+    header_line,
     parse_graph_file,
 )
 from .partition import TransitionSystem, circuit_count, circuit_partition_polynomial
@@ -234,7 +235,7 @@ def parse_planar_map(text: str) -> PlanarMap:
     """Parse a "planar" graph file and validate it as a plane embedding."""
     kind, graph, rotations = parse_graph_file(text)
     if kind != "planar":
-        raise GraphFormatError(f"expected a planar map file, got kind {kind!r}", 1)
+        raise GraphFormatError(f"expected a planar map file, got kind {kind!r}", header_line(text))
     pmap = PlanarMap(graph, rotations)
     faces(pmap)  # Euler validation
     return pmap

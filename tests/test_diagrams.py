@@ -25,7 +25,7 @@ from circuitkit import (
     predicted_q,
     xd_scaling,
 )
-from circuitkit.diagrams import vertex_scaling
+from circuitkit.diagrams import matching_entry, permutation_entry, vertex_scaling
 
 CUPCAP = MatchingDiagram(2, ((0, 1), (2, 3)))
 EXCHANGE = MatchingDiagram(2, ((0, 3), (1, 2)))
@@ -217,6 +217,32 @@ def test_oracle_invariant_under_edge_reordering(fig1):
     for order in ((4, 3, 2, 1, 0), (2, 0, 4, 1, 3)):
         shuffled = DirectedMultigraph(fig1.vertex_count, tuple(fig1.edges[i] for i in order))
         assert contract_q_exact(shuffled, 2, Ensemble.COMPLEX_SPHERE) == baseline
+
+
+@pytest.mark.parametrize("d", range(5))
+@pytest.mark.parametrize("k", range(1, 4))
+def test_closed_form_entries_count_satisfied_diagrams(d, k):
+    """The oracle's per-vertex entry is the number of diagrams whose delta
+    product the index values satisfy; the closed forms must agree with that
+    count for every value tuple."""
+    permutations = list(enumerate_permutations(d))
+    matchings = list(enumerate_matchings(d))
+    for values in itertools.product(range(k), repeat=2 * d):
+        uppers, lowers = values[:d], values[d:]
+        assert permutation_entry(values) == sum(p.delta_product(uppers, lowers) for p in permutations)
+        assert matching_entry(values) == sum(mu.delta_product(uppers, lowers) for mu in matchings)
+
+
+@pytest.mark.parametrize("loops", range(1, 13))
+def test_oracle_on_one_vertex_bouquets(loops):
+    """A single vertex of degree 2 * loops: the closed-form entries keep the
+    oracle at 2^loops assignments however large the vertex."""
+    directed = DirectedMultigraph(1, ((0, 0),) * loops)
+    assert (contract_q_exact(directed, 2, Ensemble.COMPLEX_SPHERE)
+            == predicted_q(directed, 2, Ensemble.COMPLEX_SPHERE))
+    undirected = UndirectedMultigraph(1, ((0, 0),) * loops)
+    assert (contract_q_exact(undirected, 2, Ensemble.REAL_SPHERE)
+            == predicted_q(undirected, 2, Ensemble.REAL_SPHERE))
 
 
 def test_oracle_guard():

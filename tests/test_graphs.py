@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 from circuitkit import (
     DirectedMultigraph,
     GraphFormatError,
+    Multigraph,
     NotEulerianError,
     UndirectedMultigraph,
     component_count,
@@ -191,19 +192,23 @@ def test_degree_sum_undirected(g):
     assert sum(g.degrees()) == 2 * g.edge_count
 
 
-@given(undirected_graphs())
+@given(st.one_of(directed_graphs(), undirected_graphs()))
 def test_half_edges_partition(g):
     owned = sorted(h for v in range(g.vertex_count) for h in g.half_edges_at(v))
     assert owned == list(range(g.half_edge_count))
-    for v, halves in enumerate(g.slots()):
+    for v, halves in enumerate(g.half_edges()):
         assert halves == sorted(halves)
         assert all(g.half_edge_vertex(h) == v for h in halves)
 
 
 @given(directed_graphs())
 def test_directed_slots_list_edges_in_file_order(g):
+    at = g.half_edges()
     ins, outs = g.slots()
     for v in range(g.vertex_count):
+        # Edge e's tail owns half-edge 2e and its head half-edge 2e + 1.
+        assert [h for h in at[v] if h % 2 == 0] == [2 * e for e, (tail, _) in enumerate(g.edges) if tail == v]
+        assert [h for h in at[v] if h % 2 == 1] == [2 * e + 1 for e, (_, head) in enumerate(g.edges) if head == v]
         assert ins[v] == [e for e, (_, head) in enumerate(g.edges) if head == v]
         assert outs[v] == [e for e, (tail, _) in enumerate(g.edges) if tail == v]
 
@@ -216,6 +221,14 @@ def test_roundtrip_random_graphs(g):
 def test_out_of_range_edges_rejected():
     with pytest.raises(ValueError):
         DirectedMultigraph(2, ((0, 2),))
+
+
+def test_the_shared_base_has_no_kind_of_its_own():
+    with pytest.raises(TypeError):
+        Multigraph(1, ((0, 0),))
+    assert isinstance(DirectedMultigraph(1, ()), Multigraph)
+    assert isinstance(UndirectedMultigraph(1, ()), Multigraph)
+    assert DirectedMultigraph(1, ((0, 0),)) != UndirectedMultigraph(1, ((0, 0),))
 
 
 def test_disjoint_union_shifts_vertices(fig1, two_loop):

@@ -226,10 +226,20 @@ def test_mirror_invariance(corpus_maps):
                 == circuit_partition_polynomial(medial_graph(pmap)))
 
 
-def test_parse_rejects_non_planar_header():
+def test_parse_rejects_non_planar_header(tmp_path, capsys):
+    from circuitkit import cli
     from circuitkit.errors import GraphFormatError
     with pytest.raises(GraphFormatError):
         parse_planar_map("directed\n1 1\n0 0\n")
+    # The error names the header's line, wherever comments put it.
+    text = "# a comment\n\ndirected\n1 1\n0 0\n"
+    with pytest.raises(GraphFormatError) as excinfo:
+        parse_planar_map(text)
+    assert excinfo.value.line == 3
+    path = tmp_path / "commented.graph"
+    path.write_text(text)
+    assert cli.main(["medial", str(path)]) == cli.EXIT_INPUT_ERROR
+    assert capsys.readouterr().err == "error: line 3: expected a planar map file, got kind 'directed'\n"
 
 
 def test_isolated_vertices_break_the_identity_by_a_z_factor():
