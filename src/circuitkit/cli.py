@@ -239,9 +239,10 @@ def run_verification(corpus_dir: Path, n_mc: int = 50_000, seed: int = 20260810)
         _check(results, f"martin identity {name}", martin)
 
         def bijection(name=name, pmap=pmap):
+            circuits = planar.subset_circuit_counter(pmap)
             for term in planar.subset_expansion_terms(pmap.graph):
                 expected = term.components + term.excess
-                actual = planar.subset_to_partition_circuits(pmap, term.subset)
+                actual = circuits(term.subset)
                 if actual != expected:
                     raise AssertionError(f"S={list(term.subset)}: {actual} circuits, expected {expected}")
             return f"{2**pmap.graph.edge_count} subsets"
@@ -406,7 +407,9 @@ def _configure_q_exact(p):
     p.add_argument("input")
     _add_ensemble_args(p)
     p.add_argument("--guard-contraction", type=int, default=None,
-                   help=f"max index assignments k^m (default {diagrams.DEFAULT_CONTRACTION_GUARD})")
+                   help="max planned work of the contraction, summed over the vertex order as "
+                        "k^(open edges + new edges at the vertex) "
+                        f"(default {diagrams.DEFAULT_CONTRACTION_GUARD})")
     _add_format(p)
 
 
@@ -449,7 +452,7 @@ COMMANDS: tuple[Command, ...] = (
              "vertex_scaling", "xd_scaling", "evaluate")),
     Command("q-estimate", cmd_q_estimate, _configure_q_estimate, "Monte Carlo q(G;k)",
             ("parse_graph", "estimate_q", "sample_vector", "product_of_inner_products")),
-    Command("q-exact", cmd_q_exact, _configure_q_exact, "brute-force contraction q(G;k)",
+    Command("q-exact", cmd_q_exact, _configure_q_exact, "exact q(G;k) by tensor contraction along a vertex order",
             ("parse_graph", "contract_q_exact", "permutation_entry", "matching_entry",
              "vertex_scaling", "xd_scaling")),
     Command("medial", cmd_medial, _configure_medial, "oriented medial graph of a planar map",
@@ -467,7 +470,7 @@ COMMANDS: tuple[Command, ...] = (
              "matching_entry", "sample_vector",
              "product_of_inner_products", "estimate_q", "predicted_q", "norm_moment",
              "faces", "medial_graph", "tutte_subset_expansion", "martin_check",
-             "subset_expansion_terms", "subset_to_partition_circuits")),
+             "subset_expansion_terms", "subset_circuit_counter", "subset_to_partition_circuits")),
 )
 
 

@@ -63,9 +63,10 @@ class Multigraph:
     def half_edges(self) -> list[list[int]]:
         """Half-edge ids at each vertex, ascending, in one pass over the edges.
 
-        A loop contributes both of its ids. The engine's contraction, the
-        transition systems, the contraction oracle and the rotation parser
-        all read incidence from this table.
+        A loop contributes both of its ids. The transition systems, the
+        contraction oracle and the rotation parser read incidence from this
+        table; the engine's forced-chain contraction needs only the two
+        half-edges at each forced vertex and pairs them in one pass instead.
         """
         at: list[list[int]] = [[] for _ in range(self.vertex_count)]
         for e, (u, v) in enumerate(self.edges):

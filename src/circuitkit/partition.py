@@ -316,8 +316,9 @@ def _core_key(pairs: list[tuple[int, int]], degree: list[int],
     return tuple(codes), n
 
 
-def _contract(g: Multigraph, at: list[list[int]]) -> tuple[list[tuple[int, int]], int]:
-    """Splice chains through forced vertices: (branching ends of each chain, closed cycles).
+def _contract(g: Multigraph) -> tuple[list[tuple[int, int]], int, list[int]]:
+    """Splice chains through forced vertices: (branching ends of each chain,
+    closed cycles, half-edges per vertex).
 
     A vertex is forced when it has exactly two half-edges (d_v = 1 directed,
     degree 2 undirected); a chain enters it on one and leaves on the other.
@@ -325,12 +326,18 @@ def _contract(g: Multigraph, at: list[list[int]]) -> tuple[list[tuple[int, int]]
     ends tail first.
     """
     ends = list(itertools.chain.from_iterable(g.edges))  # half-edge h sits at ends[h]
-    forced = [len(halves) == 2 for halves in at]
-    other = [-1] * len(ends)  # the other half-edge at a forced vertex
-    for halves in at:
-        if len(halves) == 2:
-            a, b = halves
-            other[a], other[b] = b, a
+    halves = [0] * g.vertex_count  # half-edges per vertex
+    first = [-1] * g.vertex_count  # the first half-edge seen at each vertex
+    other = [-1] * len(ends)  # the other half-edge at a vertex; read at forced vertices only
+    for h, v in enumerate(ends):
+        a = first[v]
+        if a < 0:
+            first[v] = h
+        else:
+            other[h] = a
+            other[a] = h
+        halves[v] += 1
+    forced = [c == 2 for c in halves]
     used = bytearray(g.edge_count)
     pairs = []
     step = 2 if isinstance(g, DirectedMultigraph) else 1
@@ -353,7 +360,7 @@ def _contract(g: Multigraph, at: list[list[int]]) -> tuple[list[tuple[int, int]]
             while not used[h >> 1]:
                 used[h >> 1] = 1
                 h = other[h ^ 1]
-    return pairs, closed
+    return pairs, closed, halves
 
 
 def _split_directed(key: tuple[int, ...], n: int) -> list[_Move]:
@@ -434,8 +441,7 @@ def circuit_partition_polynomial(g: Multigraph, guard: int | None = None) -> Int
     guard = DEFAULT_ENUMERATION_GUARD if guard is None else guard
     require_eulerian(g)
     directed = isinstance(g, DirectedMultigraph)
-    at = g.half_edges()
-    pairs, closed = _contract(g, at)
-    key, n = _core_key(pairs, [len(halves) for halves in at], directed)
+    pairs, closed, halves = _contract(g)
+    key, n = _core_key(pairs, halves, directed)
     coeffs = _sweep(key, n, _split_directed if directed else _split_undirected, guard)
     return IntPolynomial((0,) * closed + tuple(coeffs), "directed" if directed else "undirected")

@@ -14,9 +14,10 @@ medial vertex has in- and out-degree 2 and the medial graph is Eulerian.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 from .errors import EmbeddingError, GraphFormatError, GuardExceededError
 from .graphs import (
@@ -173,9 +174,12 @@ def tutte_subset_expansion(g: UndirectedMultigraph, x, y, guard: int | None = No
     x = Fraction(x)
     y = Fraction(y)
     c_full = component_count(g)
+    # Subsets sharing (c(S), l(S)) share a term: tally them as integers and
+    # raise each distinct exponent pair once, at most about m^2 of them.
+    tally = Counter((term.components, term.excess) for term in subset_expansion_terms(g, guard))
     total = Fraction(0)
-    for term in subset_expansion_terms(g, guard):
-        total += (x - 1) ** (term.components - c_full) * (y - 1) ** term.excess
+    for (components, excess), count in tally.items():
+        total += count * (x - 1) ** (components - c_full) * (y - 1) ** excess
     return total
 
 
@@ -201,6 +205,33 @@ def martin_check(pmap: PlanarMap, z, enumeration_guard: int | None = None,
     return MartinCheck(lhs, rhs, lhs == rhs)
 
 
+def subset_circuit_counter(pmap: PlanarMap) -> Callable[[Iterable[int]], int]:
+    """subset_to_partition_circuits for one map, its medial tables built once.
+
+    The returned function maps an edge subset to the circuit count of the
+    medial transition system it selects; checking many subsets of one map
+    builds the medial graph and its side labels only here.
+    """
+    medial = medial_graph_with_sides(pmap)
+    g = medial.graph
+    in_slots, out_slots = g.slots()
+    # Per medial vertex e: the wiring that keeps every arrival on its side of
+    # e (e in the subset) and the one that crosses to the other side.
+    same, cross = [], []
+    for e in range(g.vertex_count):
+        out_by_side = {medial.tail_darts[idx]: slot for slot, idx in enumerate(out_slots[e])}
+        sides = [medial.head_darts[idx] for idx in in_slots[e]]
+        same.append(tuple(out_by_side[side] for side in sides))
+        cross.append(tuple(out_by_side[side ^ 1] for side in sides))
+
+    def count(subset: Iterable[int]) -> int:
+        chosen = set(subset)
+        wirings = tuple(same[e] if e in chosen else cross[e] for e in range(g.vertex_count))
+        return circuit_count(g, TransitionSystem(wirings))
+
+    return count
+
+
 def subset_to_partition_circuits(pmap: PlanarMap, subset: Iterable[int]) -> int:
     """Circuit count of the medial transition system an edge subset selects.
 
@@ -208,23 +239,9 @@ def subset_to_partition_circuits(pmap: PlanarMap, subset: Iterable[int]) -> int:
     when e is in the subset and cross to the other side when it is not. The
     resulting count equals c(S) + (c(S) + |S| - n), the component count plus
     total excess of the spanning subgraph, which the tests verify subset by
-    subset.
+    subset. To check many subsets of one map, use subset_circuit_counter.
     """
-    chosen = set(subset)
-    medial = medial_graph_with_sides(pmap)
-    g = medial.graph
-    in_slots, out_slots = g.slots()
-
-    wirings = []
-    for e in range(g.vertex_count):
-        out_by_side = {medial.tail_darts[idx]: slot for slot, idx in enumerate(out_slots[e])}
-        sigma = []
-        for idx in in_slots[e]:
-            side = medial.head_darts[idx]
-            target = side if e in chosen else side ^ 1
-            sigma.append(out_by_side[target])
-        wirings.append(tuple(sigma))
-    return circuit_count(g, TransitionSystem(tuple(wirings)))
+    return subset_circuit_counter(pmap)(subset)
 
 
 # ---------------------------------------------------------------------------

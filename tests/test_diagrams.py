@@ -25,6 +25,7 @@ from circuitkit import (
     predicted_q,
     xd_scaling,
 )
+from circuitkit import diagrams
 from circuitkit.diagrams import matching_entry, permutation_entry, vertex_scaling
 
 CUPCAP = MatchingDiagram(2, ((0, 1), (2, 3)))
@@ -164,6 +165,95 @@ def test_vertex_scaling_multiplies_per_vertex_scalings(fig1, figure_eight):
 # ---------------------------------------------------------------------------
 # The contraction oracle
 # ---------------------------------------------------------------------------
+
+def brute_force_q(g, k: int, ensemble: Ensemble) -> Fraction:
+    """Test-only reference: q(G;k) summed over all k^m edge-index assignments.
+
+    Every assignment multiplies the closed-form entries of all vertices; no
+    vertex order and no partial table, so it shares nothing with the
+    frontier contraction beyond the entries and the scaling.
+    """
+    if isinstance(g, DirectedMultigraph):
+        ins, outs = g.slots()
+        incident, entry = [i + o for i, o in zip(ins, outs)], permutation_entry
+    else:
+        incident, entry = [[h >> 1 for h in halves] for halves in g.half_edges()], matching_entry
+    total = 0
+    for assign in itertools.product(range(k), repeat=g.edge_count):
+        total += prod(entry(tuple(assign[e] for e in edges)) for edges in incident)
+    return total * vertex_scaling(g, k, ensemble)
+
+
+def directed_circulant(n: int, d: int) -> DirectedMultigraph:
+    """circ(n, d): u -> u+s mod n for s = 1..d."""
+    return DirectedMultigraph(n, tuple((u, (u + s) % n) for u in range(n) for s in range(1, d + 1)))
+
+
+def undirected_circulant(n: int) -> UndirectedMultigraph:
+    """C_n(1,2): u -- u+1 and u -- u+2 mod n."""
+    return UndirectedMultigraph(n, tuple((u, (u + s) % n) for u in range(n) for s in (1, 2)))
+
+
+@st.composite
+def closed_walk_edges(draw):
+    """(n, edges) of a union of closed walks, in a drawn edge order.
+
+    Both kinds are Eulerian on such an edge list. The draw covers loops
+    (walks of length 1), parallel edges, isolated vertices, several
+    components and the edgeless graph, with and without vertices.
+    """
+    n = draw(st.integers(0, 5), label="n")
+    if n == 0:
+        return 0, ()
+    walks = draw(st.lists(st.lists(st.integers(0, n - 1), min_size=1, max_size=4), max_size=3),
+                 label="walks")
+    edges = [(u, walk[(i + 1) % len(walk)]) for walk in walks for i, u in enumerate(walk)]
+    return n, tuple(draw(st.permutations(edges), label="edge order"))
+
+
+@settings(max_examples=80, deadline=None)
+@given(closed_walk_edges(), st.integers(1, 3), st.data())
+def test_contraction_equals_the_brute_force_sum(graph, k, data):
+    n, edges = graph
+    assume(k ** len(edges) <= 3**7)
+    directed = DirectedMultigraph(n, edges)
+    undirected = UndirectedMultigraph(n, edges)
+    complex_ensemble = data.draw(st.sampled_from((Ensemble.COMPLEX_SPHERE, Ensemble.COMPLEX_GAUSSIAN)))
+    real_ensemble = data.draw(st.sampled_from((Ensemble.REAL_SPHERE, Ensemble.REAL_GAUSSIAN)))
+    assert contract_q_exact(directed, k, complex_ensemble) == brute_force_q(directed, k, complex_ensemble)
+    assert contract_q_exact(undirected, k, real_ensemble) == brute_force_q(undirected, k, real_ensemble)
+
+
+@pytest.mark.parametrize("g", [undirected_circulant(40), directed_circulant(10, 3)],
+                         ids=["C_40(1,2)", "circ(10,3)"])
+def test_oracle_matches_prediction_where_k_to_the_m_is_out_of_reach(g):
+    """k^m is about 10^24 and 10^9 here; the contraction stays far under its guard."""
+    ensemble = Ensemble.COMPLEX_SPHERE if isinstance(g, DirectedMultigraph) else Ensemble.REAL_SPHERE
+    assert contract_q_exact(g, 2, ensemble) == predicted_q(g, 2, ensemble)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_guard_bounds_the_planned_work_and_refuses_before_any_table(k, monkeypatch):
+    """On the L-cycle the order opens two edges at vertex 0, then holds two
+    open edges while each of the next L - 2 vertices adds one, and the last
+    vertex closes both: the planned work is 2 k^2 + (L - 2) k^3."""
+    length = 20_000
+    planned = 2 * k**2 + (length - 2) * k**3
+    cycle = tuple((u, (u + 1) % length) for u in range(length))
+    for g, ensemble in ((DirectedMultigraph(length, cycle), Ensemble.COMPLEX_SPHERE),
+                        (UndirectedMultigraph(length, cycle), Ensemble.REAL_SPHERE)):
+        with monkeypatch.context() as patched:
+            def no_table(values):
+                raise AssertionError("an entry was evaluated, so a table was built")
+            patched.setattr(diagrams, "permutation_entry", no_table)
+            patched.setattr(diagrams, "matching_entry", no_table)
+            with pytest.raises(GuardExceededError) as excinfo:
+                contract_q_exact(g, k, ensemble, guard=planned - 1)
+        assert (excinfo.value.required, excinfo.value.limit) == (planned, planned - 1)
+    # A guard equal to the planned work admits the run.
+    five = DirectedMultigraph(5, tuple((u, (u + 1) % 5) for u in range(5)))
+    assert (contract_q_exact(five, k, Ensemble.COMPLEX_SPHERE, guard=2 * k**2 + 3 * k**3)
+            == predicted_q(five, k, Ensemble.COMPLEX_SPHERE))
 
 def test_oracle_fig1(fig1):
     assert contract_q_exact(fig1, 2, Ensemble.COMPLEX_SPHERE) == Fraction(1, 8)

@@ -1,5 +1,6 @@
 """Static hygiene of the package source: no unused imports, no private
-machinery without a caller, and an export list that resolves.
+machinery without a caller, an export list that resolves, and a contraction
+oracle that imports nothing from the modules it checks.
 
 Uses only the standard library's ast module.
 """
@@ -67,3 +68,40 @@ def test_every_exported_name_resolves():
     assert len(set(circuitkit.__all__)) == len(circuitkit.__all__)
     missing = [name for name in circuitkit.__all__ if not hasattr(circuitkit, name)]
     assert not missing
+
+
+def _package_modules_imported(tree: ast.Module) -> set[str]:
+    """First components of the circuitkit modules that any import in `tree`
+    names, relative (`from .x import y`, `from . import x`) or absolute."""
+    found: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            paths = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level:
+                module = "circuitkit" + ("." + module if module else "")
+            paths = [module] if module != "circuitkit" else [f"circuitkit.{a.name}" for a in node.names]
+        else:
+            continue
+        found.update(path.split(".")[1] for path in paths if path.startswith("circuitkit."))
+    return found
+
+
+@pytest.mark.parametrize("source, expected", [
+    ("from .partition import circuit_count", {"partition"}),
+    ("from . import sampling, graphs", {"sampling", "graphs"}),
+    ("def f():\n    from circuitkit.planar import faces", {"planar"}),
+    ("import circuitkit.partition as p", {"partition"}),
+    ("from .errors import GuardExceededError\nimport itertools", {"errors"}),
+])
+def test_import_scan_sees_every_form(source, expected):
+    assert _package_modules_imported(ast.parse(source)) == expected
+
+
+def test_the_contraction_oracle_imports_no_circuit_reasoning():
+    """contract_q_exact checks the partition engine only while it shares no
+    code with it: diagrams may not import partition, sampling or planar,
+    at module level or inside a function."""
+    imported = _package_modules_imported(_tree(PACKAGE_DIR / "diagrams.py"))
+    assert not imported & {"partition", "sampling", "planar"}, sorted(imported)
