@@ -3,6 +3,9 @@
 Exit codes: 0 success, 1 verification failure, 2 input error, 3 guard
 exceeded. Rationals cross this boundary as "p/q" strings, never floats, and
 JSON payloads carry a "schema": "circuitkit/1" version tag.
+
+numpy and importlib.resources are imported where they are used, so the
+commands that never sample start without them.
 """
 
 from __future__ import annotations
@@ -12,12 +15,9 @@ import json
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from importlib import resources
 from math import factorial, prod
 from pathlib import Path
 from typing import Callable
-
-import numpy as np
 
 from . import diagrams, graphs, partition, planar, sampling
 from .errors import EmbeddingError, GraphFormatError, GuardExceededError, NotEulerianError
@@ -37,6 +37,8 @@ def format_rational(value: Fraction) -> str:
 
 
 def bundled_corpus_dir() -> Path:
+    from importlib import resources
+
     return Path(str(resources.files("circuitkit").joinpath("corpus")))
 
 
@@ -306,6 +308,8 @@ def run_verification(corpus_dir: Path, n_mc: int = 50_000, seed: int = 20260810)
     _check(results, "monte carlo vanishing", mc_zero)
 
     def sampling_basics():
+        import numpy as np
+
         rng = np.random.default_rng(seed)
         for ensemble in diagrams.Ensemble:
             x = sampling.sample_vector(3, ensemble, rng)
@@ -464,7 +468,7 @@ COMMANDS: tuple[Command, ...] = (
              "tutte_subset_expansion", "eulerian_check", "circuit_partition_polynomial", "evaluate")),
     Command("verify", cmd_verify, _configure_verify, "run the invariant suite over a corpus",
             ("parse_graph", "eulerian_check", "component_count", "enumerate_transition_systems",
-             "circuit_count", "circuit_partition_polynomial", "evaluate",
+             "circuit_count", "circuit_counter", "circuit_partition_polynomial", "evaluate",
              "enumerate_permutations", "enumerate_matchings", "cycle_genfunc_permutations",
              "cycle_genfunc_matchings", "xd_scaling", "contract_q_exact", "permutation_entry",
              "matching_entry", "sample_vector",

@@ -309,12 +309,15 @@ def vertex_scaling(g: Multigraph, k: int, ensemble: Ensemble) -> Fraction:
 
     d_v is the in-degree of a directed vertex and half the degree of an
     undirected one: the tensor power of x_v that its edges contract.
+    Vertices are tallied by d_v, so each distinct scaling is computed and
+    raised to its multiplicity once.
     """
     if isinstance(g, DirectedMultigraph):
-        powers = g.in_degrees()
+        powers = Counter(g.in_degrees())
     else:
-        powers = tuple(d // 2 for d in g.degrees())
-    return prod((xd_scaling(d, k, ensemble) for d in powers), start=Fraction(1))
+        powers = Counter(d // 2 for d in g.degrees())
+    return prod((xd_scaling(d, k, ensemble) ** count for d, count in powers.items()),
+                start=Fraction(1))
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,8 @@ A loop paired with itself closes a circuit and contributes a factor z.
    demands.
 
 The transition-system enumerator (`enumerate_transition_systems`,
-`circuit_count`, `circuit_count_tally`) is kept apart as a reference oracle.
+`circuit_count`, `circuit_counter`, `circuit_count_tally`) is kept apart
+as a reference oracle.
 A transition system picks, at every vertex, a bijection from incoming to
 outgoing edge slots (directed) or a perfect matching of the incident
 half-edge slots (undirected); tallying the circuits each induces gives the
@@ -201,15 +202,16 @@ def enumerate_transition_systems(g: Multigraph, guard: int | None = None) -> Ite
 # ---------------------------------------------------------------------------
 
 def circuit_count(g: Multigraph, ts: TransitionSystem) -> int:
-    """Number of circuits in the edge partition induced by ts."""
+    """Number of circuits in the edge partition induced by ts.
+
+    To count the circuits of many systems of one graph, use circuit_counter.
+    """
     if g.edge_count == 0:
         raise ValueError("circuit_count requires at least one edge")
-    if len(ts.wirings) != g.vertex_count:
-        raise ValueError("transition system does not match the graph's vertex count")
-    return _circuit_counter(g)(ts)
+    return circuit_counter(g)(ts)
 
 
-def _circuit_counter(g: Multigraph) -> Callable[[TransitionSystem], int]:
+def circuit_counter(g: Multigraph) -> Callable[[TransitionSystem], int]:
     """A circuit counter for g's transition systems; g's slot tables are built once.
 
     Each wiring first becomes pairs of half-edges joined at its vertex: the
@@ -235,6 +237,8 @@ def _circuit_counter(g: Multigraph) -> Callable[[TransitionSystem], int]:
     halves = g.half_edge_count
 
     def count(ts: TransitionSystem) -> int:
+        if len(ts.wirings) != g.vertex_count:
+            raise ValueError("transition system does not match the graph's vertex count")
         partner = [-1] * halves
         for v, wiring in enumerate(ts.wirings):
             for a, b in joined(v, wiring):
@@ -259,7 +263,7 @@ def circuit_count_tally(g: Multigraph, guard: int | None = None) -> dict[int, in
 
     The edgeless graph has one (empty) system, with zero circuits.
     """
-    count = _circuit_counter(g)
+    count = circuit_counter(g)
     tally: dict[int, int] = {}
     for ts in enumerate_transition_systems(g, guard):
         t = count(ts)

@@ -28,7 +28,7 @@ from .graphs import (
     header_line,
     parse_graph_file,
 )
-from .partition import TransitionSystem, circuit_count, circuit_partition_polynomial
+from .partition import TransitionSystem, circuit_counter, circuit_partition_polynomial
 
 DEFAULT_SUBSET_GUARD = 2**24
 
@@ -210,10 +210,11 @@ def subset_circuit_counter(pmap: PlanarMap) -> Callable[[Iterable[int]], int]:
 
     The returned function maps an edge subset to the circuit count of the
     medial transition system it selects; checking many subsets of one map
-    builds the medial graph and its side labels only here.
+    builds the medial graph, its side labels and its circuit counter only here.
     """
     medial = medial_graph_with_sides(pmap)
     g = medial.graph
+    circuits = circuit_counter(g)
     in_slots, out_slots = g.slots()
     # Per medial vertex e: the wiring that keeps every arrival on its side of
     # e (e in the subset) and the one that crosses to the other side.
@@ -227,7 +228,7 @@ def subset_circuit_counter(pmap: PlanarMap) -> Callable[[Iterable[int]], int]:
     def count(subset: Iterable[int]) -> int:
         chosen = set(subset)
         wirings = tuple(same[e] if e in chosen else cross[e] for e in range(g.vertex_count))
-        return circuit_count(g, TransitionSystem(wirings))
+        return circuits(TransitionSystem(wirings))
 
     return count
 

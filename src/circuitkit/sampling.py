@@ -10,26 +10,29 @@ draws from a Philox generator keyed with the 128-bit value
 (seed << 64) | c, and chunk results are reduced in chunk order. The chunk
 layout depends only on n_samples, so a run is bit-identical for any worker
 count, not just for a fixed one.
+
+numpy, and the thread pool of a multi-worker run, are imported by the
+functions that draw or multiply vectors, on first use. The exact path
+(predicted_q, norm_moment, wick_pairing_sum) and every command that never
+samples run without loading either.
 """
 
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, prod, sqrt
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .diagrams import Ensemble, ensure_ensemble_matches, vertex_scaling
 from .graphs import DirectedMultigraph, Multigraph, eulerian_check
 from .partition import circuit_partition_polynomial
 
-CHUNK_SIZE = 8192
+if TYPE_CHECKING:
+    import numpy as np
 
-# One length-k row per vertex; complex or real dtype per the ensemble.
-VectorAssignment = np.ndarray
+CHUNK_SIZE = 8192
 
 
 @dataclass(frozen=True)
@@ -59,6 +62,8 @@ class MCEstimate:
 
 
 def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
+    import numpy as np
+
     key = (seed << 64) | chunk_index
     return np.random.Generator(np.random.Philox(key=key))
 
@@ -72,6 +77,8 @@ def draw_assignments(rng: np.random.Generator, count: int, vertex_count: int, k:
     ensembles scale componentwise to variance 1/k (split over the real and
     imaginary parts in the complex case), so E[|x|^2] = 1 throughout.
     """
+    import numpy as np
+
     shape = (count, vertex_count, k)
     if ensemble.is_complex:
         x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
@@ -90,12 +97,14 @@ def sample_vector(k: int, ensemble: Ensemble, rng: np.random.Generator) -> np.nd
     return draw_assignments(rng, 1, 1, k, ensemble)[0, 0]
 
 
-def product_of_inner_products(g: Multigraph, vectors: VectorAssignment) -> complex:
+def product_of_inner_products(g: Multigraph, vectors: np.ndarray) -> complex:
     """prod over edges (u, v) of <x_u, x_v>, conjugating the tail vector x_u.
 
-    Undirected edges use the plain symmetric inner product. The empty product
-    (edgeless graph) is 1.
+    `vectors` holds one length-k row per vertex. Undirected edges use the
+    plain symmetric inner product. The empty product (edgeless graph) is 1.
     """
+    import numpy as np
+
     vectors = np.asarray(vectors)
     if vectors.ndim != 2 or vectors.shape[0] != g.vertex_count:
         raise ValueError(
@@ -111,6 +120,8 @@ def product_of_inner_products(g: Multigraph, vectors: VectorAssignment) -> compl
 
 def _batch_products(g: Multigraph, x: np.ndarray) -> np.ndarray:
     """Per-sample product of edge inner products for a (count, n, k) batch."""
+    import numpy as np
+
     conjugate_tail = isinstance(g, DirectedMultigraph)
     values = np.ones(x.shape[0], dtype=x.dtype)
     for u, v in g.edges:
@@ -128,6 +139,8 @@ def estimate_q(g: Multigraph, k: int, ensemble: Ensemble, n_samples: int, seed: 
     over sqrt(n_samples). The seed must lie in [0, 2**64): it is the high half
     of every chunk's Philox key, so no two seeds share a stream.
     """
+    import numpy as np
+
     if n_samples < 2:
         raise ValueError("n_samples must be >= 2")
     if not 0 <= seed < 2**64:
@@ -145,6 +158,8 @@ def estimate_q(g: Multigraph, k: int, ensemble: Ensemble, n_samples: int, seed: 
         return complex(np.sum(values)), float(np.sum(np.abs(values) ** 2))
 
     if workers > 1 and n_chunks > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=workers) as pool:
             chunk_results = list(pool.map(run_chunk, range(n_chunks)))
     else:

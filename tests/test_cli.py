@@ -2,7 +2,12 @@ from __future__ import annotations
 
 import decimal
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import circuitkit
 from circuitkit import cli
 
 SPEC_OPERATIONS = [
@@ -216,3 +221,45 @@ def test_q_estimate_rejects_aliasing_arguments(capsys, corpus_dir):
     code, out, _ = run(capsys, *argv, "--seed", str(2**64 - 1))
     assert code == 0
     assert f"seed={2**64 - 1})" in out
+
+
+# Runs cli.main once per argv in a fresh interpreter, output discarded, and
+# prints which of the sampling-only modules the interpreter has loaded.
+_LOADED_AFTER = """
+import contextlib, io, json, sys
+from circuitkit import cli
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        try:
+            cli.main(argv)
+        except SystemExit:
+            pass
+print(json.dumps([m for m in ("numpy", "concurrent.futures") if m in sys.modules]))
+"""
+
+
+def _modules_loaded_by(*argvs: list[str]) -> list[str]:
+    env = dict(os.environ, PYTHONPATH=str(Path(circuitkit.__file__).parent.parent))
+    done = subprocess.run([sys.executable, "-c", _LOADED_AFTER, json.dumps(argvs)], env=env,
+                          capture_output=True, text=True, check=True, timeout=120)
+    return json.loads(done.stdout)
+
+
+def test_exact_commands_load_neither_numpy_nor_the_thread_pool(corpus_dir):
+    graph, pmap = corpus("fig1.graph", corpus_dir), corpus("triangle.planar", corpus_dir)
+    assert _modules_loaded_by(
+        ["--help"],
+        ["j", graph],
+        ["q-predict", graph, "--k", "2", "--ensemble", "complex-sphere"],
+        ["q-exact", graph, "--k", "2", "--ensemble", "complex-sphere", "--format", "json"],
+        ["medial", pmap],
+        ["tutte", pmap, "--x", "2", "--y", "2"],
+        ["martin", pmap, "--z", "3"],
+    ) == []
+
+
+def test_sampling_loads_numpy_and_only_a_parallel_run_the_thread_pool(corpus_dir):
+    argv = ["q-estimate", corpus("fig1.graph", corpus_dir), "--k", "2",
+            "--ensemble", "complex-sphere", "--n", "20000"]
+    assert _modules_loaded_by(argv) == ["numpy"]
+    assert _modules_loaded_by(argv + ["--workers", "2"]) == ["numpy", "concurrent.futures"]

@@ -162,6 +162,31 @@ def test_vertex_scaling_multiplies_per_vertex_scalings(fig1, figure_eight):
     assert vertex_scaling(DirectedMultigraph(0, ()), 3, Ensemble.COMPLEX_GAUSSIAN) == 1
 
 
+@st.composite
+def any_edges(draw):
+    """(n, edges) of an arbitrary multigraph: loops, parallel edges, any degrees."""
+    n = draw(st.integers(0, 8), label="n")
+    if n == 0:
+        return 0, ()
+    vertex = st.integers(0, n - 1)
+    return n, tuple(draw(st.lists(st.tuples(vertex, vertex), max_size=16), label="edges"))
+
+
+@settings(max_examples=60, deadline=None)
+@given(any_edges(), st.integers(1, 4), st.sampled_from(list(Ensemble)))
+def test_vertex_scaling_equals_the_per_vertex_product(graph, k, ensemble):
+    directed, undirected = DirectedMultigraph(*graph), UndirectedMultigraph(*graph)
+    per_vertex = prod((xd_scaling(d, k, ensemble) for d in directed.in_degrees()), start=Fraction(1))
+    assert vertex_scaling(directed, k, ensemble) == per_vertex
+    per_vertex = prod((xd_scaling(d // 2, k, ensemble) for d in undirected.degrees()),
+                      start=Fraction(1))
+    assert vertex_scaling(undirected, k, ensemble) == per_vertex
+
+
+def test_vertex_scaling_of_a_large_edgeless_graph_is_one():
+    assert vertex_scaling(DirectedMultigraph(3_000_000, ()), 3, Ensemble.COMPLEX_SPHERE) == Fraction(1)
+
+
 # ---------------------------------------------------------------------------
 # The contraction oracle
 # ---------------------------------------------------------------------------

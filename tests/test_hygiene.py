@@ -1,6 +1,7 @@
 """Static hygiene of the package source: no unused imports, no private
-machinery without a caller, an export list that resolves, and a contraction
-oracle that imports nothing from the modules it checks.
+machinery without a caller, an export list that resolves, a contraction
+oracle that imports nothing from the modules it checks, and no module that
+loads the sampling-only dependencies at import time.
 
 Uses only the standard library's ast module.
 """
@@ -105,3 +106,64 @@ def test_the_contraction_oracle_imports_no_circuit_reasoning():
     at module level or inside a function."""
     imported = _package_modules_imported(_tree(PACKAGE_DIR / "diagrams.py"))
     assert not imported & {"partition", "sampling", "planar"}, sorted(imported)
+
+
+# Loaded on first use by the code that samples, never at import time: every
+# command that does not sample starts without them.
+DEFERRED = ("numpy", "concurrent.futures", "importlib.resources")
+
+
+def _is_type_checking(test: ast.expr) -> bool:
+    return ((isinstance(test, ast.Name) and test.id == "TYPE_CHECKING")
+            or (isinstance(test, ast.Attribute) and test.attr == "TYPE_CHECKING"))
+
+
+def _import_time_imports(tree: ast.Module) -> set[str]:
+    """Dotted names imported when the module runs: statements outside any
+    function body and outside the body of an `if TYPE_CHECKING:` block.
+    `from a import b` names both a and a.b, since b may be a submodule."""
+    found: set[str] = set()
+    stack = list(tree.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if isinstance(node, ast.If) and _is_type_checking(node.test):
+            stack.extend(node.orelse)
+            continue
+        if isinstance(node, ast.Import):
+            found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level and node.module:
+            found.add(node.module)
+            found.update(f"{node.module}.{alias.name}" for alias in node.names)
+        stack.extend(ast.iter_child_nodes(node))
+    return found
+
+
+def _deferred_imports(tree: ast.Module) -> list[str]:
+    return sorted(name for name in _import_time_imports(tree)
+                  if any(name == d or name.startswith(d + ".") for d in DEFERRED))
+
+
+@pytest.mark.parametrize("source, expected", [
+    ("import numpy as np", ["numpy"]),
+    ("import numpy.linalg", ["numpy.linalg"]),
+    ("from numpy.random import Philox", ["numpy.random", "numpy.random.Philox"]),
+    ("from concurrent.futures import ThreadPoolExecutor",
+     ["concurrent.futures", "concurrent.futures.ThreadPoolExecutor"]),
+    ("from concurrent import futures", ["concurrent.futures"]),
+    ("from importlib import resources", ["importlib.resources"]),
+    ("try:\n    import numpy\nexcept ImportError:\n    pass", ["numpy"]),
+    ("class A:\n    import numpy", ["numpy"]),
+    ("if TYPE_CHECKING:\n    import numpy as np", []),
+    ("if typing.TYPE_CHECKING:\n    import numpy as np\nelse:\n    import numpy", ["numpy"]),
+    ("def f():\n    import numpy as np", []),
+    ("from importlib import import_module\nimport numbers", []),
+])
+def test_deferred_import_scan_sees_every_form(source, expected):
+    assert _deferred_imports(ast.parse(source)) == expected
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE_DIR.glob("*.py")), ids=lambda p: p.name)
+def test_sampling_dependencies_are_not_imported_at_module_level(path):
+    assert _deferred_imports(_tree(path)) == [], path.name

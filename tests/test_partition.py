@@ -16,6 +16,7 @@ from circuitkit import (
     TransitionSystem,
     UndirectedMultigraph,
     circuit_count,
+    circuit_counter,
     circuit_partition_polynomial,
     disjoint_union,
     enumerate_transition_systems,
@@ -161,6 +162,19 @@ def test_invalid_wiring_rejected(fig1):
     bad = TransitionSystem(((0,), (0,), (0, 0), (0,)))
     with pytest.raises(ValueError):
         circuit_count(fig1, bad)
+
+
+def test_one_counter_counts_every_system_of_its_graph(corpus_graphs):
+    for g in corpus_graphs.values():
+        count = circuit_counter(g)
+        for ts in enumerate_transition_systems(g):
+            assert count(ts) == circuit_count(g, ts) == walk_circuits(g, ts)
+
+
+def test_counter_rejects_a_system_of_another_vertex_count(fig1):
+    count = circuit_counter(fig1)
+    with pytest.raises(ValueError, match="vertex count"):
+        count(TransitionSystem(((0,), (0,), (0, 1))))
 
 
 # ---------------------------------------------------------------------------

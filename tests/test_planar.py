@@ -19,10 +19,12 @@ from circuitkit import (
     medial_graph,
     parse_planar_map,
     serialize_planar_map,
+    subset_circuit_counter,
     subset_expansion_terms,
     subset_to_partition_circuits,
     tutte_subset_expansion,
 )
+from circuitkit import planar
 from circuitkit.planar import planar_map_from_json_dict, planar_map_to_json_dict
 
 
@@ -203,6 +205,22 @@ def test_subset_circuits_match_component_excess(corpus_maps):
             c = component_count(g, subset)
             expected = c + (c + len(subset) - g.vertex_count)
             assert subset_to_partition_circuits(pmap, subset) == expected, (name, subset)
+
+
+def test_subset_counter_builds_one_circuit_counter_per_map(corpus_maps, monkeypatch):
+    built = []
+    original = planar.circuit_counter
+
+    def counting_circuit_counter(g):
+        built.append(g)
+        return original(g)
+
+    monkeypatch.setattr(planar, "circuit_counter", counting_circuit_counter)
+    pmap = corpus_maps["hexmap"]
+    circuits = subset_circuit_counter(pmap)
+    for subset in all_subsets(pmap.graph.edge_count):
+        circuits(subset)
+    assert len(built) == 1
 
 
 def test_subset_walk_generating_function_equals_medial_polynomial(corpus_maps):
