@@ -341,11 +341,13 @@ def _absorption_order(g: Multigraph, incident: list[list[int]]) -> list[tuple[in
     At vertex v, the open edges (one end absorbed) close; its other edges are
     new: those to later vertices open, and its loops close at once. Each tuple
     lists distinct edges in the order of first appearance in incident[v].
+    Vertices without half-edges are left out: their entry is the empty
+    contraction, a factor of 1.
     """
     links = [0] * g.vertex_count  # edges from each vertex into the absorbed set
     absorbed = bytearray(g.vertex_count)
     is_open = bytearray(g.edge_count)
-    heap = [(0, len(halves), v) for v, halves in enumerate(incident)]
+    heap = [(0, len(halves), v) for v, halves in enumerate(incident) if halves]
     heapify(heap)
     order = []
     while heap:

@@ -72,22 +72,76 @@ def draw_assignments(rng: np.random.Generator, count: int, vertex_count: int, k:
                      ensemble: Ensemble) -> np.ndarray:
     """(count, vertex_count, k) array of ensemble draws.
 
-    Complex draws take one standard-normal block for all real parts, then one
-    for all imaginary parts. Sphere ensembles normalize each vector; Gaussian
-    ensembles scale componentwise to variance 1/k (split over the real and
-    imaginary parts in the complex case), so E[|x|^2] = 1 throughout.
+    Complex draws take all real parts of the chunk as one standard-normal
+    block of that shape, then all imaginary parts as the next block (the
+    stream of one (2, count, vertex_count, k) draw), through one buffer.
+    Sphere ensembles normalize each vector; Gaussian ensembles scale
+    componentwise to variance 1/k (split over the real and imaginary parts
+    in the complex case), so E[|x|^2] = 1 throughout.
+
+    The result is bit-identical to x / sqrt(2k) or x / sqrt(k) (Gaussian)
+    and x / np.linalg.norm(x, axis=2, keepdims=True) (sphere), with less
+    numpy work:
+    - squared norms are (x.conj() * x).real, as np.linalg.norm computes them
+      (re*re + im*im can differ in the last bit; real draws use x * x),
+      summed over the k columns in numpy's pairwise order
+      (_pairwise_column_sum);
+    - complex draws are scaled by the reciprocal, re and im each times 1/r:
+      numpy's complex-by-real division computes exactly that;
+    - real draws keep true division, x /= r: a reciprocal would change
+      their last bit.
     """
     import numpy as np
 
     shape = (count, vertex_count, k)
+    x = rng.standard_normal(shape)
     if ensemble.is_complex:
-        x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    else:
-        x = rng.standard_normal(shape)
+        buffer, x = x, np.empty(shape, dtype=np.complex128)
+        x.real = buffer
+        x.imag = rng.standard_normal(out=buffer)
+        del buffer
     if ensemble.is_gaussian:
-        return x / sqrt(2 * k if ensemble.is_complex else k)
-    norms = np.linalg.norm(x, axis=2, keepdims=True)
-    return x / norms
+        scale = sqrt(2 * k if ensemble.is_complex else k)
+    else:
+        scale = _pairwise_column_sum((x.conj() * x).real if ensemble.is_complex else x * x)
+        np.sqrt(scale, out=scale)
+        scale = scale[..., None]
+    if ensemble.is_complex:
+        re_im = x.view(np.float64)  # (count, vertex_count, 2k)
+        re_im *= 1 / scale
+    else:
+        x /= scale
+    return x
+
+
+def _pairwise_column_sum(a: np.ndarray) -> np.ndarray:
+    """Sum over the last axis of `a`, adding whole columns in the order of
+    numpy's pairwise summation, so for nonnegative terms the bits equal
+    np.add.reduce(a, axis=-1).
+
+    Below 8 terms the sum runs left to right; up to 128 it keeps 8 running
+    sums over blocks of 8, combines them as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))
+    and adds the remainder left to right; above that it splits at the
+    largest multiple of 8 not past the middle and adds the two halves' sums.
+    """
+    n = a.shape[-1]
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _pairwise_column_sum(a[..., :half]) + _pairwise_column_sum(a[..., half:])
+    if n < 8:
+        total = a[..., 0].copy()
+        for i in range(1, n):
+            total += a[..., i]
+        return total
+    r = a[..., :8].copy()
+    blocks_end = n - n % 8
+    for i in range(8, blocks_end, 8):
+        r += a[..., i:i + 8]
+    total = (r[..., 0] + r[..., 1]) + (r[..., 2] + r[..., 3])
+    total += (r[..., 4] + r[..., 5]) + (r[..., 6] + r[..., 7])
+    for i in range(blocks_end, n):
+        total += a[..., i]
+    return total
 
 
 def sample_vector(k: int, ensemble: Ensemble, rng: np.random.Generator) -> np.ndarray:
@@ -119,14 +173,28 @@ def product_of_inner_products(g: Multigraph, vectors: np.ndarray) -> complex:
 
 
 def _batch_products(g: Multigraph, x: np.ndarray) -> np.ndarray:
-    """Per-sample product of edge inner products for a (count, n, k) batch."""
+    """Per-sample product of edge inner products for a (count, n, k) batch.
+
+    The batch is conjugated once (directed graphs), each distinct ordered
+    pair (u, v) gets one inner product per sample, kept until the last edge
+    that uses it, and the products are multiplied in file edge order, so a
+    parallel edge costs one multiply.
+    """
     import numpy as np
 
-    conjugate_tail = isinstance(g, DirectedMultigraph)
+    tails = x.conj() if isinstance(g, DirectedMultigraph) else x
+    last_use = {edge: i for i, edge in enumerate(g.edges)}
+    inner: dict[tuple[int, int], np.ndarray] = {}
     values = np.ones(x.shape[0], dtype=x.dtype)
-    for u, v in g.edges:
-        tail = x[:, u, :].conj() if conjugate_tail else x[:, u, :]
-        values = values * np.einsum("si,si->s", tail, x[:, v, :])
+    for i, (u, v) in enumerate(g.edges):
+        ip = inner.pop((u, v), None)
+        if ip is None:
+            ip = np.einsum("si,si->s", tails[:, u, :], x[:, v, :])
+        if last_use[u, v] > i:
+            inner[u, v] = ip
+        # Not in place: for a one-sample chunk numpy's in-place complex
+        # product differs from the out-of-place one in the last bit.
+        values = values * ip
     return values
 
 
@@ -141,6 +209,8 @@ def estimate_q(g: Multigraph, k: int, ensemble: Ensemble, n_samples: int, seed: 
     """
     import numpy as np
 
+    if k < 1:
+        raise ValueError("k must be >= 1")
     if n_samples < 2:
         raise ValueError("n_samples must be >= 2")
     if not 0 <= seed < 2**64:

@@ -223,6 +223,15 @@ def test_q_estimate_rejects_aliasing_arguments(capsys, corpus_dir):
     assert f"seed={2**64 - 1})" in out
 
 
+def test_q_estimate_rejects_k_below_one(capsys, corpus_dir):
+    for k in ("0", "-1"):
+        code, out, err = run(capsys, "q-estimate", corpus("fig1.graph", corpus_dir), "--k", k,
+                             "--ensemble", "complex-sphere", "--n", "100")
+        assert code == cli.EXIT_INPUT_ERROR
+        assert out == ""
+        assert "k must be >= 1" in err
+
+
 # Runs cli.main once per argv in a fresh interpreter, output discarded, and
 # prints which of the sampling-only modules the interpreter has loaded.
 _LOADED_AFTER = """

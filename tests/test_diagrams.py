@@ -385,6 +385,23 @@ def test_oracle_edgeless_graph_is_one():
     assert contract_q_exact(DirectedMultigraph(2, ()), 3, Ensemble.COMPLEX_SPHERE) == 1
 
 
+def test_oracle_leaves_out_vertices_without_half_edges(fig1):
+    """Isolated vertices are not in the absorption order; each is a factor of 1."""
+    padded = DirectedMultigraph(fig1.vertex_count + 100_000, fig1.edges)
+    ins, outs = padded.slots()
+    order = diagrams._absorption_order(padded, [i + o for i, o in zip(ins, outs)])
+    assert sorted(v for v, *_ in order) == list(range(fig1.vertex_count))
+    assert contract_q_exact(padded, 2, Ensemble.COMPLEX_SPHERE) == Fraction(1, 8)
+
+    interleaved = UndirectedMultigraph(6, ((1, 3), (3, 1), (4, 4)))  # 0, 2 and 5 are isolated
+    incident = [[h >> 1 for h in halves] for halves in interleaved.half_edges()]
+    assert sorted(v for v, *_ in diagrams._absorption_order(interleaved, incident)) == [1, 3, 4]
+    for k in (1, 2, 3):
+        assert (contract_q_exact(interleaved, k, Ensemble.REAL_GAUSSIAN)
+                == predicted_q(interleaved, k, Ensemble.REAL_GAUSSIAN))
+    assert len(diagrams._absorption_order(DirectedMultigraph(3, ()), [[], [], []])) == 0
+
+
 def test_ensemble_parsing():
     assert Ensemble.from_string("real-gaussian") is Ensemble.REAL_GAUSSIAN
     with pytest.raises(ValueError):

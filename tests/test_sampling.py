@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import cmath
 import json
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -19,7 +20,7 @@ from circuitkit import (
     sample_vector,
 )
 from circuitkit.diagrams import cycle_genfunc_matchings
-from circuitkit.sampling import draw_assignments, wick_pairing_sum
+from circuitkit.sampling import _batch_products, draw_assignments, wick_pairing_sum
 
 ALL_ENSEMBLES = list(Ensemble)
 SEED = 0xC1C1
@@ -114,6 +115,39 @@ def test_phase_invariance_per_sample(fig1):
         assert abs(product_of_inner_products(fig1, rotated) - base) <= 1e-12
 
 
+def random_multigraph(r: random.Random, directed: bool):
+    """A small multigraph whose edge list repeats edges, reverses them and has loops."""
+    n = r.randint(1, 5)
+    edges = []
+    for _ in range(r.randint(0, 10)):
+        roll = r.random()
+        if edges and roll < 0.25:
+            edges.append(r.choice(edges))  # parallel
+        elif edges and roll < 0.45:
+            edges.append(r.choice(edges)[::-1])  # antiparallel
+        elif roll < 0.6:
+            v = r.randrange(n)
+            edges.append((v, v))  # loop
+        else:
+            edges.append((r.randrange(n), r.randrange(n)))
+    return (DirectedMultigraph if directed else UndirectedMultigraph)(n, tuple(edges))
+
+
+@pytest.mark.parametrize("ensemble", ALL_ENSEMBLES, ids=lambda e: e.value)
+def test_batch_products_match_the_per_sample_product(ensemble):
+    """Each row of the chunk kernel, which computes one inner product per
+    distinct ordered pair, is the plain edge-by-edge product of its sample."""
+    r, gen = random.Random(ensemble.value), rng()
+    for _ in range(40):
+        g = random_multigraph(r, directed=ensemble.is_complex)
+        x = draw_assignments(gen, r.choice([1, 2, 17]), g.vertex_count, r.randint(1, 4), ensemble)
+        batch = _batch_products(g, x)
+        assert batch.shape == (x.shape[0],)
+        for s in range(x.shape[0]):
+            single = product_of_inner_products(g, x[s])
+            assert abs(batch[s] - single) <= 1e-12 * max(abs(single), 1e-300), (g, s)
+
+
 # ---------------------------------------------------------------------------
 # Monte Carlo estimation
 # ---------------------------------------------------------------------------
@@ -176,6 +210,60 @@ def test_estimate_validation(fig1, figure_eight):
         estimate_q(fig1, 2, Ensemble.REAL_SPHERE, 100, seed=0)
     with pytest.raises(ValueError):
         estimate_q(figure_eight, 2, Ensemble.COMPLEX_SPHERE, 100, seed=0)
+    for k in (0, -1):
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            estimate_q(fig1, k, Ensemble.COMPLEX_SPHERE, 100, seed=0)
+
+
+_THICK_DIGON = DirectedMultigraph(2, ((0, 1),) * 16 + ((1, 0),) * 16)
+_LOOPED_TRIANGLE = UndirectedMultigraph(3, ((0, 1), (1, 2), (2, 0), (1, 0), (2, 2)))
+
+# Exact to_json() output of estimate_q, recorded with the chunk kernel of
+# commit 5182066 (numpy 2.4, x86-64). Any change to the draw stream, the norm
+# or scaling arithmetic, the edge products or the reduction order changes
+# these bytes. Another numpy build may round complex products differently;
+# re-record them there from a known-good kernel, not from the one under test.
+GOLDEN_ESTIMATES = [
+    ("fig1", 2, Ensemble.COMPLEX_SPHERE, 20_000, 7,
+     '{"mean_re": 0.12431458461110513, "mean_im": -2.0707260171287212e-06, '
+     '"std_error": 0.0012331241030759058, "n": 20000, "k": 2, "ensemble": "complex-sphere", "seed": 7}'),
+    ("fig1", 3, Ensemble.COMPLEX_GAUSSIAN, 20_000, 7,
+     '{"mean_re": 0.04924057551011192, "mean_im": 0.0003404021985064245, '
+     '"std_error": 0.0017838356794090111, "n": 20000, "k": 3, "ensemble": "complex-gaussian", "seed": 7}'),
+    ("fig1", 1, Ensemble.COMPLEX_SPHERE, 20_000, 7,
+     '{"mean_re": 1.0, "mean_im": -5.16402312893122e-19, '
+     '"std_error": 0.0, "n": 20000, "k": 1, "ensemble": "complex-sphere", "seed": 7}'),
+    ("digon16", 2, Ensemble.COMPLEX_SPHERE, 20_000, 11,
+     '{"mean_re": 0.057930846712403096, "mean_im": -1.5866837873859696e-19, '
+     '"std_error": 0.0011434549289177063, "n": 20000, "k": 2, "ensemble": "complex-sphere", "seed": 11}'),
+    ("looped", 3, Ensemble.REAL_SPHERE, 20_000, 5,
+     '{"mean_re": -0.00028080513281008115, "mean_im": 0.0, '
+     '"std_error": 0.0013008968852043082, "n": 20000, "k": 3, "ensemble": "real-sphere", "seed": 5}'),
+    ("looped", 3, Ensemble.REAL_GAUSSIAN, 20_000, 5,
+     '{"mean_re": 0.026157407708062942, "mean_im": 0.0, '
+     '"std_error": 0.023004984732553066, "n": 20000, "k": 3, "ensemble": "real-gaussian", "seed": 5}'),
+    ("fig1", 2, Ensemble.COMPLEX_SPHERE, 100_003, 3,  # a partial last chunk
+     '{"mean_re": 0.124190956301962, "mean_im": 0.00016673437888420077, '
+     '"std_error": 0.0005514310092547803, "n": 100003, "k": 2, "ensemble": "complex-sphere", "seed": 3}'),
+    ("looped", 3, Ensemble.REAL_GAUSSIAN, 100_003, 3,
+     '{"mean_re": -0.006444813612035809, "mean_im": 0.0, '
+     '"std_error": 0.005798783926294078, "n": 100003, "k": 3, "ensemble": "real-gaussian", "seed": 3}'),
+    ("fig1", 2, Ensemble.COMPLEX_GAUSSIAN, 2, 0,
+     '{"mean_re": -0.011156785913661562, "mean_im": 0.0011544714214414093, '
+     '"std_error": 0.05092065560241296, "n": 2, "k": 2, "ensemble": "complex-gaussian", "seed": 0}'),
+    ("fig1", 2, Ensemble.COMPLEX_SPHERE, 9_000, 2**64 - 1,
+     '{"mean_re": 0.1271142555748319, "mean_im": 0.0004886713335547022, '
+     '"std_error": 0.0018637475591736718, "n": 9000, "k": 2, "ensemble": "complex-sphere", '
+     '"seed": 18446744073709551615}'),
+]
+
+
+@pytest.mark.parametrize("name, k, ensemble, n, seed, expected", GOLDEN_ESTIMATES,
+                         ids=[f"{c[0]}-k{c[1]}-{c[2].value}-n{c[3]}-seed{c[4]}" for c in GOLDEN_ESTIMATES])
+def test_estimate_bits_are_pinned(fig1, name, k, ensemble, n, seed, expected):
+    g = {"fig1": fig1, "digon16": _THICK_DIGON, "looped": _LOOPED_TRIANGLE}[name]
+    for workers in (1, 2):
+        assert estimate_q(g, k, ensemble, n, seed, workers=workers).to_json() == expected
 
 
 def test_mcestimate_json_fields(fig1):
