@@ -64,7 +64,7 @@ class Multigraph:
         """Half-edge ids at each vertex, ascending, in one pass over the edges.
 
         A loop contributes both of its ids. The transition systems, the
-        contraction oracle and the rotation parser read incidence from this
+        contraction oracle and the rotation checks read incidence from this
         table; the engine's forced-chain contraction needs only the two
         half-edges at each forced vertex and pairs them in one pass instead.
         """
@@ -73,10 +73,6 @@ class Multigraph:
             at[u].append(2 * e)
             at[v].append(2 * e + 1)
         return at
-
-    def half_edges_at(self, v: int) -> tuple[int, ...]:
-        """Half-edge ids incident to v, ascending."""
-        return tuple(self.half_edges()[v])
 
 
 class DirectedMultigraph(Multigraph):
@@ -99,8 +95,8 @@ class DirectedMultigraph(Multigraph):
 
         Read off half_edges(): the heads (odd ids) at v are its in-slots and
         the tails (even ids) its out-slots. In-slot i of vertex v is ins[v][i]
-        and out-slot j is outs[v][j]; the transition systems and the medial
-        wirings index slots this way.
+        and out-slot j is outs[v][j]; the transition systems index slots
+        this way.
         """
         at = self.half_edges()
         ins = [[h >> 1 for h in halves if h & 1] for halves in at]
@@ -236,9 +232,9 @@ def parse_graph_file(text: str) -> tuple[str, Multigraph, tuple[tuple[int, ...],
     """Parse any of the three file kinds.
 
     Returns (kind, graph, rotations); rotations is None unless kind == "planar".
-    The planar rotations are validated structurally here (every dart appears
-    exactly once, at the vertex owning it); whether they describe a plane
-    embedding is the planar module's Euler check.
+    The planar rotations are validated structurally here by check_rotation
+    (every dart appears exactly once, at the vertex owning it); whether they
+    describe a plane embedding is the planar module's Euler check.
     """
     lines = _content_lines(text)
     last_line = text.count("\n") + 1
@@ -300,7 +296,6 @@ def parse_graph_file(text: str) -> tuple[str, Multigraph, tuple[tuple[int, ...],
 
 def _parse_rotations(g: UndirectedMultigraph, next_content_line, last_line: int) -> tuple[tuple[int, ...], ...]:
     rotations: list[tuple[int, ...]] = []
-    seen: dict[int, int] = {}
     for v, halves in enumerate(g.half_edges()):
         # Degree-0 vertices may omit their (empty) rotation line at EOF;
         # otherwise a blank line stands for the empty rotation.
@@ -315,20 +310,32 @@ def _parse_rotations(g: UndirectedMultigraph, next_content_line, last_line: int)
             darts = tuple(int(f) for f in content.split())
         except ValueError:
             raise GraphFormatError(f"rotation for vertex {v} is not a list of ints: {content!r}", lineno) from None
-        for d in darts:
-            if not 0 <= d < g.half_edge_count:
-                raise GraphFormatError(f"dart {d} out of range [0, {g.half_edge_count})", lineno)
-            if g.half_edge_vertex(d) != v:
-                raise GraphFormatError(f"dart {d} belongs to vertex {g.half_edge_vertex(d)}, not {v}", lineno)
-            if d in seen:
-                raise GraphFormatError(f"dart {d} already listed on line {seen[d]}", lineno)
-            seen[d] = lineno
-        if len(darts) != len(halves):
-            raise GraphFormatError(
-                f"vertex {v} has degree {len(halves)} but rotation lists {len(darts)} darts", lineno
-            )
+        check_rotation(g, v, darts, len(halves), lineno)
         rotations.append(darts)
     return tuple(rotations)
+
+
+def check_rotation(g: UndirectedMultigraph, v: int, darts: tuple[int, ...], degree: int,
+                   line: int | None = None) -> None:
+    """Raise GraphFormatError (citing `line`, if given) unless `darts` lists
+    each of the `degree` half-edges at vertex v of g exactly once.
+
+    The file parser and PlanarMap both validate rotations here. A dart is
+    accepted only at its own vertex, so a repeated dart is always repeated
+    within one rotation.
+    """
+    listed: set[int] = set()
+    for d in darts:
+        if not 0 <= d < g.half_edge_count:
+            raise GraphFormatError(f"dart {d} out of range [0, {g.half_edge_count})", line)
+        if g.half_edge_vertex(d) != v:
+            raise GraphFormatError(f"dart {d} belongs to vertex {g.half_edge_vertex(d)}, not {v}", line)
+        if d in listed:
+            where = "" if line is None else f" on line {line}"
+            raise GraphFormatError(f"dart {d} already listed{where}", line)
+        listed.add(d)
+    if len(darts) != degree:
+        raise GraphFormatError(f"vertex {v} has degree {degree} but rotation lists {len(darts)} darts", line)
 
 
 def parse_graph(text: str) -> Multigraph:

@@ -24,7 +24,8 @@ A loop paired with itself closes a circuit and contributes a factor z.
 
 The transition-system enumerator (`enumerate_transition_systems`,
 `circuit_count`, `circuit_counter`, `circuit_count_tally`) is kept apart
-as a reference oracle.
+as a reference oracle. The planar map side takes only the engine from this
+module: its subset walk counts circuits on darts without transition systems.
 A transition system picks, at every vertex, a bijection from incoming to
 outgoing edge slots (directed) or a perfect matching of the incident
 half-edge slots (undirected); tallying the circuits each induces gives the
@@ -202,12 +203,11 @@ def enumerate_transition_systems(g: Multigraph, guard: int | None = None) -> Ite
 # ---------------------------------------------------------------------------
 
 def circuit_count(g: Multigraph, ts: TransitionSystem) -> int:
-    """Number of circuits in the edge partition induced by ts.
+    """Number of circuits in the edge partition induced by ts (0 for the
+    empty system of an edgeless graph).
 
     To count the circuits of many systems of one graph, use circuit_counter.
     """
-    if g.edge_count == 0:
-        raise ValueError("circuit_count requires at least one edge")
     return circuit_counter(g)(ts)
 
 

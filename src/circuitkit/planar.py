@@ -3,13 +3,15 @@ Martin identity tying them to circuit partitions.
 
 A map stores, for each vertex, the counterclockwise cyclic order of its
 incident darts (dart ids are the half-edge ids 2i, 2i+1 of edge i; the twin
-of dart d is d ^ 1). The face containing dart d continues at the
-rotation-successor of twin(d); a rotation system is accepted as a plane
+of dart d is d ^ 1). Everything here reads one table, after[d]: the dart
+that follows d on its face, which is the rotation-successor of d ^ 1. The
+faces are the orbits of after; a rotation system is accepted as a plane
 embedding exactly when the face count satisfies n - m + f = 1 + c(G).
 
 The oriented medial graph has one vertex per edge of the underlying graph
-and one directed edge per consecutive dart pair inside a face, so every
-medial vertex has in- and out-degree 2 and the medial graph is Eulerian.
+and one directed edge d // 2 -> after[d] // 2 per dart d, leaving along side
+d of its tail and arriving along side after[d] of its head. Every medial
+vertex has in- and out-degree 2, so the medial graph is Eulerian.
 """
 
 from __future__ import annotations
@@ -17,18 +19,18 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, NamedTuple
+from typing import Iterable, NamedTuple
 
 from .errors import EmbeddingError, GraphFormatError, GuardExceededError
 from .graphs import (
-    JSON_SCHEMA,
     DirectedMultigraph,
     UndirectedMultigraph,
+    check_rotation,
     component_count,
     header_line,
     parse_graph_file,
 )
-from .partition import TransitionSystem, circuit_counter, circuit_partition_polynomial
+from .partition import circuit_partition_polynomial
 
 DEFAULT_SUBSET_GUARD = 2**24
 
@@ -42,37 +44,42 @@ class PlanarMap:
 
     def __post_init__(self):
         object.__setattr__(self, "rotation", tuple(tuple(r) for r in self.rotation))
-        g = self.graph
-        if len(self.rotation) != g.vertex_count:
+        at = self.graph.half_edges()
+        if len(self.rotation) != len(at):
             raise ValueError("one rotation per vertex required")
-        seen: set[int] = set()
-        for v, rot in enumerate(self.rotation):
-            for d in rot:
-                if not (0 <= d < g.half_edge_count):
-                    raise ValueError(f"dart {d} out of range")
-                if g.half_edge_vertex(d) != v:
-                    raise ValueError(f"dart {d} belongs to vertex {g.half_edge_vertex(d)}, not {v}")
-                if d in seen:
-                    raise ValueError(f"dart {d} appears twice")
-                seen.add(d)
-        if len(seen) != g.half_edge_count:
-            raise ValueError("rotations do not cover every dart")
-
-    @staticmethod
-    def twin(d: int) -> int:
-        return d ^ 1
-
-    def dart_vertex(self, d: int) -> int:
-        return self.graph.half_edge_vertex(d)
-
-    def face_successor(self, d: int) -> int:
-        t = d ^ 1
-        rot = self.rotation[self.dart_vertex(t)]
-        return rot[(rot.index(t) + 1) % len(rot)]
+        for v, (darts, halves) in enumerate(zip(self.rotation, at)):
+            check_rotation(self.graph, v, darts, len(halves))
 
     def mirrored(self) -> "PlanarMap":
         """The reflected embedding (every rotation reversed)."""
         return PlanarMap(self.graph, tuple(tuple(reversed(r)) for r in self.rotation))
+
+
+def _face_successors(pmap: PlanarMap) -> list[int]:
+    """after[d], the dart that follows dart d on its face: the
+    rotation-successor of its twin d ^ 1."""
+    after = [0] * pmap.graph.half_edge_count
+    for rot in pmap.rotation:
+        for d, d_next in zip(rot, rot[1:] + rot[:1]):
+            after[d ^ 1] = d_next
+    return after
+
+
+def _cycles(perm: list[int]) -> list[tuple[int, ...]]:
+    """Cycles of a permutation of range(len(perm)), each from its least element."""
+    seen = [False] * len(perm)
+    cycles = []
+    for start in range(len(perm)):
+        if seen[start]:
+            continue
+        cycle = []
+        d = start
+        while not seen[d]:
+            seen[d] = True
+            cycle.append(d)
+            d = perm[d]
+        cycles.append(tuple(cycle))
+    return cycles
 
 
 def faces(pmap: PlanarMap) -> tuple[tuple[int, ...], ...]:
@@ -82,22 +89,9 @@ def faces(pmap: PlanarMap) -> tuple[tuple[int, ...], ...]:
     relation n - m + f = 1 + c(G): the rotation system then describes an
     embedding in some higher-genus surface, not the plane.
     """
+    orbits = _cycles(_face_successors(pmap))
     g = pmap.graph
-    succ = {d: pmap.face_successor(d) for d in range(g.half_edge_count)}
-    visited: set[int] = set()
-    orbits: list[tuple[int, ...]] = []
-    for start in range(g.half_edge_count):
-        if start in visited:
-            continue
-        orbit = []
-        d = start
-        while d not in visited:
-            visited.add(d)
-            orbit.append(d)
-            d = succ[d]
-        orbits.append(tuple(orbit))
-    f = len(orbits)
-    n, m = g.vertex_count, g.edge_count
+    n, m, f = g.vertex_count, g.edge_count, len(orbits)
     c = component_count(g)
     if n - m + f != 1 + c:
         raise EmbeddingError(
@@ -106,40 +100,15 @@ def faces(pmap: PlanarMap) -> tuple[tuple[int, ...], ...]:
     return tuple(orbits)
 
 
-@dataclass(frozen=True)
-class MedialGraph:
-    """Oriented medial graph with, per medial edge, the dart of the underlying
-    edge on whose side it leaves (tail) and arrives (head)."""
-
-    graph: DirectedMultigraph
-    tail_darts: tuple[int, ...]
-    head_darts: tuple[int, ...]
-
-
-def medial_graph_with_sides(pmap: PlanarMap) -> MedialGraph:
-    """Medial graph plus side labels, needed for subset-driven wirings.
-
-    Medial vertex i is edge i of the underlying graph. Each consecutive dart
-    pair (d, d') inside a face yields the medial edge edge(d) -> edge(d'),
-    which runs along side-dart d of its tail and side-dart d' of its head.
-    """
-    edges = []
-    tails = []
-    heads = []
-    for orbit in faces(pmap):
-        length = len(orbit)
-        for i, d in enumerate(orbit):
-            d_next = orbit[(i + 1) % length]
-            edges.append((d // 2, d_next // 2))
-            tails.append(d)
-            heads.append(d_next)
-    medial = DirectedMultigraph(pmap.graph.edge_count, tuple(edges))
-    return MedialGraph(medial, tuple(tails), tuple(heads))
-
-
 def medial_graph(pmap: PlanarMap) -> DirectedMultigraph:
-    """The oriented medial graph (one vertex per edge, 2m directed edges)."""
-    return medial_graph_with_sides(pmap).graph
+    """The oriented medial graph (one vertex per edge, 2m directed edges).
+
+    Its edges are d // 2 -> after[d] // 2 for every dart d, face by face in
+    the order of faces().
+    """
+    edges = tuple((d // 2, d_next // 2)
+                  for orbit in faces(pmap) for d, d_next in zip(orbit, orbit[1:] + orbit[:1]))
+    return DirectedMultigraph(pmap.graph.edge_count, edges)
 
 
 @dataclass(frozen=True)
@@ -205,44 +174,19 @@ def martin_check(pmap: PlanarMap, z, enumeration_guard: int | None = None,
     return MartinCheck(lhs, rhs, lhs == rhs)
 
 
-def subset_circuit_counter(pmap: PlanarMap) -> Callable[[Iterable[int]], int]:
-    """subset_to_partition_circuits for one map, its medial tables built once.
-
-    The returned function maps an edge subset to the circuit count of the
-    medial transition system it selects; checking many subsets of one map
-    builds the medial graph, its side labels and its circuit counter only here.
-    """
-    medial = medial_graph_with_sides(pmap)
-    g = medial.graph
-    circuits = circuit_counter(g)
-    in_slots, out_slots = g.slots()
-    # Per medial vertex e: the wiring that keeps every arrival on its side of
-    # e (e in the subset) and the one that crosses to the other side.
-    same, cross = [], []
-    for e in range(g.vertex_count):
-        out_by_side = {medial.tail_darts[idx]: slot for slot, idx in enumerate(out_slots[e])}
-        sides = [medial.head_darts[idx] for idx in in_slots[e]]
-        same.append(tuple(out_by_side[side] for side in sides))
-        cross.append(tuple(out_by_side[side ^ 1] for side in sides))
-
-    def count(subset: Iterable[int]) -> int:
-        chosen = set(subset)
-        wirings = tuple(same[e] if e in chosen else cross[e] for e in range(g.vertex_count))
-        return circuits(TransitionSystem(wirings))
-
-    return count
-
-
 def subset_to_partition_circuits(pmap: PlanarMap, subset: Iterable[int]) -> int:
     """Circuit count of the medial transition system an edge subset selects.
 
-    At the medial vertex over edge e, arrivals continue on the same side of e
-    when e is in the subset and cross to the other side when it is not. The
-    resulting count equals c(S) + (c(S) + |S| - n), the component count plus
-    total excess of the spanning subgraph, which the tests verify subset by
-    subset. To check many subsets of one map, use subset_circuit_counter.
+    Medial edge d (the one leaving along side d) arrives at the medial vertex
+    over edge s // 2 along side s = after[d]. There it continues on the same
+    side, along medial edge s, when s // 2 is in the subset, and crosses to
+    medial edge s ^ 1 when it is not. The circuits are the cycles of that
+    map on darts. On a plane map their number equals c(S) + (c(S) + |S| - n),
+    the component count plus total excess of the spanning subgraph, which
+    the tests verify subset by subset.
     """
-    return subset_circuit_counter(pmap)(subset)
+    chosen = set(subset)
+    return len(_cycles([s if s // 2 in chosen else s ^ 1 for s in _face_successors(pmap)]))
 
 
 # ---------------------------------------------------------------------------
@@ -265,20 +209,3 @@ def serialize_planar_map(pmap: PlanarMap) -> str:
     lines.extend(f"{u} {v}" for u, v in g.edges)
     lines.extend(" ".join(str(d) for d in rot) for rot in pmap.rotation)
     return "\n".join(lines) + "\n"
-
-
-def planar_map_to_json_dict(pmap: PlanarMap) -> dict:
-    return {
-        "schema": JSON_SCHEMA,
-        "kind": "planar",
-        "vertex_count": pmap.graph.vertex_count,
-        "edges": [[u, v] for u, v in pmap.graph.edges],
-        "rotation": [list(rot) for rot in pmap.rotation],
-    }
-
-
-def planar_map_from_json_dict(data: dict) -> PlanarMap:
-    graph = UndirectedMultigraph(
-        int(data["vertex_count"]), tuple((int(u), int(v)) for u, v in data["edges"])
-    )
-    return PlanarMap(graph, tuple(tuple(int(d) for d in rot) for rot in data["rotation"]))

@@ -25,7 +25,7 @@ from fractions import Fraction
 from math import factorial, prod, sqrt
 from typing import TYPE_CHECKING
 
-from .diagrams import Ensemble, ensure_ensemble_matches, vertex_scaling
+from .diagrams import Ensemble, ensure_ensemble_matches, perfect_matchings, vertex_scaling
 from .graphs import DirectedMultigraph, Multigraph, eulerian_check
 from .partition import circuit_partition_polynomial
 
@@ -284,16 +284,8 @@ def wick_pairing_sum(covariance, indices) -> Fraction:
     """Sum over pairings of products of covariances: E[x_{i1} ... x_{i2t}]
     for centered jointly Gaussian coordinates.
 
-    covariance(a, b) must return the exact E[x_a x_b].
+    covariance(a, b) must return the exact E[x_a x_b]. An odd index list
+    has no pairing, so its sum is 0.
     """
-    items = tuple(indices)
-    if len(items) % 2 != 0:
-        return Fraction(0)
-    if not items:
-        return Fraction(1)
-    total = Fraction(0)
-    a, rest = items[0], items[1:]
-    for idx, b in enumerate(rest):
-        remaining = rest[:idx] + rest[idx + 1:]
-        total += covariance(a, b) * wick_pairing_sum(covariance, remaining)
-    return total
+    return sum((prod((covariance(a, b) for a, b in pairs), start=Fraction(1))
+                for pairs in perfect_matchings(tuple(indices))), Fraction(0))

@@ -168,6 +168,16 @@ def test_verify_fails_on_missing_corpus(capsys, tmp_path):
     assert "FAIL" in out
 
 
+def test_verify_checks_edgeless_graphs(capsys, tmp_path, corpus_dir):
+    (tmp_path / "edgeless.graph").write_text("directed\n3 0\n")
+    (tmp_path / "p2.planar").write_text((corpus_dir / "p2.planar").read_text())
+    code, out, _ = run(capsys, "verify", str(tmp_path), "--n", "2000", "--format", "json")
+    assert code == 0
+    data = json.loads(out)
+    assert data["failures"] == 0
+    assert {"name": "engine vs enumerator edgeless", "ok": True, "detail": "1 systems"} in data["checks"]
+
+
 def test_verify_json_shape(capsys, tmp_path):
     code, out, _ = run(capsys, "verify", str(tmp_path), "--format", "json")
     assert code == cli.EXIT_VERIFY_FAILED
@@ -176,9 +186,40 @@ def test_verify_json_shape(capsys, tmp_path):
     assert data["checks"][0]["name"] == "corpus present"
 
 
-def test_every_operation_is_reachable_from_a_command():
-    covered = {op for command in cli.COMMANDS for op in command.operations}
-    missing = [op for op in SPEC_OPERATIONS if op not in covered]
+def _functions_called_by(argv: list[str]) -> set[str]:
+    """Names of the circuitkit functions that `cli.main(argv)` calls on this thread."""
+    package = str(Path(circuitkit.__file__).parent)
+    called: set[str] = set()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename.startswith(package):
+            called.add(frame.f_code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        cli.main(argv)
+    finally:
+        sys.setprofile(None)
+    return called
+
+
+def test_every_operation_is_reachable_from_a_command(capsys, corpus_dir):
+    graph, pmap = corpus("fig1.graph", corpus_dir), corpus("triangle.planar", corpus_dir)
+    ensemble = ["--k", "2", "--ensemble", "complex-sphere"]
+    argvs = {
+        "j": ["j", graph],
+        "q-predict": ["q-predict", graph, *ensemble],
+        "q-estimate": ["q-estimate", graph, *ensemble, "--n", "100"],
+        "q-exact": ["q-exact", graph, *ensemble],
+        "medial": ["medial", pmap],
+        "tutte": ["tutte", pmap, "--x", "2", "--y", "3"],
+        "martin": ["martin", pmap, "--z", "2"],
+        "verify": ["verify", "--n", "2000"],
+    }
+    assert argvs.keys() == {command.name for command in cli.COMMANDS}
+    called = set().union(*(_functions_called_by(argv) for argv in argvs.values()))
+    capsys.readouterr()
+    missing = [op for op in SPEC_OPERATIONS if op not in called]
     assert not missing
 
 

@@ -194,7 +194,7 @@ def test_degree_sum_undirected(g):
 
 @given(st.one_of(directed_graphs(), undirected_graphs()))
 def test_half_edges_partition(g):
-    owned = sorted(h for v in range(g.vertex_count) for h in g.half_edges_at(v))
+    owned = sorted(h for halves in g.half_edges() for h in halves)
     assert owned == list(range(g.half_edge_count))
     for v, halves in enumerate(g.half_edges()):
         assert halves == sorted(halves)

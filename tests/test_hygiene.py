@@ -1,7 +1,8 @@
 """Static hygiene of the package source: no unused imports, no private
 machinery without a caller, an export list that resolves, a contraction
-oracle that imports nothing from the modules it checks, and no module that
-loads the sampling-only dependencies at import time.
+oracle that imports nothing from the modules it checks, a map side that
+takes only the engine from partition, and no module that loads the
+sampling-only dependencies at import time.
 
 Uses only the standard library's ast module.
 """
@@ -106,6 +107,19 @@ def test_the_contraction_oracle_imports_no_circuit_reasoning():
     at module level or inside a function."""
     imported = _package_modules_imported(_tree(PACKAGE_DIR / "diagrams.py"))
     assert not imported & {"partition", "sampling", "planar"}, sorted(imported)
+
+
+def test_the_map_side_takes_only_the_engine_from_partition():
+    """The Martin identity compares the engine's j on medial graphs with the
+    Tutte side, so planar may import circuit_partition_polynomial and nothing
+    else from partition: its faces, medial graphs and subset walk use no
+    transition-system machinery."""
+    taken = []
+    for node in ast.walk(_tree(PACKAGE_DIR / "planar.py")):
+        if (isinstance(node, (ast.Import, ast.ImportFrom))
+                and "partition" in _package_modules_imported(ast.Module(body=[node], type_ignores=[]))):
+            taken.append(ast.unparse(node))
+    assert taken == ["from .partition import circuit_partition_polynomial"]
 
 
 # Loaded on first use by the code that samples, never at import time: every

@@ -54,8 +54,7 @@ def walk_circuits_directed(g: DirectedMultigraph, ts: TransitionSystem) -> int:
 
 def walk_circuits_undirected(g: UndirectedMultigraph, ts: TransitionSystem) -> int:
     match: dict[int, int] = {}
-    for v in range(g.vertex_count):
-        slots = g.half_edges_at(v)
+    for v, slots in enumerate(g.half_edges()):
         for a, b in ts.wirings[v]:
             match[slots[a]] = slots[b]
             match[slots[b]] = slots[a]
@@ -198,6 +197,12 @@ def test_figure_eight_polynomial(figure_eight):
 def test_edgeless_polynomial_is_one():
     assert circuit_partition_polynomial(DirectedMultigraph(3, ())).coefficients == (1,)
     assert circuit_partition_polynomial(UndirectedMultigraph(0, ())).coefficients == (1,)
+
+
+def test_the_empty_system_of_an_edgeless_graph_has_no_circuits():
+    for g in (DirectedMultigraph(3, ()), UndirectedMultigraph(2, ())):
+        (empty,) = enumerate_transition_systems(g)
+        assert circuit_count(g, empty) == 0
 
 
 def test_evaluate_examples():

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -10,7 +11,9 @@ from circuitkit import (
     GuardExceededError,
     IntPolynomial,
     PlanarMap,
+    TransitionSystem,
     UndirectedMultigraph,
+    circuit_count,
     circuit_partition_polynomial,
     component_count,
     eulerian_check,
@@ -19,13 +22,10 @@ from circuitkit import (
     medial_graph,
     parse_planar_map,
     serialize_planar_map,
-    subset_circuit_counter,
     subset_expansion_terms,
     subset_to_partition_circuits,
     tutte_subset_expansion,
 )
-from circuitkit import planar
-from circuitkit.planar import planar_map_from_json_dict, planar_map_to_json_dict
 
 
 def all_subsets(m: int):
@@ -80,7 +80,6 @@ def test_map_validation():
 def test_planar_roundtrip(corpus_maps):
     for pmap in corpus_maps.values():
         assert parse_planar_map(serialize_planar_map(pmap)) == pmap
-        assert planar_map_from_json_dict(planar_map_to_json_dict(pmap)) == pmap
 
 
 # ---------------------------------------------------------------------------
@@ -207,20 +206,62 @@ def test_subset_circuits_match_component_excess(corpus_maps):
             assert subset_to_partition_circuits(pmap, subset) == expected, (name, subset)
 
 
-def test_subset_counter_builds_one_circuit_counter_per_map(corpus_maps, monkeypatch):
-    built = []
-    original = planar.circuit_counter
+def scrambled_grid_map(rows: int, cols: int, seed: int) -> PlanarMap:
+    """The rows x cols grid drawn in the plane, with its vertex labels, edge
+    order and edge orientations shuffled and each rotation started at a
+    random dart."""
+    r = random.Random(seed)
+    label = list(range(rows * cols))
+    r.shuffle(label)
+    at = {(y, x): label[y * cols + x] for y in range(rows) for x in range(cols)}
+    edges = [(at[y, x], at[y, x + 1]) for y in range(rows) for x in range(cols - 1)]
+    edges += [(at[y, x], at[y + 1, x]) for y in range(rows - 1) for x in range(cols)]
+    r.shuffle(edges)
+    edges = [(v, u) if r.random() < 0.5 else (u, v) for u, v in edges]
+    dart = {}
+    for e, (u, v) in enumerate(edges):
+        dart[u, v], dart[v, u] = 2 * e, 2 * e + 1
+    rotation = []
+    for v in range(rows * cols):
+        y, x = divmod(label.index(v), cols)
+        # Counterclockwise: east, north, west, south.
+        around = [(y, x + 1), (y + 1, x), (y, x - 1), (y - 1, x)]
+        darts = [dart[v, at[p]] for p in around if p in at]
+        turn = r.randrange(len(darts))
+        rotation.append(tuple(darts[turn:] + darts[:turn]))
+    return PlanarMap(UndirectedMultigraph(rows * cols, tuple(edges)), tuple(rotation))
 
-    def counting_circuit_counter(g):
-        built.append(g)
-        return original(g)
 
-    monkeypatch.setattr(planar, "circuit_counter", counting_circuit_counter)
-    pmap = corpus_maps["hexmap"]
-    circuits = subset_circuit_counter(pmap)
-    for subset in all_subsets(pmap.graph.edge_count):
-        circuits(subset)
-    assert len(built) == 1
+def reference_subset_system(pmap: PlanarMap, subset) -> TransitionSystem:
+    """The medial transition system an edge subset selects, wired by slot from
+    side labels: medial edge i leaves along side tails[i] of its tail and
+    arrives along side heads[i] of its head. An arrival continues on the
+    out-slot of the same side when its vertex's edge is in the subset and on
+    the out-slot of the other side when it is not."""
+    orbits = faces(pmap)
+    tails = [d for orbit in orbits for d in orbit]
+    heads = [d for orbit in orbits for d in orbit[1:] + orbit[:1]]
+    in_slots, out_slots = medial_graph(pmap).slots()
+    chosen = set(subset)
+    wirings = []
+    for e in range(pmap.graph.edge_count):
+        out_by_side = {tails[idx]: slot for slot, idx in enumerate(out_slots[e])}
+        flip = 0 if e in chosen else 1
+        wirings.append(tuple(out_by_side[heads[idx] ^ flip] for idx in in_slots[e]))
+    return TransitionSystem(tuple(wirings))
+
+
+def test_subset_walk_matches_the_slot_wiring_reference(corpus_maps):
+    maps = dict(corpus_maps)
+    for rows, cols, seed in [(2, 3, 11), (2, 3, 12), (3, 3, 13), (3, 3, 14)]:
+        grid = scrambled_grid_map(rows, cols, seed)
+        assert len(faces(grid)) == (rows - 1) * (cols - 1) + 1
+        maps[f"grid {rows}x{cols} #{seed}"] = grid
+    for name, pmap in maps.items():
+        medial = medial_graph(pmap)
+        for subset in all_subsets(pmap.graph.edge_count):
+            expected = circuit_count(medial, reference_subset_system(pmap, subset))
+            assert subset_to_partition_circuits(pmap, subset) == expected, (name, subset)
 
 
 def test_subset_walk_generating_function_equals_medial_polynomial(corpus_maps):

@@ -4,6 +4,7 @@ import cmath
 import json
 import random
 from fractions import Fraction
+from math import prod
 
 import numpy as np
 import pytest
@@ -340,3 +341,15 @@ def test_wick_spot_check(d, k):
 
 def test_wick_odd_coordinates_vanish():
     assert wick_pairing_sum(lambda a, b: Fraction(1), (0, 1, 2)) == 0
+
+
+@pytest.mark.parametrize("t", range(6))
+def test_wick_pairing_sum_counts_pairings_in_closed_form(t):
+    """Independent of any matching enumeration: with every covariance 1 the
+    sum counts the (2t-1)!! pairings, and with covariance delta/k on equal
+    indices each pairing weighs 1/k^t."""
+    pairings = prod(range(1, 2 * t, 2))
+    assert wick_pairing_sum(lambda a, b: 1, range(2 * t)) == pairings
+    for k in (1, 2, 3):
+        exact = wick_pairing_sum(lambda a, b: Fraction(int(a == b), k), (0,) * 2 * t)
+        assert exact == Fraction(pairings, k**t)
