@@ -29,7 +29,7 @@ from operator import itemgetter
 from typing import Callable, Iterator, Sequence
 
 from .errors import GuardExceededError
-from .graphs import DirectedMultigraph, Multigraph, UndirectedMultigraph, require_eulerian
+from .graphs import DirectedMultigraph, Multigraph, UndirectedMultigraph, permutation_cycles, require_eulerian
 
 DEFAULT_PERMUTATION_LIMIT = 8
 DEFAULT_MATCHING_LIMIT = 7
@@ -82,17 +82,7 @@ class PermutationDiagram:
             raise ValueError(f"image {self.image} is not a permutation of range({self.size})")
 
     def cycle_count(self) -> int:
-        seen = [False] * self.size
-        cycles = 0
-        for i in range(self.size):
-            if seen[i]:
-                continue
-            cycles += 1
-            j = i
-            while not seen[j]:
-                seen[j] = True
-                j = self.image[j]
-        return cycles
+        return len(permutation_cycles(self.image))
 
     def delta_product(self, uppers: Sequence[int], lowers: Sequence[int]) -> int:
         """Entry of the diagram operator: 1 iff uppers[image[l]] == lowers[l] for all l."""
@@ -124,23 +114,14 @@ class MatchingDiagram:
         2-regular graph on the 2d endpoints; its components are the loops,
         so the diagram's trace is k**closure_loop_count().
         """
-        partner = {}
+        d = self.size
+        partner = [0] * (2 * d)
         for a, b in self.pairs:
             partner[a] = b
             partner[b] = a
-        seen = set()
-        loops = 0
-        for start in range(2 * self.size):
-            if start in seen:
-                continue
-            loops += 1
-            h = start
-            while h not in seen:
-                seen.add(h)
-                closed = (h + self.size) % (2 * self.size)  # identity closure partner
-                seen.add(closed)
-                h = partner[closed]
-        return loops
+        # Closing and then following a pair steps twice along a loop, so each
+        # loop is traced once in each direction.
+        return len(permutation_cycles([partner[(h + d) % (2 * d)] for h in range(2 * d)])) // 2
 
     def delta_product(self, uppers: Sequence[int], lowers: Sequence[int]) -> int:
         """Entry of the diagram operator: 1 iff every matched pair carries equal values."""

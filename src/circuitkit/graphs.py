@@ -1,4 +1,5 @@
-"""Multigraph data types, degree checks, components, and text/JSON parsing.
+"""Multigraph data types, degree checks, components, the cycles of a
+permutation of half-edges, text parsing and serialization, and JSON output.
 
 Vertices are 0-indexed everywhere. Edge order is semantic: edge i owns
 half-edge (dart) ids 2i and 2i+1, which downstream modules rely on, so
@@ -18,9 +19,8 @@ to both the in- and the out-degree, an undirected one adds two to the degree.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .errors import GraphFormatError, NotEulerianError
 
@@ -199,6 +199,28 @@ def component_count(g: UndirectedMultigraph, edge_subset: Iterable[int] | None =
     return len({dsu.find(v) for v in range(g.vertex_count)})
 
 
+def permutation_cycles(successor: Sequence[int]) -> list[tuple[int, ...]]:
+    """Orbits of a permutation of range(len(successor)), each starting at its
+    least element and listed in order of that element.
+
+    The faces of a map, the circuits of a transition system or of a medial
+    subset wiring, and the loops of a diagram are all read from this walk.
+    """
+    seen = [False] * len(successor)
+    cycles = []
+    for start in range(len(successor)):
+        if seen[start]:
+            continue
+        cycle = []
+        h = start
+        while not seen[h]:
+            seen[h] = True
+            cycle.append(h)
+            h = successor[h]
+        cycles.append(tuple(cycle))
+    return cycles
+
+
 def disjoint_union(g1: Multigraph, g2: Multigraph) -> Multigraph:
     """Side-by-side union with g2's vertices shifted past g1's."""
     if type(g1) is not type(g2):
@@ -356,7 +378,7 @@ def serialize_graph(g: Multigraph) -> str:
 
 
 # ---------------------------------------------------------------------------
-# JSON mirror
+# JSON output
 # ---------------------------------------------------------------------------
 
 def graph_to_json_dict(g: Multigraph) -> dict:
@@ -366,21 +388,3 @@ def graph_to_json_dict(g: Multigraph) -> dict:
         "vertex_count": g.vertex_count,
         "edges": [[u, v] for u, v in g.edges],
     }
-
-
-def graph_from_json_dict(data: dict) -> Multigraph:
-    kind = data["kind"]
-    edges = tuple((int(u), int(v)) for u, v in data["edges"])
-    if kind == "directed":
-        return DirectedMultigraph(int(data["vertex_count"]), edges)
-    if kind == "undirected":
-        return UndirectedMultigraph(int(data["vertex_count"]), edges)
-    raise ValueError(f"unknown kind {kind!r}")
-
-
-def graph_to_json(g: Multigraph) -> str:
-    return json.dumps(graph_to_json_dict(g))
-
-
-def graph_from_json(text: str) -> Multigraph:
-    return graph_from_json_dict(json.loads(text))

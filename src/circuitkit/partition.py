@@ -22,17 +22,17 @@ A loop paired with itself closes a circuit and contributes a factor z.
    passes the guard. The worst case stays exponential, as #P-completeness
    demands.
 
-The transition-system enumerator (`enumerate_transition_systems`,
-`circuit_count`, `circuit_counter`, `circuit_count_tally`) is kept apart
-as a reference oracle. The planar map side takes only the engine from this
-module: its subset walk counts circuits on darts without transition systems.
-A transition system picks, at every vertex, a bijection from incoming to
-outgoing edge slots (directed) or a perfect matching of the incident
-half-edge slots (undirected); tallying the circuits each induces gives the
-coefficients r_t again. Enumeration is an odometer over lazy per-vertex
-wiring generators, lexicographic with vertex 0 most significant: bijections
-in lexicographic image order, matchings in canonical smallest-first pairing
-order. Its guard counts transition systems.
+The transition-system enumerator (`enumerate_transition_systems` and
+`circuit_count`) is kept apart as a reference oracle; it counts circuits
+with the half-edge cycle walk of `graphs`. The planar map side takes only
+the engine from this module: its subset walk counts circuits on darts
+without transition systems. A transition system picks, at every vertex, a
+bijection from incoming to outgoing edge slots (directed) or a perfect
+matching of the incident half-edge slots (undirected); tallying the
+circuits each induces gives the coefficients r_t again. Enumeration is an
+odometer over lazy per-vertex wiring generators, lexicographic with vertex 0
+most significant: bijections in lexicographic image order, matchings in
+canonical smallest-first pairing order. Its guard counts transition systems.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ from typing import Callable, Iterator
 
 from .diagrams import double_factorial, perfect_matchings
 from .errors import GuardExceededError
-from .graphs import DirectedMultigraph, Multigraph, require_eulerian
+from .graphs import DirectedMultigraph, Multigraph, permutation_cycles, require_eulerian
 
 # Work units for the engine (branches x key length per expanded state);
 # transition systems for the reference enumerator.
@@ -115,11 +115,6 @@ class IntPolynomial:
     def to_json_dict(self) -> dict:
         with unlimited_int_digits():
             return {"coefficients": [str(c) for c in self.coefficients]}
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "IntPolynomial":
-        with unlimited_int_digits():
-            return cls(tuple(int(c) for c in data["coefficients"]))
 
 
 @contextmanager
@@ -206,69 +201,32 @@ def circuit_count(g: Multigraph, ts: TransitionSystem) -> int:
     """Number of circuits in the edge partition induced by ts (0 for the
     empty system of an edgeless graph).
 
-    To count the circuits of many systems of one graph, use circuit_counter.
+    Each wiring joins pairs of half-edges at its vertex: the head of in-slot
+    i with the tail of out-slot sigma[i] (directed), or the two matched
+    half-edges (undirected). Following the twin h ^ 1 and then the joined
+    half-edge traces each circuit once in each direction, so the circuits
+    are half the cycles of h -> partner[h ^ 1].
     """
-    return circuit_counter(g)(ts)
-
-
-def circuit_counter(g: Multigraph) -> Callable[[TransitionSystem], int]:
-    """A circuit counter for g's transition systems; g's slot tables are built once.
-
-    Each wiring first becomes pairs of half-edges joined at its vertex: the
-    head of in-slot i with the tail of out-slot sigma[i] (directed), or the
-    two matched half-edges (undirected). Circuits are then the alternating
-    cycles of twin pairs (the two ends of one edge) and joined pairs.
-    """
+    if len(ts.wirings) != g.vertex_count:
+        raise ValueError("transition system does not match the graph's vertex count")
+    joined: list[tuple[int, int]] = []
     if isinstance(g, DirectedMultigraph):
         ins, outs = g.slots()
-
-        def joined(v: int, sigma: tuple[int, ...]) -> list[tuple[int, int]]:
+        for v, sigma in enumerate(ts.wirings):
             if sorted(sigma) != list(range(len(ins[v]))):
                 raise ValueError(f"wiring at vertex {v} is not a bijection on {len(ins[v])} slots")
-            return [(2 * e + 1, 2 * outs[v][j]) for e, j in zip(ins[v], sigma)]
+            joined.extend((2 * e + 1, 2 * outs[v][j]) for e, j in zip(ins[v], sigma))
     else:
         at = g.half_edges()
-
-        def joined(v: int, pairs: tuple[tuple[int, int], ...]) -> list[tuple[int, int]]:
+        for v, pairs in enumerate(ts.wirings):
             if sorted(i for pair in pairs for i in pair) != list(range(len(at[v]))):
                 raise ValueError(f"wiring at vertex {v} is not a perfect matching of {len(at[v])} slots")
-            return [(at[v][a], at[v][b]) for a, b in pairs]
-
-    halves = g.half_edge_count
-
-    def count(ts: TransitionSystem) -> int:
-        if len(ts.wirings) != g.vertex_count:
-            raise ValueError("transition system does not match the graph's vertex count")
-        partner = [-1] * halves
-        for v, wiring in enumerate(ts.wirings):
-            for a, b in joined(v, wiring):
-                partner[a] = b
-                partner[b] = a
-        seen = [False] * halves
-        circuits = 0
-        for h in range(halves):
-            if seen[h]:
-                continue
-            circuits += 1
-            while not seen[h]:
-                seen[h] = seen[h ^ 1] = True  # both ends of the edge
-                h = partner[h ^ 1]
-        return circuits
-
-    return count
-
-
-def circuit_count_tally(g: Multigraph, guard: int | None = None) -> dict[int, int]:
-    """Map circuit count -> number of transition systems.
-
-    The edgeless graph has one (empty) system, with zero circuits.
-    """
-    count = circuit_counter(g)
-    tally: dict[int, int] = {}
-    for ts in enumerate_transition_systems(g, guard):
-        t = count(ts)
-        tally[t] = tally.get(t, 0) + 1
-    return tally
+            joined.extend((at[v][a], at[v][b]) for a, b in pairs)
+    partner = [0] * g.half_edge_count
+    for a, b in joined:
+        partner[a] = b
+        partner[b] = a
+    return len(permutation_cycles([partner[h ^ 1] for h in range(g.half_edge_count)])) // 2
 
 
 # ---------------------------------------------------------------------------

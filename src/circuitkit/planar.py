@@ -6,7 +6,10 @@ incident darts (dart ids are the half-edge ids 2i, 2i+1 of edge i; the twin
 of dart d is d ^ 1). Everything here reads one table, after[d]: the dart
 that follows d on its face, which is the rotation-successor of d ^ 1. The
 faces are the orbits of after; a rotation system is accepted as a plane
-embedding exactly when the face count satisfies n - m + f = 1 + c(G).
+embedding exactly when the orbit count satisfies n - m + f = 2c(G) - i, where
+i counts the vertices with no darts. Each component with edges has its own
+outer orbit and contributes 2; an isolated vertex has no orbit and
+contributes 1.
 
 The oriented medial graph has one vertex per edge of the underlying graph
 and one directed edge d // 2 -> after[d] // 2 per dart d, leaving along side
@@ -29,6 +32,7 @@ from .graphs import (
     component_count,
     header_line,
     parse_graph_file,
+    permutation_cycles,
 )
 from .partition import circuit_partition_polynomial
 
@@ -65,37 +69,23 @@ def _face_successors(pmap: PlanarMap) -> list[int]:
     return after
 
 
-def _cycles(perm: list[int]) -> list[tuple[int, ...]]:
-    """Cycles of a permutation of range(len(perm)), each from its least element."""
-    seen = [False] * len(perm)
-    cycles = []
-    for start in range(len(perm)):
-        if seen[start]:
-            continue
-        cycle = []
-        d = start
-        while not seen[d]:
-            seen[d] = True
-            cycle.append(d)
-            d = perm[d]
-        cycles.append(tuple(cycle))
-    return cycles
-
-
 def faces(pmap: PlanarMap) -> tuple[tuple[int, ...], ...]:
     """Face orbits of the dart-successor rule, each starting at its least dart.
 
     Raises EmbeddingError when the orbit count violates the planar Euler
-    relation n - m + f = 1 + c(G): the rotation system then describes an
-    embedding in some higher-genus surface, not the plane.
+    relation n - m + f = 2c(G) - i, with i the vertices that have no darts:
+    the rotation system then embeds some component in a higher-genus
+    surface, not the plane.
     """
-    orbits = _cycles(_face_successors(pmap))
+    orbits = permutation_cycles(_face_successors(pmap))
     g = pmap.graph
     n, m, f = g.vertex_count, g.edge_count, len(orbits)
     c = component_count(g)
-    if n - m + f != 1 + c:
+    i = sum(1 for rot in pmap.rotation if not rot)
+    if n - m + f != 2 * c - i:
         raise EmbeddingError(
-            f"rotation system is not a plane embedding: n - m + f = {n - m + f}, expected 1 + c = {1 + c}"
+            f"rotation system is not a plane embedding: n - m + f = {n - m + f}, "
+            f"expected 2c - i = {2 * c - i} (c components, i isolated vertices)"
         )
     return tuple(orbits)
 
@@ -186,7 +176,7 @@ def subset_to_partition_circuits(pmap: PlanarMap, subset: Iterable[int]) -> int:
     the tests verify subset by subset.
     """
     chosen = set(subset)
-    return len(_cycles([s if s // 2 in chosen else s ^ 1 for s in _face_successors(pmap)]))
+    return len(permutation_cycles([s if s // 2 in chosen else s ^ 1 for s in _face_successors(pmap)]))
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Static hygiene of the package source: no unused imports, no private
-machinery without a caller, an export list that resolves, a contraction
+machinery without a caller, no public definition that is neither exported
+nor used by the package, an export list that resolves, a contraction
 oracle that imports nothing from the modules it checks, a map side that
 takes only the engine from partition, and no module that loads the
 sampling-only dependencies at import time.
@@ -24,8 +25,9 @@ def _tree(path: Path) -> ast.Module:
     return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
 
 
-def _names_loaded(nodes, skip: ast.AST | None = None) -> set[str]:
-    """Every name read under `nodes`, leaving out the subtree `skip`."""
+def _names_loaded(nodes, skip: ast.AST | None = None, attributes: bool = False) -> set[str]:
+    """Every name read under `nodes`, leaving out the subtree `skip`; with
+    `attributes`, also every attribute read (`graphs.parse_graph`)."""
     found: set[str] = set()
     stack = list(nodes)
     while stack:
@@ -34,6 +36,8 @@ def _names_loaded(nodes, skip: ast.AST | None = None) -> set[str]:
             continue
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             found.add(node.id)
+        elif attributes and isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            found.add(node.attr)
         stack.extend(ast.iter_child_nodes(node))
     return found
 
@@ -64,6 +68,22 @@ def test_private_definitions_have_a_caller(path):
             if node.name not in _names_loaded(tree.body, skip=node):
                 orphans.append(node.name)
     assert not orphans, f"{path.name}: private definitions without a caller {orphans}"
+
+
+def test_public_definitions_are_exported_or_used():
+    """A public top-level function or class is listed in circuitkit.__all__ or
+    read by some package module; otherwise it is machinery without a caller."""
+    trees = {path: _tree(path) for path in MODULES}
+    orphans = []
+    for path, tree in trees.items():
+        read_elsewhere = set().union(*(_names_loaded(t.body, attributes=True)
+                                       for p, t in trees.items() if p != path))
+        for node in tree.body:
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+                    and node.name not in circuitkit.__all__ and node.name not in read_elsewhere
+                    and node.name not in _names_loaded(tree.body, skip=node, attributes=True)):
+                orphans.append(f"{path.stem}.{node.name}")
+    assert not orphans, f"public definitions neither exported nor used: {orphans}"
 
 
 def test_every_exported_name_resolves():

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import decimal
 import sys
+from collections import Counter
 from fractions import Fraction
 from math import comb, factorial, prod
 
@@ -16,13 +17,12 @@ from circuitkit import (
     TransitionSystem,
     UndirectedMultigraph,
     circuit_count,
-    circuit_counter,
     circuit_partition_polynomial,
     disjoint_union,
     enumerate_transition_systems,
     transition_system_count,
 )
-from circuitkit.partition import circuit_count_tally, double_factorial, unlimited_int_digits
+from circuitkit.partition import double_factorial, unlimited_int_digits
 
 
 # ---------------------------------------------------------------------------
@@ -163,17 +163,9 @@ def test_invalid_wiring_rejected(fig1):
         circuit_count(fig1, bad)
 
 
-def test_one_counter_counts_every_system_of_its_graph(corpus_graphs):
-    for g in corpus_graphs.values():
-        count = circuit_counter(g)
-        for ts in enumerate_transition_systems(g):
-            assert count(ts) == circuit_count(g, ts) == walk_circuits(g, ts)
-
-
 def test_counter_rejects_a_system_of_another_vertex_count(fig1):
-    count = circuit_counter(fig1)
     with pytest.raises(ValueError, match="vertex count"):
-        count(TransitionSystem(((0,), (0,), (0, 1))))
+        circuit_count(fig1, TransitionSystem(((0,), (0,), (0, 1))))
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +239,6 @@ def test_polynomial_normalization_and_output():
     assert p.degree == 2
     assert p.to_text() == "0 1 1"
     assert p.to_json_dict() == {"coefficients": ["0", "1", "1"]}
-    assert IntPolynomial.from_json_dict(p.to_json_dict()) == p
     with pytest.raises(ValueError):
         IntPolynomial((1, -1))
 
@@ -317,8 +308,8 @@ def test_random_undirected_against_walk_oracle(g):
 
 def tally_polynomial(g) -> IntPolynomial:
     """j(G;z) from the reference enumerator."""
-    tally = circuit_count_tally(g)
-    return IntPolynomial(tuple(tally.get(t, 0) for t in range(max(tally) + 1)))
+    tally = Counter(circuit_count(g, ts) for ts in enumerate_transition_systems(g))
+    return IntPolynomial(tuple(tally[t] for t in range(max(tally) + 1)))
 
 
 def directed_circulant(n: int, d: int) -> DirectedMultigraph:
@@ -448,7 +439,8 @@ def test_text_output_of_huge_coefficients():
 
 def test_json_round_trip_of_huge_coefficients():
     poly = IntPolynomial((7 ** 9000,))
-    assert IntPolynomial.from_json_dict(poly.to_json_dict()) == poly
+    with unlimited_int_digits():
+        assert [int(c) for c in poly.to_json_dict()["coefficients"]] == [7 ** 9000]
 
 
 @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str limit")

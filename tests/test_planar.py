@@ -69,6 +69,31 @@ def test_interleaved_figure_eight_is_rejected():
         faces(torus)
 
 
+TWO_TRIANGLES = "planar\n6 6\n0 1\n1 2\n2 0\n3 4\n4 5\n5 3\n0 5\n2 1\n4 3\n6 11\n8 7\n10 9\n"
+
+
+def test_each_component_has_its_own_outer_face():
+    # Euler on orbits: n - m + f = 2c - (vertices with no darts) = 6 - 6 + 4.
+    pmap = parse_planar_map(TWO_TRIANGLES)
+    assert sorted(len(o) for o in faces(pmap)) == [3, 3, 3, 3]
+    check = martin_check(pmap, 2)
+    assert check.equal and check.lhs == 900
+
+
+def test_a_torus_component_beside_a_plane_one_is_rejected():
+    # The interleaved figure eight (f = 1) next to a triangle (f = 2).
+    g = UndirectedMultigraph(4, ((0, 0), (0, 0), (1, 2), (2, 3), (3, 1)))
+    pmap = PlanarMap(g, ((0, 2, 1, 3), (4, 9), (6, 5), (8, 7)))
+    with pytest.raises(EmbeddingError, match=r"n - m \+ f = 2, expected 2c - i = 4"):
+        faces(pmap)
+
+
+def test_the_edgeless_map_is_a_plane_map():
+    pmap = parse_planar_map("planar\n1 0\n")
+    assert faces(pmap) == ()
+    assert medial_graph(pmap).edge_count == 0
+
+
 def test_map_validation():
     g = UndirectedMultigraph(2, ((0, 1),))
     with pytest.raises(ValueError):
