@@ -9,11 +9,11 @@ the cycle-count generating functions with closed forms k(k+1)...(k+d-1)
 
 The moment oracle contract_q_exact contracts the per-vertex expected
 tensors, one index in [0, k) per edge, absorbing vertices one at a time along
-a maximum-adjacency order (after Markov and Shi, "Simulating quantum
-computation by contracting tensor networks", SIAM J. Comput. 38, 2008), so its
-cost is exponential in the cut width of that order rather than in the edge
-count. It never touches circuit-partition reasoning, which is exactly what
-makes it an independent check of the partition-based predictions.
+graphs.max_adjacency_order, the order the j engine splits in (after Markov and
+Shi, SIAM J. Comput. 38, 2008), so its cost is exponential in the cut width of
+that order rather than in the edge count. It never touches circuit-partition
+reasoning, which is exactly what makes it an independent check of the
+partition-based predictions.
 """
 
 from __future__ import annotations
@@ -23,13 +23,13 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from heapq import heapify, heappop, heappush
 from math import factorial, prod
 from operator import itemgetter
 from typing import Callable, Iterator, Sequence
 
 from .errors import GuardExceededError
-from .graphs import DirectedMultigraph, Multigraph, UndirectedMultigraph, permutation_cycles, require_eulerian
+from .graphs import (DirectedMultigraph, Multigraph, UndirectedMultigraph, max_adjacency_order,
+                     permutation_cycles, require_eulerian)
 
 DEFAULT_PERMUTATION_LIMIT = 8
 DEFAULT_MATCHING_LIMIT = 7
@@ -314,28 +314,17 @@ def ensure_ensemble_matches(g: Multigraph, ensemble: Ensemble) -> None:
 
 
 def _absorption_order(g: Multigraph, incident: list[list[int]]) -> list[tuple[int, tuple[int, ...], ...]]:
-    """Maximum-adjacency vertex order: (v, edges v closes, edges v opens, loops at v).
+    """(v, edges v closes, edges v opens, loops at v) along graphs.max_adjacency_order.
 
-    The next vertex is the unabsorbed one with the most edges into the
-    absorbed set, ties broken by least half-edge count, then least index; a
-    heap with lazily discarded stale entries keeps this O((n + m) log n).
     At vertex v, the open edges (one end absorbed) close; its other edges are
     new: those to later vertices open, and its loops close at once. Each tuple
     lists distinct edges in the order of first appearance in incident[v].
     Vertices without half-edges are left out: their entry is the empty
     contraction, a factor of 1.
     """
-    links = [0] * g.vertex_count  # edges from each vertex into the absorbed set
-    absorbed = bytearray(g.vertex_count)
     is_open = bytearray(g.edge_count)
-    heap = [(0, len(halves), v) for v, halves in enumerate(incident) if halves]
-    heapify(heap)
     order = []
-    while heap:
-        negated, _, v = heappop(heap)
-        if absorbed[v] or -negated != links[v]:
-            continue  # stale: v was absorbed or gained links since this entry
-        absorbed[v] = 1
+    for v in max_adjacency_order(g.edges):
         closed, opened, loops = [], [], []
         for e in dict.fromkeys(incident[v]):
             a, b = g.edges[e]
@@ -344,11 +333,8 @@ def _absorption_order(g: Multigraph, incident: list[list[int]]) -> list[tuple[in
             elif a == b:
                 loops.append(e)
             else:
-                w = b if a == v else a
                 is_open[e] = 1
                 opened.append(e)
-                links[w] += 1
-                heappush(heap, (-links[w], len(incident[w]), w))
         order.append((v, tuple(closed), tuple(opened), tuple(loops)))
     return order
 

@@ -1,5 +1,6 @@
 """Multigraph data types, degree checks, components, the cycles of a
-permutation of half-edges, text parsing and serialization, and JSON output.
+permutation of half-edges, the vertex order both exact engines sweep in,
+text parsing and serialization, and JSON output.
 
 Vertices are 0-indexed everywhere. Edge order is semantic: edge i owns
 half-edge (dart) ids 2i and 2i+1, which downstream modules rely on, so
@@ -20,6 +21,7 @@ to both the in- and the out-degree, an undirected one adds two to the degree.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 from typing import Iterable, Iterator, Sequence
 
 from .errors import GraphFormatError, NotEulerianError
@@ -219,6 +221,35 @@ def permutation_cycles(successor: Sequence[int]) -> list[tuple[int, ...]]:
             h = successor[h]
         cycles.append(tuple(cycle))
     return cycles
+
+
+def max_adjacency_order(edges: Iterable[tuple[int, int]]) -> list[int]:
+    """The vertices that `edges` touch, each next the one with the most edges
+    into those placed, ties to the least half-edge count, then the least id.
+
+    Edge direction is ignored; a heap with lazily dropped stale entries keeps
+    this O(m log m). The j engine splits and the contraction oracle absorbs
+    vertices in this order: it changes their cost, never their values.
+    """
+    ends: dict[int, list[int]] = {}  # the other end of each half-edge at a vertex
+    for u, v in edges:
+        ends.setdefault(u, []).append(v)
+        ends.setdefault(v, []).append(u)
+    links = dict.fromkeys(ends, 0)  # edges from each vertex into the placed set
+    heap = [(0, len(others), v) for v, others in ends.items()]
+    heapify(heap)
+    order: list[int] = []
+    while heap:
+        negated, _, v = heappop(heap)
+        if links[v] < 0 or -negated != links[v]:
+            continue  # stale: v was placed or gained links since this entry
+        links[v] = -1  # placed
+        order.append(v)
+        for w in ends[v]:
+            if links[w] >= 0:
+                links[w] += 1
+                heappush(heap, (-links[w], len(ends[w]), w))
+    return order
 
 
 def disjoint_union(g1: Multigraph, g2: Multigraph) -> Multigraph:

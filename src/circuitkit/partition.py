@@ -12,11 +12,11 @@ A loop paired with itself closes a circuit and contributes a factor z.
    (d_v = 1 directed, degree 2 undirected), are spliced away first, in
    linear time: each chain of them becomes one edge between branching
    vertices, and a chain that closes on itself is one circuit, a factor z.
-2. What remains is a sorted tuple of edge codes, the memo key. Each split
-   happens at a vertex of least remaining degree and removes exactly one
-   edge, so the states are swept layer by layer in decreasing edge count:
-   equal keys within a layer merge (the memo), and only two layers are held
-   at a time. Nothing recurses in Python, whatever the depth.
+2. What remains is a sorted tuple of edge codes, the memo key. Branching
+   vertices are split along `graphs.max_adjacency_order`, each split removing
+   exactly one edge, so the states are swept layer by layer in decreasing edge
+   count: equal keys within a layer merge (the memo), and only two layers are
+   held at a time. Nothing recurses in Python, whatever the depth.
 3. The guard counts work units: for every expanded state, its branch count
    times its key length. The sweep refuses as soon as the running total
    passes the guard. The worst case stays exponential, as #P-completeness
@@ -49,7 +49,7 @@ from typing import Callable, Iterator
 
 from .diagrams import double_factorial, perfect_matchings
 from .errors import GuardExceededError
-from .graphs import DirectedMultigraph, Multigraph, permutation_cycles, require_eulerian
+from .graphs import DirectedMultigraph, Multigraph, max_adjacency_order, permutation_cycles, require_eulerian
 
 # Work units for the engine (branches x key length per expanded state);
 # transition systems for the reference enumerator.
@@ -236,40 +236,20 @@ def circuit_count(g: Multigraph, ts: TransitionSystem) -> int:
 # The contracted (core) graph is a key: its edges among n branching vertices
 # as a sorted tuple of codes. A directed edge a -> b is coded a * n + b; an
 # undirected edge {a, b} is coded min * n + max. Branching vertices are
-# labelled in order of degree (see _core_key): a split changes the degree of
-# the split vertex only, so the vertex of least remaining degree is always
-# the least label still touched by an edge, the one of key[0]. All of its
+# labelled along graphs.max_adjacency_order. A split removes edges at the
+# split vertex only and joins vertices labelled after it, so the next split
+# vertex is the least label still touched, the one of key[0]. All of its
 # out-edges (directed) or edges (undirected) form a prefix of the key.
 # A split move: (codes removed, code added or None, circuits closed, multiplicity).
 _Move = tuple[tuple[int, ...], int | None, int, int]
 
 
-def _core_key(pairs: list[tuple[int, int]], degree: list[int],
-              directed: bool) -> tuple[tuple[int, ...], int]:
-    """Label the branching vertices that `pairs` join and code the core edges.
-
-    Labels follow degree (half-edges per vertex), then breadth-first rank
-    within each component, so that vertices split one after another lie
-    close together and few partial states coexist in a layer.
-    """
-    adjacent: dict[int, list[int]] = {}
-    for u, v in pairs:
-        adjacent.setdefault(u, []).append(v)
-        adjacent.setdefault(v, []).append(u)
-    rank: dict[int, int] = {}
-    for root in sorted(adjacent):
-        if root in rank:
-            continue
-        rank[root] = len(rank)
-        queue = [root]
-        for u in queue:  # grows while it is read: a breadth-first queue
-            for w in adjacent[u]:
-                if w not in rank:
-                    rank[w] = len(rank)
-                    queue.append(w)
-    order = sorted(rank, key=lambda v: (degree[v], rank[v]))
-    label = {v: i for i, v in enumerate(order)}
-    n = len(order)
+def _core_key(pairs: list[tuple[int, int]], directed: bool) -> tuple[tuple[int, ...], int]:
+    """Label the branching vertices that `pairs` join in maximum-adjacency
+    order and code the core edges, so that vertices split one after another
+    are joined by many edges and few partial states coexist in a layer."""
+    label = {v: i for i, v in enumerate(max_adjacency_order(pairs))}
+    n = len(label)
     if directed:
         codes = [label[u] * n + label[v] for u, v in pairs]
     else:
@@ -278,9 +258,9 @@ def _core_key(pairs: list[tuple[int, int]], degree: list[int],
     return tuple(codes), n
 
 
-def _contract(g: Multigraph) -> tuple[list[tuple[int, int]], int, list[int]]:
+def _contract(g: Multigraph) -> tuple[list[tuple[int, int]], int]:
     """Splice chains through forced vertices: (branching ends of each chain,
-    closed cycles, half-edges per vertex).
+    closed cycles).
 
     A vertex is forced when it has exactly two half-edges (d_v = 1 directed,
     degree 2 undirected); a chain enters it on one and leaves on the other.
@@ -322,7 +302,7 @@ def _contract(g: Multigraph) -> tuple[list[tuple[int, int]], int, list[int]]:
             while not used[h >> 1]:
                 used[h >> 1] = 1
                 h = other[h ^ 1]
-    return pairs, closed, halves
+    return pairs, closed
 
 
 def _split_directed(key: tuple[int, ...], n: int) -> list[_Move]:
@@ -403,7 +383,7 @@ def circuit_partition_polynomial(g: Multigraph, guard: int | None = None) -> Int
     guard = DEFAULT_ENUMERATION_GUARD if guard is None else guard
     require_eulerian(g)
     directed = isinstance(g, DirectedMultigraph)
-    pairs, closed, halves = _contract(g)
-    key, n = _core_key(pairs, halves, directed)
+    pairs, closed = _contract(g)
+    key, n = _core_key(pairs, directed)
     coeffs = _sweep(key, n, _split_directed if directed else _split_undirected, guard)
     return IntPolynomial((0,) * closed + tuple(coeffs), "directed" if directed else "undirected")

@@ -81,7 +81,7 @@ def faces(pmap: PlanarMap) -> tuple[tuple[int, ...], ...]:
     g = pmap.graph
     n, m, f = g.vertex_count, g.edge_count, len(orbits)
     c = component_count(g)
-    i = sum(1 for rot in pmap.rotation if not rot)
+    i = pmap.rotation.count(())
     if n - m + f != 2 * c - i:
         raise EmbeddingError(
             f"rotation system is not a plane embedding: n - m + f = {n - m + f}, "
@@ -150,17 +150,19 @@ class MartinCheck(NamedTuple):
 
 def martin_check(pmap: PlanarMap, z, enumeration_guard: int | None = None,
                  subset_guard: int | None = None) -> MartinCheck:
-    """Evaluate both sides of j(G_m; z) = z^c(G) * T(G; z+1, z+1) exactly.
+    """Evaluate both sides of j(G_m; z) = z^(c(G) - i) * T(G; z+1, z+1) exactly.
 
     The left side enumerates circuit partitions of the medial graph; the
     right side is the subset expansion of the underlying graph on the
-    diagonal. Both are exact rationals, so equality is exact.
+    diagonal; the medial graph never sees the i vertices without darts. Both
+    are exact rationals, so equality is exact.
     """
     z = Fraction(z)
     j = circuit_partition_polynomial(medial_graph(pmap), guard=enumeration_guard)
     lhs = j.evaluate(z)
     g = pmap.graph
-    rhs = z ** component_count(g) * tutte_subset_expansion(g, z + 1, z + 1, guard=subset_guard)
+    rhs = (z ** (component_count(g) - pmap.rotation.count(()))
+           * tutte_subset_expansion(g, z + 1, z + 1, guard=subset_guard))
     return MartinCheck(lhs, rhs, lhs == rhs)
 
 

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -15,7 +17,8 @@ from circuitkit import (
     parse_graph,
     serialize_graph,
 )
-from circuitkit.graphs import graph_to_json_dict, parse_graph_file, permutation_cycles, require_eulerian
+from circuitkit.graphs import (graph_to_json_dict, max_adjacency_order, parse_graph_file, permutation_cycles,
+                               require_eulerian)
 
 from conftest import GRAPH_NAMES, load_graph
 
@@ -174,6 +177,25 @@ def test_permutation_cycles_are_the_orbits_from_their_least_elements(successor):
         assert cycle[0] == min(cycle)
         for h, h_next in zip(cycle, cycle[1:] + cycle[:1]):
             assert successor[h] == h_next
+
+
+@given(st.lists(st.tuples(st.integers(0, 11), st.integers(0, 11)), max_size=30), st.data())
+def test_max_adjacency_order_places_the_most_linked_vertex_next(edges, data):
+    """Each placed vertex has the most edges into the vertices placed before
+    it, ties broken by least half-edge count, then least id; untouched ids
+    are left out, and neither edge direction nor edge order matters."""
+    order = max_adjacency_order(edges)
+    assert sorted(order) == sorted({v for edge in edges for v in edge})
+    halves = Counter(v for edge in edges for v in edge)
+
+    def rank(v, placed):  # least rank goes next
+        return (-sum(1 for a, b in edges if a != b and {a, b} - placed == {v}), halves[v], v)
+
+    for i, v in enumerate(order):
+        placed = set(order[:i])
+        assert rank(v, placed) == min(rank(w, placed) for w in order[i:])
+    assert max_adjacency_order([(b, a) for a, b in edges]) == order
+    assert max_adjacency_order(data.draw(st.permutations(edges))) == order
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,9 @@
 """Static hygiene of the package source: no unused imports, no private
 machinery without a caller, no public definition that is neither exported
 nor used by the package, an export list that resolves, a contraction
-oracle that imports nothing from the modules it checks, a map side that
-takes only the engine from partition, and no module that loads the
-sampling-only dependencies at import time.
+oracle that imports nothing from the modules it checks, one vertex-order
+planner, a map side that takes only the engine from partition, and no
+module that loads the sampling-only dependencies at import time.
 
 Uses only the standard library's ast module.
 """
@@ -92,22 +92,25 @@ def test_every_exported_name_resolves():
     assert not missing
 
 
-def _package_modules_imported(tree: ast.Module) -> set[str]:
-    """First components of the circuitkit modules that any import in `tree`
-    names, relative (`from .x import y`, `from . import x`) or absolute."""
+def _modules_imported(tree: ast.Module) -> set[str]:
+    """Dotted paths of the modules that any import in `tree` names, at module
+    level or inside a function; relative imports (`from .x import y`,
+    `from . import x`) resolve under circuitkit."""
     found: set[str] = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
-            paths = [alias.name for alias in node.names]
+            found.update(alias.name for alias in node.names)
         elif isinstance(node, ast.ImportFrom):
             module = node.module or ""
             if node.level:
                 module = "circuitkit" + ("." + module if module else "")
-            paths = [module] if module != "circuitkit" else [f"circuitkit.{a.name}" for a in node.names]
-        else:
-            continue
-        found.update(path.split(".")[1] for path in paths if path.startswith("circuitkit."))
+            found.update([module] if module != "circuitkit" else [f"circuitkit.{a.name}" for a in node.names])
     return found
+
+
+def _package_modules_imported(tree: ast.Module) -> set[str]:
+    """First components of the circuitkit modules that any import in `tree` names."""
+    return {path.split(".")[1] for path in _modules_imported(tree) if path.startswith("circuitkit.")}
 
 
 @pytest.mark.parametrize("source, expected", [
@@ -127,6 +130,14 @@ def test_the_contraction_oracle_imports_no_circuit_reasoning():
     at module level or inside a function."""
     imported = _package_modules_imported(_tree(PACKAGE_DIR / "diagrams.py"))
     assert not imported & {"partition", "sampling", "planar"}, sorted(imported)
+
+
+def test_graphs_is_the_only_order_planner():
+    """Both exact engines sweep their vertices along
+    graphs.max_adjacency_order, so no other module keeps a heap."""
+    users = [path.stem for path in MODULES
+             if any(name == "heapq" or name.startswith("heapq.") for name in _modules_imported(_tree(path)))]
+    assert users == ["graphs"]
 
 
 def test_the_map_side_takes_only_the_engine_from_partition():

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import decimal
+import random
 import sys
 from collections import Counter
 from fractions import Fraction
@@ -18,6 +19,7 @@ from circuitkit import (
     UndirectedMultigraph,
     circuit_count,
     circuit_partition_polynomial,
+    component_count,
     disjoint_union,
     enumerate_transition_systems,
     transition_system_count,
@@ -388,6 +390,66 @@ def test_counts_and_best_theorem_past_the_enumeration_guard(n, d):
     poly = circuit_partition_polynomial(g)
     assert poly.coefficient_sum() == systems
     assert poly.coefficients[1] == best_r1(g)
+
+
+def relabelled(g, seed: int):
+    """g with its vertices relabelled and its edges shuffled by a seeded draw."""
+    rng = random.Random(seed)
+    label = list(range(g.vertex_count))
+    rng.shuffle(label)
+    edges = [(label[u], label[v]) for u, v in g.edges]
+    rng.shuffle(edges)
+    return type(g)(g.vertex_count, tuple(edges))
+
+
+def test_the_split_order_does_not_follow_the_vertex_labels():
+    """The engine splits along the maximum-adjacency order, which follows
+    the graph's edges rather than its labels: every relabeling of circ(10,3)
+    below fits one work-unit guard (the most any of them needs is 19,400)."""
+    g = directed_circulant(10, 3)
+    expected = circuit_partition_polynomial(g)
+    for seed in range(10):
+        assert circuit_partition_polynomial(relabelled(g, seed), guard=30_000) == expected
+
+
+@st.composite
+def larger_eulerian_multigraphs(draw):
+    """Unions of closed walks on up to 12 vertices, of both kinds: loops,
+    parallel edges, several components and isolated vertices, mostly past
+    the enumerator's reach."""
+    directed = draw(st.booleans(), label="directed")
+    n = draw(st.integers(1, 12), label="n")
+    walks = draw(st.lists(st.lists(st.integers(0, n - 1), min_size=1, max_size=10), min_size=1, max_size=5),
+                 label="walks")
+    edges = tuple((u, walk[(i + 1) % len(walk)]) for walk in walks for i, u in enumerate(walk))
+    return (DirectedMultigraph if directed else UndirectedMultigraph)(n, edges)
+
+
+def engine_or_skip(g) -> IntPolynomial:
+    """j(G;z), or skip the example when the engine refuses it under 10^5 work units."""
+    try:
+        return circuit_partition_polynomial(g, guard=10**5)
+    except GuardExceededError:
+        assume(False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(larger_eulerian_multigraphs(), larger_eulerian_multigraphs(), st.data())
+def test_engine_laws_past_the_enumeration_guard(g, h, data):
+    """Checks that need no enumeration: the systems are counted once each,
+    the split order changes cost but never values, reversing every edge keeps
+    j, BEST gives r_1, and j is multiplicative over disjoint unions."""
+    poly = engine_or_skip(g)
+    assert poly.coefficient_sum() == transition_system_count(g)
+    label = data.draw(st.permutations(range(g.vertex_count)), label="relabelling")
+    shuffled = data.draw(st.permutations([(label[u], label[v]) for u, v in g.edges]), label="edge order")
+    assert circuit_partition_polynomial(type(g)(g.vertex_count, tuple(shuffled))) == poly
+    if isinstance(g, DirectedMultigraph):
+        assert circuit_partition_polynomial(g.reversed_edges()) == poly
+        if component_count(UndirectedMultigraph(g.vertex_count, g.edges)) == 1:
+            assert poly.coefficients[1] == best_r1(g)
+    if type(h) is type(g):
+        assert engine_or_skip(disjoint_union(g, h)) == poly * circuit_partition_polynomial(h)
 
 
 @pytest.mark.parametrize("loops", [0, 1, 3, 40])

@@ -326,16 +326,16 @@ def test_parse_rejects_non_planar_header(tmp_path, capsys):
     assert capsys.readouterr().err == "error: line 3: expected a planar map file, got kind 'directed'\n"
 
 
-def test_isolated_vertices_break_the_identity_by_a_z_factor():
-    """c(G) counts isolated vertices but the medial graph never sees them, so
-    each one inflates the right side by a factor of z. martin_check reports
-    the two sides as they are instead of papering over the mismatch."""
+def test_isolated_vertices_keep_the_identity():
+    """The medial graph never sees a vertex without darts, so the power of z
+    on the right side counts only the components with edges: a triangle plus
+    an isolated vertex and the edgeless map both satisfy the identity."""
     triangle = parse_planar_map("planar\n3 3\n0 1\n1 2\n2 0\n0 5\n2 1\n4 3\n")
     padded = parse_planar_map("planar\n4 3\n0 1\n1 2\n2 0\n0 5\n2 1\n4 3\n\n")
+    edgeless = parse_planar_map("planar\n1 0\n")
     assert medial_graph(padded) == medial_graph(triangle)
     for z in (2, 3):
         base = martin_check(triangle, z)
         assert base.equal
-        check = martin_check(padded, z)
-        assert not check.equal
-        assert check.rhs == z * base.rhs
+        assert martin_check(padded, z) == base
+        assert martin_check(edgeless, z) == (1, 1, True)
