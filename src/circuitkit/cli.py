@@ -11,6 +11,7 @@ commands that never sample start without them.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 from collections import Counter
@@ -48,6 +49,14 @@ def _read(path: str) -> str:
         return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise GraphFormatError(f"cannot read {path}: {exc.strerror or exc}") from exc
+
+
+def rational(text: str) -> Fraction:
+    """A "p/q" or integer argument; a zero denominator is an input error."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
 
 
 def _emit(args, text_value: str, json_value: dict) -> None:
@@ -115,22 +124,20 @@ def cmd_tutte(args) -> int:
     g = graphs.parse_graph(_read(args.input))
     if isinstance(g, graphs.DirectedMultigraph):
         raise GraphFormatError("the subset expansion needs an undirected or planar file")
-    x, y = Fraction(args.x), Fraction(args.y)
-    value = planar.tutte_subset_expansion(g, x, y, guard=args.guard_subsets)
+    value = planar.tutte_subset_expansion(g, args.x, args.y, guard=args.guard_subsets)
     payload = {"schema": SCHEMA, "value": format_rational(value),
-               "x": format_rational(x), "y": format_rational(y)}
+               "x": format_rational(args.x), "y": format_rational(args.y)}
     _emit(args, format_rational(value), payload)
     return EXIT_OK
 
 
 def cmd_martin(args) -> int:
     pmap = planar.parse_planar_map(_read(args.input))
-    z = Fraction(args.z)
-    check = planar.martin_check(pmap, z, enumeration_guard=args.guard_enumeration,
+    check = planar.martin_check(pmap, args.z, enumeration_guard=args.guard_enumeration,
                                 subset_guard=args.guard_subsets)
     payload = {
         "schema": SCHEMA,
-        "z": format_rational(z),
+        "z": format_rational(args.z),
         "lhs": format_rational(check.lhs),
         "rhs": format_rational(check.rhs),
         "equal": check.equal,
@@ -267,16 +274,18 @@ def run_verification(corpus_dir: Path, n_mc: int = 50_000, seed: int = 20260810)
         return "d <= 4, k <= 3"
     _check(results, "cycle generating functions", genfuncs)
 
-    def product_paths():
-        for d in range(5):
-            direct = sorted(p.image for p in diagrams.enumerate_permutations(d))
-            staged = sorted(p.image for p in diagrams.expand_permutation_product(d))
-            _assert_equal(staged, direct, f"S_{d}")
-            direct_m = sorted(m.pairs for m in diagrams.enumerate_matchings(d))
-            staged_m = sorted(m.pairs for m in diagrams.expand_matching_product(d))
-            _assert_equal(staged_m, direct_m, f"M_{d}")
-        return "d <= 4"
-    _check(results, "staged product expansion", product_paths)
+    def closed_form_entries():
+        # Values in range(3) spell every value tuple of every k <= 3.
+        for d in range(4):
+            permutations = list(diagrams.enumerate_permutations(d))
+            matchings = list(diagrams.enumerate_matchings(d))
+            for values in itertools.product(range(3), repeat=2 * d):
+                satisfied = sum(all(values[p[l]] == values[d + l] for l in range(d)) for p in permutations)
+                _assert_equal(diagrams.permutation_entry(values), satisfied, f"permutation entry {values}")
+                satisfied = sum(all(values[a] == values[b] for a, b in pairs) for pairs in matchings)
+                _assert_equal(diagrams.matching_entry(values), satisfied, f"matching entry {values}")
+        return "d <= 3, k <= 3"
+    _check(results, "closed-form entries", closed_form_entries)
 
     fig1 = loaded.get("fig1")
     if fig1 is not None:
@@ -421,8 +430,8 @@ def _configure_medial(p):
 
 def _configure_tutte(p):
     p.add_argument("input", help="undirected graph or planar map file")
-    p.add_argument("--x", required=True, help='x as "p/q" or integer')
-    p.add_argument("--y", required=True, help='y as "p/q" or integer')
+    p.add_argument("--x", type=rational, required=True, help='x as "p/q" or integer')
+    p.add_argument("--y", type=rational, required=True, help='y as "p/q" or integer')
     p.add_argument("--guard-subsets", type=int, default=None,
                    help=f"max subsets 2^m (default {planar.DEFAULT_SUBSET_GUARD})")
     _add_format(p)
@@ -430,7 +439,7 @@ def _configure_tutte(p):
 
 def _configure_martin(p):
     p.add_argument("input", help="planar map file")
-    p.add_argument("--z", required=True, help='z as "p/q" or integer')
+    p.add_argument("--z", type=rational, required=True, help='z as "p/q" or integer')
     p.add_argument("--guard-enumeration", type=int, default=None)
     p.add_argument("--guard-subsets", type=int, default=None)
     _add_format(p)

@@ -1,11 +1,15 @@
-"""Permutation and matching diagram algebra, and the tensor-contraction oracle.
+"""Permutation and matching diagrams, and the tensor-contraction oracle.
 
-A size-d permutation diagram wires d upper tensor indices bijectively to d
-lower ones; a size-d matching diagram is any perfect matching of the 2d
-index endpoints, so it may also pair two upper or two lower indices with a
-cup or cap. Summing k^(loop count of the closed diagram) over a family gives
-the cycle-count generating functions with closed forms k(k+1)...(k+d-1)
-(permutations) and k(k+2)...(k+2d-2) (matchings).
+Diagrams are plain tuples. A size-d permutation diagram is an image tuple p
+wiring upper tensor index p[l] to lower index l; a size-d matching diagram is
+a tuple of pairs matching the 2d index endpoints (0..d-1 upper, d..2d-1
+lower), so it may also pair two upper or two lower indices with a cup or cap.
+Summing k^(loop count of the closed diagram) over a family gives the
+cycle-count generating functions with closed forms k(k+1)...(k+d-1)
+(permutations) and k(k+2)...(k+2d-2) (matchings). The expected tensor of an
+ensemble is a scaling times the sum over its family, and its entry at given
+index values counts the diagrams those values satisfy: permutation_entry and
+matching_entry give that count in closed form.
 
 The moment oracle contract_q_exact contracts the per-vertex expected
 tensors, one index in [0, k) per edge, absorbing vertices one at a time along
@@ -20,7 +24,6 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import factorial, prod
@@ -66,79 +69,14 @@ class Ensemble(str, Enum):
 
 
 # ---------------------------------------------------------------------------
-# Diagrams
+# Diagrams, generating functions, satisfied-diagram counts and scalings
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PermutationDiagram:
-    """Bijection on {0..d-1} wiring upper index image[l] to lower index l."""
-
-    size: int
-    image: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "image", tuple(self.image))
-        if sorted(self.image) != list(range(self.size)):
-            raise ValueError(f"image {self.image} is not a permutation of range({self.size})")
-
-    def cycle_count(self) -> int:
-        return len(permutation_cycles(self.image))
-
-    def delta_product(self, uppers: Sequence[int], lowers: Sequence[int]) -> int:
-        """Entry of the diagram operator: 1 iff uppers[image[l]] == lowers[l] for all l."""
-        return int(all(uppers[self.image[l]] == lowers[l] for l in range(self.size)))
-
-    def as_matching(self) -> "MatchingDiagram":
-        """The same wiring as a matching of the 2d endpoints."""
-        return MatchingDiagram(self.size, tuple((self.image[l], self.size + l) for l in range(self.size)))
-
-
-@dataclass(frozen=True)
-class MatchingDiagram:
-    """Perfect matching of 2d endpoints: 0..d-1 upper, d..2d-1 lower."""
-
-    size: int
-    pairs: tuple[tuple[int, int], ...]
-
-    def __post_init__(self):
-        canon = tuple(sorted((min(a, b), max(a, b)) for a, b in self.pairs))
-        object.__setattr__(self, "pairs", canon)
-        flat = sorted(x for pair in canon for x in pair)
-        if flat != list(range(2 * self.size)):
-            raise ValueError(f"pairs {canon} are not a perfect matching of {2 * self.size} endpoints")
-
-    def closure_loop_count(self) -> int:
-        """Loops after joining upper endpoint i to lower endpoint d+i.
-
-        The union of the diagram's pairs with the identity pairs is a
-        2-regular graph on the 2d endpoints; its components are the loops,
-        so the diagram's trace is k**closure_loop_count().
-        """
-        d = self.size
-        partner = [0] * (2 * d)
-        for a, b in self.pairs:
-            partner[a] = b
-            partner[b] = a
-        # Closing and then following a pair steps twice along a loop, so each
-        # loop is traced once in each direction.
-        return len(permutation_cycles([partner[(h + d) % (2 * d)] for h in range(2 * d)])) // 2
-
-    def delta_product(self, uppers: Sequence[int], lowers: Sequence[int]) -> int:
-        """Entry of the diagram operator: 1 iff every matched pair carries equal values."""
-        values = tuple(uppers) + tuple(lowers)
-        return int(all(values[a] == values[b] for a, b in self.pairs))
-
-
-# ---------------------------------------------------------------------------
-# Enumeration: direct, and by expanding the staged product
-# ---------------------------------------------------------------------------
-
-def enumerate_permutations(d: int) -> Iterator[PermutationDiagram]:
-    """All d! permutation diagrams in lexicographic image order."""
+def enumerate_permutations(d: int) -> Iterator[tuple[int, ...]]:
+    """All d! permutation diagrams as image tuples, in lexicographic order."""
     if d > DEFAULT_PERMUTATION_LIMIT:
         raise GuardExceededError("permutation diagram enumeration refused", d, DEFAULT_PERMUTATION_LIMIT)
-    for image in itertools.permutations(range(d)):
-        yield PermutationDiagram(d, image)
+    return itertools.permutations(range(d))
 
 
 def perfect_matchings(points: tuple[int, ...]) -> Iterator[tuple[tuple[int, int], ...]]:
@@ -153,68 +91,12 @@ def perfect_matchings(points: tuple[int, ...]) -> Iterator[tuple[tuple[int, int]
             yield ((a, points[idx]),) + tail
 
 
-def enumerate_matchings(d: int) -> Iterator[MatchingDiagram]:
-    """All (2d-1)!! matching diagrams in canonical pairing order."""
+def enumerate_matchings(d: int) -> Iterator[tuple[tuple[int, int], ...]]:
+    """All (2d-1)!! matching diagrams as sorted tuples of ascending pairs."""
     if d > DEFAULT_MATCHING_LIMIT:
         raise GuardExceededError("matching diagram enumeration refused", d, DEFAULT_MATCHING_LIMIT)
-    for pairs in perfect_matchings(tuple(range(2 * d))):
-        yield MatchingDiagram(d, pairs)
+    return perfect_matchings(tuple(range(2 * d)))
 
-
-def expand_permutation_product(d: int) -> list[PermutationDiagram]:
-    """Second enumeration path: expand the staged transposition product.
-
-    Stage t contributes a factor (1 + sum_i swap(i, t)); choosing one term per
-    stage and composing yields every permutation exactly once, which the test
-    suite checks against direct enumeration as a multiset.
-    """
-    if d > DEFAULT_PERMUTATION_LIMIT:
-        raise GuardExceededError("permutation product expansion refused", d, DEFAULT_PERMUTATION_LIMIT)
-    results = [tuple(range(d))]
-    for t in range(1, d):
-        staged = []
-        for img in results:
-            staged.append(img)
-            for i in range(t):
-                swapped = list(img)
-                swapped[i], swapped[t] = swapped[t], swapped[i]
-                staged.append(tuple(swapped))
-        results = staged
-    return [PermutationDiagram(d, img) for img in results]
-
-
-def expand_matching_product(d: int) -> list[MatchingDiagram]:
-    """Second enumeration path for matchings, one staged factor at a time.
-
-    Stage t contributes 2t - 1 terms: the identity pairs the new upper and
-    lower points together (one more loop in the closed diagram), and each of
-    the other terms splices them into one of the t - 1 existing pairs, in one
-    of two orientations, leaving the loop count unchanged. The multiset must
-    match direct enumeration, which the tests check.
-    """
-    if d > DEFAULT_MATCHING_LIMIT:
-        raise GuardExceededError("matching product expansion refused", d, DEFAULT_MATCHING_LIMIT)
-    if d == 0:
-        return [MatchingDiagram(0, ())]
-
-    lower = d  # offset of lower endpoints in the final labeling
-    results: list[tuple[tuple[int, int], ...]] = [((0, lower),)]
-    for t in range(1, d):
-        upper_t, lower_t = t, lower + t
-        staged = []
-        for pairs in results:
-            staged.append(pairs + ((upper_t, lower_t),))
-            for idx, (x, y) in enumerate(pairs):
-                rest = pairs[:idx] + pairs[idx + 1:]
-                staged.append(rest + ((x, upper_t), (y, lower_t)))
-                staged.append(rest + ((x, lower_t), (y, upper_t)))
-        results = staged
-    return [MatchingDiagram(d, pairs) for pairs in results]
-
-
-# ---------------------------------------------------------------------------
-# Generating functions, satisfied-diagram counts and scalings
-# ---------------------------------------------------------------------------
 
 def double_factorial(n: int) -> int:
     """n!! = n(n-2)(n-4)...; by convention 0!! = (-1)!! = 1."""
@@ -230,12 +112,29 @@ def cycle_genfunc_permutations(d: int, k: int) -> int:
 
     Equals the rising factorial k(k+1)...(k+d-1), which the tests assert.
     """
-    return sum(k ** p.cycle_count() for p in enumerate_permutations(d))
+    return sum(k ** len(permutation_cycles(p)) for p in enumerate_permutations(d))
+
+
+def _closure_loop_count(pairs: Sequence[tuple[int, int]]) -> int:
+    """Loops after joining upper endpoint i to lower endpoint d+i.
+
+    The union of the matching's pairs with the identity pairs is a 2-regular
+    graph on the 2d endpoints; its components are the loops, so the
+    diagram's trace is k**_closure_loop_count(pairs).
+    """
+    d = len(pairs)
+    partner = [0] * (2 * d)
+    for a, b in pairs:
+        partner[a] = b
+        partner[b] = a
+    # Closing and then following a pair steps twice along a loop, so each
+    # loop is traced once in each direction.
+    return len(permutation_cycles([partner[(h + d) % (2 * d)] for h in range(2 * d)])) // 2
 
 
 def cycle_genfunc_matchings(d: int, k: int) -> int:
     """sum over matchings of k^(closure loop count); equals k(k+2)...(k+2d-2)."""
-    return sum(k ** m.closure_loop_count() for m in enumerate_matchings(d))
+    return sum(k ** _closure_loop_count(pairs) for pairs in enumerate_matchings(d))
 
 
 def permutation_entry(values: Sequence[int]) -> int:
@@ -313,7 +212,23 @@ def ensure_ensemble_matches(g: Multigraph, ensemble: Ensemble) -> None:
         raise ValueError("undirected graphs pair with real ensembles")
 
 
-def _absorption_order(g: Multigraph, incident: list[list[int]]) -> list[tuple[int, tuple[int, ...], ...]]:
+def _incidence(g: Multigraph) -> dict[int, list[int]]:
+    """The edge of each half-edge at each vertex, in the order its entry reads them.
+
+    Half-edges go in id order, a directed graph's heads (its upper indices)
+    before its tails (the lower ones). Vertices without half-edges get no
+    list, so the cost follows m, not n.
+    """
+    halves = range(g.half_edge_count)
+    if isinstance(g, DirectedMultigraph):
+        halves = [*halves[1::2], *halves[::2]]
+    at: dict[int, list[int]] = {}
+    for h in halves:
+        at.setdefault(g.half_edge_vertex(h), []).append(h >> 1)
+    return at
+
+
+def _absorption_order(g: Multigraph, incident: dict[int, list[int]]) -> list[tuple[int, tuple[int, ...], ...]]:
     """(v, edges v closes, edges v opens, loops at v) along graphs.max_adjacency_order.
 
     At vertex v, the open edges (one end absorbed) close; its other edges are
@@ -374,12 +289,8 @@ def contract_q_exact(g: Multigraph, k: int, ensemble: Ensemble, guard: int | Non
         raise ValueError("k must be >= 1")
     ensure_ensemble_matches(g, ensemble)
     require_eulerian(g)
-    if isinstance(g, DirectedMultigraph):
-        ins, outs = g.slots()
-        incident, entry = [i + o for i, o in zip(ins, outs)], permutation_entry
-    else:
-        incident, entry = [[h >> 1 for h in halves] for halves in g.half_edges()], matching_entry
-
+    incident = _incidence(g)
+    entry = permutation_entry if isinstance(g, DirectedMultigraph) else matching_entry
     order = _absorption_order(g, incident)
     vertices_at = [0] * (g.edge_count + 1)  # vertices by open edges before v + new edges at v
     width = 0

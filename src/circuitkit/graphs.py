@@ -65,10 +65,11 @@ class Multigraph:
     def half_edges(self) -> list[list[int]]:
         """Half-edge ids at each vertex, ascending, in one pass over the edges.
 
-        A loop contributes both of its ids. The transition systems, the
-        contraction oracle and the rotation checks read incidence from this
-        table; the engine's forced-chain contraction needs only the two
-        half-edges at each forced vertex and pairs them in one pass instead.
+        A loop contributes both of its ids. The transition systems and the
+        rotation checks read incidence from this table; the engine's
+        forced-chain contraction pairs the two half-edges at each forced
+        vertex in one pass instead, and the contraction oracle lists only the
+        vertices it absorbs.
         """
         at: list[list[int]] = [[] for _ in range(self.vertex_count)]
         for e, (u, v) in enumerate(self.edges):

@@ -22,10 +22,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, prod, sqrt
+from math import prod, sqrt
 from typing import TYPE_CHECKING
 
-from .diagrams import Ensemble, ensure_ensemble_matches, perfect_matchings, vertex_scaling
+from .diagrams import Ensemble, ensure_ensemble_matches, perfect_matchings, vertex_scaling, xd_scaling
 from .graphs import DirectedMultigraph, Multigraph, eulerian_check
 from .partition import circuit_partition_polynomial
 
@@ -267,17 +267,13 @@ def predicted_q(g: Multigraph, k: int, ensemble: Ensemble, guard: int | None = N
 def norm_moment(d: int, k: int, ensemble: Ensemble) -> Fraction:
     """Exact E[|x|^(2d)] under the ensemble.
 
-    Sphere vectors have unit norm, so 1. The real Gaussian moment equals the
-    matching-diagram generating function over k^d (the Wick pairing sum with
-    every covariance 1/k), which collapses to prod_{i<d} (k + 2i) / k^d.
+    A Gaussian vector is its norm times an independent uniform unit vector,
+    so its expected tensor is E[|x|^(2d)] times the sphere ensemble's, and
+    both are scalings of the same diagram sum: the moment is the ratio of
+    the two xd_scaling values (1 for a sphere ensemble).
     """
-    if d < 0 or k < 1:
-        raise ValueError("require d >= 0 and k >= 1")
-    if not ensemble.is_gaussian:
-        return Fraction(1)
-    if ensemble is Ensemble.COMPLEX_GAUSSIAN:
-        return Fraction(factorial(d + k - 1), k**d * factorial(k - 1))
-    return Fraction(prod(k + 2 * i for i in range(d)), k**d)
+    sphere = Ensemble.COMPLEX_SPHERE if ensemble.is_complex else Ensemble.REAL_SPHERE
+    return xd_scaling(d, k, ensemble) / xd_scaling(d, k, sphere)
 
 
 def wick_pairing_sum(covariance, indices) -> Fraction:

@@ -1,14 +1,17 @@
 from __future__ import annotations
 
 import decimal
+import itertools
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import circuitkit
-from circuitkit import cli
+from circuitkit import cli, diagrams
 
 SPEC_OPERATIONS = [
     # graphcore
@@ -103,6 +106,18 @@ def test_tutte_rational_arguments(capsys, corpus_dir):
     assert out == "7/3\n"  # a bridge evaluates to x
 
 
+@pytest.mark.parametrize("argv", [["tutte", "--x", "1/0", "--y", "3"], ["tutte", "--x", "2", "--y", "1/0"],
+                                  ["martin", "--z", "2/0"]], ids=["x", "y", "z"])
+def test_zero_denominator_is_an_input_error(capsys, corpus_dir, argv):
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main([*argv, corpus("triangle.planar", corpus_dir)])
+    captured = capsys.readouterr()
+    assert excinfo.value.code == cli.EXIT_INPUT_ERROR
+    assert captured.out == ""
+    assert "invalid rational value: '" in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_q_estimate_json_is_reproducible(capsys, corpus_dir):
     argv = ["q-estimate", corpus("fig1.graph", corpus_dir), "--k", "2",
             "--ensemble", "complex-sphere", "--n", "20000", "--seed", "11", "--format", "json"]
@@ -154,12 +169,41 @@ def test_non_eulerian_exit_code(capsys, tmp_path):
     assert "Eulerian" in err
 
 
+def check_name(line: str) -> str:
+    """The check name in a line of verify's text report: status, two spaces,
+    the padded name, two spaces, the detail."""
+    return line[len("ok    "):].split("  ")[0]
+
+
 def test_verify_bundled_corpus(capsys):
     code, out, _ = run(capsys, "verify", "--n", "20000")
     assert code == 0
     assert "FAIL" not in out
     assert "checks passed" in out
     assert out.count("engine vs enumerator") == 5  # one per corpus graph
+    # Each check's name is its kind, then the corpus file it reads, if any.
+    files = {f for path in cli.bundled_corpus_dir().iterdir() for f in (path.name, path.stem)}
+    kinds = {" ".join(itertools.takewhile(lambda word: word not in files, check_name(line).split()))
+             for line in out.splitlines()[:-1]}
+    assert kinds == {
+        "corpus present", "parse+roundtrip", "engine vs enumerator", "counting invariants", "oracle",
+        "martin identity", "subset bijection", "medial eulerian", "cycle generating functions",
+        "closed-form entries", "monte carlo agreement", "monte carlo determinism",
+        "monte carlo vanishing", "sampling basics", "tensor scalings",
+    }
+
+
+@pytest.mark.parametrize("entry", ["permutation_entry", "matching_entry"])
+def test_verify_fails_on_a_wrong_closed_form_entry(capsys, monkeypatch, tmp_path, corpus_dir, entry):
+    (tmp_path / "edgeless.graph").write_text("directed\n3 0\n")
+    (tmp_path / "p2.planar").write_text((corpus_dir / "p2.planar").read_text())
+    true_entry = getattr(diagrams, entry)
+    off_by_one = (0, 1, 1, 0)
+    monkeypatch.setattr(diagrams, entry, lambda values: true_entry(values) + (tuple(values) == off_by_one))
+    code, out, _ = run(capsys, "verify", str(tmp_path), "--n", "2000")
+    assert code == cli.EXIT_VERIFY_FAILED
+    assert [check_name(line) for line in out.splitlines() if line.startswith("FAIL")] == ["closed-form entries"]
+    assert str(off_by_one) in out
 
 
 def test_verify_fails_on_missing_corpus(capsys, tmp_path):

@@ -317,9 +317,9 @@ def wick_sum_via_matchings(coords: tuple[int, ...], k: int) -> Fraction:
     """Pairing sum over matching diagrams: every covariance is delta/k."""
     d = len(coords) // 2
     total = Fraction(0)
-    for mu in enumerate_matchings(d):
+    for pairs in enumerate_matchings(d):
         term = Fraction(1)
-        for a, b in mu.pairs:
+        for a, b in pairs:
             term *= Fraction(int(coords[a] == coords[b]), k)
         total += term
     return total
