@@ -1,7 +1,9 @@
-"""Command-line front-end.
+"""Command-line front-end: argument parsing and the printing of every
+exact value.
 
 Exit codes: 0 success, 1 verification failure, 2 input error, 3 guard
-exceeded. Rationals cross this boundary as "p/q" strings, never floats, and
+exceeded. Exact integers and rationals are printed in full, whatever their
+length, and rationals cross this boundary as "p/q" strings, never floats.
 JSON payloads carry a "schema": "circuitkit/1" version tag.
 
 numpy and importlib.resources are imported where they are used, so the
@@ -15,6 +17,7 @@ import itertools
 import json
 import sys
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, prod
@@ -22,9 +25,9 @@ from pathlib import Path
 from typing import Callable
 
 from . import diagrams, graphs, partition, planar, sampling
-from .errors import EmbeddingError, GraphFormatError, GuardExceededError, NotEulerianError
+from .errors import GraphFormatError, GuardExceededError
 
-SCHEMA = graphs.JSON_SCHEMA
+SCHEMA = "circuitkit/1"
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -32,10 +35,44 @@ EXIT_INPUT_ERROR = 2
 EXIT_GUARD_EXCEEDED = 3
 
 
+@contextmanager
+def unlimited_int_digits():
+    """Lift Python's int-to-decimal digit limit for the enclosed block only.
+
+    Exact outputs may have any number of digits; the previous limit is put
+    back on exit, so the rest of the process keeps its protection.
+    """
+    get_limit = getattr(sys, "get_int_max_str_digits", None)
+    if get_limit is None:  # interpreters without the limit
+        yield
+        return
+    previous = get_limit()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(previous)
+
+
 def format_rational(value: Fraction) -> str:
     value = Fraction(value)
-    with partition.unlimited_int_digits():
+    with unlimited_int_digits():
         return f"{value.numerator}/{value.denominator}"
+
+
+def format_coefficients(poly: partition.IntPolynomial) -> list[str]:
+    """r_0, r_1, ... in decimal."""
+    with unlimited_int_digits():
+        return [str(c) for c in poly.coefficients]
+
+
+def graph_to_json_dict(g: graphs.Multigraph) -> dict:
+    return {
+        "schema": SCHEMA,
+        "kind": "directed" if isinstance(g, graphs.DirectedMultigraph) else "undirected",
+        "vertex_count": g.vertex_count,
+        "edges": [[u, v] for u, v in g.edges],
+    }
 
 
 def bundled_corpus_dir() -> Path:
@@ -73,15 +110,15 @@ def _emit(args, text_value: str, json_value: dict) -> None:
 def cmd_j(args) -> int:
     g = graphs.parse_graph(_read(args.input))
     poly = partition.circuit_partition_polynomial(g, guard=args.guard_enumeration)
-    payload = {"schema": SCHEMA, "variant": poly.variant}
-    payload.update(poly.to_json_dict())
-    _emit(args, poly.to_text(), payload)
+    coefficients = format_coefficients(poly)
+    variant = "directed" if isinstance(g, graphs.DirectedMultigraph) else "undirected"
+    _emit(args, " ".join(coefficients), {"schema": SCHEMA, "variant": variant, "coefficients": coefficients})
     return EXIT_OK
 
 
 def cmd_q_predict(args) -> int:
     g = graphs.parse_graph(_read(args.input))
-    ensemble = diagrams.Ensemble.from_string(args.ensemble)
+    ensemble = diagrams.Ensemble(args.ensemble)
     value = sampling.predicted_q(g, args.k, ensemble, guard=args.guard_enumeration)
     payload = {"schema": SCHEMA, "value": format_rational(value), "k": args.k,
                "ensemble": ensemble.value}
@@ -93,7 +130,7 @@ def cmd_q_predict(args) -> int:
 
 def cmd_q_exact(args) -> int:
     g = graphs.parse_graph(_read(args.input))
-    ensemble = diagrams.Ensemble.from_string(args.ensemble)
+    ensemble = diagrams.Ensemble(args.ensemble)
     value = diagrams.contract_q_exact(g, args.k, ensemble, guard=args.guard_contraction)
     payload = {"schema": SCHEMA, "value": format_rational(value), "k": args.k,
                "ensemble": ensemble.value}
@@ -103,7 +140,7 @@ def cmd_q_exact(args) -> int:
 
 def cmd_q_estimate(args) -> int:
     g = graphs.parse_graph(_read(args.input))
-    ensemble = diagrams.Ensemble.from_string(args.ensemble)
+    ensemble = diagrams.Ensemble(args.ensemble)
     estimate = sampling.estimate_q(g, args.k, ensemble, args.n, args.seed, workers=args.workers)
     payload = {"schema": SCHEMA}
     payload.update(estimate.to_json_dict())
@@ -116,7 +153,7 @@ def cmd_q_estimate(args) -> int:
 def cmd_medial(args) -> int:
     pmap = planar.parse_planar_map(_read(args.input))
     medial = planar.medial_graph(pmap)
-    _emit(args, graphs.serialize_graph(medial).rstrip("\n"), graphs.graph_to_json_dict(medial))
+    _emit(args, graphs.serialize_graph(medial).rstrip("\n"), graph_to_json_dict(medial))
     return EXIT_OK
 
 
@@ -220,7 +257,7 @@ def run_verification(corpus_dir: Path, n_mc: int = 50_000, seed: int = 20260810)
             expected = partition.transition_system_count(g)
             _assert_equal(poly.coefficient_sum(), expected, "sum r_t")
             _assert_equal(poly.evaluate(1), Fraction(expected), "j(1)")
-            return f"j = {poly.to_text()}"
+            return f"j = {' '.join(format_coefficients(poly))}"
         _check(results, f"counting invariants {name}", counting)
 
     for name, g in loaded.items():
@@ -369,125 +406,82 @@ def cmd_verify(args) -> int:
 # Parser and dispatch
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Command:
-    name: str
-    handler: Callable
-    configure: Callable[[argparse.ArgumentParser], None]
-    help: str
-
-
-def _add_format(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--format", choices=("text", "json"), default="text",
-                   help="output format (default: text)")
-
-
-def _add_ensemble_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--k", type=int, required=True, help="vector dimension")
-    p.add_argument("--ensemble", required=True,
-                   choices=[e.value for e in diagrams.Ensemble],
-                   help="random-vector ensemble")
-
-
-def _configure_j(p):
-    p.add_argument("input", help="directed or undirected graph file")
-    p.add_argument("--guard-enumeration", type=int, default=None,
-                   help="max work units of the splitting recursion, summed over its states as "
-                        f"branches x edges (default {partition.DEFAULT_ENUMERATION_GUARD})")
-    _add_format(p)
-
-
-def _configure_q_predict(p):
-    p.add_argument("input")
-    _add_ensemble_args(p)
-    p.add_argument("--guard-enumeration", type=int, default=None)
-    _add_format(p)
-
-
-def _configure_q_estimate(p):
-    p.add_argument("input")
-    _add_ensemble_args(p)
-    p.add_argument("--n", type=int, default=100_000, help="sample count (default 100000)")
-    p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
-    p.add_argument("--workers", type=int, default=1, help="worker threads (default 1)")
-    _add_format(p)
-
-
-def _configure_q_exact(p):
-    p.add_argument("input")
-    _add_ensemble_args(p)
-    p.add_argument("--guard-contraction", type=int, default=None,
-                   help="max planned work of the contraction, summed over the vertex order as "
-                        "k^(open edges + new edges at the vertex) "
-                        f"(default {diagrams.DEFAULT_CONTRACTION_GUARD})")
-    _add_format(p)
-
-
-def _configure_medial(p):
-    p.add_argument("input", help="planar map file")
-    _add_format(p)
-
-
-def _configure_tutte(p):
-    p.add_argument("input", help="undirected graph or planar map file")
-    p.add_argument("--x", type=rational, required=True, help='x as "p/q" or integer')
-    p.add_argument("--y", type=rational, required=True, help='y as "p/q" or integer')
-    p.add_argument("--guard-subsets", type=int, default=None,
-                   help=f"max subsets 2^m (default {planar.DEFAULT_SUBSET_GUARD})")
-    _add_format(p)
-
-
-def _configure_martin(p):
-    p.add_argument("input", help="planar map file")
-    p.add_argument("--z", type=rational, required=True, help='z as "p/q" or integer')
-    p.add_argument("--guard-enumeration", type=int, default=None)
-    p.add_argument("--guard-subsets", type=int, default=None)
-    _add_format(p)
-
-
-def _configure_verify(p):
-    p.add_argument("corpus", nargs="?", default=None,
-                   help="corpus directory (default: bundled corpus)")
-    p.add_argument("--n", type=int, default=50_000, help="Monte Carlo samples per check")
-    p.add_argument("--seed", type=int, default=20260810)
-    _add_format(p)
-
-
-COMMANDS: tuple[Command, ...] = (
-    Command("j", cmd_j, _configure_j, "circuit partition polynomial"),
-    Command("q-predict", cmd_q_predict, _configure_q_predict,
-            "exact q(G;k) from the partition polynomial"),
-    Command("q-estimate", cmd_q_estimate, _configure_q_estimate, "Monte Carlo q(G;k)"),
-    Command("q-exact", cmd_q_exact, _configure_q_exact, "exact q(G;k) by tensor contraction along a vertex order"),
-    Command("medial", cmd_medial, _configure_medial, "oriented medial graph of a planar map"),
-    Command("tutte", cmd_tutte, _configure_tutte, "Tutte polynomial by subset expansion"),
-    Command("martin", cmd_martin, _configure_martin, "check j(G_m;z) = z^c T(G;z+1,z+1)"),
-    Command("verify", cmd_verify, _configure_verify, "run the invariant suite over a corpus"),
-)
-
-
 def build_parser() -> argparse.ArgumentParser:
+    """The `circuitkit` parser. An option that several subcommands share is
+    declared once, for all of them. Declaration order fixes the order of the
+    usage lines and of argparse's missing-argument errors, so `input` comes
+    first and `--format` last."""
     parser = argparse.ArgumentParser(
         prog="circuitkit",
         description="Circuit partition polynomials and the inner-product moments they predict.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for command in COMMANDS:
-        p = sub.add_parser(command.name, help=command.help)
-        command.configure(p)
-        p.set_defaults(handler=command.handler)
+
+    def command(name: str, handler: Callable, help: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(handler=handler)
+        return p
+
+    j = command("j", cmd_j, "circuit partition polynomial")
+    q_predict = command("q-predict", cmd_q_predict, "exact q(G;k) from the partition polynomial")
+    q_estimate = command("q-estimate", cmd_q_estimate, "Monte Carlo q(G;k)")
+    q_exact = command("q-exact", cmd_q_exact, "exact q(G;k) by tensor contraction along a vertex order")
+    medial = command("medial", cmd_medial, "oriented medial graph of a planar map")
+    tutte = command("tutte", cmd_tutte, "Tutte polynomial by subset expansion")
+    martin = command("martin", cmd_martin, "check j(G_m;z) = z^c T(G;z+1,z+1)")
+    verify = command("verify", cmd_verify, "run the invariant suite over a corpus")
+
+    for p in (j, q_predict, q_estimate, q_exact, medial, tutte, martin):
+        p.add_argument("input", help="graph file (a planar map for medial and martin)")
+    for p in (q_predict, q_estimate, q_exact):
+        p.add_argument("--k", type=int, required=True, help="vector dimension")
+        p.add_argument("--ensemble", required=True, choices=[e.value for e in diagrams.Ensemble],
+                       help="random-vector ensemble")
+    q_estimate.add_argument("--n", type=int, default=100_000, help="sample count (default 100000)")
+    q_estimate.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
+    q_estimate.add_argument("--workers", type=int, default=1, help="worker threads (default 1)")
+    q_exact.add_argument("--guard-contraction", type=int, default=None,
+                         help="max planned work of the contraction, summed over the vertex order as "
+                              "k^(open edges + new edges at the vertex) "
+                              f"(default {diagrams.DEFAULT_CONTRACTION_GUARD})")
+    tutte.add_argument("--x", type=rational, required=True, help='x as "p/q" or integer')
+    tutte.add_argument("--y", type=rational, required=True, help='y as "p/q" or integer')
+    martin.add_argument("--z", type=rational, required=True, help='z as "p/q" or integer')
+    for p in (j, q_predict, martin):
+        p.add_argument("--guard-enumeration", type=int, default=None,
+                       help="max work units of the splitting recursion, summed over its states as "
+                            f"branches x edges (default {partition.DEFAULT_ENUMERATION_GUARD})")
+    for p in (tutte, martin):
+        p.add_argument("--guard-subsets", type=int, default=None,
+                       help=f"max subsets 2^m (default {planar.DEFAULT_SUBSET_GUARD})")
+    verify.add_argument("corpus", nargs="?", default=None, help="corpus directory (default: bundled corpus)")
+    verify.add_argument("--n", type=int, default=50_000, help="Monte Carlo samples per check (default 50000)")
+    verify.add_argument("--seed", type=int, default=20260810, help="RNG seed (default 20260810)")
+    for p in sub.choices.values():
+        p.add_argument("--format", choices=("text", "json"), default="text", help="output format (default: text)")
     return parser
 
 
+def _attach_negative_rationals(argv: list[str]) -> list[str]:
+    """Join `--x -1/2` into `--x=-1/2` (likewise --y, --z): argparse takes
+    only -N and -N.M for negative numbers and reads "-1/2" as an option."""
+    joined: list[str] = []
+    for arg in argv:
+        if joined and joined[-1] in ("--x", "--y", "--z") and arg[:1] == "-" and arg[1:2].isdigit():
+            joined[-1] += "=" + arg
+        else:
+            joined.append(arg)
+    return joined
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(_attach_negative_rationals(sys.argv[1:] if argv is None else argv))
     try:
         return args.handler(args)
     except GuardExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_GUARD_EXCEEDED
-    except (GraphFormatError, NotEulerianError, EmbeddingError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 

@@ -59,14 +59,6 @@ class Ensemble(str, Enum):
     def is_gaussian(self) -> bool:
         return self in (Ensemble.COMPLEX_GAUSSIAN, Ensemble.REAL_GAUSSIAN)
 
-    @classmethod
-    def from_string(cls, name: str) -> "Ensemble":
-        try:
-            return cls(name)
-        except ValueError:
-            options = ", ".join(e.value for e in cls)
-            raise ValueError(f"unknown ensemble {name!r} (expected one of {options})") from None
-
 
 # ---------------------------------------------------------------------------
 # Diagrams, generating functions, satisfied-diagram counts and scalings

@@ -1,6 +1,6 @@
 """Multigraph data types, degree checks, components, the cycles of a
 permutation of half-edges, the vertex order both exact engines sweep in,
-text parsing and serialization, and JSON output.
+and text parsing and serialization.
 
 Vertices are 0-indexed everywhere. Edge order is semantic: edge i owns
 half-edge (dart) ids 2i and 2i+1, which downstream modules rely on, so
@@ -25,9 +25,6 @@ from heapq import heapify, heappop, heappush
 from typing import Iterable, Iterator, Sequence
 
 from .errors import GraphFormatError, NotEulerianError
-
-JSON_SCHEMA = "circuitkit/1"
-
 
 @dataclass(frozen=True)
 class Multigraph:
@@ -407,16 +404,3 @@ def serialize_graph(g: Multigraph) -> str:
     lines = [kind, f"{g.vertex_count} {g.edge_count}"]
     lines.extend(f"{u} {v}" for u, v in g.edges)
     return "\n".join(lines) + "\n"
-
-
-# ---------------------------------------------------------------------------
-# JSON output
-# ---------------------------------------------------------------------------
-
-def graph_to_json_dict(g: Multigraph) -> dict:
-    return {
-        "schema": JSON_SCHEMA,
-        "kind": "directed" if isinstance(g, DirectedMultigraph) else "undirected",
-        "vertex_count": g.vertex_count,
-        "edges": [[u, v] for u, v in g.edges],
-    }

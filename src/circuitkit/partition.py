@@ -33,16 +33,16 @@ circuits each induces gives the coefficients r_t again. Enumeration is an
 odometer over lazy per-vertex wiring generators, lexicographic with vertex 0
 most significant: bijections in lexicographic image order, matchings in
 canonical smallest-first pairing order. Its guard counts transition systems.
+
+`IntPolynomial` is the bare coefficient vector; `cli` prints it.
 """
 
 from __future__ import annotations
 
 import itertools
-import sys
 from bisect import bisect_left, insort
 from collections import Counter
-from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, prod
 from typing import Callable, Iterator
@@ -62,15 +62,10 @@ DEFAULT_ENUMERATION_GUARD = 10**8
 
 @dataclass(frozen=True)
 class IntPolynomial:
-    """Coefficient vector r_0, r_1, ... of nonnegative arbitrary-precision ints.
-
-    The variant tag records whether the polynomial counts directed or
-    undirected circuit partitions; it is bookkeeping only and excluded from
-    equality.
-    """
+    """Coefficient vector r_0, r_1, ... of nonnegative arbitrary-precision
+    ints, with trailing zeros dropped."""
 
     coefficients: tuple[int, ...]
-    variant: str | None = field(default=None, compare=False)
 
     def __post_init__(self):
         coeffs = tuple(int(c) for c in self.coefficients)
@@ -83,10 +78,6 @@ class IntPolynomial:
             top -= 1
         object.__setattr__(self, "coefficients", coeffs[:top + 1])
 
-    @property
-    def degree(self) -> int:
-        return len(self.coefficients) - 1
-
     def __mul__(self, other: "IntPolynomial") -> "IntPolynomial":
         out = [0] * (len(self.coefficients) + len(other.coefficients) - 1)
         for i, a in enumerate(self.coefficients):
@@ -94,8 +85,7 @@ class IntPolynomial:
                 continue
             for j, b in enumerate(other.coefficients):
                 out[i + j] += a * b
-        variant = self.variant if self.variant == other.variant else None
-        return IntPolynomial(tuple(out), variant)
+        return IntPolynomial(tuple(out))
 
     def evaluate(self, z) -> Fraction:
         """Horner evaluation at an exact rational point."""
@@ -107,33 +97,6 @@ class IntPolynomial:
 
     def coefficient_sum(self) -> int:
         return sum(self.coefficients)
-
-    def to_text(self) -> str:
-        with unlimited_int_digits():
-            return " ".join(str(c) for c in self.coefficients)
-
-    def to_json_dict(self) -> dict:
-        with unlimited_int_digits():
-            return {"coefficients": [str(c) for c in self.coefficients]}
-
-
-@contextmanager
-def unlimited_int_digits():
-    """Lift Python's int-to-decimal digit limit for the enclosed block only.
-
-    Exact outputs may have any number of digits; the previous limit is put
-    back on exit, so the rest of the process keeps its protection.
-    """
-    get_limit = getattr(sys, "get_int_max_str_digits", None)
-    if get_limit is None:  # interpreters without the limit
-        yield
-        return
-    previous = get_limit()
-    sys.set_int_max_str_digits(0)
-    try:
-        yield
-    finally:
-        sys.set_int_max_str_digits(previous)
 
 
 # ---------------------------------------------------------------------------
@@ -386,4 +349,4 @@ def circuit_partition_polynomial(g: Multigraph, guard: int | None = None) -> Int
     pairs, closed = _contract(g)
     key, n = _core_key(pairs, directed)
     coeffs = _sweep(key, n, _split_directed if directed else _split_undirected, guard)
-    return IntPolynomial((0,) * closed + tuple(coeffs), "directed" if directed else "undirected")
+    return IntPolynomial((0,) * closed + tuple(coeffs))

@@ -54,10 +54,6 @@ class PlanarMap:
         for v, (darts, halves) in enumerate(zip(self.rotation, at)):
             check_rotation(self.graph, v, darts, len(halves))
 
-    def mirrored(self) -> "PlanarMap":
-        """The reflected embedding (every rotation reversed)."""
-        return PlanarMap(self.graph, tuple(tuple(reversed(r)) for r in self.rotation))
-
 
 def _face_successors(pmap: PlanarMap) -> list[int]:
     """after[d], the dart that follows dart d on its face: the

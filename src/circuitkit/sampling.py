@@ -84,7 +84,7 @@ def draw_assignments(rng: np.random.Generator, count: int, vertex_count: int, k:
     numpy work:
     - squared norms are (x.conj() * x).real, as np.linalg.norm computes them
       (re*re + im*im can differ in the last bit; real draws use x * x),
-      summed over the k columns in numpy's pairwise order
+      summed over the k columns as numpy's reduce sums them
       (_pairwise_column_sum);
     - complex draws are scaled by the reciprocal, re and im each times 1/r:
       numpy's complex-by-real division computes exactly that;
@@ -115,31 +115,19 @@ def draw_assignments(rng: np.random.Generator, count: int, vertex_count: int, k:
 
 
 def _pairwise_column_sum(a: np.ndarray) -> np.ndarray:
-    """Sum over the last axis of `a`, adding whole columns in the order of
-    numpy's pairwise summation, so for nonnegative terms the bits equal
-    np.add.reduce(a, axis=-1).
+    """Sum over the last axis of `a`, bit-identical to np.add.reduce(a, axis=-1).
 
-    Below 8 terms the sum runs left to right; up to 128 it keeps 8 running
-    sums over blocks of 8, combines them as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))
-    and adds the remainder left to right; above that it splits at the
-    largest multiple of 8 not past the middle and adds the two halves' sums.
+    numpy's pairwise summation adds fewer than 8 terms left to right, so
+    short rows are summed a whole column at a time, which is faster there;
+    from 8 terms on numpy's reduce is the faster of the two.
     """
+    import numpy as np
+
     n = a.shape[-1]
-    if n > 128:
-        half = n // 2 - n // 2 % 8
-        return _pairwise_column_sum(a[..., :half]) + _pairwise_column_sum(a[..., half:])
-    if n < 8:
-        total = a[..., 0].copy()
-        for i in range(1, n):
-            total += a[..., i]
-        return total
-    r = a[..., :8].copy()
-    blocks_end = n - n % 8
-    for i in range(8, blocks_end, 8):
-        r += a[..., i:i + 8]
-    total = (r[..., 0] + r[..., 1]) + (r[..., 2] + r[..., 3])
-    total += (r[..., 4] + r[..., 5]) + (r[..., 6] + r[..., 7])
-    for i in range(blocks_end, n):
+    if n >= 8:
+        return np.add.reduce(a, axis=-1)
+    total = a[..., 0].copy()
+    for i in range(1, n):
         total += a[..., i]
     return total
 

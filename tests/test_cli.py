@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import decimal
 import itertools
 import json
@@ -11,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import circuitkit
-from circuitkit import cli, diagrams
+from circuitkit import cli, diagrams, partition, planar
 
 SPEC_OPERATIONS = [
     # graphcore
@@ -27,6 +28,12 @@ SPEC_OPERATIONS = [
     "faces", "medial_graph", "tutte_subset_expansion", "martin_check",
     "subset_to_partition_circuits",
 ]
+
+
+def subcommands() -> dict[str, argparse.ArgumentParser]:
+    """The subparsers of `circuitkit`, by name."""
+    (action,) = (a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return action.choices
 
 
 def run(capsys, *argv) -> tuple[int, str, str]:
@@ -52,6 +59,8 @@ def test_j_json(capsys, corpus_dir):
     assert data["schema"] == "circuitkit/1"
     assert data["coefficients"] == ["0", "2", "1"]
     assert data["variant"] == "undirected"
+    _, out, _ = run(capsys, "j", corpus("fig1.graph", corpus_dir), "--format", "json")
+    assert json.loads(out)["variant"] == "directed"
 
 
 def test_q_predict_fig1(capsys, corpus_dir):
@@ -104,6 +113,22 @@ def test_tutte_rational_arguments(capsys, corpus_dir):
     code, out, _ = run(capsys, "tutte", corpus("p2.planar", corpus_dir), "--x", "7/3", "--y", "5")
     assert code == 0
     assert out == "7/3\n"  # a bridge evaluates to x
+
+
+def test_martin_takes_a_negative_fraction(capsys, corpus_dir):
+    code, out, err = run(capsys, "martin", corpus("triangle.planar", corpus_dir), "--z", "-3/4")
+    assert (code, out, err) == (0, "lhs=-27/64 rhs=-27/64 equal=true\n", "")
+
+
+def test_tutte_takes_a_negative_fraction_for_x(capsys, corpus_dir):
+    code, out, err = run(capsys, "tutte", corpus("triangle.planar", corpus_dir), "--x", "-1/2", "--y", "2")
+    assert (code, out, err) == (0, "7/4\n", "")
+
+
+def test_tutte_takes_a_negative_fraction_for_y(capsys, corpus_dir):
+    # T(triangle; x, y) = x^2 + x + y
+    code, out, err = run(capsys, "tutte", corpus("triangle.planar", corpus_dir), "--y", "-1/2", "--x", "2")
+    assert (code, out, err) == (0, "11/2\n", "")
 
 
 @pytest.mark.parametrize("argv", [["tutte", "--x", "1/0", "--y", "3"], ["tutte", "--x", "2", "--y", "1/0"],
@@ -260,7 +285,7 @@ def test_every_operation_is_reachable_from_a_command(capsys, corpus_dir):
         "martin": ["martin", pmap, "--z", "2"],
         "verify": ["verify", "--n", "2000"],
     }
-    assert argvs.keys() == {command.name for command in cli.COMMANDS}
+    assert argvs.keys() == subcommands().keys()
     called = set().union(*(_functions_called_by(argv) for argv in argvs.values()))
     capsys.readouterr()
     missing = [op for op in SPEC_OPERATIONS if op not in called]
@@ -268,8 +293,19 @@ def test_every_operation_is_reachable_from_a_command(capsys, corpus_dir):
 
 
 def test_command_table_is_complete():
-    names = {command.name for command in cli.COMMANDS}
-    assert names == {"j", "q-predict", "q-estimate", "q-exact", "medial", "tutte", "martin", "verify"}
+    assert subcommands().keys() == {"j", "q-predict", "q-estimate", "q-exact", "medial", "tutte", "martin", "verify"}
+
+
+@pytest.mark.parametrize("flag, default", [
+    ("--guard-enumeration", partition.DEFAULT_ENUMERATION_GUARD),
+    ("--guard-subsets", planar.DEFAULT_SUBSET_GUARD),
+])
+def test_shared_guards_have_one_help_text(flag, default):
+    helps = {name: action.help for name, p in subcommands().items()
+             for action in p._actions if flag in action.option_strings}
+    assert len(helps) >= 2
+    (text,) = set(helps.values())
+    assert f"(default {default})" in text
 
 
 def test_exact_output_of_any_length(capsys, tmp_path):
@@ -285,6 +321,53 @@ def test_exact_output_of_any_length(capsys, tmp_path):
         digits = str(decimal.Decimal(2) ** (m - 1))
     assert len(digits) == 4516
     assert out == f"1/{digits}\n"
+
+
+HUGE = 7 ** 9000  # 7,606 digits, past Python's default int-to-str limit
+
+
+def j_with_a_huge_coefficient(monkeypatch, capsys, corpus_dir, *argv) -> tuple[int, str, str]:
+    """`j` on fig1 with an engine that returns the polynomial HUGE z."""
+    monkeypatch.setattr(partition, "circuit_partition_polynomial",
+                        lambda g, guard=None: partition.IntPolynomial((0, HUGE)))
+    return run(capsys, "j", corpus("fig1.graph", corpus_dir), *argv)
+
+
+def test_text_output_of_huge_coefficients(monkeypatch, capsys, corpus_dir):
+    with decimal.localcontext() as ctx:
+        ctx.prec = 8000
+        digits = str(decimal.Decimal(7) ** 9000)
+    assert j_with_a_huge_coefficient(monkeypatch, capsys, corpus_dir) == (0, f"0 {digits}\n", "")
+    code, out, _ = j_with_a_huge_coefficient(monkeypatch, capsys, corpus_dir, "--format", "json")
+    assert code == 0
+    assert json.loads(out)["coefficients"] == ["0", digits]
+
+
+def test_json_round_trip_of_huge_coefficients(monkeypatch, capsys, corpus_dir):
+    _, out, _ = j_with_a_huge_coefficient(monkeypatch, capsys, corpus_dir, "--format", "json")
+    with cli.unlimited_int_digits():
+        assert [int(c) for c in json.loads(out)["coefficients"]] == [0, HUGE]
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str limit")
+def test_int_digit_limit_is_lifted_only_inside(monkeypatch, capsys, corpus_dir):
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4321)
+    try:
+        with cli.unlimited_int_digits():
+            assert sys.get_int_max_str_digits() == 0
+        for fmt in ("text", "json"):
+            assert j_with_a_huge_coefficient(monkeypatch, capsys, corpus_dir, "--format", fmt)[0] == 0
+            assert sys.get_int_max_str_digits() == 4321
+    finally:
+        sys.set_int_max_str_digits(previous)
+
+
+def test_graph_json_shape(fig1):
+    data = cli.graph_to_json_dict(fig1)
+    assert data["schema"] == "circuitkit/1"
+    assert data["kind"] == "directed"
+    assert data["edges"][0] == [0, 1]
 
 
 def test_q_predict_honours_the_guard(capsys, corpus_dir):

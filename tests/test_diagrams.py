@@ -408,10 +408,15 @@ def test_oracle_leaves_out_vertices_without_half_edges(fig1):
     assert diagrams._absorption_order(DirectedMultigraph(3, ()), diagrams._incidence(DirectedMultigraph(3, ()))) == []
 
 
-def test_ensemble_parsing():
-    assert Ensemble.from_string("real-gaussian") is Ensemble.REAL_GAUSSIAN
+def test_ensemble_parsing(capsys, corpus_dir):
+    from circuitkit import cli
+    assert Ensemble("real-gaussian") is Ensemble.REAL_GAUSSIAN
     with pytest.raises(ValueError):
-        Ensemble.from_string("quaternion-sphere")
+        Ensemble("quaternion-sphere")
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main(["q-predict", str(corpus_dir / "fig1.graph"), "--k", "2", "--ensemble", "quaternion-sphere"])
+    assert excinfo.value.code == cli.EXIT_INPUT_ERROR
+    assert "invalid choice: 'quaternion-sphere'" in capsys.readouterr().err
     assert Ensemble.COMPLEX_SPHERE.is_complex
     assert not Ensemble.COMPLEX_SPHERE.is_gaussian
     assert Ensemble.REAL_GAUSSIAN.is_real and Ensemble.REAL_GAUSSIAN.is_gaussian

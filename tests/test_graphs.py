@@ -17,8 +17,7 @@ from circuitkit import (
     parse_graph,
     serialize_graph,
 )
-from circuitkit.graphs import (graph_to_json_dict, max_adjacency_order, parse_graph_file, permutation_cycles,
-                               require_eulerian)
+from circuitkit.graphs import max_adjacency_order, parse_graph_file, permutation_cycles, require_eulerian
 
 from conftest import GRAPH_NAMES, load_graph
 
@@ -82,13 +81,6 @@ def test_roundtrip_on_corpus():
     for name in GRAPH_NAMES:
         g = load_graph(name)
         assert parse_graph(serialize_graph(g)) == g
-
-
-def test_graph_json_shape(fig1):
-    data = graph_to_json_dict(fig1)
-    assert data["schema"] == "circuitkit/1"
-    assert data["kind"] == "directed"
-    assert data["edges"][0] == [0, 1]
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,9 @@
 machinery without a caller, no public definition that is neither exported
 nor used by the package, an export list that resolves, a contraction
 oracle that imports nothing from the modules it checks, one vertex-order
-planner, a map side that takes only the engine from partition, and no
-module that loads the sampling-only dependencies at import time.
+planner, a map side that takes only the engine from partition, one module
+that lifts the int-digit limit for printing, and no module that loads the
+sampling-only dependencies at import time.
 
 Uses only the standard library's ast module.
 """
@@ -151,6 +152,28 @@ def test_the_map_side_takes_only_the_engine_from_partition():
                 and "partition" in _package_modules_imported(ast.Module(body=[node], type_ignores=[]))):
             taken.append(ast.unparse(node))
     assert taken == ["from .partition import circuit_partition_polynomial"]
+
+
+def _names_mentioned(tree: ast.Module) -> set[str]:
+    """Every name, attribute and string constant anywhere in `tree`; the
+    last so that getattr(sys, "...") counts too."""
+    found: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            found.add(node.value)
+    return found
+
+
+def test_only_the_command_layer_lifts_the_int_digit_limit():
+    """Exact values are printed by cli alone, so it alone decides how many
+    digits an int may print with."""
+    users = [path.name for path in sorted(PACKAGE_DIR.glob("*.py"))
+             if "set_int_max_str_digits" in _names_mentioned(_tree(path))]
+    assert users == ["cli.py"]
 
 
 # Loaded on first use by the code that samples, never at import time: every

@@ -304,7 +304,7 @@ def test_subset_walk_generating_function_equals_medial_polynomial(corpus_maps):
 
 def test_mirror_invariance(corpus_maps):
     for pmap in corpus_maps.values():
-        mirrored = pmap.mirrored()
+        mirrored = PlanarMap(pmap.graph, tuple(r[::-1] for r in pmap.rotation))
         faces(mirrored)  # still a plane embedding
         assert (circuit_partition_polynomial(medial_graph(mirrored))
                 == circuit_partition_polynomial(medial_graph(pmap)))

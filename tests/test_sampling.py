@@ -70,6 +70,23 @@ def test_real_gaussian_component_variance():
     assert abs(np.mean(x**2) - 1 / k) <= 4 * se
 
 
+@pytest.mark.parametrize("ensemble", ALL_ENSEMBLES, ids=lambda e: e.value)
+def test_draws_equal_the_plain_numpy_formulas(ensemble):
+    """draw_assignments normalizes with less numpy work than the textbook
+    formulas, but to the same bits, at short and long vectors alike."""
+    count, n = 9, 3
+    for k in [*range(1, 21), 64, 129, 300]:
+        x = draw_assignments(rng(k), count, n, k, ensemble)
+        raw = rng(k).standard_normal((2 if ensemble.is_complex else 1, count, n, k))
+        plain = raw[0] + 1j * raw[1] if ensemble.is_complex else raw[0]
+        if ensemble.is_gaussian:
+            plain = plain / np.sqrt(2 * k if ensemble.is_complex else k)
+        else:
+            plain = plain / np.linalg.norm(plain, axis=2, keepdims=True)
+        assert plain.dtype == x.dtype
+        assert np.array_equal(x.view(np.float64), plain.view(np.float64)), k
+
+
 # ---------------------------------------------------------------------------
 # The edge product
 # ---------------------------------------------------------------------------
