@@ -31,7 +31,6 @@ from .graphs import (
 )
 from .partition import (
     IntPolynomial,
-    TransitionSystem,
     circuit_count,
     circuit_partition_polynomial,
     enumerate_transition_systems,
@@ -40,7 +39,6 @@ from .partition import (
 from .planar import (
     MartinCheck,
     PlanarMap,
-    SubsetExpansionTerm,
     faces,
     martin_check,
     medial_graph,
@@ -75,8 +73,6 @@ __all__ = [
     "Multigraph",
     "NotEulerianError",
     "PlanarMap",
-    "SubsetExpansionTerm",
-    "TransitionSystem",
     "UndirectedMultigraph",
     "circuit_count",
     "circuit_partition_polynomial",

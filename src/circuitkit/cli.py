@@ -18,7 +18,6 @@ import json
 import sys
 from collections import Counter
 from contextlib import contextmanager
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, prod
 from pathlib import Path
@@ -188,19 +187,11 @@ def cmd_martin(args) -> int:
 # Corpus verification
 # ---------------------------------------------------------------------------
 
-@dataclass
-class CheckResult:
-    name: str
-    ok: bool
-    detail: str = ""
-
-
-def _check(results: list[CheckResult], name: str, fn: Callable[[], str | None]) -> None:
+def _check(results: list[tuple[str, bool, str]], name: str, fn: Callable[[], str | None]) -> None:
     try:
-        detail = fn()
-        results.append(CheckResult(name, True, detail or ""))
+        results.append((name, True, fn() or ""))
     except Exception as exc:  # verification must report, not crash
-        results.append(CheckResult(name, False, f"{type(exc).__name__}: {exc}"))
+        results.append((name, False, f"{type(exc).__name__}: {exc}"))
 
 
 def _assert_equal(actual, expected, label: str) -> str:
@@ -209,17 +200,16 @@ def _assert_equal(actual, expected, label: str) -> str:
     return f"{label}: {actual}"
 
 
-def run_verification(corpus_dir: Path, n_mc: int = 50_000, seed: int = 20260810) -> list[CheckResult]:
-    """The invariant suite over the bundled (or given) corpus."""
-    results: list[CheckResult] = []
+def run_verification(corpus_dir: Path, n_mc: int = 50_000, seed: int = 20260810) -> list[tuple[str, bool, str]]:
+    """The invariant suite over the bundled (or given) corpus, as (name, ok, detail) per check."""
+    results: list[tuple[str, bool, str]] = []
 
     graph_files = sorted(corpus_dir.glob("*.graph"))
     planar_files = sorted(corpus_dir.glob("*.planar"))
     if not graph_files or not planar_files:
-        results.append(CheckResult("corpus present", False, f"no corpus at {corpus_dir}"))
+        results.append(("corpus present", False, f"no corpus at {corpus_dir}"))
         return results
-    results.append(CheckResult("corpus present", True,
-                               f"{len(graph_files)} graphs, {len(planar_files)} maps"))
+    results.append(("corpus present", True, f"{len(graph_files)} graphs, {len(planar_files)} maps"))
 
     loaded: dict[str, graphs.Multigraph] = {}
     for path in graph_files:
@@ -246,7 +236,7 @@ def run_verification(corpus_dir: Path, n_mc: int = 50_000, seed: int = 20260810)
     for name, g in loaded.items():
         def engine_vs_enumerator(name=name, g=g):
             systems = partition.enumerate_transition_systems(g)
-            tally = Counter(partition.circuit_count(g, ts) for ts in systems)
+            tally = Counter(partition.circuit_count(g, wirings) for wirings in systems)
             expected = partition.IntPolynomial(tuple(tally.get(t, 0) for t in range(max(tally) + 1)))
             _assert_equal(partition.circuit_partition_polynomial(g), expected, "engine == enumerator")
             return f"{sum(tally.values())} systems"
@@ -285,11 +275,10 @@ def run_verification(corpus_dir: Path, n_mc: int = 50_000, seed: int = 20260810)
         _check(results, f"martin identity {name}", martin)
 
         def bijection(name=name, pmap=pmap):
-            for term in planar.subset_expansion_terms(pmap.graph):
-                expected = term.components + term.excess
-                actual = planar.subset_to_partition_circuits(pmap, term.subset)
-                if actual != expected:
-                    raise AssertionError(f"S={list(term.subset)}: {actual} circuits, expected {expected}")
+            for subset, c, excess in planar.subset_expansion_terms(pmap.graph):
+                actual = planar.subset_to_partition_circuits(pmap, subset)
+                if actual != c + excess:
+                    raise AssertionError(f"S={list(subset)}: {actual} circuits, expected {c + excess}")
             return f"{2**pmap.graph.edge_count} subsets"
         _check(results, f"subset bijection {name}", bijection)
 
@@ -381,22 +370,25 @@ def run_verification(corpus_dir: Path, n_mc: int = 50_000, seed: int = 20260810)
 
 
 def cmd_verify(args) -> int:
+    if args.n < 2:
+        raise ValueError(f"--n must be >= 2, got {args.n}")
+    if not 0 <= args.seed < 2**64:
+        raise ValueError(f"--seed must be in [0, 2**64), got {args.seed}")
     corpus_dir = Path(args.corpus) if args.corpus else bundled_corpus_dir()
     results = run_verification(corpus_dir, n_mc=args.n, seed=args.seed)
-    failures = [r for r in results if not r.ok]
+    failures = [name for name, ok, _ in results if not ok]
     if args.format == "json":
         print(json.dumps({
             "schema": SCHEMA,
-            "checks": [{"name": r.name, "ok": r.ok, "detail": r.detail} for r in results],
+            "checks": [{"name": name, "ok": ok, "detail": detail} for name, ok, detail in results],
             "failures": len(failures),
         }))
     else:
-        width = max(len(r.name) for r in results)
-        for r in results:
-            status = "ok  " if r.ok else "FAIL"
-            line = f"{status}  {r.name.ljust(width)}"
-            if r.detail:
-                line += f"  {r.detail}"
+        width = max(len(name) for name, _, _ in results)
+        for name, ok, detail in results:
+            line = f"{'ok  ' if ok else 'FAIL'}  {name.ljust(width)}"
+            if detail:
+                line += f"  {detail}"
             print(line)
         print(f"{len(results) - len(failures)}/{len(results)} checks passed")
     return EXIT_OK if not failures else EXIT_VERIFY_FAILED
@@ -439,7 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="random-vector ensemble")
     q_estimate.add_argument("--n", type=int, default=100_000, help="sample count (default 100000)")
     q_estimate.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
-    q_estimate.add_argument("--workers", type=int, default=1, help="worker threads (default 1)")
+    q_estimate.add_argument("--workers", type=int, default=1, help="worker threads, at most the CPU count (default 1)")
     q_exact.add_argument("--guard-contraction", type=int, default=None,
                          help="max planned work of the contraction, summed over the vertex order as "
                               "k^(open edges + new edges at the vertex) "

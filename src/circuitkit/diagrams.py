@@ -32,7 +32,7 @@ from typing import Callable, Iterator, Sequence
 
 from .errors import GuardExceededError
 from .graphs import (DirectedMultigraph, Multigraph, UndirectedMultigraph, max_adjacency_order,
-                     permutation_cycles, require_eulerian)
+                     pairing_loop_count, permutation_cycles, require_eulerian)
 
 DEFAULT_PERMUTATION_LIMIT = 8
 DEFAULT_MATCHING_LIMIT = 7
@@ -107,26 +107,11 @@ def cycle_genfunc_permutations(d: int, k: int) -> int:
     return sum(k ** len(permutation_cycles(p)) for p in enumerate_permutations(d))
 
 
-def _closure_loop_count(pairs: Sequence[tuple[int, int]]) -> int:
-    """Loops after joining upper endpoint i to lower endpoint d+i.
-
-    The union of the matching's pairs with the identity pairs is a 2-regular
-    graph on the 2d endpoints; its components are the loops, so the
-    diagram's trace is k**_closure_loop_count(pairs).
-    """
-    d = len(pairs)
-    partner = [0] * (2 * d)
-    for a, b in pairs:
-        partner[a] = b
-        partner[b] = a
-    # Closing and then following a pair steps twice along a loop, so each
-    # loop is traced once in each direction.
-    return len(permutation_cycles([partner[(h + d) % (2 * d)] for h in range(2 * d)])) // 2
-
-
 def cycle_genfunc_matchings(d: int, k: int) -> int:
-    """sum over matchings of k^(closure loop count); equals k(k+2)...(k+2d-2)."""
-    return sum(k ** _closure_loop_count(pairs) for pairs in enumerate_matchings(d))
+    """sum over matchings of k^(closure loop count); equals k(k+2)...(k+2d-2).
+    The closure joins upper endpoint i to lower endpoint d+i: twin (h + d) mod 2d."""
+    closure = [(h + d) % (2 * d) for h in range(2 * d)]
+    return sum(k ** pairing_loop_count(pairs, closure) for pairs in enumerate_matchings(d))
 
 
 def permutation_entry(values: Sequence[int]) -> int:
@@ -284,14 +269,10 @@ def contract_q_exact(g: Multigraph, k: int, ensemble: Ensemble, guard: int | Non
     incident = _incidence(g)
     entry = permutation_entry if isinstance(g, DirectedMultigraph) else matching_entry
     order = _absorption_order(g, incident)
-    vertices_at = [0] * (g.edge_count + 1)  # vertices by open edges before v + new edges at v
-    width = 0
+    work = width = 0  # width: the open edges before v
     for _, closed, opened, loops in order:
-        vertices_at[width + len(opened) + len(loops)] += 1
+        work += k ** (width + len(opened) + len(loops))
         width += len(opened) - len(closed)
-    work = 0
-    for count in reversed(vertices_at):  # sum of count * k^exponent by Horner's rule
-        work = work * k + count
     if work > guard:
         raise GuardExceededError("contraction oracle refused (planned work: sum over vertices "
                                  "of k^(open edges + new edges))", work, guard)

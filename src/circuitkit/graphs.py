@@ -1,6 +1,6 @@
 """Multigraph data types, degree checks, components, the cycles of a
-permutation of half-edges, the vertex order both exact engines sweep in,
-and text parsing and serialization.
+permutation of half-edges and the loops of a pairing, the vertex order both
+exact engines sweep in, and text parsing and serialization.
 
 Vertices are 0-indexed everywhere. Edge order is semantic: edge i owns
 half-edge (dart) ids 2i and 2i+1, which downstream modules rely on, so
@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
+from operator import index
 from typing import Iterable, Iterator, Sequence
 
 from .errors import GraphFormatError, NotEulerianError
@@ -31,7 +32,8 @@ class Multigraph:
     """Ordered edge list over vertices 0..n-1; the base of both graph kinds.
 
     Edge e owns half-edge 2e at edges[e][0] (the tail of a directed edge) and
-    half-edge 2e+1 at edges[e][1] (its head).
+    half-edge 2e+1 at edges[e][1] (its head). Counts and endpoints pass
+    operator.index: a float, string or Fraction raises TypeError.
     """
 
     vertex_count: int
@@ -40,7 +42,8 @@ class Multigraph:
     def __post_init__(self):
         if type(self) is Multigraph:
             raise TypeError("construct a DirectedMultigraph or an UndirectedMultigraph")
-        object.__setattr__(self, "edges", tuple((int(u), int(v)) for u, v in self.edges))
+        object.__setattr__(self, "vertex_count", index(self.vertex_count))
+        object.__setattr__(self, "edges", tuple((index(u), index(v)) for u, v in self.edges))
         if self.vertex_count < 0:
             raise ValueError("vertex_count must be nonnegative")
         for u, v in self.edges:
@@ -219,6 +222,18 @@ def permutation_cycles(successor: Sequence[int]) -> list[tuple[int, ...]]:
             h = successor[h]
         cycles.append(tuple(cycle))
     return cycles
+
+
+def pairing_loop_count(pairs: Iterable[tuple[int, int]], twin: Sequence[int]) -> int:
+    """Loops of the 2-regular graph on range(len(twin)) that joins the two
+    points of each pair and each point h to twin[h]: half the cycles of
+    h -> partner[twin[h]], which meets each loop once per direction.
+    Transition-system circuits and diagram closure loops are counted here."""
+    partner = [0] * len(twin)
+    for a, b in pairs:
+        partner[a] = b
+        partner[b] = a
+    return len(permutation_cycles([partner[t] for t in twin])) // 2
 
 
 def max_adjacency_order(edges: Iterable[tuple[int, int]]) -> list[int]:

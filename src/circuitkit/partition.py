@@ -24,15 +24,13 @@ A loop paired with itself closes a circuit and contributes a factor z.
 
 The transition-system enumerator (`enumerate_transition_systems` and
 `circuit_count`) is kept apart as a reference oracle; it counts circuits
-with the half-edge cycle walk of `graphs`. The planar map side takes only
+with the pairing-loop count of `graphs`. The planar map side takes only
 the engine from this module: its subset walk counts circuits on darts
 without transition systems. A transition system picks, at every vertex, a
 bijection from incoming to outgoing edge slots (directed) or a perfect
 matching of the incident half-edge slots (undirected); tallying the
-circuits each induces gives the coefficients r_t again. Enumeration is an
-odometer over lazy per-vertex wiring generators, lexicographic with vertex 0
-most significant: bijections in lexicographic image order, matchings in
-canonical smallest-first pairing order. Its guard counts transition systems.
+circuits each induces gives the coefficients r_t again. Its guard counts
+transition systems.
 
 `IntPolynomial` is the bare coefficient vector; `cli` prints it.
 """
@@ -49,7 +47,7 @@ from typing import Callable, Iterator
 
 from .diagrams import double_factorial, perfect_matchings
 from .errors import GuardExceededError
-from .graphs import DirectedMultigraph, Multigraph, max_adjacency_order, permutation_cycles, require_eulerian
+from .graphs import DirectedMultigraph, Multigraph, max_adjacency_order, pairing_loop_count, require_eulerian
 
 # Work units for the engine (branches x key length per expanded state);
 # transition systems for the reference enumerator.
@@ -103,18 +101,6 @@ class IntPolynomial:
 # Transition systems
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TransitionSystem:
-    """Per-vertex wiring choosing one circuit partition.
-
-    wirings[v] is a permutation tuple sigma (in-slot i continues to out-slot
-    sigma[i]) for directed graphs, or a tuple of slot-index pairs forming a
-    perfect matching of v's half-edge slots for undirected graphs.
-    """
-
-    wirings: tuple[tuple, ...]
-
-
 def transition_system_count(g: Multigraph) -> int:
     """prod_v d_v! (directed, d_v = in = out) or prod_v (degree_v - 1)!! (undirected)."""
     if isinstance(g, DirectedMultigraph):
@@ -122,12 +108,15 @@ def transition_system_count(g: Multigraph) -> int:
     return prod(double_factorial(d - 1) for d in g.degrees())
 
 
-def enumerate_transition_systems(g: Multigraph, guard: int | None = None) -> Iterator[TransitionSystem]:
-    """Yield every transition system of g, lexicographically, vertex 0 most significant.
+def enumerate_transition_systems(g: Multigraph, guard: int | None = None) -> Iterator[tuple[tuple, ...]]:
+    """Yield every transition system of g as its tuple of per-vertex wirings,
+    lexicographically, vertex 0 most significant: a permutation tuple sigma
+    (in-slot i continues to out-slot sigma[i]) per directed vertex, a perfect
+    matching of its half-edge slots as slot-index pairs per undirected one.
 
     The graph must be Eulerian (directed) or all-even-degree (undirected), and
-    the total count must clear the guard. Each vertex's wirings are generated
-    lazily, so a single high-degree vertex never holds its options in memory.
+    the total count must clear the guard. An odometer over lazy per-vertex
+    wiring generators: a single high-degree vertex never lists its wirings.
     """
     guard = DEFAULT_ENUMERATION_GUARD if guard is None else guard
     require_eulerian(g)
@@ -142,7 +131,7 @@ def enumerate_transition_systems(g: Multigraph, guard: int | None = None) -> Ite
     wheels = [wirings(d) for d in sizes]
     current = [next(it) for it in wheels]
     while True:
-        yield TransitionSystem(tuple(current))
+        yield tuple(current)
         # Odometer increment, least significant vertex last; a digit that
         # wraps restarts its vertex's generator.
         for v in range(len(wheels) - 1, -1, -1):
@@ -160,36 +149,31 @@ def enumerate_transition_systems(g: Multigraph, guard: int | None = None) -> Ite
 # Circuit counting (reference oracle)
 # ---------------------------------------------------------------------------
 
-def circuit_count(g: Multigraph, ts: TransitionSystem) -> int:
-    """Number of circuits in the edge partition induced by ts (0 for the
-    empty system of an edgeless graph).
+def circuit_count(g: Multigraph, wirings: tuple[tuple, ...]) -> int:
+    """Number of circuits of the transition system with these per-vertex
+    wirings (0 for the empty system of an edgeless graph).
 
     Each wiring joins pairs of half-edges at its vertex: the head of in-slot
     i with the tail of out-slot sigma[i] (directed), or the two matched
-    half-edges (undirected). Following the twin h ^ 1 and then the joined
-    half-edge traces each circuit once in each direction, so the circuits
-    are half the cycles of h -> partner[h ^ 1].
+    half-edges (undirected). The circuits are the loops of
+    graphs.pairing_loop_count with twin h ^ 1.
     """
-    if len(ts.wirings) != g.vertex_count:
+    if len(wirings) != g.vertex_count:
         raise ValueError("transition system does not match the graph's vertex count")
     joined: list[tuple[int, int]] = []
     if isinstance(g, DirectedMultigraph):
         ins, outs = g.slots()
-        for v, sigma in enumerate(ts.wirings):
+        for v, sigma in enumerate(wirings):
             if sorted(sigma) != list(range(len(ins[v]))):
                 raise ValueError(f"wiring at vertex {v} is not a bijection on {len(ins[v])} slots")
             joined.extend((2 * e + 1, 2 * outs[v][j]) for e, j in zip(ins[v], sigma))
     else:
         at = g.half_edges()
-        for v, pairs in enumerate(ts.wirings):
+        for v, pairs in enumerate(wirings):
             if sorted(i for pair in pairs for i in pair) != list(range(len(at[v]))):
                 raise ValueError(f"wiring at vertex {v} is not a perfect matching of {len(at[v])} slots")
             joined.extend((at[v][a], at[v][b]) for a, b in pairs)
-    partner = [0] * g.half_edge_count
-    for a, b in joined:
-        partner[a] = b
-        partner[b] = a
-    return len(permutation_cycles([partner[h ^ 1] for h in range(g.half_edge_count)])) // 2
+    return pairing_loop_count(joined, [h ^ 1 for h in range(g.half_edge_count)])
 
 
 # ---------------------------------------------------------------------------

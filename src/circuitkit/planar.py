@@ -97,27 +97,34 @@ def medial_graph(pmap: PlanarMap) -> DirectedMultigraph:
     return DirectedMultigraph(pmap.graph.edge_count, edges)
 
 
-@dataclass(frozen=True)
-class SubsetExpansionTerm:
-    """One edge subset S with its component count c(S) and excess
-    l(S) = c(S) + |S| - n, the edges to delete to make each component a tree."""
-
-    subset: tuple[int, ...]
-    components: int
-    excess: int
-
-
 def subset_expansion_terms(g: UndirectedMultigraph, guard: int | None = None):
-    """All 2^m terms of the rank-nullity expansion, in bitmask order."""
+    """All 2^m terms (S, c(S), l(S)) of the rank-nullity expansion in bitmask
+    order: S ascending, c(S) the components of (V, S), and the excess
+    l(S) = c(S) + |S| - n, the edges to delete to make each component a tree.
+
+    One walk decides the edges from the last to the first, each left out
+    before taken, with a component label per vertex: an edge taken inside one
+    component raises the excess, one taken across two merges their labels.
+    """
     guard = DEFAULT_SUBSET_GUARD if guard is None else guard
     m = g.edge_count
     if 2**m > guard:
         raise GuardExceededError("subset expansion refused", 2**m, guard)
     n = g.vertex_count
-    for mask in range(2**m):
-        subset = tuple(i for i in range(m) if mask >> i & 1)
-        c_s = component_count(g, subset)
-        yield SubsetExpansionTerm(subset, c_s, c_s + len(subset) - n)
+    stack = [(m, (), tuple(range(n)), n, 0)]  # (edges left to decide, S, labels, c(S), l(S))
+    while stack:
+        i, subset, label, c, excess = stack.pop()
+        if not i:
+            yield subset, c, excess
+            continue
+        i -= 1
+        u, v = g.edges[i]
+        a, b = label[u], label[v]
+        if a == b:
+            stack.append((i, (i,) + subset, label, c, excess + 1))
+        else:
+            stack.append((i, (i,) + subset, tuple(a if x == b else x for x in label), c - 1, excess))
+        stack.append((i, subset, label, c, excess))
 
 
 def tutte_subset_expansion(g: UndirectedMultigraph, x, y, guard: int | None = None) -> Fraction:
@@ -128,10 +135,10 @@ def tutte_subset_expansion(g: UndirectedMultigraph, x, y, guard: int | None = No
     """
     x = Fraction(x)
     y = Fraction(y)
-    c_full = component_count(g)
     # Subsets sharing (c(S), l(S)) share a term: tally them as integers and
     # raise each distinct exponent pair once, at most about m^2 of them.
-    tally = Counter((term.components, term.excess) for term in subset_expansion_terms(g, guard))
+    tally = Counter((c, excess) for _, c, excess in subset_expansion_terms(g, guard))
+    c_full = min(c for c, _ in tally)  # c(G), reached at S = all edges
     total = Fraction(0)
     for (components, excess), count in tally.items():
         total += count * (x - 1) ** (components - c_full) * (y - 1) ** excess

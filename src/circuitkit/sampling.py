@@ -20,6 +20,7 @@ samples run without loading either.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 from math import prod, sqrt
@@ -190,10 +191,11 @@ def estimate_q(g: Multigraph, k: int, ensemble: Ensemble, n_samples: int, seed: 
                workers: int = 1) -> MCEstimate:
     """Monte Carlo mean of the edge product over n_samples assignments.
 
-    Bit-reproducible for a fixed (seed, n_samples) regardless of workers; the
-    standard error is the per-sample standard deviation of the complex values
-    over sqrt(n_samples). The seed must lie in [0, 2**64): it is the high half
-    of every chunk's Philox key, so no two seeds share a stream.
+    Bit-reproducible for a fixed (seed, n_samples) regardless of workers
+    (threads, at most one per CPU and per chunk); the standard error is the
+    per-sample standard deviation of the complex values over sqrt(n_samples).
+    The seed must lie in [0, 2**64): it is the high half of every chunk's
+    Philox key, so no two seeds share a stream.
     """
     import numpy as np
 
@@ -215,10 +217,11 @@ def estimate_q(g: Multigraph, k: int, ensemble: Ensemble, n_samples: int, seed: 
         values = _batch_products(g, x)
         return complex(np.sum(values)), float(np.sum(np.abs(values) ** 2))
 
-    if workers > 1 and n_chunks > 1:
+    threads = min(workers, n_chunks, os.cpu_count() or 1)  # a pool starts a thread per task up to its size
+    if threads > 1:
         from concurrent.futures import ThreadPoolExecutor
 
-        with ThreadPoolExecutor(max_workers=workers) as pool:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
             chunk_results = list(pool.map(run_chunk, range(n_chunks)))
     else:
         chunk_results = [run_chunk(c) for c in range(n_chunks)]

@@ -247,6 +247,17 @@ def test_verify_checks_edgeless_graphs(capsys, tmp_path, corpus_dir):
     assert {"name": "engine vs enumerator edgeless", "ok": True, "detail": "1 systems"} in data["checks"]
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--n", "1", "error: --n must be >= 2, got 1\n"),
+    ("--seed", "-5", "error: --seed must be in [0, 2**64), got -5\n"),
+])
+def test_verify_refuses_a_bad_sampling_argument_before_any_check(capsys, monkeypatch, flag, value, message):
+    monkeypatch.setattr(cli, "run_verification", lambda *args, **kwargs: pytest.fail("a check ran"))
+    for fmt in ("text", "json"):
+        code, out, err = run(capsys, "verify", flag, value, "--format", fmt)
+        assert (code, out, err) == (cli.EXIT_INPUT_ERROR, "", message)
+
+
 def test_verify_json_shape(capsys, tmp_path):
     code, out, _ = run(capsys, "verify", str(tmp_path), "--format", "json")
     assert code == cli.EXIT_VERIFY_FAILED

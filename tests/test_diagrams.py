@@ -23,11 +23,16 @@ from circuitkit import (
 )
 from circuitkit import diagrams
 from circuitkit.diagrams import matching_entry, permutation_entry, vertex_scaling
-from circuitkit.graphs import permutation_cycles
+from circuitkit.graphs import pairing_loop_count, permutation_cycles
 
 CUPCAP = ((0, 1), (2, 3))
 EXCHANGE = ((0, 3), (1, 2))
 IDENTITY2 = ((0, 2), (1, 3))
+
+
+def closure(d: int) -> list[int]:
+    """The twin of each endpoint when a size-d diagram is closed: upper i with lower d+i."""
+    return [(h + d) % (2 * d) for h in range(2 * d)]
 
 
 def embedded(image):
@@ -78,7 +83,7 @@ def test_enumeration_limits():
 def test_permutation_embeds_as_matching():
     for d in range(5):
         for p in enumerate_permutations(d):
-            assert diagrams._closure_loop_count(embedded(p)) == len(permutation_cycles(p))
+            assert pairing_loop_count(embedded(p), closure(d)) == len(permutation_cycles(p))
 
 
 # ---------------------------------------------------------------------------
@@ -101,9 +106,9 @@ def test_genfunc_matching_examples():
 
 def test_m2_traces():
     # tr 1 = k^2, tr exchange = k, tr cupcap = k
-    assert diagrams._closure_loop_count(IDENTITY2) == 2
-    assert diagrams._closure_loop_count(EXCHANGE) == 1
-    assert diagrams._closure_loop_count(CUPCAP) == 1
+    assert pairing_loop_count(IDENTITY2, closure(2)) == 2
+    assert pairing_loop_count(EXCHANGE, closure(2)) == 1
+    assert pairing_loop_count(CUPCAP, closure(2)) == 1
 
 
 @pytest.mark.parametrize("d", range(7))
@@ -131,7 +136,7 @@ def test_trace_identity_by_entry_summation(d, k):
     for mu in enumerate_matchings(d):
         trace = sum(satisfied(mu, values, values)
                     for values in itertools.product(range(k), repeat=d))
-        assert trace == k ** diagrams._closure_loop_count(mu)
+        assert trace == k ** pairing_loop_count(mu, closure(d))
 
 
 # ---------------------------------------------------------------------------

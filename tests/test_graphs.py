@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 from collections import Counter
+from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -248,6 +250,26 @@ def test_roundtrip_random_graphs(g):
 def test_out_of_range_edges_rejected():
     with pytest.raises(ValueError):
         DirectedMultigraph(2, ((0, 2),))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: DirectedMultigraph(2, ((0, 1.9), (1.2, 0))),
+    lambda: UndirectedMultigraph(2, (("0", "1"),)),
+    lambda: UndirectedMultigraph(2.7, ()),
+    lambda: DirectedMultigraph(2, ((Fraction(0), 1), (1, 0))),
+    lambda: DirectedMultigraph(Fraction(2), ()),
+], ids=["float endpoints", "string endpoints", "float vertex count", "Fraction endpoint",
+        "Fraction vertex count"])
+def test_non_integer_input_is_refused_not_truncated(make):
+    with pytest.raises(TypeError):
+        make()
+
+
+def test_integer_like_input_is_stored_as_int():
+    g = DirectedMultigraph(np.int64(2), ((np.int32(0), np.int64(1)), (True, False)))
+    assert g == DirectedMultigraph(2, ((0, 1), (1, 0)))
+    assert type(g.vertex_count) is int
+    assert all(type(v) is int for edge in g.edges for v in edge)
 
 
 def test_the_shared_base_has_no_kind_of_its_own():

@@ -2,9 +2,9 @@
 machinery without a caller, no public definition that is neither exported
 nor used by the package, an export list that resolves, a contraction
 oracle that imports nothing from the modules it checks, one vertex-order
-planner, a map side that takes only the engine from partition, one module
-that lifts the int-digit limit for printing, and no module that loads the
-sampling-only dependencies at import time.
+planner, one pairing-loop count, a map side that takes only the engine from
+partition, one module that lifts the int-digit limit for printing, and no
+module that loads the sampling-only dependencies at import time.
 
 Uses only the standard library's ast module.
 """
@@ -139,6 +139,32 @@ def test_graphs_is_the_only_order_planner():
     users = [path.stem for path in MODULES
              if any(name == "heapq" or name.startswith("heapq.") for name in _modules_imported(_tree(path)))]
     assert users == ["graphs"]
+
+
+def _halves_a_cycle_count(tree: ast.AST) -> bool:
+    """Whether some division, floor division or right shift in `tree` has a
+    permutation_cycles call on its left."""
+    return any(isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Div, ast.FloorDiv, ast.RShift))
+               and "permutation_cycles" in _names_loaded([node.left], attributes=True)
+               for node in ast.walk(tree))
+
+
+@pytest.mark.parametrize("source, expected", [
+    ("n = len(permutation_cycles(s)) // 2", True),
+    ("n = len(graphs.permutation_cycles(s)) >> 1", True),
+    ("n = len(permutation_cycles([p[t] for t in twin])) / 2", True),
+    ("n = len(permutation_cycles(s))", False),
+    ("n = len(s) // 2", False),
+])
+def test_halving_scan_sees_every_form(source, expected):
+    assert _halves_a_cycle_count(ast.parse(source)) == expected
+
+
+def test_graphs_is_the_only_pairing_loop_count():
+    """Transition-system circuits and diagram closure loops are both half the
+    cycles of one walk on paired points, so graphs.pairing_loop_count is the
+    one module that halves a permutation_cycles count."""
+    assert [path.stem for path in MODULES if _halves_a_cycle_count(_tree(path))] == ["graphs"]
 
 
 def test_the_map_side_takes_only_the_engine_from_partition():

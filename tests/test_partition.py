@@ -13,7 +13,6 @@ from circuitkit import (
     GuardExceededError,
     IntPolynomial,
     NotEulerianError,
-    TransitionSystem,
     UndirectedMultigraph,
     circuit_count,
     circuit_partition_polynomial,
@@ -30,7 +29,7 @@ from circuitkit.partition import double_factorial
 # one closed walk at a time. No successor permutation, no component scan.
 # ---------------------------------------------------------------------------
 
-def walk_circuits_directed(g: DirectedMultigraph, ts: TransitionSystem) -> int:
+def walk_circuits_directed(g: DirectedMultigraph, wirings: tuple[tuple, ...]) -> int:
     ins: list[list[int]] = [[] for _ in range(g.vertex_count)]
     outs: list[list[int]] = [[] for _ in range(g.vertex_count)]
     for e, (u, v) in enumerate(g.edges):
@@ -46,16 +45,16 @@ def walk_circuits_directed(g: DirectedMultigraph, ts: TransitionSystem) -> int:
             unused.discard(e)
             head = g.edges[e][1]
             slot = ins[head].index(e)
-            e = outs[head][ts.wirings[head][slot]]
+            e = outs[head][wirings[head][slot]]
             if e == start:
                 break
     return circuits
 
 
-def walk_circuits_undirected(g: UndirectedMultigraph, ts: TransitionSystem) -> int:
+def walk_circuits_undirected(g: UndirectedMultigraph, wirings: tuple[tuple, ...]) -> int:
     match: dict[int, int] = {}
     for v, slots in enumerate(g.half_edges()):
-        for a, b in ts.wirings[v]:
+        for a, b in wirings[v]:
             match[slots[a]] = slots[b]
             match[slots[b]] = slots[a]
     unused = set(range(g.edge_count))
@@ -99,9 +98,9 @@ def test_figure_eight_has_three_systems(figure_eight):
 
 
 def test_enumeration_is_lexicographic(fig1, figure_eight):
-    directed = [ts.wirings for ts in enumerate_transition_systems(fig1)]
+    directed = list(enumerate_transition_systems(fig1))
     assert directed == sorted(directed)
-    undirected = [ts.wirings for ts in enumerate_transition_systems(figure_eight)]
+    undirected = list(enumerate_transition_systems(figure_eight))
     assert undirected == sorted(undirected)
 
 
@@ -114,7 +113,7 @@ def test_enumeration_yields_each_system_once(corpus_graphs):
 
 def test_high_degree_vertex_is_enumerated_lazily():
     g = DirectedMultigraph(1, ((0, 0),) * 11)  # 11! = 39.9M systems, under the guard
-    assert next(enumerate_transition_systems(g)) == TransitionSystem((tuple(range(11)),))
+    assert next(enumerate_transition_systems(g)) == (tuple(range(11)),)
 
 
 def test_enumeration_guard_refuses_with_count():
@@ -138,13 +137,13 @@ def test_non_eulerian_enumeration_cites_report():
 def test_fig1_wirings_give_two_and_one_circuits(fig1):
     # Only vertex 2 (in-degree 2) has a choice: straight-through vs crossing.
     straight, crossing = enumerate_transition_systems(fig1)
-    assert straight.wirings[2] == (0, 1)
+    assert straight[2] == (0, 1)
     assert circuit_count(fig1, straight) == 2
     assert circuit_count(fig1, crossing) == 1
 
 
 def test_figure_eight_matchings(figure_eight):
-    by_wiring = {ts.wirings[0]: circuit_count(figure_eight, ts)
+    by_wiring = {ts[0]: circuit_count(figure_eight, ts)
                  for ts in enumerate_transition_systems(figure_eight)}
     assert by_wiring[((0, 1), (2, 3))] == 2  # each loop on its own
     assert by_wiring[((0, 2), (1, 3))] == 1
@@ -158,14 +157,14 @@ def test_circuit_count_matches_walk_oracle(corpus_graphs):
 
 
 def test_invalid_wiring_rejected(fig1):
-    bad = TransitionSystem(((0,), (0,), (0, 0), (0,)))
+    bad = ((0,), (0,), (0, 0), (0,))
     with pytest.raises(ValueError):
         circuit_count(fig1, bad)
 
 
 def test_counter_rejects_a_system_of_another_vertex_count(fig1):
     with pytest.raises(ValueError, match="vertex count"):
-        circuit_count(fig1, TransitionSystem(((0,), (0,), (0, 1))))
+        circuit_count(fig1, ((0,), (0,), (0, 1)))
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from circuitkit import (
     DirectedMultigraph,
@@ -11,7 +12,6 @@ from circuitkit import (
     GuardExceededError,
     IntPolynomial,
     PlanarMap,
-    TransitionSystem,
     UndirectedMultigraph,
     circuit_count,
     circuit_partition_polynomial,
@@ -187,11 +187,32 @@ def test_subset_expansion_terms_invariants(corpus_maps):
         c_full = component_count(g)
         terms = list(subset_expansion_terms(g))
         assert len(terms) == 2 ** g.edge_count
-        for term in terms:
-            assert term.excess >= 0
-            assert c_full <= term.components <= g.vertex_count
-        assert terms[0].components == g.vertex_count  # S = empty set
-        assert terms[-1].components == c_full  # S = all edges
+        for _, components, excess in terms:
+            assert excess >= 0
+            assert c_full <= components <= g.vertex_count
+        assert terms[0][1] == g.vertex_count  # S = empty set
+        assert terms[-1][1] == c_full  # S = all edges
+
+
+@st.composite
+def loopy_multigraphs(draw):
+    """Undirected multigraphs on 0-6 vertices whose random edges may be loops
+    or parallel, and whose unchosen vertices stay isolated."""
+    n = draw(st.integers(0, 6))
+    ends = st.integers(0, max(n - 1, 0))
+    return UndirectedMultigraph(n, tuple(draw(st.lists(st.tuples(ends, ends), max_size=9 if n else 0))))
+
+
+@settings(max_examples=80, deadline=None)
+@given(loopy_multigraphs())
+def test_subset_walk_terms_equal_a_fresh_union_find_per_subset(g):
+    """The incremental walk yields, in bitmask order, the terms that a fresh
+    component count of each subset gives."""
+    expected = []
+    for subset in all_subsets(g.edge_count):
+        c = component_count(g, subset)
+        expected.append((tuple(subset), c, c + len(subset) - g.vertex_count))
+    assert list(subset_expansion_terms(g)) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +278,7 @@ def scrambled_grid_map(rows: int, cols: int, seed: int) -> PlanarMap:
     return PlanarMap(UndirectedMultigraph(rows * cols, tuple(edges)), tuple(rotation))
 
 
-def reference_subset_system(pmap: PlanarMap, subset) -> TransitionSystem:
+def reference_subset_system(pmap: PlanarMap, subset) -> tuple[tuple[int, ...], ...]:
     """The medial transition system an edge subset selects, wired by slot from
     side labels: medial edge i leaves along side tails[i] of its tail and
     arrives along side heads[i] of its head. An arrival continues on the
@@ -273,7 +294,7 @@ def reference_subset_system(pmap: PlanarMap, subset) -> TransitionSystem:
         out_by_side = {tails[idx]: slot for slot, idx in enumerate(out_slots[e])}
         flip = 0 if e in chosen else 1
         wirings.append(tuple(out_by_side[heads[idx] ^ flip] for idx in in_slots[e]))
-    return TransitionSystem(tuple(wirings))
+    return tuple(wirings)
 
 
 def test_subset_walk_matches_the_slot_wiring_reference(corpus_maps):

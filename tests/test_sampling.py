@@ -21,7 +21,7 @@ from circuitkit import (
     sample_vector,
 )
 from circuitkit.diagrams import cycle_genfunc_matchings
-from circuitkit.sampling import _batch_products, draw_assignments, wick_pairing_sum
+from circuitkit.sampling import CHUNK_SIZE, _batch_products, draw_assignments, wick_pairing_sum
 
 ALL_ENSEMBLES = list(Ensemble)
 SEED = 0xC1C1
@@ -176,6 +176,48 @@ def test_estimate_is_deterministic_across_workers(fig1):
     assert runs[0] == runs[1] == runs[2]
     again = estimate_q(fig1, 2, Ensemble.COMPLEX_SPHERE, 30_000, seed=7, workers=1).to_json()
     assert again == runs[0]
+
+
+def test_the_pool_is_capped_at_the_cpu_and_chunk_counts(fig1, monkeypatch):
+    """A pool starts a thread per submitted chunk up to its size, so the size
+    is min(workers, chunks, CPUs). A recording stub stands in for the pool:
+    no real threads are started."""
+    import concurrent.futures
+    import os
+
+    asked = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    def run(n, workers):
+        return estimate_q(fig1, 2, Ensemble.COMPLEX_SPHERE, n, seed=7, workers=workers).to_json()
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingPool)
+    serial = run(6 * CHUNK_SIZE, 1)
+    assert asked == []
+    assert run(6 * CHUNK_SIZE, 10**6) == serial
+    assert all(size <= min(6, os.cpu_count() or 1) for size in asked)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    assert run(6 * CHUNK_SIZE, 10**6) == serial
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    run(3 * CHUNK_SIZE, 10**6)
+    run(6 * CHUNK_SIZE, 5)
+    assert asked[-3:] == [4, 3, 5]
+    monkeypatch.setattr(os, "cpu_count", lambda: None)  # unknown: one thread, no pool
+    count = len(asked)
+    assert run(6 * CHUNK_SIZE, 10**6) == serial
+    assert len(asked) == count
 
 
 def test_different_seeds_differ(fig1):
