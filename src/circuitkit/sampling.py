@@ -11,6 +11,12 @@ draws from a Philox generator keyed with the 128-bit value
 layout depends only on n_samples, so a run is bit-identical for any worker
 count, not just for a fixed one.
 
+Each worker thread runs its chunks through one workspace, a dict of flat
+buffers sized on its first chunk, so chunks do not allocate. Complex draws
+are stored sample-last, (vertex_count, k, count), so norms and inner
+products run along contiguous sample rows; real draws stay
+(count, vertex_count, k). Neither layout changes a bit of the result.
+
 numpy, and the thread pool of a multi-worker run, are imported by the
 functions that draw or multiply vectors, on first use. The exact path
 (predicted_q, norm_moment, wick_pairing_sum) and every command that never
@@ -21,12 +27,14 @@ from __future__ import annotations
 
 import json
 import os
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from math import prod, sqrt
 from typing import TYPE_CHECKING
 
 from .diagrams import Ensemble, ensure_ensemble_matches, perfect_matchings, vertex_scaling, xd_scaling
+from .errors import GuardExceededError
 from .graphs import DirectedMultigraph, Multigraph, eulerian_check
 from .partition import circuit_partition_polynomial
 
@@ -34,6 +42,7 @@ if TYPE_CHECKING:
     import numpy as np
 
 CHUNK_SIZE = 8192
+WORKSPACE_LIMIT = 2**30  # bytes of chunk buffers per worker thread
 
 
 @dataclass(frozen=True)
@@ -69,8 +78,27 @@ def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def _buffer(workspace: dict, name: str, shape: tuple[int, ...], dtype) -> np.ndarray:
+    """A C-contiguous `dtype` array of `shape` over the leading bytes of the
+    named buffer of `workspace`, allocated (or grown) only when too small.
+
+    A worker that hands the same dict to every chunk allocates its buffers on
+    the first chunk only; a shorter last chunk takes leading slices of them.
+    One name may serve several arrays in turn, each done with before the next
+    is taken.
+    """
+    import numpy as np
+
+    dtype = np.dtype(dtype)
+    nbytes = prod(shape) * dtype.itemsize
+    raw = workspace.get(name)
+    if raw is None or raw.size < nbytes:
+        raw = workspace[name] = np.empty(nbytes, dtype=np.uint8)
+    return raw[:nbytes].view(dtype).reshape(shape)
+
+
 def draw_assignments(rng: np.random.Generator, count: int, vertex_count: int, k: int,
-                     ensemble: Ensemble) -> np.ndarray:
+                     ensemble: Ensemble, workspace: dict | None = None) -> np.ndarray:
     """(count, vertex_count, k) array of ensemble draws.
 
     Complex draws take all real parts of the chunk as one standard-normal
@@ -79,6 +107,16 @@ def draw_assignments(rng: np.random.Generator, count: int, vertex_count: int, k:
     Sphere ensembles normalize each vector; Gaussian ensembles scale
     componentwise to variance 1/k (split over the real and imaginary parts
     in the complex case), so E[|x|^2] = 1 throughout.
+
+    Complex draws are stored sample-last: the result is a transposed view of
+    a C-contiguous (vertex_count, k, count) array, so that the norms here and
+    the inner products of _batch_products run along contiguous sample rows.
+    Real draws are C-contiguous (count, vertex_count, k): their inner
+    products change in the last bit in the sample-last layout from k = 3 on.
+
+    `workspace` is a dict of reusable buffers (see _buffer): the draws and
+    their temporaries live there, and the next call through the same dict
+    overwrites them. Without one, each call allocates its own.
 
     The result is bit-identical to x / sqrt(2k) or x / sqrt(k) (Gaussian)
     and x / np.linalg.norm(x, axis=2, keepdims=True) (sphere), with less
@@ -94,43 +132,61 @@ def draw_assignments(rng: np.random.Generator, count: int, vertex_count: int, k:
     """
     import numpy as np
 
-    shape = (count, vertex_count, k)
-    x = rng.standard_normal(shape)
-    if ensemble.is_complex:
-        buffer, x = x, np.empty(shape, dtype=np.complex128)
-        x.real = buffer
-        x.imag = rng.standard_normal(out=buffer)
-        del buffer
+    ws = {} if workspace is None else workspace
+    if not ensemble.is_complex:
+        x = rng.standard_normal(out=_buffer(ws, "normal", (count, vertex_count, k), np.float64))
+        if ensemble.is_gaussian:
+            x /= sqrt(k)
+        else:
+            norm = _pairwise_column_sum(np.multiply(x, x, out=_buffer(ws, "squares", x.shape, x.dtype)),
+                                        _buffer(ws, "norm", (count, vertex_count), np.float64))
+            x /= np.sqrt(norm, out=norm)[..., None]
+        return x
+    # The conjugated tails of _batch_products come later: their buffer holds
+    # the normal block until then.
+    normal = rng.standard_normal(out=_buffer(ws, "tails", (count, vertex_count, k), np.float64))
+    x = _buffer(ws, "draws", (vertex_count, k, count), np.complex128)
+    x.real = normal.transpose(1, 2, 0)
+    x.imag = rng.standard_normal(out=normal).transpose(1, 2, 0)
     if ensemble.is_gaussian:
-        scale = sqrt(2 * k if ensemble.is_complex else k)
+        re_im = x.view(np.float64)  # (vertex_count, k, 2 count)
+        re_im *= 1 / sqrt(2 * k)
     else:
-        scale = _pairwise_column_sum((x.conj() * x).real if ensemble.is_complex else x * x)
-        np.sqrt(scale, out=scale)
-        scale = scale[..., None]
-    if ensemble.is_complex:
-        re_im = x.view(np.float64)  # (count, vertex_count, 2k)
-        re_im *= 1 / scale
-    else:
-        x /= scale
-    return x
+        conj, squares = _buffer(ws, "squares", (2, k, count), np.complex128)
+        norm = _buffer(ws, "norm", (vertex_count, count), np.float64)
+        for v in range(vertex_count):  # a vertex at a time keeps the temporaries small
+            np.multiply(np.conjugate(x[v], out=conj), x[v], out=squares)
+            # The spent normal block takes the copy with k last that k >= 8 needs.
+            _pairwise_column_sum(squares.real.T, norm[v], normal.reshape(-1))
+        reciprocal = np.divide(1, np.sqrt(norm, out=norm), out=norm)
+        for part in (x.real, x.imag):
+            np.multiply(part, reciprocal[:, None, :], out=part)
+    return x.transpose(2, 0, 1)
 
 
-def _pairwise_column_sum(a: np.ndarray) -> np.ndarray:
-    """Sum over the last axis of `a`, bit-identical to np.add.reduce(a, axis=-1).
+def _pairwise_column_sum(a: np.ndarray, out: np.ndarray, spare: np.ndarray | None = None) -> np.ndarray:
+    """Sum over the last axis of `a` into `out`, bit-identical to np.add.reduce(a, axis=-1).
 
     numpy's pairwise summation adds fewer than 8 terms left to right, so
     short rows are summed a whole column at a time, which is faster there;
-    from 8 terms on numpy's reduce is the faster of the two.
+    from 8 terms on numpy's reduce is the faster of the two. It sums
+    pairwise only along an axis it walks innermost, so there an `a` that is
+    not C-contiguous is first copied into the leading elements of the flat
+    array `spare`.
     """
     import numpy as np
 
     n = a.shape[-1]
     if n >= 8:
-        return np.add.reduce(a, axis=-1)
-    total = a[..., 0].copy()
+        if not a.flags.c_contiguous:
+            copy = spare[:a.size].reshape(a.shape)
+            np.copyto(copy, a)
+            a = copy
+        return np.add.reduce(a, axis=-1, out=out)
+    np.copyto(out, a[..., 0])
     for i in range(1, n):
-        total += a[..., i]
-    return total
+        out += a[..., i]
+    return out
 
 
 def sample_vector(k: int, ensemble: Ensemble, rng: np.random.Generator) -> np.ndarray:
@@ -161,30 +217,80 @@ def product_of_inner_products(g: Multigraph, vectors: np.ndarray) -> complex:
     return result
 
 
-def _batch_products(g: Multigraph, x: np.ndarray) -> np.ndarray:
+def _batch_products(g: Multigraph, x: np.ndarray, workspace: dict | None = None) -> np.ndarray:
     """Per-sample product of edge inner products for a (count, n, k) batch.
 
     The batch is conjugated once (directed graphs), each distinct ordered
-    pair (u, v) gets one inner product per sample, kept until the last edge
-    that uses it, and the products are multiplied in file edge order, so a
-    parallel edge costs one multiply.
+    pair (u, v) gets one inner product per sample, kept in a row of its own
+    when a later edge uses it again, and the products are multiplied in file
+    edge order, so a parallel edge costs one multiply. Complex batches are
+    read sample-last, as draw_assignments stores them; the (k, count) einsum
+    gives the same bits as the (count, k) one there. `workspace` is as in
+    draw_assignments; the returned row lives in it.
     """
     import numpy as np
 
-    tails = x.conj() if isinstance(g, DirectedMultigraph) else x
-    last_use = {edge: i for i, edge in enumerate(g.edges)}
-    inner: dict[tuple[int, int], np.ndarray] = {}
-    values = np.ones(x.shape[0], dtype=x.dtype)
-    for i, (u, v) in enumerate(g.edges):
-        ip = inner.pop((u, v), None)
+    ws = {} if workspace is None else workspace
+    count = x.shape[0]
+    if np.iscomplexobj(x):
+        x, subscripts = x.transpose(1, 2, 0), "is,is->s"
+    else:
+        x, subscripts = x.transpose(1, 0, 2), "si,si->s"
+    tails = np.conjugate(x, out=_buffer(ws, "tails", x.shape, x.dtype)) if isinstance(g, DirectedMultigraph) else x
+    rows = _reused_pair_rows(g.edges)
+    inner = _buffer(ws, "inner", (len(rows) + 1, count), x.dtype)  # the last row serves single-use pairs
+    ready: dict[tuple[int, int], np.ndarray] = {}
+    values, spare = _buffer(ws, "products", (2, count), x.dtype)
+    values.fill(1)
+    for u, v in g.edges:
+        ip = ready.get((u, v))
         if ip is None:
-            ip = np.einsum("si,si->s", tails[:, u, :], x[:, v, :])
-        if last_use[u, v] > i:
-            inner[u, v] = ip
-        # Not in place: for a one-sample chunk numpy's in-place complex
-        # product differs from the out-of-place one in the last bit.
-        values = values * ip
+            ip = np.einsum(subscripts, tails[u], x[v], out=inner[rows.get((u, v), -1)])
+            if (u, v) in rows:
+                ready[u, v] = ip
+        # Into the other row, not in place: for a one-sample chunk numpy's
+        # in-place complex product differs from the out-of-place one in the
+        # last bit.
+        values, spare = np.multiply(values, ip, out=spare), values
     return values
+
+
+def _reused_pair_rows(edges: tuple[tuple[int, int], ...]) -> dict[tuple[int, int], int]:
+    """Row index, in first-use order, of each ordered pair that labels more than one edge."""
+    seen: set[tuple[int, int]] = set()
+    rows: dict[tuple[int, int], int] = {}
+    for edge in edges:
+        if edge in seen:
+            rows.setdefault(edge, len(rows))
+        seen.add(edge)
+    return rows
+
+
+def _chunk_sums(g: Multigraph, k: int, ensemble: Ensemble, seed: int, c: int, count: int,
+                workspace: dict) -> tuple[complex, float]:
+    """Sum of the edge products of chunk c and the sum of their squared moduli."""
+    import numpy as np
+
+    x = draw_assignments(_chunk_rng(seed, c), count, g.vertex_count, k, ensemble, workspace)
+    values = _batch_products(g, x, workspace)
+    magnitude = np.abs(values, out=_buffer(workspace, "magnitude", (count,), np.float64))
+    return complex(np.sum(values)), float(np.sum(np.square(magnitude, out=magnitude)))
+
+
+def _workspace_bytes(g: Multigraph, k: int, ensemble: Ensemble, count: int) -> int:
+    """Bytes of the buffers that draw_assignments, _batch_products and the
+    chunk sums take from one workspace for chunks of `count` samples of g,
+    an ensemble-matching graph (complex draws on a directed graph)."""
+    draws = count * g.vertex_count * k
+    field = 16 if ensemble.is_complex else 8
+    # inner products and products; |values|
+    total = field * count * (len(_reused_pair_rows(g.edges)) + 3) + 8 * count
+    # the draws and their conjugates, which first hold the normal block; real
+    # draws are made in the normal block
+    total += 2 * field * draws if ensemble.is_complex else 8 * draws
+    if not ensemble.is_gaussian:  # squares (one vertex's, with its conjugates, if complex); norms
+        total += (2 * field * k * count if ensemble.is_complex else 8 * draws) + 8 * count * g.vertex_count
+    return total
 
 
 def estimate_q(g: Multigraph, k: int, ensemble: Ensemble, n_samples: int, seed: int,
@@ -195,10 +301,10 @@ def estimate_q(g: Multigraph, k: int, ensemble: Ensemble, n_samples: int, seed: 
     (threads, at most one per CPU and per chunk); the standard error is the
     per-sample standard deviation of the complex values over sqrt(n_samples).
     The seed must lie in [0, 2**64): it is the high half of every chunk's
-    Philox key, so no two seeds share a stream.
+    Philox key, so no two seeds share a stream. Each worker thread runs its
+    chunks through one workspace; a run whose workspace would pass
+    WORKSPACE_LIMIT bytes is refused before any sampling.
     """
-    import numpy as np
-
     if k < 1:
         raise ValueError("k must be >= 1")
     if n_samples < 2:
@@ -210,12 +316,18 @@ def estimate_q(g: Multigraph, k: int, ensemble: Ensemble, n_samples: int, seed: 
     ensure_ensemble_matches(g, ensemble)
 
     n_chunks = (n_samples + CHUNK_SIZE - 1) // CHUNK_SIZE
+    chunk = min(CHUNK_SIZE, n_samples)
+    required = _workspace_bytes(g, k, ensemble, chunk)
+    if required > WORKSPACE_LIMIT:
+        raise GuardExceededError(
+            f"Monte Carlo refused (bytes of chunk buffers per worker: {chunk} samples"
+            f" x {g.vertex_count} vertices x k = {k})", required, WORKSPACE_LIMIT)
+
+    workspaces = threading.local()  # one per thread, so its chunks reuse one set of buffers
 
     def run_chunk(c: int) -> tuple[complex, float]:
         size = min(CHUNK_SIZE, n_samples - c * CHUNK_SIZE)
-        x = draw_assignments(_chunk_rng(seed, c), size, g.vertex_count, k, ensemble)
-        values = _batch_products(g, x)
-        return complex(np.sum(values)), float(np.sum(np.abs(values) ** 2))
+        return _chunk_sums(g, k, ensemble, seed, c, size, vars(workspaces))
 
     threads = min(workers, n_chunks, os.cpu_count() or 1)  # a pool starts a thread per task up to its size
     if threads > 1:

@@ -402,6 +402,19 @@ def test_q_estimate_rejects_aliasing_arguments(capsys, corpus_dir):
     assert f"seed={2**64 - 1})" in out
 
 
+def test_q_estimate_refuses_an_oversized_workspace(capsys, tmp_path):
+    """A 5,000-edge directed cycle at k = 2 would need gigabytes of chunk
+    buffers per worker: refused with the guard's exit code, not a numpy
+    MemoryError."""
+    path = tmp_path / "cycle.graph"
+    path.write_text("directed\n5000 5000\n" + "".join(f"{v} {(v + 1) % 5000}\n" for v in range(5000)))
+    code, out, err = run(capsys, "q-estimate", str(path), "--k", "2", "--ensemble", "complex-sphere",
+                         "--n", "100000")
+    assert code == cli.EXIT_GUARD_EXCEEDED
+    assert out == ""
+    assert "bytes of chunk buffers per worker" in err and "guard is" in err
+
+
 def test_q_estimate_rejects_k_below_one(capsys, corpus_dir):
     for k in ("0", "-1"):
         code, out, err = run(capsys, "q-estimate", corpus("fig1.graph", corpus_dir), "--k", k,

@@ -21,7 +21,16 @@ from circuitkit import (
     sample_vector,
 )
 from circuitkit.diagrams import cycle_genfunc_matchings
-from circuitkit.sampling import CHUNK_SIZE, _batch_products, draw_assignments, wick_pairing_sum
+from circuitkit.errors import GuardExceededError
+from circuitkit.sampling import (
+    CHUNK_SIZE,
+    WORKSPACE_LIMIT,
+    _batch_products,
+    _chunk_sums,
+    _workspace_bytes,
+    draw_assignments,
+    wick_pairing_sum,
+)
 
 ALL_ENSEMBLES = list(Ensemble)
 SEED = 0xC1C1
@@ -73,7 +82,9 @@ def test_real_gaussian_component_variance():
 @pytest.mark.parametrize("ensemble", ALL_ENSEMBLES, ids=lambda e: e.value)
 def test_draws_equal_the_plain_numpy_formulas(ensemble):
     """draw_assignments normalizes with less numpy work than the textbook
-    formulas, but to the same bits, at short and long vectors alike."""
+    formulas, but to the same bits, at short and long vectors alike. Complex
+    draws come back as a transposed view of sample-last storage, so their
+    bits are read from a contiguous copy."""
     count, n = 9, 3
     for k in [*range(1, 21), 64, 129, 300]:
         x = draw_assignments(rng(k), count, n, k, ensemble)
@@ -84,7 +95,7 @@ def test_draws_equal_the_plain_numpy_formulas(ensemble):
         else:
             plain = plain / np.linalg.norm(plain, axis=2, keepdims=True)
         assert plain.dtype == x.dtype
-        assert np.array_equal(x.view(np.float64), plain.view(np.float64)), k
+        assert np.array_equal(np.ascontiguousarray(x).view(np.float64), plain.view(np.float64)), k
 
 
 # ---------------------------------------------------------------------------
@@ -220,6 +231,57 @@ def test_the_pool_is_capped_at_the_cpu_and_chunk_counts(fig1, monkeypatch):
     assert len(asked) == count
 
 
+_THICK_DIGON = DirectedMultigraph(2, ((0, 1),) * 16 + ((1, 0),) * 16)
+_LOOPED_TRIANGLE = UndirectedMultigraph(3, ((0, 1), (1, 2), (2, 0), (1, 0), (2, 2)))
+
+
+@pytest.mark.parametrize("ensemble", ALL_ENSEMBLES, ids=lambda e: e.value)
+def test_successive_chunks_share_one_workspace(fig1, ensemble):
+    """Chunks drawn through one workspace reuse its buffers, a shorter last
+    chunk included; without one, every call allocates afresh."""
+    g = fig1 if ensemble.is_complex else _LOOPED_TRIANGLE
+    workspace: dict = {}
+    x1 = draw_assignments(rng(1), CHUNK_SIZE, g.vertex_count, 3, ensemble, workspace)
+    p1 = _batch_products(g, x1, workspace)
+    buffers = {name: id(b) for name, b in workspace.items()}
+    x2 = draw_assignments(rng(2), 100, g.vertex_count, 3, ensemble, workspace)
+    p2 = _batch_products(g, x2, workspace)
+    assert np.shares_memory(x1, x2)
+    assert np.shares_memory(p1, workspace["products"]) and np.shares_memory(p2, workspace["products"])
+    assert {name: id(b) for name, b in workspace.items()} == buffers
+    assert x2.shape == (100, g.vertex_count, 3) and p2.shape == (100,)
+    x3 = draw_assignments(rng(2), 100, g.vertex_count, 3, ensemble)
+    assert not np.shares_memory(x2, x3)
+    assert np.array_equal(x2, x3) and np.array_equal(p2, _batch_products(g, x3))
+
+
+@pytest.mark.parametrize("ensemble", ALL_ENSEMBLES, ids=lambda e: e.value)
+def test_the_workspace_guard_counts_every_buffer(fig1, ensemble):
+    """_workspace_bytes, which the guard reads, is what a chunk allocates."""
+    graphs = (fig1, _THICK_DIGON) if ensemble.is_complex else (_LOOPED_TRIANGLE, UndirectedMultigraph(1, ()))
+    for g in graphs:
+        for k, count in ((1, CHUNK_SIZE), (3, CHUNK_SIZE), (9, 5)):
+            workspace: dict = {}
+            _chunk_sums(g, k, ensemble, 0, 0, count, workspace)
+            assert sum(b.nbytes for b in workspace.values()) == _workspace_bytes(g, k, ensemble, count)
+
+
+def test_an_oversized_workspace_is_refused_before_sampling(monkeypatch):
+    from circuitkit import sampling
+
+    def no_draws(*args):
+        raise AssertionError("sampled before the guard")
+
+    cycle = DirectedMultigraph(5000, tuple((v, (v + 1) % 5000) for v in range(5000)))
+    monkeypatch.setattr(sampling, "draw_assignments", no_draws)
+    with pytest.raises(GuardExceededError, match="bytes of chunk buffers per worker") as refusal:
+        estimate_q(cycle, 2, Ensemble.COMPLEX_SPHERE, 10**5, seed=0)
+    assert refusal.value.required == _workspace_bytes(cycle, 2, Ensemble.COMPLEX_SPHERE, CHUNK_SIZE)
+    assert refusal.value.limit == WORKSPACE_LIMIT < refusal.value.required
+    monkeypatch.undo()
+    assert estimate_q(cycle, 2, Ensemble.COMPLEX_SPHERE, 2, seed=0).n_samples == 2  # one 2-sample chunk fits
+
+
 def test_different_seeds_differ(fig1):
     a = estimate_q(fig1, 2, Ensemble.COMPLEX_SPHERE, 5_000, seed=1)
     b = estimate_q(fig1, 2, Ensemble.COMPLEX_SPHERE, 5_000, seed=2)
@@ -275,9 +337,6 @@ def test_estimate_validation(fig1, figure_eight):
             estimate_q(fig1, k, Ensemble.COMPLEX_SPHERE, 100, seed=0)
 
 
-_THICK_DIGON = DirectedMultigraph(2, ((0, 1),) * 16 + ((1, 0),) * 16)
-_LOOPED_TRIANGLE = UndirectedMultigraph(3, ((0, 1), (1, 2), (2, 0), (1, 0), (2, 2)))
-
 # Exact to_json() output of estimate_q, recorded with the chunk kernel of
 # commit 5182066 (numpy 2.4, x86-64). Any change to the draw stream, the norm
 # or scaling arithmetic, the edge products or the reduction order changes
@@ -315,6 +374,21 @@ GOLDEN_ESTIMATES = [
      '{"mean_re": 0.1271142555748319, "mean_im": 0.0004886713335547022, '
      '"std_error": 0.0018637475591736718, "n": 9000, "k": 2, "ensemble": "complex-sphere", '
      '"seed": 18446744073709551615}'),
+    # Recorded with the kernel of commit 25ad5df: k >= 8 sums squared norms
+    # with numpy's pairwise reduce, and n = 3 * CHUNK_SIZE + 1 ends in a
+    # one-sample chunk.
+    ("fig1", 8, Ensemble.COMPLEX_SPHERE, 20_000, 13,
+     '{"mean_re": 0.001949001307474823, "mean_im": -6.587390767374259e-05, '
+     '"std_error": 5.210120275808206e-05, "n": 20000, "k": 8, "ensemble": "complex-sphere", "seed": 13}'),
+    ("fig1", 9, Ensemble.COMPLEX_SPHERE, 20_000, 13,
+     '{"mean_re": 0.001405274304263391, "mean_im": 1.2257915548087759e-05, '
+     '"std_error": 3.9858627047758196e-05, "n": 20000, "k": 9, "ensemble": "complex-sphere", "seed": 13}'),
+    ("looped", 8, Ensemble.REAL_SPHERE, 20_000, 13,
+     '{"mean_re": -0.0004775149786134797, "mean_im": 0.0, '
+     '"std_error": 0.00020785859247320307, "n": 20000, "k": 8, "ensemble": "real-sphere", "seed": 13}'),
+    ("fig1", 2, Ensemble.COMPLEX_GAUSSIAN, 24_577, 5,
+     '{"mean_re": 0.1983988938478798, "mean_im": 0.0001237483705202535, '
+     '"std_error": 0.0077369140162797095, "n": 24577, "k": 2, "ensemble": "complex-gaussian", "seed": 5}'),
 ]
 
 
