@@ -1,106 +1,89 @@
 """Circuit partition polynomials of Eulerian multigraphs, the inner-product
 moments q(G;k) they predict for four random-vector ensembles, and independent
 verification by Monte Carlo, exact tensor contraction along a vertex order,
-and the Martin identity on planar medial graphs."""
+and the Martin identity on planar medial graphs.
 
-from .diagrams import (
-    Ensemble,
-    contract_q_exact,
-    cycle_genfunc_matchings,
-    cycle_genfunc_permutations,
-    enumerate_matchings,
-    enumerate_permutations,
-    xd_scaling,
-)
-from .errors import (
-    EmbeddingError,
-    GraphFormatError,
-    GuardExceededError,
-    NotEulerianError,
-)
-from .graphs import (
-    DirectedMultigraph,
-    EulerianReport,
-    Multigraph,
-    UndirectedMultigraph,
-    component_count,
-    disjoint_union,
-    eulerian_check,
-    parse_graph,
-    serialize_graph,
-)
-from .partition import (
-    IntPolynomial,
-    circuit_count,
-    circuit_partition_polynomial,
-    enumerate_transition_systems,
-    transition_system_count,
-)
-from .planar import (
-    MartinCheck,
-    PlanarMap,
-    faces,
-    martin_check,
-    medial_graph,
-    parse_planar_map,
-    serialize_planar_map,
-    subset_expansion_terms,
-    subset_to_partition_circuits,
-    tutte_subset_expansion,
-)
-from .sampling import (
-    MCEstimate,
-    estimate_q,
-    norm_moment,
-    predicted_q,
-    product_of_inner_products,
-    sample_vector,
-    wick_pairing_sum,
-)
+Importing the package loads none of its modules. Each exported name and
+each submodule is resolved on first attribute access (PEP 562), so
+`circuitkit.planar` or `from circuitkit import estimate_q` imports the
+module it needs, and a command of the `circuitkit` front-end loads only
+the modules its handler runs.
+"""
+
+from importlib import import_module
+
+# The exported names, by the module that defines them.
+_EXPORTS = {
+    "diagrams": (
+        "contract_q_exact",
+        "cycle_genfunc_matchings",
+        "cycle_genfunc_permutations",
+        "enumerate_matchings",
+        "enumerate_permutations",
+        "xd_scaling",
+    ),
+    "errors": (
+        "EmbeddingError",
+        "GraphFormatError",
+        "GuardExceededError",
+        "NotEulerianError",
+    ),
+    "graphs": (
+        "DirectedMultigraph",
+        "Ensemble",
+        "EulerianReport",
+        "Multigraph",
+        "UndirectedMultigraph",
+        "component_count",
+        "disjoint_union",
+        "eulerian_check",
+        "parse_graph",
+        "serialize_graph",
+    ),
+    "partition": (
+        "IntPolynomial",
+        "circuit_count",
+        "circuit_partition_polynomial",
+        "enumerate_transition_systems",
+        "transition_system_count",
+    ),
+    "planar": (
+        "MartinCheck",
+        "PlanarMap",
+        "faces",
+        "martin_check",
+        "medial_graph",
+        "parse_planar_map",
+        "serialize_planar_map",
+        "subset_expansion_terms",
+        "subset_to_partition_circuits",
+        "tutte_subset_expansion",
+    ),
+    "sampling": (
+        "MCEstimate",
+        "estimate_q",
+        "norm_moment",
+        "predicted_q",
+        "product_of_inner_products",
+        "sample_vector",
+        "wick_pairing_sum",
+    ),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+_SUBMODULES = ("cli", *_EXPORTS)
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "DirectedMultigraph",
-    "EmbeddingError",
-    "Ensemble",
-    "EulerianReport",
-    "GraphFormatError",
-    "GuardExceededError",
-    "IntPolynomial",
-    "MCEstimate",
-    "MartinCheck",
-    "Multigraph",
-    "NotEulerianError",
-    "PlanarMap",
-    "UndirectedMultigraph",
-    "circuit_count",
-    "circuit_partition_polynomial",
-    "component_count",
-    "contract_q_exact",
-    "cycle_genfunc_matchings",
-    "cycle_genfunc_permutations",
-    "disjoint_union",
-    "enumerate_matchings",
-    "enumerate_permutations",
-    "enumerate_transition_systems",
-    "estimate_q",
-    "eulerian_check",
-    "faces",
-    "martin_check",
-    "medial_graph",
-    "norm_moment",
-    "parse_graph",
-    "parse_planar_map",
-    "predicted_q",
-    "product_of_inner_products",
-    "sample_vector",
-    "serialize_graph",
-    "serialize_planar_map",
-    "subset_expansion_terms",
-    "subset_to_partition_circuits",
-    "transition_system_count",
-    "tutte_subset_expansion",
-    "wick_pairing_sum",
-    "xd_scaling",
-]
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    if name in _SUBMODULES:
+        return import_module(f"{__name__}.{name}")
+    if name in _HOME:
+        return getattr(import_module(f"{__name__}.{_HOME[name]}"), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_SUBMODULES, *__all__})

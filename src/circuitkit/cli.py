@@ -6,25 +6,32 @@ exceeded. Exact integers and rationals are printed in full, whatever their
 length, and rationals cross this boundary as "p/q" strings, never floats.
 JSON payloads carry a "schema": "circuitkit/1" version tag.
 
-numpy and importlib.resources are imported where they are used, so the
-commands that never sample start without them.
+Start-up is most of the wall time of a command on a small input, so each
+handler imports the engine modules it runs (partition, diagrams, planar,
+sampling), and json, numpy and importlib.resources are imported only where
+they are used. The parser reads the ensemble names from graphs and the
+default guards from errors, so `--help` loads no engine module, `j` only
+partition, and the commands that never sample start without numpy.
 """
 
 from __future__ import annotations
 
 import argparse
 import itertools
-import json
 import sys
 from collections import Counter
 from contextlib import contextmanager
 from fractions import Fraction
 from math import factorial, prod
 from pathlib import Path
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
-from . import diagrams, graphs, partition, planar, sampling
-from .errors import GraphFormatError, GuardExceededError
+from . import graphs
+from .errors import (DEFAULT_CONTRACTION_GUARD, DEFAULT_ENUMERATION_GUARD, DEFAULT_SUBSET_GUARD,
+                     GraphFormatError, GuardExceededError)
+
+if TYPE_CHECKING:
+    from .partition import IntPolynomial
 
 SCHEMA = "circuitkit/1"
 
@@ -59,7 +66,7 @@ def format_rational(value: Fraction) -> str:
         return f"{value.numerator}/{value.denominator}"
 
 
-def format_coefficients(poly: partition.IntPolynomial) -> list[str]:
+def format_coefficients(poly: IntPolynomial) -> list[str]:
     """r_0, r_1, ... in decimal."""
     with unlimited_int_digits():
         return [str(c) for c in poly.coefficients]
@@ -97,6 +104,8 @@ def rational(text: str) -> Fraction:
 
 def _emit(args, text_value: str, json_value: dict) -> None:
     if args.format == "json":
+        import json
+
         print(json.dumps(json_value))
     else:
         print(text_value)
@@ -107,6 +116,8 @@ def _emit(args, text_value: str, json_value: dict) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_j(args) -> int:
+    from . import partition
+
     g = graphs.parse_graph(_read(args.input))
     poly = partition.circuit_partition_polynomial(g, guard=args.guard_enumeration)
     coefficients = format_coefficients(poly)
@@ -116,20 +127,24 @@ def cmd_j(args) -> int:
 
 
 def cmd_q_predict(args) -> int:
+    from . import sampling
+
     g = graphs.parse_graph(_read(args.input))
-    ensemble = diagrams.Ensemble(args.ensemble)
+    ensemble = graphs.Ensemble(args.ensemble)
     value = sampling.predicted_q(g, args.k, ensemble, guard=args.guard_enumeration)
     payload = {"schema": SCHEMA, "value": format_rational(value), "k": args.k,
                "ensemble": ensemble.value}
-    if not graphs.eulerian_check(g).is_eulerian:
+    if value == 0:  # exactly when g is not Eulerian (see predicted_q)
         payload["note"] = "graph is not Eulerian; q is exactly 0 by phase/sign symmetry"
     _emit(args, format_rational(value), payload)
     return EXIT_OK
 
 
 def cmd_q_exact(args) -> int:
+    from . import diagrams
+
     g = graphs.parse_graph(_read(args.input))
-    ensemble = diagrams.Ensemble(args.ensemble)
+    ensemble = graphs.Ensemble(args.ensemble)
     value = diagrams.contract_q_exact(g, args.k, ensemble, guard=args.guard_contraction)
     payload = {"schema": SCHEMA, "value": format_rational(value), "k": args.k,
                "ensemble": ensemble.value}
@@ -138,9 +153,15 @@ def cmd_q_exact(args) -> int:
 
 
 def cmd_q_estimate(args) -> int:
+    from . import sampling
+
     g = graphs.parse_graph(_read(args.input))
-    ensemble = diagrams.Ensemble(args.ensemble)
+    ensemble = graphs.Ensemble(args.ensemble)
     estimate = sampling.estimate_q(g, args.k, ensemble, args.n, args.seed, workers=args.workers)
+    if estimate.zero_products:
+        print(f"warning: {estimate.zero_products} of {estimate.n_samples} sampled edge products are"
+              " exactly 0.0, most likely by float underflow; the mean and its standard error"
+              " leave out what underflowed", file=sys.stderr)
     payload = {"schema": SCHEMA}
     payload.update(estimate.to_json_dict())
     text = (f"mean = {estimate.mean.real!r} + {estimate.mean.imag!r}i"
@@ -150,6 +171,8 @@ def cmd_q_estimate(args) -> int:
 
 
 def cmd_medial(args) -> int:
+    from . import planar
+
     pmap = planar.parse_planar_map(_read(args.input))
     medial = planar.medial_graph(pmap)
     _emit(args, graphs.serialize_graph(medial).rstrip("\n"), graph_to_json_dict(medial))
@@ -157,6 +180,8 @@ def cmd_medial(args) -> int:
 
 
 def cmd_tutte(args) -> int:
+    from . import planar
+
     g = graphs.parse_graph(_read(args.input))
     if isinstance(g, graphs.DirectedMultigraph):
         raise GraphFormatError("the subset expansion needs an undirected or planar file")
@@ -168,6 +193,8 @@ def cmd_tutte(args) -> int:
 
 
 def cmd_martin(args) -> int:
+    from . import planar
+
     pmap = planar.parse_planar_map(_read(args.input))
     check = planar.martin_check(pmap, args.z, enumeration_guard=args.guard_enumeration,
                                 subset_guard=args.guard_subsets)
@@ -202,6 +229,8 @@ def _assert_equal(actual, expected, label: str) -> str:
 
 def run_verification(corpus_dir: Path, n_mc: int = 50_000, seed: int = 20260810) -> list[tuple[str, bool, str]]:
     """The invariant suite over the bundled (or given) corpus, as (name, ok, detail) per check."""
+    from . import diagrams, partition, planar, sampling
+
     results: list[tuple[str, bool, str]] = []
 
     graph_files = sorted(corpus_dir.glob("*.graph"))
@@ -251,9 +280,9 @@ def run_verification(corpus_dir: Path, n_mc: int = 50_000, seed: int = 20260810)
         _check(results, f"counting invariants {name}", counting)
 
     for name, g in loaded.items():
-        ensembles = ([diagrams.Ensemble.COMPLEX_SPHERE, diagrams.Ensemble.COMPLEX_GAUSSIAN]
+        ensembles = ([graphs.Ensemble.COMPLEX_SPHERE, graphs.Ensemble.COMPLEX_GAUSSIAN]
                      if isinstance(g, graphs.DirectedMultigraph)
-                     else [diagrams.Ensemble.REAL_SPHERE, diagrams.Ensemble.REAL_GAUSSIAN])
+                     else [graphs.Ensemble.REAL_SPHERE, graphs.Ensemble.REAL_GAUSSIAN])
         if not graphs.eulerian_check(g).is_eulerian:
             continue
         for ensemble in ensembles:
@@ -316,7 +345,7 @@ def run_verification(corpus_dir: Path, n_mc: int = 50_000, seed: int = 20260810)
     fig1 = loaded.get("fig1")
     if fig1 is not None:
         def mc_agreement():
-            ensemble = diagrams.Ensemble.COMPLEX_SPHERE
+            ensemble = graphs.Ensemble.COMPLEX_SPHERE
             target = sampling.predicted_q(fig1, 2, ensemble)
             est = sampling.estimate_q(fig1, 2, ensemble, n_mc, seed)
             deviation = abs(est.mean - float(target))
@@ -326,7 +355,7 @@ def run_verification(corpus_dir: Path, n_mc: int = 50_000, seed: int = 20260810)
         _check(results, "monte carlo agreement fig1", mc_agreement)
 
         def mc_determinism():
-            ensemble = diagrams.Ensemble.COMPLEX_SPHERE
+            ensemble = graphs.Ensemble.COMPLEX_SPHERE
             one = sampling.estimate_q(fig1, 2, ensemble, 20_000, seed, workers=1).to_json()
             four = sampling.estimate_q(fig1, 2, ensemble, 20_000, seed, workers=4).to_json()
             _assert_equal(one, four, "workers 1 vs 4")
@@ -335,7 +364,7 @@ def run_verification(corpus_dir: Path, n_mc: int = 50_000, seed: int = 20260810)
 
     def mc_zero():
         edge = graphs.DirectedMultigraph(2, ((0, 1),))
-        est = sampling.estimate_q(edge, 2, diagrams.Ensemble.COMPLEX_SPHERE, n_mc, seed)
+        est = sampling.estimate_q(edge, 2, graphs.Ensemble.COMPLEX_SPHERE, n_mc, seed)
         if abs(est.mean) > 4 * est.std_error:
             raise AssertionError(f"|mean| = {abs(est.mean)} > 4 se = {4 * est.std_error}")
         return "non-Eulerian estimate is ~0"
@@ -345,7 +374,7 @@ def run_verification(corpus_dir: Path, n_mc: int = 50_000, seed: int = 20260810)
         import numpy as np
 
         rng = np.random.default_rng(seed)
-        for ensemble in diagrams.Ensemble:
+        for ensemble in graphs.Ensemble:
             x = sampling.sample_vector(3, ensemble, rng)
             if not ensemble.is_gaussian and abs(float(np.linalg.norm(x)) - 1.0) > 1e-12:
                 raise AssertionError(f"{ensemble.value}: norm {np.linalg.norm(x)}")
@@ -354,15 +383,15 @@ def run_verification(corpus_dir: Path, n_mc: int = 50_000, seed: int = 20260810)
             value = sampling.product_of_inner_products(fig1, same)
             if abs(value - 1) > 1e-12:
                 raise AssertionError(f"all-equal product {value} != 1")
-        _assert_equal(sampling.norm_moment(2, 2, diagrams.Ensemble.COMPLEX_GAUSSIAN),
+        _assert_equal(sampling.norm_moment(2, 2, graphs.Ensemble.COMPLEX_GAUSSIAN),
                       Fraction(3, 2), "E|x|^4")
         return ""
     _check(results, "sampling basics", sampling_basics)
 
     def scalings():
-        _assert_equal(diagrams.xd_scaling(2, 2, diagrams.Ensemble.COMPLEX_SPHERE), Fraction(1, 6), "complex d=2 k=2")
-        _assert_equal(diagrams.xd_scaling(2, 2, diagrams.Ensemble.REAL_SPHERE), Fraction(1, 8), "real d=2 k=2")
-        _assert_equal(diagrams.xd_scaling(2, 2, diagrams.Ensemble.COMPLEX_GAUSSIAN), Fraction(1, 4), "gaussian d=2 k=2")
+        _assert_equal(diagrams.xd_scaling(2, 2, graphs.Ensemble.COMPLEX_SPHERE), Fraction(1, 6), "complex d=2 k=2")
+        _assert_equal(diagrams.xd_scaling(2, 2, graphs.Ensemble.REAL_SPHERE), Fraction(1, 8), "real d=2 k=2")
+        _assert_equal(diagrams.xd_scaling(2, 2, graphs.Ensemble.COMPLEX_GAUSSIAN), Fraction(1, 4), "gaussian d=2 k=2")
         return ""
     _check(results, "tensor scalings", scalings)
 
@@ -377,20 +406,19 @@ def cmd_verify(args) -> int:
     corpus_dir = Path(args.corpus) if args.corpus else bundled_corpus_dir()
     results = run_verification(corpus_dir, n_mc=args.n, seed=args.seed)
     failures = [name for name, ok, _ in results if not ok]
-    if args.format == "json":
-        print(json.dumps({
-            "schema": SCHEMA,
-            "checks": [{"name": name, "ok": ok, "detail": detail} for name, ok, detail in results],
-            "failures": len(failures),
-        }))
-    else:
-        width = max(len(name) for name, _, _ in results)
-        for name, ok, detail in results:
-            line = f"{'ok  ' if ok else 'FAIL'}  {name.ljust(width)}"
-            if detail:
-                line += f"  {detail}"
-            print(line)
-        print(f"{len(results) - len(failures)}/{len(results)} checks passed")
+    width = max(len(name) for name, _, _ in results)
+    lines = []
+    for name, ok, detail in results:
+        line = f"{'ok  ' if ok else 'FAIL'}  {name.ljust(width)}"
+        if detail:
+            line += f"  {detail}"
+        lines.append(line)
+    lines.append(f"{len(results) - len(failures)}/{len(results)} checks passed")
+    _emit(args, "\n".join(lines), {
+        "schema": SCHEMA,
+        "checks": [{"name": name, "ok": ok, "detail": detail} for name, ok, detail in results],
+        "failures": len(failures),
+    })
     return EXIT_OK if not failures else EXIT_VERIFY_FAILED
 
 
@@ -427,7 +455,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("input", help="graph file (a planar map for medial and martin)")
     for p in (q_predict, q_estimate, q_exact):
         p.add_argument("--k", type=int, required=True, help="vector dimension")
-        p.add_argument("--ensemble", required=True, choices=[e.value for e in diagrams.Ensemble],
+        p.add_argument("--ensemble", required=True, choices=[e.value for e in graphs.Ensemble],
                        help="random-vector ensemble")
     q_estimate.add_argument("--n", type=int, default=100_000, help="sample count (default 100000)")
     q_estimate.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
@@ -435,17 +463,17 @@ def build_parser() -> argparse.ArgumentParser:
     q_exact.add_argument("--guard-contraction", type=int, default=None,
                          help="max planned work of the contraction, summed over the vertex order as "
                               "k^(open edges + new edges at the vertex) "
-                              f"(default {diagrams.DEFAULT_CONTRACTION_GUARD})")
+                              f"(default {DEFAULT_CONTRACTION_GUARD})")
     tutte.add_argument("--x", type=rational, required=True, help='x as "p/q" or integer')
     tutte.add_argument("--y", type=rational, required=True, help='y as "p/q" or integer')
     martin.add_argument("--z", type=rational, required=True, help='z as "p/q" or integer')
     for p in (j, q_predict, martin):
         p.add_argument("--guard-enumeration", type=int, default=None,
                        help="max work units of the splitting recursion, summed over its states as "
-                            f"branches x edges (default {partition.DEFAULT_ENUMERATION_GUARD})")
+                            f"branches x edges (default {DEFAULT_ENUMERATION_GUARD})")
     for p in (tutte, martin):
         p.add_argument("--guard-subsets", type=int, default=None,
-                       help=f"max subsets 2^m (default {planar.DEFAULT_SUBSET_GUARD})")
+                       help=f"max subsets 2^m (default {DEFAULT_SUBSET_GUARD})")
     verify.add_argument("corpus", nargs="?", default=None, help="corpus directory (default: bundled corpus)")
     verify.add_argument("--n", type=int, default=50_000, help="Monte Carlo samples per check (default 50000)")
     verify.add_argument("--seed", type=int, default=20260810, help="RNG seed (default 20260810)")

@@ -24,40 +24,18 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from enum import Enum
 from fractions import Fraction
 from math import factorial, prod
 from operator import itemgetter
 from typing import Callable, Iterator, Sequence
 
-from .errors import GuardExceededError
-from .graphs import (DirectedMultigraph, Multigraph, UndirectedMultigraph, max_adjacency_order,
-                     pairing_loop_count, permutation_cycles, require_eulerian)
+from .errors import DEFAULT_CONTRACTION_GUARD, GuardExceededError
+from .graphs import (DirectedMultigraph, Ensemble, Multigraph, UndirectedMultigraph, double_factorial,
+                     max_adjacency_order, pairing_loop_count, perfect_matchings, permutation_cycles,
+                     require_eulerian)
 
 DEFAULT_PERMUTATION_LIMIT = 8
 DEFAULT_MATCHING_LIMIT = 7
-DEFAULT_CONTRACTION_GUARD = 10**7
-
-
-class Ensemble(str, Enum):
-    """Random-vector ensemble the moment q(G;k) is taken over."""
-
-    COMPLEX_SPHERE = "complex-sphere"
-    REAL_SPHERE = "real-sphere"
-    COMPLEX_GAUSSIAN = "complex-gaussian"
-    REAL_GAUSSIAN = "real-gaussian"
-
-    @property
-    def is_complex(self) -> bool:
-        return self in (Ensemble.COMPLEX_SPHERE, Ensemble.COMPLEX_GAUSSIAN)
-
-    @property
-    def is_real(self) -> bool:
-        return not self.is_complex
-
-    @property
-    def is_gaussian(self) -> bool:
-        return self in (Ensemble.COMPLEX_GAUSSIAN, Ensemble.REAL_GAUSSIAN)
 
 
 # ---------------------------------------------------------------------------
@@ -71,32 +49,11 @@ def enumerate_permutations(d: int) -> Iterator[tuple[int, ...]]:
     return itertools.permutations(range(d))
 
 
-def perfect_matchings(points: tuple[int, ...]) -> Iterator[tuple[tuple[int, int], ...]]:
-    """Perfect matchings of an ordered point list, smallest-endpoint-first order."""
-    if not points:
-        yield ()
-        return
-    a = points[0]
-    for idx in range(1, len(points)):
-        rest = points[1:idx] + points[idx + 1:]
-        for tail in perfect_matchings(rest):
-            yield ((a, points[idx]),) + tail
-
-
 def enumerate_matchings(d: int) -> Iterator[tuple[tuple[int, int], ...]]:
     """All (2d-1)!! matching diagrams as sorted tuples of ascending pairs."""
     if d > DEFAULT_MATCHING_LIMIT:
         raise GuardExceededError("matching diagram enumeration refused", d, DEFAULT_MATCHING_LIMIT)
     return perfect_matchings(tuple(range(2 * d)))
-
-
-def double_factorial(n: int) -> int:
-    """n!! = n(n-2)(n-4)...; by convention 0!! = (-1)!! = 1."""
-    result = 1
-    while n > 1:
-        result *= n
-        n -= 2
-    return result
 
 
 def cycle_genfunc_permutations(d: int, k: int) -> int:

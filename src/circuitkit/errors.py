@@ -1,6 +1,19 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the default guards whose
+refusals raise GuardExceededError.
+
+The guards live here, beside the error they raise, so that the command
+parser can print them without loading the engines that enforce them.
+"""
 
 from __future__ import annotations
+
+# Work units of the j engine (branches x key length per expanded state), and
+# transition systems of the reference enumerator; partition enforces it.
+DEFAULT_ENUMERATION_GUARD = 10**8
+# Planned work of the contraction oracle; diagrams enforces it.
+DEFAULT_CONTRACTION_GUARD = 10**7
+# Edge subsets of the Tutte subset expansion; planar enforces it.
+DEFAULT_SUBSET_GUARD = 2**24
 
 
 class GraphFormatError(ValueError):

@@ -1,6 +1,12 @@
-"""Multigraph data types, degree checks, components, the cycles of a
-permutation of half-edges and the loops of a pairing, the vertex order both
-exact engines sweep in, and text parsing and serialization.
+"""Multigraph data types and Record, the immutable value base they share
+with the polynomial and map types; the random-vector ensembles that pair
+with the graph kinds; degree checks, components, the cycles of a permutation
+of half-edges and the loops of a pairing, perfect matchings, the vertex
+order both exact engines sweep in, and text parsing and serialization.
+
+Every command loads this module, so it imports only what start-up already
+loads or what is cheap: no dataclasses, whose import of inspect would cost
+each command several milliseconds.
 
 Vertices are 0-indexed everywhere. Edge order is semantic: edge i owns
 half-edge (dart) ids 2i and 2i+1, which downstream modules rely on, so
@@ -20,15 +26,75 @@ to both the in- and the out-degree, an undirected one adds two to the degree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from enum import Enum
 from heapq import heapify, heappop, heappush
 from operator import index
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import GraphFormatError, NotEulerianError
 
-@dataclass(frozen=True)
-class Multigraph:
+
+class Ensemble(str, Enum):
+    """Random-vector ensemble the moment q(G;k) is taken over."""
+
+    COMPLEX_SPHERE = "complex-sphere"
+    REAL_SPHERE = "real-sphere"
+    COMPLEX_GAUSSIAN = "complex-gaussian"
+    REAL_GAUSSIAN = "real-gaussian"
+
+    @property
+    def is_complex(self) -> bool:
+        return self in (Ensemble.COMPLEX_SPHERE, Ensemble.COMPLEX_GAUSSIAN)
+
+    @property
+    def is_real(self) -> bool:
+        return not self.is_complex
+
+    @property
+    def is_gaussian(self) -> bool:
+        return self in (Ensemble.COMPLEX_GAUSSIAN, Ensemble.REAL_GAUSSIAN)
+
+
+class Record:
+    """Base of the immutable value types: graphs, polynomials and maps.
+
+    A subclass lists its fields in _fields (and __slots__) and sets each
+    once, in __init__, through object.__setattr__; assignment and deletion
+    are refused after that. Two records are equal when they are of the same
+    class and their fields are equal, so a directed graph never equals an
+    undirected one on the same edges. They hash by their fields, and copy
+    and pickle by calling the class on them again.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+class Multigraph(Record):
     """Ordered edge list over vertices 0..n-1; the base of both graph kinds.
 
     Edge e owns half-edge 2e at edges[e][0] (the tail of a directed edge) and
@@ -36,19 +102,22 @@ class Multigraph:
     operator.index: a float, string or Fraction raises TypeError.
     """
 
+    __slots__ = _fields = ("vertex_count", "edges")
     vertex_count: int
     edges: tuple[tuple[int, int], ...]
 
-    def __post_init__(self):
+    def __init__(self, vertex_count: int, edges: Iterable[tuple[int, int]]):
         if type(self) is Multigraph:
             raise TypeError("construct a DirectedMultigraph or an UndirectedMultigraph")
-        object.__setattr__(self, "vertex_count", index(self.vertex_count))
-        object.__setattr__(self, "edges", tuple((index(u), index(v)) for u, v in self.edges))
-        if self.vertex_count < 0:
+        vertex_count = index(vertex_count)
+        edges = tuple((index(u), index(v)) for u, v in edges)
+        if vertex_count < 0:
             raise ValueError("vertex_count must be nonnegative")
-        for u, v in self.edges:
-            if not (0 <= u < self.vertex_count and 0 <= v < self.vertex_count):
-                raise ValueError(f"edge ({u}, {v}) out of range for {self.vertex_count} vertices")
+        for u, v in edges:
+            if not (0 <= u < vertex_count and 0 <= v < vertex_count):
+                raise ValueError(f"edge ({u}, {v}) out of range for {vertex_count} vertices")
+        object.__setattr__(self, "vertex_count", vertex_count)
+        object.__setattr__(self, "edges", edges)
 
     @property
     def edge_count(self) -> int:
@@ -80,6 +149,8 @@ class Multigraph:
 
 class DirectedMultigraph(Multigraph):
     """Directed multigraph as an ordered edge list of (tail, head) pairs."""
+
+    __slots__ = ()
 
     def in_degrees(self) -> tuple[int, ...]:
         degs = [0] * self.vertex_count
@@ -114,6 +185,8 @@ class DirectedMultigraph(Multigraph):
 class UndirectedMultigraph(Multigraph):
     """Undirected multigraph; edge e owns half-edges 2e (first endpoint) and 2e+1."""
 
+    __slots__ = ()
+
     def degrees(self) -> tuple[int, ...]:
         degs = [0] * self.vertex_count
         for u, v in self.edges:
@@ -122,8 +195,7 @@ class UndirectedMultigraph(Multigraph):
         return tuple(degs)
 
 
-@dataclass(frozen=True)
-class EulerianReport:
+class EulerianReport(NamedTuple):
     """Outcome of the degree-balance check.
 
     For directed graphs offending_vertices holds (vertex, in_degree, out_degree)
@@ -234,6 +306,31 @@ def pairing_loop_count(pairs: Iterable[tuple[int, int]], twin: Sequence[int]) ->
         partner[a] = b
         partner[b] = a
     return len(permutation_cycles([partner[t] for t in twin])) // 2
+
+
+def perfect_matchings(points: tuple[int, ...]) -> Iterator[tuple[tuple[int, int], ...]]:
+    """Perfect matchings of an ordered point list, smallest-endpoint-first order.
+
+    The wirings of an undirected vertex, the matching diagrams and the Wick
+    pairings are all listed here.
+    """
+    if not points:
+        yield ()
+        return
+    a = points[0]
+    for idx in range(1, len(points)):
+        rest = points[1:idx] + points[idx + 1:]
+        for tail in perfect_matchings(rest):
+            yield ((a, points[idx]),) + tail
+
+
+def double_factorial(n: int) -> int:
+    """n!! = n(n-2)(n-4)...; by convention 0!! = (-1)!! = 1."""
+    result = 1
+    while n > 1:
+        result *= n
+        n -= 2
+    return result
 
 
 def max_adjacency_order(edges: Iterable[tuple[int, int]]) -> list[int]:

@@ -40,33 +40,28 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_left, insort
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, prod
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
-from .diagrams import double_factorial, perfect_matchings
-from .errors import GuardExceededError
-from .graphs import DirectedMultigraph, Multigraph, max_adjacency_order, pairing_loop_count, require_eulerian
-
-# Work units for the engine (branches x key length per expanded state);
-# transition systems for the reference enumerator.
-DEFAULT_ENUMERATION_GUARD = 10**8
+from .errors import DEFAULT_ENUMERATION_GUARD, GuardExceededError
+from .graphs import (DirectedMultigraph, Multigraph, Record, double_factorial, max_adjacency_order,
+                     pairing_loop_count, perfect_matchings, require_eulerian)
 
 
 # ---------------------------------------------------------------------------
 # Polynomial
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class IntPolynomial:
+class IntPolynomial(Record):
     """Coefficient vector r_0, r_1, ... of nonnegative arbitrary-precision
     ints, with trailing zeros dropped."""
 
+    __slots__ = _fields = ("coefficients",)
     coefficients: tuple[int, ...]
 
-    def __post_init__(self):
-        coeffs = tuple(int(c) for c in self.coefficients)
+    def __init__(self, coefficients: Iterable[int]):
+        coeffs = tuple(int(c) for c in coefficients)
         if not coeffs:
             coeffs = (0,)
         if any(c < 0 for c in coeffs):

@@ -20,13 +20,13 @@ vertex has in- and out-degree 2, so the medial graph is Eulerian.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, NamedTuple
 
-from .errors import EmbeddingError, GraphFormatError, GuardExceededError
+from .errors import DEFAULT_SUBSET_GUARD, EmbeddingError, GraphFormatError, GuardExceededError
 from .graphs import (
     DirectedMultigraph,
+    Record,
     UndirectedMultigraph,
     check_rotation,
     component_count,
@@ -36,23 +36,23 @@ from .graphs import (
 )
 from .partition import circuit_partition_polynomial
 
-DEFAULT_SUBSET_GUARD = 2**24
 
-
-@dataclass(frozen=True)
-class PlanarMap:
+class PlanarMap(Record):
     """Undirected multigraph plus a rotation system over its darts."""
 
+    __slots__ = _fields = ("graph", "rotation")
     graph: UndirectedMultigraph
     rotation: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "rotation", tuple(tuple(r) for r in self.rotation))
-        at = self.graph.half_edges()
-        if len(self.rotation) != len(at):
+    def __init__(self, graph: UndirectedMultigraph, rotation: Iterable[Iterable[int]]):
+        rotation = tuple(tuple(r) for r in rotation)
+        at = graph.half_edges()
+        if len(rotation) != len(at):
             raise ValueError("one rotation per vertex required")
-        for v, (darts, halves) in enumerate(zip(self.rotation, at)):
-            check_rotation(self.graph, v, darts, len(halves))
+        for v, (darts, halves) in enumerate(zip(rotation, at)):
+            check_rotation(graph, v, darts, len(halves))
+        object.__setattr__(self, "graph", graph)
+        object.__setattr__(self, "rotation", rotation)
 
 
 def _face_successors(pmap: PlanarMap) -> list[int]:

@@ -25,17 +25,15 @@ samples run without loading either.
 
 from __future__ import annotations
 
-import json
 import os
 import threading
-from dataclasses import dataclass
 from fractions import Fraction
 from math import prod, sqrt
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
-from .diagrams import Ensemble, ensure_ensemble_matches, perfect_matchings, vertex_scaling, xd_scaling
-from .errors import GuardExceededError
-from .graphs import DirectedMultigraph, Multigraph, eulerian_check
+from .diagrams import ensure_ensemble_matches, vertex_scaling, xd_scaling
+from .errors import GuardExceededError, NotEulerianError
+from .graphs import DirectedMultigraph, Ensemble, Multigraph, perfect_matchings
 from .partition import circuit_partition_polynomial
 
 if TYPE_CHECKING:
@@ -45,9 +43,15 @@ CHUNK_SIZE = 8192
 WORKSPACE_LIMIT = 2**30  # bytes of chunk buffers per worker thread
 
 
-@dataclass(frozen=True)
-class MCEstimate:
-    """Monte Carlo estimate of q(G;k) with its reproduction recipe."""
+class MCEstimate(NamedTuple):
+    """Monte Carlo estimate of q(G;k) with its reproduction recipe.
+
+    zero_products counts the samples whose edge product is exactly 0. Draws
+    from a continuous ensemble make that an underflow of the float product,
+    not an exact zero: when it is nonzero, the mean and its standard error
+    miss the part of q that left the float range. It is not part of the
+    JSON form.
+    """
 
     mean: complex
     std_error: float
@@ -55,6 +59,7 @@ class MCEstimate:
     ensemble: Ensemble
     k: int
     seed: int
+    zero_products: int
 
     def to_json_dict(self) -> dict:
         return {
@@ -68,6 +73,8 @@ class MCEstimate:
         }
 
     def to_json(self) -> str:
+        import json
+
         return json.dumps(self.to_json_dict())
 
 
@@ -267,14 +274,16 @@ def _reused_pair_rows(edges: tuple[tuple[int, int], ...]) -> dict[tuple[int, int
 
 
 def _chunk_sums(g: Multigraph, k: int, ensemble: Ensemble, seed: int, c: int, count: int,
-                workspace: dict) -> tuple[complex, float]:
-    """Sum of the edge products of chunk c and the sum of their squared moduli."""
+                workspace: dict) -> tuple[complex, float, int]:
+    """Sum of the edge products of chunk c, the sum of their squared moduli,
+    and the number of them that are exactly 0."""
     import numpy as np
 
     x = draw_assignments(_chunk_rng(seed, c), count, g.vertex_count, k, ensemble, workspace)
     values = _batch_products(g, x, workspace)
     magnitude = np.abs(values, out=_buffer(workspace, "magnitude", (count,), np.float64))
-    return complex(np.sum(values)), float(np.sum(np.square(magnitude, out=magnitude)))
+    zeros = count - int(np.count_nonzero(magnitude))
+    return complex(np.sum(values)), float(np.sum(np.square(magnitude, out=magnitude))), zeros
 
 
 def _workspace_bytes(g: Multigraph, k: int, ensemble: Ensemble, count: int) -> int:
@@ -325,7 +334,7 @@ def estimate_q(g: Multigraph, k: int, ensemble: Ensemble, n_samples: int, seed: 
 
     workspaces = threading.local()  # one per thread, so its chunks reuse one set of buffers
 
-    def run_chunk(c: int) -> tuple[complex, float]:
+    def run_chunk(c: int) -> tuple[complex, float, int]:
         size = min(CHUNK_SIZE, n_samples - c * CHUNK_SIZE)
         return _chunk_sums(g, k, ensemble, seed, c, size, vars(workspaces))
 
@@ -340,12 +349,14 @@ def estimate_q(g: Multigraph, k: int, ensemble: Ensemble, n_samples: int, seed: 
 
     total = 0j
     total_sq = 0.0
-    for s, s2 in chunk_results:  # fixed reduction order, independent of workers
+    zeros = 0
+    for s, s2, z in chunk_results:  # fixed reduction order, independent of workers
         total += s
         total_sq += s2
+        zeros += z
     mean = total / n_samples
     variance = max(total_sq - n_samples * abs(mean) ** 2, 0.0) / (n_samples - 1)
-    return MCEstimate(mean, sqrt(variance / n_samples), n_samples, ensemble, k, seed)
+    return MCEstimate(mean, sqrt(variance / n_samples), n_samples, ensemble, k, seed, zeros)
 
 
 def predicted_q(g: Multigraph, k: int, ensemble: Ensemble, guard: int | None = None) -> Fraction:
@@ -354,16 +365,20 @@ def predicted_q(g: Multigraph, k: int, ensemble: Ensemble, guard: int | None = N
 
     A graph with unbalanced (directed) or odd (undirected) degrees has
     q(G;k) = 0 exactly: a uniform phase or sign flip at an unbalanced vertex
-    preserves its ensemble but scales the product. That zero is returned
-    directly instead of running the formula. `guard` caps the work of the
-    partition polynomial (see circuit_partition_polynomial).
+    preserves its ensemble but scales the product. The engine's own degree
+    check, the only one made, refuses such a graph before any work, and that
+    zero is returned instead. On an Eulerian graph q(G;k) > 0, since j(G;k)
+    >= 1 at k >= 1, so the value is 0 exactly when the graph is not
+    Eulerian. `guard` caps the work of the partition polynomial (see
+    circuit_partition_polynomial).
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     ensure_ensemble_matches(g, ensemble)
-    if not eulerian_check(g).is_eulerian:
+    try:
+        j = circuit_partition_polynomial(g, guard=guard)
+    except NotEulerianError:
         return Fraction(0)
-    j = circuit_partition_polynomial(g, guard=guard)
     return vertex_scaling(g, k, ensemble) * j.evaluate(k)
 
 

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import circuitkit
-from circuitkit import cli, diagrams, partition, planar
+from circuitkit import cli, diagrams, graphs, partition, planar, sampling
 
 SPEC_OPERATIONS = [
     # graphcore
@@ -86,6 +86,21 @@ def test_q_predict_notes_non_eulerian(capsys, tmp_path):
     data = json.loads(out)
     assert data["value"] == "0/1"
     assert "note" in data
+
+
+def test_q_predict_checks_degree_balance_once(capsys, monkeypatch, tmp_path, corpus_dir):
+    """The engine's check is the only one: predicted_q and the JSON note
+    read its outcome instead of checking again."""
+    unbalanced = tmp_path / "edge.graph"
+    unbalanced.write_text("directed\n2 1\n0 1\n")
+    checks = []
+    check = graphs.eulerian_check
+    monkeypatch.setattr(graphs, "eulerian_check", lambda g: checks.append(g) or check(g))
+    for path in (corpus("fig1.graph", corpus_dir), str(unbalanced)):
+        for fmt in ("text", "json"):
+            checks.clear()
+            code, _, _ = run(capsys, "q-predict", path, "--k", "2", "--ensemble", "complex-sphere", "--format", fmt)
+            assert code == 0 and len(checks) == 1
 
 
 def test_martin_triangle_json(capsys, corpus_dir):
@@ -415,6 +430,25 @@ def test_q_estimate_refuses_an_oversized_workspace(capsys, tmp_path):
     assert "bytes of chunk buffers per worker" in err and "guard is" in err
 
 
+def test_q_estimate_warns_when_edge_products_underflow(capsys, tmp_path, corpus_dir):
+    """Two vertices joined by 1,500 edges each way: the edge product is
+    |<x_0, x_1>|^3000, which leaves the float range in most samples. The
+    warning goes to stderr with the count; stdout and the exit code stay
+    those of a plain run."""
+    path = tmp_path / "thick.graph"
+    path.write_text("directed\n2 3000\n" + "0 1\n1 0\n" * 1500)
+    argv = ["q-estimate", str(path), "--k", "2", "--ensemble", "complex-sphere", "--n", "1000", "--seed", "3"]
+    code, out, err = run(capsys, *argv)
+    estimate = sampling.estimate_q(graphs.parse_graph(path.read_text()), 2, graphs.Ensemble.COMPLEX_SPHERE, 1000, 3)
+    assert 0 < estimate.zero_products < 1000
+    assert code == 0
+    assert out == (f"mean = {estimate.mean.real!r} + {estimate.mean.imag!r}i +- {estimate.std_error!r}"
+                   " (n=1000, seed=3)\n")
+    assert err.startswith(f"warning: {estimate.zero_products} of 1000 sampled edge products are exactly 0.0")
+    code, _, err = run(capsys, "q-estimate", corpus("fig1.graph", corpus_dir), *argv[2:])
+    assert code == 0 and err == ""
+
+
 def test_q_estimate_rejects_k_below_one(capsys, corpus_dir):
     for k in ("0", "-1"):
         code, out, err = run(capsys, "q-estimate", corpus("fig1.graph", corpus_dir), "--k", k,
@@ -425,30 +459,35 @@ def test_q_estimate_rejects_k_below_one(capsys, corpus_dir):
 
 
 # Runs cli.main once per argv in a fresh interpreter, output discarded, and
-# prints which of the sampling-only modules the interpreter has loaded.
+# prints the names in sys.modules. Each argv arrives as one tab-joined
+# argument, so the script itself loads nothing (json, say) that a command
+# is checked for.
 _LOADED_AFTER = """
-import contextlib, io, json, sys
+import contextlib, io, sys
 from circuitkit import cli
-for argv in json.loads(sys.argv[1]):
+for arg in sys.argv[1:]:
     with contextlib.redirect_stdout(io.StringIO()):
         try:
-            cli.main(argv)
+            cli.main(arg.split("\\t"))
         except SystemExit:
             pass
-print(json.dumps([m for m in ("numpy", "concurrent.futures") if m in sys.modules]))
+print("\\n".join(sys.modules))
 """
 
+SAMPLING_ONLY = {"numpy", "concurrent.futures"}
+ENGINES = {"circuitkit.partition", "circuitkit.diagrams", "circuitkit.planar", "circuitkit.sampling"}
 
-def _modules_loaded_by(*argvs: list[str]) -> list[str]:
+
+def _modules_loaded_by(*argvs: list[str]) -> set[str]:
     env = dict(os.environ, PYTHONPATH=str(Path(circuitkit.__file__).parent.parent))
-    done = subprocess.run([sys.executable, "-c", _LOADED_AFTER, json.dumps(argvs)], env=env,
-                          capture_output=True, text=True, check=True, timeout=120)
-    return json.loads(done.stdout)
+    done = subprocess.run([sys.executable, "-c", _LOADED_AFTER, *("\t".join(argv) for argv in argvs)],
+                          env=env, capture_output=True, text=True, check=True, timeout=120)
+    return set(done.stdout.split())
 
 
 def test_exact_commands_load_neither_numpy_nor_the_thread_pool(corpus_dir):
     graph, pmap = corpus("fig1.graph", corpus_dir), corpus("triangle.planar", corpus_dir)
-    assert _modules_loaded_by(
+    assert not _modules_loaded_by(
         ["--help"],
         ["j", graph],
         ["q-predict", graph, "--k", "2", "--ensemble", "complex-sphere"],
@@ -456,11 +495,54 @@ def test_exact_commands_load_neither_numpy_nor_the_thread_pool(corpus_dir):
         ["medial", pmap],
         ["tutte", pmap, "--x", "2", "--y", "2"],
         ["martin", pmap, "--z", "3"],
-    ) == []
+    ) & SAMPLING_ONLY
 
 
 def test_sampling_loads_numpy_and_only_a_parallel_run_the_thread_pool(corpus_dir):
     argv = ["q-estimate", corpus("fig1.graph", corpus_dir), "--k", "2",
             "--ensemble", "complex-sphere", "--n", "20000"]
-    assert _modules_loaded_by(argv) == ["numpy"]
-    assert _modules_loaded_by(argv + ["--workers", "2"]) == ["numpy", "concurrent.futures"]
+    assert _modules_loaded_by(argv) & SAMPLING_ONLY == {"numpy"}
+    assert _modules_loaded_by(argv + ["--workers", "2"]) & SAMPLING_ONLY == SAMPLING_ONLY
+
+
+_RESOLVES_LAZILY = """
+import sys
+import circuitkit
+assert not [m for m in sys.modules if m.startswith("circuitkit.")]
+assert getattr(circuitkit, "planar") is sys.modules["circuitkit.planar"]
+from circuitkit import estimate_q
+assert estimate_q is sys.modules["circuitkit.sampling"].estimate_q
+assert not hasattr(circuitkit, "no_such_name")
+from circuitkit import *
+assert sorted(set(dir(circuitkit)) & set(circuitkit.__all__)) == sorted(circuitkit.__all__)
+"""
+
+
+def test_the_package_resolves_its_names_on_first_use():
+    env = dict(os.environ, PYTHONPATH=str(Path(circuitkit.__file__).parent.parent))
+    subprocess.run([sys.executable, "-c", _RESOLVES_LAZILY], env=env, check=True, timeout=120)
+
+
+# (argv, modules it must load, modules it must not load)
+_IMPORT_BUDGETS = [
+    (["--help"], set(), ENGINES | {"dataclasses", "json"}),
+    (["j", "--help"], set(), ENGINES | {"dataclasses", "json"}),
+    (["j", "fig1.graph"], {"circuitkit.partition"},
+     ENGINES - {"circuitkit.partition"} | {"dataclasses", "json", "numpy"}),
+    (["q-predict", "fig1.graph", "--k", "2", "--ensemble", "complex-sphere"], {"circuitkit.sampling"},
+     {"circuitkit.planar", "dataclasses", "json", "numpy"}),
+    (["q-exact", "fig1.graph", "--k", "2", "--ensemble", "complex-sphere"], {"circuitkit.diagrams"},
+     ENGINES - {"circuitkit.diagrams"} | {"dataclasses", "numpy"}),
+    (["medial", "triangle.planar", "--format", "json"], {"circuitkit.planar", "json"},
+     {"circuitkit.diagrams", "circuitkit.sampling", "dataclasses", "numpy"}),
+]
+
+
+@pytest.mark.parametrize("argv, loaded, absent", _IMPORT_BUDGETS, ids=[" ".join(b[0]) for b in _IMPORT_BUDGETS])
+def test_a_command_loads_only_the_modules_it_runs(corpus_dir, argv, loaded, absent):
+    """Start-up is most of a small command's wall time, so a command loads
+    the engine it runs and nothing that only another command needs."""
+    argv = [corpus(a, corpus_dir) if a.endswith((".graph", ".planar")) else a for a in argv]
+    modules = _modules_loaded_by(argv)
+    assert loaded <= modules
+    assert not modules & absent, sorted(modules & absent)

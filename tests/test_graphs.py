@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import copy
+import pickle
 from collections import Counter
 from fractions import Fraction
 
@@ -286,3 +288,20 @@ def test_disjoint_union_shifts_vertices(fig1, two_loop):
     assert union.edges[-1] == (4, 4)
     with pytest.raises(TypeError):
         disjoint_union(fig1, TRIANGLE)
+
+
+def test_graphs_are_immutable_values_of_their_kind():
+    edges = ((0, 1), (1, 0))
+    directed, undirected = DirectedMultigraph(2, edges), UndirectedMultigraph(2, edges)
+    assert directed != undirected and undirected != directed
+    same = DirectedMultigraph(2, [[0, 1], [1, 0]])
+    assert directed == same and hash(directed) == hash(same)
+    assert len({directed, undirected, same}) == 2
+    for attempt in (lambda: setattr(directed, "edges", ()), lambda: setattr(directed, "extra", 1),
+                    lambda: delattr(directed, "vertex_count")):
+        with pytest.raises(AttributeError):
+            attempt()
+    assert directed.edges == edges and directed.vertex_count == 2
+    assert repr(directed) == "DirectedMultigraph(vertex_count=2, edges=((0, 1), (1, 0)))"
+    assert copy.deepcopy(directed) == directed and pickle.loads(pickle.dumps(undirected)) == undirected
+    assert type(pickle.loads(pickle.dumps(undirected))) is UndirectedMultigraph

@@ -3,8 +3,11 @@ machinery without a caller, no public definition that is neither exported
 nor used by the package, an export list that resolves, a contraction
 oracle that imports nothing from the modules it checks, one vertex-order
 planner, one pairing-loop count, a map side that takes only the engine from
-partition, one module that lifts the int-digit limit for printing, and no
-module that loads the sampling-only dependencies at import time.
+partition, one module that lifts the int-digit limit for printing, no
+module that loads the sampling-only dependencies at import time, and no
+module that imports dataclasses (which loads inspect, a start-up cost every
+command would pay). Which modules each command loads at run time is checked
+in tests/test_cli.py.
 
 Uses only the standard library's ast module.
 """
@@ -261,3 +264,10 @@ def test_deferred_import_scan_sees_every_form(source, expected):
 @pytest.mark.parametrize("path", sorted(PACKAGE_DIR.glob("*.py")), ids=lambda p: p.name)
 def test_sampling_dependencies_are_not_imported_at_module_level(path):
     assert _deferred_imports(_tree(path)) == [], path.name
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE_DIR.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_imports_dataclasses(path):
+    """Records are NamedTuples or graphs.Record subclasses instead."""
+    imported = _modules_imported(_tree(path))
+    assert not [name for name in imported if name == "dataclasses" or name.startswith("dataclasses.")]

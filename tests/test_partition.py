@@ -234,8 +234,13 @@ def test_disjoint_union_multiplies(fig1, single_loop, two_loop):
 def test_polynomial_normalization_and_output():
     p = IntPolynomial((0, 1, 1, 0, 0))
     assert p.coefficients == (0, 1, 1)
+    assert p == IntPolynomial([0, 1, 1]) and hash(p) == hash(IntPolynomial([0, 1, 1]))
+    assert IntPolynomial(()).coefficients == IntPolynomial((0, 0)).coefficients == (0,)
     with pytest.raises(ValueError):
         IntPolynomial((1, -1))
+    with pytest.raises(AttributeError):
+        p.coefficients = (1,)
+    assert repr(p) == "IntPolynomial(coefficients=(0, 1, 1))"
 
 
 def test_double_factorial_conventions():

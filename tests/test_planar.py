@@ -100,6 +100,20 @@ def test_map_validation():
         PlanarMap(g, ((0, 1), ()))  # dart 1 lives at vertex 1
     with pytest.raises(ValueError):
         PlanarMap(g, ((0,), ()))  # dart 1 missing
+    with pytest.raises(ValueError):
+        PlanarMap(g, ((0, 0), (1,)))  # dart 0 listed twice
+    with pytest.raises(ValueError, match="one rotation per vertex"):
+        PlanarMap(g, ((0,),))
+
+
+def test_maps_are_immutable_values():
+    g = UndirectedMultigraph(2, ((0, 1),))
+    pmap = PlanarMap(g, [[0], [1]])
+    assert pmap.rotation == ((0,), (1,))
+    assert pmap == PlanarMap(g, ((0,), (1,))) and hash(pmap) == hash(PlanarMap(g, ((0,), (1,))))
+    assert pmap != PlanarMap(UndirectedMultigraph(3, ((0, 1),)), ((0,), (1,), ()))
+    with pytest.raises(AttributeError):
+        pmap.rotation = ()
 
 
 def test_planar_roundtrip(corpus_maps):

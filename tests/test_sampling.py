@@ -405,6 +405,19 @@ def test_mcestimate_json_fields(fig1):
     data = json.loads(est.to_json())
     assert list(data) == ["mean_re", "mean_im", "std_error", "n", "k", "ensemble", "seed"]
     assert data["n"] == 100 and data["seed"] == 3 and data["ensemble"] == "complex-sphere"
+    assert est.zero_products == 0
+
+
+def test_underflowed_products_are_counted_at_any_worker_count():
+    """The edge product |<x_0, x_1>|^1200 of 600 edges each way between two
+    vertices underflows to 0.0 in about half the samples. The count is summed
+    over chunks, so it is the same at any worker count, and the samples of
+    the second chunk add to those of the first."""
+    thick = DirectedMultigraph(2, ((0, 1), (1, 0)) * 600)
+    n = CHUNK_SIZE + 100
+    (count,) = {estimate_q(thick, 2, Ensemble.COMPLEX_SPHERE, n, 5, workers=w).zero_products for w in (1, 2)}
+    first_chunk = estimate_q(thick, 2, Ensemble.COMPLEX_SPHERE, CHUNK_SIZE, 5).zero_products
+    assert 0 < first_chunk < count < n
 
 
 # ---------------------------------------------------------------------------
