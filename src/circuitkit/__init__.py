@@ -35,7 +35,6 @@ _EXPORTS = {
         "Multigraph",
         "UndirectedMultigraph",
         "component_count",
-        "disjoint_union",
         "eulerian_check",
         "parse_graph",
         "serialize_graph",
@@ -66,7 +65,6 @@ _EXPORTS = {
         "predicted_q",
         "product_of_inner_products",
         "sample_vector",
-        "wick_pairing_sum",
     ),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -177,10 +177,6 @@ class DirectedMultigraph(Multigraph):
         outs = [[h >> 1 for h in halves if not h & 1] for halves in at]
         return ins, outs
 
-    def reversed_edges(self) -> "DirectedMultigraph":
-        """The graph with every edge direction flipped (edge order kept)."""
-        return DirectedMultigraph(self.vertex_count, tuple((v, u) for u, v in self.edges))
-
 
 class UndirectedMultigraph(Multigraph):
     """Undirected multigraph; edge e owns half-edges 2e (first endpoint) and 2e+1."""
@@ -243,35 +239,25 @@ def require_eulerian(g: Multigraph) -> None:
         raise NotEulerianError(f"graph is not Eulerian: {report.describe()}", report)
 
 
-class _DisjointSet:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
+def component_count(g: UndirectedMultigraph) -> int:
+    """Connected components of g; isolated vertices count."""
+    parent = list(range(g.vertex_count))
 
-    def find(self, x: int) -> int:
+    def find(x: int) -> int:
         root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
+        while parent[root] != root:
+            root = parent[root]
+        while parent[x] != root:
+            parent[x], x = root, parent[x]
         return root
 
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[rb] = ra
-
-
-def component_count(g: UndirectedMultigraph, edge_subset: Iterable[int] | None = None) -> int:
-    """Connected components of the spanning subgraph (V, S); isolated vertices count.
-
-    edge_subset is a set of edge indices; None means all edges.
-    """
-    dsu = _DisjointSet(g.vertex_count)
-    indices = range(g.edge_count) if edge_subset is None else edge_subset
-    for i in indices:
-        u, v = g.edges[i]
-        dsu.union(u, v)
-    return len({dsu.find(v) for v in range(g.vertex_count)})
+    components = g.vertex_count
+    for u, v in g.edges:
+        ru, rv = find(u), find(v)
+        if ru != rv:
+            parent[rv] = ru
+            components -= 1
+    return components
 
 
 def permutation_cycles(successor: Sequence[int]) -> list[tuple[int, ...]]:
@@ -311,8 +297,8 @@ def pairing_loop_count(pairs: Iterable[tuple[int, int]], twin: Sequence[int]) ->
 def perfect_matchings(points: tuple[int, ...]) -> Iterator[tuple[tuple[int, int], ...]]:
     """Perfect matchings of an ordered point list, smallest-endpoint-first order.
 
-    The wirings of an undirected vertex, the matching diagrams and the Wick
-    pairings are all listed here.
+    The wirings of an undirected vertex and the matching diagrams are both
+    listed here.
     """
     if not points:
         yield ()
@@ -360,15 +346,6 @@ def max_adjacency_order(edges: Iterable[tuple[int, int]]) -> list[int]:
                 links[w] += 1
                 heappush(heap, (-links[w], len(ends[w]), w))
     return order
-
-
-def disjoint_union(g1: Multigraph, g2: Multigraph) -> Multigraph:
-    """Side-by-side union with g2's vertices shifted past g1's."""
-    if type(g1) is not type(g2):
-        raise TypeError("cannot union a directed with an undirected multigraph")
-    shift = g1.vertex_count
-    edges = g1.edges + tuple((u + shift, v + shift) for u, v in g2.edges)
-    return type(g1)(g1.vertex_count + g2.vertex_count, edges)
 
 
 # ---------------------------------------------------------------------------

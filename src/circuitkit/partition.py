@@ -71,15 +71,6 @@ class IntPolynomial(Record):
             top -= 1
         object.__setattr__(self, "coefficients", coeffs[:top + 1])
 
-    def __mul__(self, other: "IntPolynomial") -> "IntPolynomial":
-        out = [0] * (len(self.coefficients) + len(other.coefficients) - 1)
-        for i, a in enumerate(self.coefficients):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coefficients):
-                out[i + j] += a * b
-        return IntPolynomial(tuple(out))
-
     def evaluate(self, z) -> Fraction:
         """Horner evaluation at an exact rational point."""
         z = Fraction(z)

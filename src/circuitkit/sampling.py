@@ -19,8 +19,8 @@ products run along contiguous sample rows; real draws stay
 
 numpy, and the thread pool of a multi-worker run, are imported by the
 functions that draw or multiply vectors, on first use. The exact path
-(predicted_q, norm_moment, wick_pairing_sum) and every command that never
-samples run without loading either.
+(predicted_q, norm_moment) and every command that never samples run
+without loading either.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 from .diagrams import ensure_ensemble_matches, vertex_scaling, xd_scaling
 from .errors import GuardExceededError, NotEulerianError
-from .graphs import DirectedMultigraph, Ensemble, Multigraph, perfect_matchings
+from .graphs import DirectedMultigraph, Ensemble, Multigraph
 from .partition import circuit_partition_polynomial
 
 if TYPE_CHECKING:
@@ -393,13 +393,3 @@ def norm_moment(d: int, k: int, ensemble: Ensemble) -> Fraction:
     sphere = Ensemble.COMPLEX_SPHERE if ensemble.is_complex else Ensemble.REAL_SPHERE
     return xd_scaling(d, k, ensemble) / xd_scaling(d, k, sphere)
 
-
-def wick_pairing_sum(covariance, indices) -> Fraction:
-    """Sum over pairings of products of covariances: E[x_{i1} ... x_{i2t}]
-    for centered jointly Gaussian coordinates.
-
-    covariance(a, b) must return the exact E[x_a x_b]. An odd index list
-    has no pairing, so its sum is 0.
-    """
-    return sum((prod((covariance(a, b) for a, b in pairs), start=Fraction(1))
-                for pairs in perfect_matchings(tuple(indices))), Fraction(0))

@@ -19,6 +19,29 @@ def load_map(name: str) -> ck.PlanarMap:
     return ck.parse_planar_map((CORPUS / f"{name}.planar").read_text(encoding="utf-8"))
 
 
+def disjoint_union(g1: ck.Multigraph, g2: ck.Multigraph) -> ck.Multigraph:
+    """Side-by-side union with g2's vertices shifted past g1's."""
+    if type(g1) is not type(g2):
+        raise TypeError("cannot union a directed with an undirected multigraph")
+    shift = g1.vertex_count
+    edges = g1.edges + tuple((u + shift, v + shift) for u, v in g2.edges)
+    return type(g1)(g1.vertex_count + g2.vertex_count, edges)
+
+
+def spanning_subgraph(g: ck.UndirectedMultigraph, edge_subset: list[int]) -> ck.UndirectedMultigraph:
+    """(V, S): all of g's vertices and the edges whose indices are in edge_subset."""
+    return ck.UndirectedMultigraph(g.vertex_count, [g.edges[i] for i in edge_subset])
+
+
+def poly_product(p: ck.IntPolynomial, q: ck.IntPolynomial) -> ck.IntPolynomial:
+    """The product of two coefficient vectors."""
+    out = [0] * (len(p.coefficients) + len(q.coefficients) - 1)
+    for i, a in enumerate(p.coefficients):
+        for j, b in enumerate(q.coefficients):
+            out[i + j] += a * b
+    return ck.IntPolynomial(out)
+
+
 @pytest.fixture(scope="session")
 def corpus_dir():
     return CORPUS

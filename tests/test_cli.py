@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import circuitkit
-from circuitkit import cli, diagrams, graphs, partition, planar, sampling
+from circuitkit import checks, cli, diagrams, graphs, partition, planar, sampling
 
 SPEC_OPERATIONS = [
     # graphcore
@@ -267,7 +267,7 @@ def test_verify_checks_edgeless_graphs(capsys, tmp_path, corpus_dir):
     ("--seed", "-5", "error: --seed must be in [0, 2**64), got -5\n"),
 ])
 def test_verify_refuses_a_bad_sampling_argument_before_any_check(capsys, monkeypatch, flag, value, message):
-    monkeypatch.setattr(cli, "run_verification", lambda *args, **kwargs: pytest.fail("a check ran"))
+    monkeypatch.setattr(checks, "run_verification", lambda *args, **kwargs: pytest.fail("a check ran"))
     for fmt in ("text", "json"):
         code, out, err = run(capsys, "verify", flag, value, "--format", fmt)
         assert (code, out, err) == (cli.EXIT_INPUT_ERROR, "", message)
@@ -523,18 +523,20 @@ def test_the_package_resolves_its_names_on_first_use():
     subprocess.run([sys.executable, "-c", _RESOLVES_LAZILY], env=env, check=True, timeout=120)
 
 
-# (argv, modules it must load, modules it must not load)
+# (argv, modules it must load, modules it must not load). Only verify loads
+# circuitkit.checks, its invariant suite.
 _IMPORT_BUDGETS = [
-    (["--help"], set(), ENGINES | {"dataclasses", "json"}),
-    (["j", "--help"], set(), ENGINES | {"dataclasses", "json"}),
+    (["--help"], set(), ENGINES | {"circuitkit.checks", "dataclasses", "json"}),
+    (["j", "--help"], set(), ENGINES | {"circuitkit.checks", "dataclasses", "json"}),
     (["j", "fig1.graph"], {"circuitkit.partition"},
-     ENGINES - {"circuitkit.partition"} | {"dataclasses", "json", "numpy"}),
+     ENGINES - {"circuitkit.partition"} | {"circuitkit.checks", "dataclasses", "json", "numpy"}),
     (["q-predict", "fig1.graph", "--k", "2", "--ensemble", "complex-sphere"], {"circuitkit.sampling"},
-     {"circuitkit.planar", "dataclasses", "json", "numpy"}),
+     {"circuitkit.planar", "circuitkit.checks", "dataclasses", "json", "numpy"}),
     (["q-exact", "fig1.graph", "--k", "2", "--ensemble", "complex-sphere"], {"circuitkit.diagrams"},
-     ENGINES - {"circuitkit.diagrams"} | {"dataclasses", "numpy"}),
+     ENGINES - {"circuitkit.diagrams"} | {"circuitkit.checks", "dataclasses", "numpy"}),
     (["medial", "triangle.planar", "--format", "json"], {"circuitkit.planar", "json"},
-     {"circuitkit.diagrams", "circuitkit.sampling", "dataclasses", "numpy"}),
+     {"circuitkit.diagrams", "circuitkit.sampling", "circuitkit.checks", "dataclasses", "numpy"}),
+    (["verify", "--n", "2000"], {"circuitkit.checks"} | ENGINES, {"dataclasses"}),
 ]
 
 

@@ -22,6 +22,7 @@ from circuitkit import (
 )
 from circuitkit.diagrams import cycle_genfunc_matchings
 from circuitkit.errors import GuardExceededError
+from circuitkit.graphs import perfect_matchings
 from circuitkit.sampling import (
     CHUNK_SIZE,
     WORKSPACE_LIMIT,
@@ -29,7 +30,6 @@ from circuitkit.sampling import (
     _chunk_sums,
     _workspace_bytes,
     draw_assignments,
-    wick_pairing_sum,
 )
 
 ALL_ENSEMBLES = list(Ensemble)
@@ -458,6 +458,17 @@ def test_real_gaussian_norm_moment_is_the_pairing_sum(d, k):
 # ---------------------------------------------------------------------------
 # Wick's theorem spot check
 # ---------------------------------------------------------------------------
+
+def wick_pairing_sum(covariance, indices) -> Fraction:
+    """Sum over pairings of products of covariances: E[x_{i1} ... x_{i2t}]
+    for centered jointly Gaussian coordinates.
+
+    covariance(a, b) must return the exact E[x_a x_b]. An odd index list
+    has no pairing, so its sum is 0.
+    """
+    return sum((prod((covariance(a, b) for a, b in pairs), start=Fraction(1))
+                for pairs in perfect_matchings(tuple(indices))), Fraction(0))
+
 
 def wick_sum_via_matchings(coords: tuple[int, ...], k: int) -> Fraction:
     """Pairing sum over matching diagrams: every covariance is delta/k."""
