@@ -35,7 +35,7 @@ def _assert_equal(actual, expected, label: str) -> str:
     return f"{label}: {actual}"
 
 
-def run_verification(corpus_dir: Path, n_mc: int = 50_000, seed: int = 20260810) -> list[tuple[str, bool, str]]:
+def run_verification(corpus_dir: Path, n_mc: int, seed: int) -> list[tuple[str, bool, str]]:
     """The invariant suite over the bundled (or given) corpus, as (name, ok, detail) per check."""
     from . import diagrams, partition, planar, sampling
 

@@ -272,20 +272,19 @@ def build_parser() -> argparse.ArgumentParser:
     q_estimate.add_argument("--n", type=int, default=100_000, help="sample count (default 100000)")
     q_estimate.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
     q_estimate.add_argument("--workers", type=int, default=1, help="worker threads, at most the CPU count (default 1)")
-    q_exact.add_argument("--guard-contraction", type=int, default=None,
+    q_exact.add_argument("--guard-contraction", type=int, default=DEFAULT_CONTRACTION_GUARD,
                          help="max planned work of the contraction, summed over the vertex order as "
-                              "k^(open edges + new edges at the vertex) "
-                              f"(default {DEFAULT_CONTRACTION_GUARD})")
+                              "k^(open edges + new edges at the vertex) (default %(default)s)")
     tutte.add_argument("--x", type=rational, required=True, help='x as "p/q" or integer')
     tutte.add_argument("--y", type=rational, required=True, help='y as "p/q" or integer')
     martin.add_argument("--z", type=rational, required=True, help='z as "p/q" or integer')
     for p in (j, q_predict, martin):
-        p.add_argument("--guard-enumeration", type=int, default=None,
+        p.add_argument("--guard-enumeration", type=int, default=DEFAULT_ENUMERATION_GUARD,
                        help="max work units of the splitting recursion, summed over its states as "
-                            f"branches x edges (default {DEFAULT_ENUMERATION_GUARD})")
+                            "branches x edges (default %(default)s)")
     for p in (tutte, martin):
-        p.add_argument("--guard-subsets", type=int, default=None,
-                       help=f"max subsets 2^m (default {DEFAULT_SUBSET_GUARD})")
+        p.add_argument("--guard-subsets", type=int, default=DEFAULT_SUBSET_GUARD,
+                       help="max subsets 2^m (default %(default)s)")
     verify.add_argument("corpus", nargs="?", default=None, help="corpus directory (default: bundled corpus)")
     verify.add_argument("--n", type=int, default=50_000, help="Monte Carlo samples per check (default 50000)")
     verify.add_argument("--seed", type=int, default=20260810, help="RNG seed (default 20260810)")

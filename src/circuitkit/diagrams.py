@@ -121,16 +121,13 @@ def xd_scaling(d: int, k: int, ensemble: Ensemble) -> Fraction:
 def vertex_scaling(g: Multigraph, k: int, ensemble: Ensemble) -> Fraction:
     """Product of the per-vertex scalings xd_scaling(d_v, k, ensemble).
 
-    d_v is the in-degree of a directed vertex and half the degree of an
-    undirected one: the tensor power of x_v that its edges contract.
-    Vertices are tallied by d_v, so each distinct scaling is computed and
-    raised to its multiplicity once.
+    d_v = g.degrees()[v] // 2, half the vertex's half-edges: on an Eulerian
+    graph, the in-degree of a directed vertex and half the degree of an
+    undirected one, the tensor power of x_v that its edges contract.
+    Vertices are tallied by half-edge count, so each distinct scaling is
+    computed and raised to its multiplicity once.
     """
-    if isinstance(g, DirectedMultigraph):
-        powers = Counter(g.in_degrees())
-    else:
-        powers = Counter(d // 2 for d in g.degrees())
-    return prod((xd_scaling(d, k, ensemble) ** count for d, count in powers.items()),
+    return prod((xd_scaling(h // 2, k, ensemble) ** count for h, count in Counter(g.degrees()).items()),
                 start=Fraction(1))
 
 
@@ -196,7 +193,8 @@ def _picker(positions: list[int]) -> Callable[[tuple[int, ...]], tuple[int, ...]
     return itemgetter(*positions) if positions else lambda src: ()
 
 
-def contract_q_exact(g: Multigraph, k: int, ensemble: Ensemble, guard: int | None = None) -> Fraction:
+def contract_q_exact(g: Multigraph, k: int, ensemble: Ensemble,
+                     guard: int = DEFAULT_CONTRACTION_GUARD) -> Fraction:
     """q(G;k) by contracting the per-vertex expected tensors along a vertex order.
 
     Each vertex contributes the entry of its expected tensor at the indices
@@ -218,7 +216,6 @@ def contract_q_exact(g: Multigraph, k: int, ensemble: Ensemble, guard: int | Non
     at v), and refuses before any table is built. The contraction never
     touches circuit-partition reasoning, so it is an independent check.
     """
-    guard = DEFAULT_CONTRACTION_GUARD if guard is None else guard
     if k < 1:
         raise ValueError("k must be >= 1")
     ensure_ensemble_matches(g, ensemble)

@@ -146,49 +146,31 @@ class Multigraph(Record):
             at[v].append(2 * e + 1)
         return at
 
+    def degrees(self) -> tuple[int, ...]:
+        """Half-edges at each vertex, a loop counting twice: the degree of an
+        undirected vertex, in- plus out-degree of a directed one.
+
+        On an Eulerian graph of either kind, degrees()[v] // 2 is d_v, the
+        power of x_v that the vertex's edges contract: the in-degree of a
+        directed vertex, half the degree of an undirected one.
+        """
+        degs = [0] * self.vertex_count
+        for u, v in self.edges:
+            degs[u] += 1
+            degs[v] += 1
+        return tuple(degs)
+
 
 class DirectedMultigraph(Multigraph):
     """Directed multigraph as an ordered edge list of (tail, head) pairs."""
 
     __slots__ = ()
 
-    def in_degrees(self) -> tuple[int, ...]:
-        degs = [0] * self.vertex_count
-        for _, v in self.edges:
-            degs[v] += 1
-        return tuple(degs)
-
-    def out_degrees(self) -> tuple[int, ...]:
-        degs = [0] * self.vertex_count
-        for u, _ in self.edges:
-            degs[u] += 1
-        return tuple(degs)
-
-    def slots(self) -> tuple[list[list[int]], list[list[int]]]:
-        """(incoming, outgoing) edge indices per vertex, in file order.
-
-        Read off half_edges(): the heads (odd ids) at v are its in-slots and
-        the tails (even ids) its out-slots. In-slot i of vertex v is ins[v][i]
-        and out-slot j is outs[v][j]; the transition systems index slots
-        this way.
-        """
-        at = self.half_edges()
-        ins = [[h >> 1 for h in halves if h & 1] for halves in at]
-        outs = [[h >> 1 for h in halves if not h & 1] for halves in at]
-        return ins, outs
-
 
 class UndirectedMultigraph(Multigraph):
     """Undirected multigraph; edge e owns half-edges 2e (first endpoint) and 2e+1."""
 
     __slots__ = ()
-
-    def degrees(self) -> tuple[int, ...]:
-        degs = [0] * self.vertex_count
-        for u, v in self.edges:
-            degs[u] += 1
-            degs[v] += 1
-        return tuple(degs)
 
 
 class EulerianReport(NamedTuple):
@@ -221,7 +203,10 @@ def eulerian_check(g: Multigraph) -> EulerianReport:
     are defined per component)."""
     offending: list[tuple[int, ...]] = []
     if isinstance(g, DirectedMultigraph):
-        ins, outs = g.in_degrees(), g.out_degrees()
+        ins, outs = [0] * g.vertex_count, [0] * g.vertex_count
+        for u, v in g.edges:
+            outs[u] += 1
+            ins[v] += 1
         for v in range(g.vertex_count):
             if ins[v] != outs[v]:
                 offending.append((v, ins[v], outs[v]))

@@ -45,8 +45,8 @@ from math import factorial, prod
 from typing import Callable, Iterable, Iterator
 
 from .errors import DEFAULT_ENUMERATION_GUARD, GuardExceededError
-from .graphs import (DirectedMultigraph, Multigraph, Record, double_factorial, max_adjacency_order,
-                     pairing_loop_count, perfect_matchings, require_eulerian)
+from .graphs import (DirectedMultigraph, Multigraph, Record, double_factorial, eulerian_check,
+                     max_adjacency_order, pairing_loop_count, perfect_matchings, require_eulerian)
 
 
 # ---------------------------------------------------------------------------
@@ -88,13 +88,17 @@ class IntPolynomial(Record):
 # ---------------------------------------------------------------------------
 
 def transition_system_count(g: Multigraph) -> int:
-    """prod_v d_v! (directed, d_v = in = out) or prod_v (degree_v - 1)!! (undirected)."""
-    if isinstance(g, DirectedMultigraph):
-        return prod(factorial(d) for d in g.in_degrees())
-    return prod(double_factorial(d - 1) for d in g.degrees())
+    """prod_v d_v! (directed) or prod_v (2 d_v - 1)!! (undirected), with
+    d_v = g.degrees()[v] // 2; 0 when g is not Eulerian, since then it has
+    no transition system."""
+    if not eulerian_check(g).is_eulerian:
+        return 0
+    per_vertex = factorial if isinstance(g, DirectedMultigraph) else lambda d: double_factorial(2 * d - 1)
+    return prod(per_vertex(h // 2) for h in g.degrees())
 
 
-def enumerate_transition_systems(g: Multigraph, guard: int | None = None) -> Iterator[tuple[tuple, ...]]:
+def enumerate_transition_systems(g: Multigraph,
+                                 guard: int = DEFAULT_ENUMERATION_GUARD) -> Iterator[tuple[tuple, ...]]:
     """Yield every transition system of g as its tuple of per-vertex wirings,
     lexicographically, vertex 0 most significant: a permutation tuple sigma
     (in-slot i continues to out-slot sigma[i]) per directed vertex, a perfect
@@ -104,15 +108,15 @@ def enumerate_transition_systems(g: Multigraph, guard: int | None = None) -> Ite
     the total count must clear the guard. An odometer over lazy per-vertex
     wiring generators: a single high-degree vertex never lists its wirings.
     """
-    guard = DEFAULT_ENUMERATION_GUARD if guard is None else guard
     require_eulerian(g)
     total = transition_system_count(g)
     if total > guard:
         raise GuardExceededError("transition-system enumeration refused", total, guard)
     if isinstance(g, DirectedMultigraph):
-        sizes, wirings = g.in_degrees(), lambda d: itertools.permutations(range(d))
+        wirings = lambda d: itertools.permutations(range(d))
     else:
-        sizes, wirings = g.degrees(), lambda d: perfect_matchings(tuple(range(d)))
+        wirings = lambda d: perfect_matchings(tuple(range(2 * d)))
+    sizes = [h // 2 for h in g.degrees()]
 
     wheels = [wirings(d) for d in sizes]
     current = [next(it) for it in wheels]
@@ -139,22 +143,24 @@ def circuit_count(g: Multigraph, wirings: tuple[tuple, ...]) -> int:
     """Number of circuits of the transition system with these per-vertex
     wirings (0 for the empty system of an edgeless graph).
 
-    Each wiring joins pairs of half-edges at its vertex: the head of in-slot
-    i with the tail of out-slot sigma[i] (directed), or the two matched
-    half-edges (undirected). The circuits are the loops of
+    Each wiring joins pairs of half-edges at its vertex: in-slot i, the i-th
+    head (odd id) at v in file order, with out-slot sigma[i], the sigma[i]-th
+    tail (even id) (directed), or the two matched half-edges (undirected),
+    all read off g.half_edges(). The circuits are the loops of
     graphs.pairing_loop_count with twin h ^ 1.
     """
     if len(wirings) != g.vertex_count:
         raise ValueError("transition system does not match the graph's vertex count")
     joined: list[tuple[int, int]] = []
+    at = g.half_edges()
     if isinstance(g, DirectedMultigraph):
-        ins, outs = g.slots()
         for v, sigma in enumerate(wirings):
-            if sorted(sigma) != list(range(len(ins[v]))):
-                raise ValueError(f"wiring at vertex {v} is not a bijection on {len(ins[v])} slots")
-            joined.extend((2 * e + 1, 2 * outs[v][j]) for e, j in zip(ins[v], sigma))
+            heads = [h for h in at[v] if h & 1]
+            tails = [h for h in at[v] if not h & 1]
+            if sorted(sigma) != list(range(len(heads))):
+                raise ValueError(f"wiring at vertex {v} is not a bijection on {len(heads)} slots")
+            joined.extend((h, tails[j]) for h, j in zip(heads, sigma))
     else:
-        at = g.half_edges()
         for v, pairs in enumerate(wirings):
             if sorted(i for pair in pairs for i in pair) != list(range(len(at[v]))):
                 raise ValueError(f"wiring at vertex {v} is not a perfect matching of {len(at[v])} slots")
@@ -305,7 +311,7 @@ def _sweep(key: tuple[int, ...], n: int, split: Callable[[tuple[int, ...], int],
     return layer[()]
 
 
-def circuit_partition_polynomial(g: Multigraph, guard: int | None = None) -> IntPolynomial:
+def circuit_partition_polynomial(g: Multigraph, guard: int = DEFAULT_ENUMERATION_GUARD) -> IntPolynomial:
     """The generating polynomial sum_t r_t z^t of circuit partitions.
 
     The edgeless graph yields the constant polynomial 1: its single (empty)
@@ -313,7 +319,6 @@ def circuit_partition_polynomial(g: Multigraph, guard: int | None = None) -> Int
     and the moment identities valid in the degenerate case. `guard` caps the
     work units of the splitting sweep (see the module docstring).
     """
-    guard = DEFAULT_ENUMERATION_GUARD if guard is None else guard
     require_eulerian(g)
     directed = isinstance(g, DirectedMultigraph)
     pairs, closed = _contract(g)

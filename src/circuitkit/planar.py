@@ -23,7 +23,8 @@ from collections import Counter
 from fractions import Fraction
 from typing import Iterable, NamedTuple
 
-from .errors import DEFAULT_SUBSET_GUARD, EmbeddingError, GraphFormatError, GuardExceededError
+from .errors import (DEFAULT_ENUMERATION_GUARD, DEFAULT_SUBSET_GUARD, EmbeddingError, GraphFormatError,
+                     GuardExceededError)
 from .graphs import (
     DirectedMultigraph,
     Record,
@@ -97,7 +98,7 @@ def medial_graph(pmap: PlanarMap) -> DirectedMultigraph:
     return DirectedMultigraph(pmap.graph.edge_count, edges)
 
 
-def subset_expansion_terms(g: UndirectedMultigraph, guard: int | None = None):
+def subset_expansion_terms(g: UndirectedMultigraph, guard: int = DEFAULT_SUBSET_GUARD):
     """All 2^m terms (S, c(S), l(S)) of the rank-nullity expansion in bitmask
     order: S ascending, c(S) the components of (V, S), and the excess
     l(S) = c(S) + |S| - n, the edges to delete to make each component a tree.
@@ -106,7 +107,6 @@ def subset_expansion_terms(g: UndirectedMultigraph, guard: int | None = None):
     before taken, with a component label per vertex: an edge taken inside one
     component raises the excess, one taken across two merges their labels.
     """
-    guard = DEFAULT_SUBSET_GUARD if guard is None else guard
     m = g.edge_count
     if 2**m > guard:
         raise GuardExceededError("subset expansion refused", 2**m, guard)
@@ -127,7 +127,7 @@ def subset_expansion_terms(g: UndirectedMultigraph, guard: int | None = None):
         stack.append((i, subset, label, c, excess))
 
 
-def tutte_subset_expansion(g: UndirectedMultigraph, x, y, guard: int | None = None) -> Fraction:
+def tutte_subset_expansion(g: UndirectedMultigraph, x, y, guard: int = DEFAULT_SUBSET_GUARD) -> Fraction:
     """Tutte polynomial value by the rank-nullity sum over all edge subsets.
 
     T(G;x,y) = sum over S of (x-1)^(c(S)-c(G)) (y-1)^(c(S)+|S|-n), with the
@@ -151,8 +151,8 @@ class MartinCheck(NamedTuple):
     equal: bool
 
 
-def martin_check(pmap: PlanarMap, z, enumeration_guard: int | None = None,
-                 subset_guard: int | None = None) -> MartinCheck:
+def martin_check(pmap: PlanarMap, z, enumeration_guard: int = DEFAULT_ENUMERATION_GUARD,
+                 subset_guard: int = DEFAULT_SUBSET_GUARD) -> MartinCheck:
     """Evaluate both sides of j(G_m; z) = z^(c(G) - i) * T(G; z+1, z+1) exactly.
 
     The left side enumerates circuit partitions of the medial graph; the

@@ -32,7 +32,7 @@ from math import prod, sqrt
 from typing import TYPE_CHECKING, NamedTuple
 
 from .diagrams import ensure_ensemble_matches, vertex_scaling, xd_scaling
-from .errors import GuardExceededError, NotEulerianError
+from .errors import DEFAULT_ENUMERATION_GUARD, GuardExceededError, NotEulerianError
 from .graphs import DirectedMultigraph, Ensemble, Multigraph
 from .partition import circuit_partition_polynomial
 
@@ -359,7 +359,8 @@ def estimate_q(g: Multigraph, k: int, ensemble: Ensemble, n_samples: int, seed: 
     return MCEstimate(mean, sqrt(variance / n_samples), n_samples, ensemble, k, seed, zeros)
 
 
-def predicted_q(g: Multigraph, k: int, ensemble: Ensemble, guard: int | None = None) -> Fraction:
+def predicted_q(g: Multigraph, k: int, ensemble: Ensemble,
+                guard: int = DEFAULT_ENUMERATION_GUARD) -> Fraction:
     """Exact q(G;k): the circuit partition polynomial at z = k times the
     product of per-vertex scalings.
 

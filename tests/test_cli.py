@@ -327,7 +327,7 @@ def test_command_table_is_complete():
     ("--guard-subsets", planar.DEFAULT_SUBSET_GUARD),
 ])
 def test_shared_guards_have_one_help_text(flag, default):
-    helps = {name: action.help for name, p in subcommands().items()
+    helps = {name: p._get_formatter()._expand_help(action) for name, p in subcommands().items()
              for action in p._actions if flag in action.option_strings}
     assert len(helps) >= 2
     (text,) = set(helps.values())

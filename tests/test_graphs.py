@@ -123,8 +123,7 @@ def test_require_eulerian_cites_the_report(fig1):
 
 def test_directed_self_loop_balances_degrees():
     g = DirectedMultigraph(1, ((0, 0),))
-    assert g.in_degrees() == (1,)
-    assert g.out_degrees() == (1,)
+    assert g.degrees() == (2,)  # one head and one tail: in = out = 1
     assert eulerian_check(g).is_eulerian
 
 
@@ -211,10 +210,24 @@ def undirected_graphs(draw):
     return UndirectedMultigraph(n, tuple(edges))
 
 
+def in_out_degrees(g: DirectedMultigraph) -> tuple[list[int], list[int]]:
+    ins, outs = [0] * g.vertex_count, [0] * g.vertex_count
+    for tail, head in g.edges:
+        outs[tail] += 1
+        ins[head] += 1
+    return ins, outs
+
+
 @given(directed_graphs())
 def test_degree_sums_directed(g):
-    assert sum(g.in_degrees()) == g.edge_count
-    assert sum(g.out_degrees()) == g.edge_count
+    ins, outs = in_out_degrees(g)
+    assert sum(ins) == sum(outs) == g.edge_count
+    assert sum(g.degrees()) == 2 * g.edge_count
+    assert list(g.degrees()) == [i + o for i, o in zip(ins, outs)]
+    # g plus every edge reversed is Eulerian, and there d_v is the in-degree.
+    balanced = DirectedMultigraph(g.vertex_count, g.edges + tuple((v, u) for u, v in g.edges))
+    assert eulerian_check(balanced).is_eulerian
+    assert [d // 2 for d in balanced.degrees()] == in_out_degrees(balanced)[0]
 
 
 @given(undirected_graphs())
@@ -229,18 +242,6 @@ def test_half_edges_partition(g):
     for v, halves in enumerate(g.half_edges()):
         assert halves == sorted(halves)
         assert all(g.half_edge_vertex(h) == v for h in halves)
-
-
-@given(directed_graphs())
-def test_directed_slots_list_edges_in_file_order(g):
-    at = g.half_edges()
-    ins, outs = g.slots()
-    for v in range(g.vertex_count):
-        # Edge e's tail owns half-edge 2e and its head half-edge 2e + 1.
-        assert [h for h in at[v] if h % 2 == 0] == [2 * e for e, (tail, _) in enumerate(g.edges) if tail == v]
-        assert [h for h in at[v] if h % 2 == 1] == [2 * e + 1 for e, (_, head) in enumerate(g.edges) if head == v]
-        assert ins[v] == [e for e, (_, head) in enumerate(g.edges) if head == v]
-        assert outs[v] == [e for e, (tail, _) in enumerate(g.edges) if tail == v]
 
 
 @given(st.one_of(directed_graphs(), undirected_graphs()))

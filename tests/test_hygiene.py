@@ -1,13 +1,14 @@
 """Static hygiene of the package source: no unused imports, no private
 machinery without a caller, no public definition that no package module
-reads (an export alone is not a caller), an export list that resolves, a
-contraction oracle that imports nothing from the modules it checks, one
-vertex-order planner, one pairing-loop count, a map side that takes only
-the engine from partition, one module that lifts the int-digit limit for
-printing, no module that loads the sampling-only dependencies at import
-time, and no module that imports dataclasses (which loads inspect, a
-start-up cost every command would pay). Which modules each command loads at
-run time is checked in tests/test_cli.py.
+reads (an export alone is not a caller) and no public method that none
+reads as an attribute, an export list that resolves, a contraction oracle
+that imports nothing from the modules it checks, one vertex-order planner,
+one pairing-loop count, a map side that takes only the engine from
+partition, one module that lifts the int-digit limit for printing, no
+module that loads the sampling-only dependencies at import time, and no
+module that imports dataclasses (which loads inspect, a start-up cost every
+command would pay). Which modules each command loads at run time is checked
+in tests/test_cli.py.
 
 Uses only the standard library's ast module.
 """
@@ -89,6 +90,36 @@ def test_public_definitions_are_exported_or_used():
                     and node.name not in _names_loaded(tree.body, skip=node, attributes=True)):
                 orphans.append(f"{path.stem}.{node.name}")
     assert not orphans, f"public definitions that no package module reads: {orphans}"
+
+
+def _attributes_read(nodes, skip: ast.AST) -> set[str]:
+    """Every attribute read under `nodes` (`g.degrees`), leaving out the subtree `skip`."""
+    found: set[str] = set()
+    stack = list(nodes)
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            found.add(node.attr)
+        stack.extend(ast.iter_child_nodes(node))
+    return found
+
+
+def test_public_methods_have_a_reader():
+    """A public method or property of a package class is read as an
+    attribute by some package module outside its own definition."""
+    trees = {path: _tree(path) for path in MODULES}
+    orphans = []
+    for path, tree in trees.items():
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in cls.body:
+                if (isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+                        and not any(node.name in _attributes_read(t.body, skip=node) for t in trees.values())):
+                    orphans.append(f"{path.stem}.{cls.name}.{node.name}")
+    assert not orphans, f"public methods that no package module reads: {orphans}"
 
 
 def test_every_exported_name_resolves():

@@ -131,6 +131,14 @@ def test_non_eulerian_enumeration_cites_report():
     assert excinfo.value.report.offending_vertices == ((0, 0, 1), (1, 1, 0))
 
 
+@pytest.mark.parametrize("g", [
+    DirectedMultigraph(2, ((0, 1),)),
+    UndirectedMultigraph(3, ((0, 1), (1, 2), (0, 1), (1, 2), (0, 2))),  # degrees 3, 4, 3
+], ids=["directed", "undirected"])
+def test_non_eulerian_graphs_have_no_transition_system(g):
+    assert transition_system_count(g) == 0
+
+
 # ---------------------------------------------------------------------------
 # Circuit counting
 # ---------------------------------------------------------------------------
@@ -348,7 +356,8 @@ def best_r1(g: DirectedMultigraph) -> int:
             for c in range(col, n - 1):
                 minor[r][c] -= factor * minor[col][c]
     arborescences = int(det)
-    return arborescences * prod(factorial(d - 1) for d in g.in_degrees())
+    in_degrees = Counter(head for _, head in g.edges)
+    return arborescences * prod(factorial(in_degrees[v] - 1) for v in range(n))
 
 
 @st.composite

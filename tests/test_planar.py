@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -155,8 +156,9 @@ def test_medial_always_eulerian_and_doubled(corpus_maps):
         medial = medial_graph(pmap)
         assert medial.edge_count == 2 * pmap.graph.edge_count
         assert eulerian_check(medial).is_eulerian
-        assert set(medial.in_degrees()) <= {2}
-        assert set(medial.out_degrees()) <= {2}
+        ins, outs = Counter(head for _, head in medial.edges), Counter(tail for tail, _ in medial.edges)
+        assert {ins[v] for v in range(medial.vertex_count)} <= {2}
+        assert {outs[v] for v in range(medial.vertex_count)} <= {2}
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +305,9 @@ def reference_subset_system(pmap: PlanarMap, subset) -> tuple[tuple[int, ...], .
     orbits = faces(pmap)
     tails = [d for orbit in orbits for d in orbit]
     heads = [d for orbit in orbits for d in orbit[1:] + orbit[:1]]
-    in_slots, out_slots = medial_graph(pmap).slots()
+    medial = medial_graph(pmap)
+    in_slots = [[i for i, (_, head) in enumerate(medial.edges) if head == v] for v in range(medial.vertex_count)]
+    out_slots = [[i for i, (tail, _) in enumerate(medial.edges) if tail == v] for v in range(medial.vertex_count)]
     chosen = set(subset)
     wirings = []
     for e in range(pmap.graph.edge_count):
