@@ -51,7 +51,7 @@ def run_verification(corpus_dir: Path, n_mc: int, seed: int) -> list[tuple[str, 
     loaded: dict[str, graphs.Multigraph] = {}
     for path in graph_files:
         def parse_roundtrip(path=path):
-            text = path.read_text(encoding="utf-8")
+            text = path.read_text(encoding="utf-8-sig")
             g = graphs.parse_graph(text)
             if graphs.parse_graph(graphs.serialize_graph(g)) != g:
                 raise AssertionError("parse(serialize(g)) != g")
@@ -62,7 +62,7 @@ def run_verification(corpus_dir: Path, n_mc: int, seed: int) -> list[tuple[str, 
     maps: dict[str, planar.PlanarMap] = {}
     for path in planar_files:
         def parse_map(path=path):
-            pmap = planar.parse_planar_map(path.read_text(encoding="utf-8"))
+            pmap = planar.parse_planar_map(path.read_text(encoding="utf-8-sig"))
             reparsed = planar.parse_planar_map(planar.serialize_planar_map(pmap))
             if reparsed != pmap:
                 raise AssertionError("parse(serialize(map)) != map")

@@ -73,7 +73,7 @@ def format_coefficients(poly: IntPolynomial) -> list[str]:
 def graph_to_json_dict(g: graphs.Multigraph) -> dict:
     return {
         "schema": SCHEMA,
-        "kind": "directed" if isinstance(g, graphs.DirectedMultigraph) else "undirected",
+        "kind": g.kind,
         "vertex_count": g.vertex_count,
         "edges": [[u, v] for u, v in g.edges],
     }
@@ -86,8 +86,9 @@ def bundled_corpus_dir() -> Path:
 
 
 def _read(path: str) -> str:
+    """The text of a graph file, less a leading UTF-8 byte-order mark."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise GraphFormatError(f"cannot read {path}: {exc.strerror or exc}") from exc
 
@@ -119,8 +120,7 @@ def cmd_j(args) -> int:
     g = graphs.parse_graph(_read(args.input))
     poly = partition.circuit_partition_polynomial(g, guard=args.guard_enumeration)
     coefficients = format_coefficients(poly)
-    variant = "directed" if isinstance(g, graphs.DirectedMultigraph) else "undirected"
-    _emit(args, " ".join(coefficients), {"schema": SCHEMA, "variant": variant, "coefficients": coefficients})
+    _emit(args, " ".join(coefficients), {"schema": SCHEMA, "variant": g.kind, "coefficients": coefficients})
     return EXIT_OK
 
 

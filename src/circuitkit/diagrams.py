@@ -143,36 +143,20 @@ def ensure_ensemble_matches(g: Multigraph, ensemble: Ensemble) -> None:
         raise ValueError("undirected graphs pair with real ensembles")
 
 
-def _incidence(g: Multigraph) -> dict[int, list[int]]:
-    """The edge of each half-edge at each vertex, in the order its entry reads them.
-
-    Half-edges go in id order, a directed graph's heads (its upper indices)
-    before its tails (the lower ones). Vertices without half-edges get no
-    list, so the cost follows m, not n.
-    """
-    halves = range(g.half_edge_count)
-    if isinstance(g, DirectedMultigraph):
-        halves = [*halves[1::2], *halves[::2]]
-    at: dict[int, list[int]] = {}
-    for h in halves:
-        at.setdefault(g.half_edge_vertex(h), []).append(h >> 1)
-    return at
-
-
-def _absorption_order(g: Multigraph, incident: dict[int, list[int]]) -> list[tuple[int, tuple[int, ...], ...]]:
+def _absorption_order(g: Multigraph, slots: dict[int, list[int]]) -> list[tuple[int, tuple[int, ...], ...]]:
     """(v, edges v closes, edges v opens, loops at v) along graphs.max_adjacency_order.
 
     At vertex v, the open edges (one end absorbed) close; its other edges are
     new: those to later vertices open, and its loops close at once. Each tuple
-    lists distinct edges in the order of first appearance in incident[v].
-    Vertices without half-edges are left out: their entry is the empty
-    contraction, a factor of 1.
+    lists distinct edges in the order of first appearance in slots[v], the
+    slot table g.half_edges(). Vertices without half-edges are left out:
+    their entry is the empty contraction, a factor of 1.
     """
     is_open = bytearray(g.edge_count)
     order = []
     for v in max_adjacency_order(g.edges):
         closed, opened, loops = [], [], []
-        for e in dict.fromkeys(incident[v]):
+        for e in dict.fromkeys(h >> 1 for h in slots[v]):
             a, b = g.edges[e]
             if is_open[e]:
                 closed.append(e)
@@ -198,12 +182,11 @@ def contract_q_exact(g: Multigraph, k: int, ensemble: Ensemble,
     """q(G;k) by contracting the per-vertex expected tensors along a vertex order.
 
     Each vertex contributes the entry of its expected tensor at the indices
-    of its half-edges: the heads of its incoming edges are the upper indices
-    and the tails of its outgoing edges the lower ones (file order), or all
-    incident half-edges in the undirected case. An entry is scaling * (number
-    of diagrams whose wiring the index values satisfy); that number has a
-    closed form (permutation_entry, matching_entry), memoized on the value
-    tuple.
+    of its half-edges, read in slot order off g.half_edges(): a directed
+    vertex's heads are the upper indices and its tails the lower ones. An
+    entry is scaling * (number of diagrams whose wiring the index values
+    satisfy); that number has a closed form (permutation_entry,
+    matching_entry), memoized on the value tuple.
 
     Vertices are absorbed one at a time in maximum-adjacency order
     (_absorption_order). A sparse table maps the index values of the open
@@ -220,9 +203,9 @@ def contract_q_exact(g: Multigraph, k: int, ensemble: Ensemble,
         raise ValueError("k must be >= 1")
     ensure_ensemble_matches(g, ensemble)
     require_eulerian(g)
-    incident = _incidence(g)
+    slots = g.half_edges()
     entry = permutation_entry if isinstance(g, DirectedMultigraph) else matching_entry
-    order = _absorption_order(g, incident)
+    order = _absorption_order(g, slots)
     work = width = 0  # width: the open edges before v
     for _, closed, opened, loops in order:
         work += k ** (width + len(opened) + len(loops))
@@ -239,7 +222,7 @@ def contract_q_exact(g: Multigraph, k: int, ensemble: Ensemble,
         # v's entry and the next key are read off it by position.
         where = {e: i for i, e in enumerate(frontier + list(opened + loops))}
         frontier = [e for e in frontier if e not in closed] + list(opened)
-        values_of, key_of = _picker([where[e] for e in incident[v]]), _picker([where[e] for e in frontier])
+        values_of, key_of = _picker([where[h >> 1] for h in slots[v]]), _picker([where[e] for e in frontier])
         assignments = list(itertools.product(range(k), repeat=len(opened) + len(loops)))
         following: dict[tuple[int, ...], int] = {}
         for key, count in table.items():

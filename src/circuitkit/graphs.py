@@ -103,6 +103,7 @@ class Multigraph(Record):
     """
 
     __slots__ = _fields = ("vertex_count", "edges")
+    kind: str  # "directed" or "undirected", the header and JSON name; set by each graph kind
     vertex_count: int
     edges: tuple[tuple[int, int], ...]
 
@@ -131,19 +132,23 @@ class Multigraph(Record):
         """Endpoint vertex of half-edge h (2e sits at edges[e][0], 2e+1 at edges[e][1])."""
         return self.edges[h // 2][h % 2]
 
-    def half_edges(self) -> list[list[int]]:
-        """Half-edge ids at each vertex, ascending, in one pass over the edges.
+    def half_edges(self) -> dict[int, list[int]]:
+        """The slot table: the half-edge ids at each vertex that has any, in
+        slot order, so its cost follows m, not n.
 
-        A loop contributes both of its ids. The transition systems and the
-        rotation checks read incidence from this table; the engine's
-        forced-chain contraction pairs the two half-edges at each forced
-        vertex in one pass instead, and the contraction oracle lists only the
-        vertices it absorbs.
+        An undirected vertex lists its ids ascending, a loop giving both. A
+        directed vertex lists its heads (odd ids, ascending) first, its
+        in-slots and upper tensor indices, then its tails (even ids,
+        ascending), its out-slots and lower indices. The transition systems
+        and the contraction oracle read their slots from this table.
         """
-        at: list[list[int]] = [[] for _ in range(self.vertex_count)]
-        for e, (u, v) in enumerate(self.edges):
-            at[u].append(2 * e)
-            at[v].append(2 * e + 1)
+        ids = range(self.half_edge_count)
+        if isinstance(self, DirectedMultigraph):
+            ids = [*ids[1::2], *ids[::2]]
+        edges = self.edges
+        at: dict[int, list[int]] = {}
+        for h in ids:
+            at.setdefault(edges[h >> 1][h & 1], []).append(h)
         return at
 
     def degrees(self) -> tuple[int, ...]:
@@ -165,12 +170,14 @@ class DirectedMultigraph(Multigraph):
     """Directed multigraph as an ordered edge list of (tail, head) pairs."""
 
     __slots__ = ()
+    kind = "directed"
 
 
 class UndirectedMultigraph(Multigraph):
     """Undirected multigraph; edge e owns half-edges 2e (first endpoint) and 2e+1."""
 
     __slots__ = ()
+    kind = "undirected"
 
 
 class EulerianReport(NamedTuple):
@@ -421,12 +428,12 @@ def parse_graph_file(text: str) -> tuple[str, Multigraph, tuple[tuple[int, ...],
 
 def _parse_rotations(g: UndirectedMultigraph, next_content_line, last_line: int) -> tuple[tuple[int, ...], ...]:
     rotations: list[tuple[int, ...]] = []
-    for v, halves in enumerate(g.half_edges()):
+    for v, degree in enumerate(g.degrees()):
         # Degree-0 vertices may omit their (empty) rotation line at EOF;
         # otherwise a blank line stands for the empty rotation.
         entry = next_content_line(allow_blank=True)
         if entry is None:
-            if not halves:
+            if not degree:
                 rotations.append(())
                 continue
             raise GraphFormatError(f"missing rotation line for vertex {v}", last_line)
@@ -435,7 +442,7 @@ def _parse_rotations(g: UndirectedMultigraph, next_content_line, last_line: int)
             darts = tuple(int(f) for f in content.split())
         except ValueError:
             raise GraphFormatError(f"rotation for vertex {v} is not a list of ints: {content!r}", lineno) from None
-        check_rotation(g, v, darts, len(halves), lineno)
+        check_rotation(g, v, darts, degree, lineno)
         rotations.append(darts)
     return tuple(rotations)
 
@@ -456,8 +463,7 @@ def check_rotation(g: UndirectedMultigraph, v: int, darts: tuple[int, ...], degr
         if g.half_edge_vertex(d) != v:
             raise GraphFormatError(f"dart {d} belongs to vertex {g.half_edge_vertex(d)}, not {v}", line)
         if d in listed:
-            where = "" if line is None else f" on line {line}"
-            raise GraphFormatError(f"dart {d} already listed{where}", line)
+            raise GraphFormatError(f"dart {d} already listed", line)
         listed.add(d)
     if len(darts) != degree:
         raise GraphFormatError(f"vertex {v} has degree {degree} but rotation lists {len(darts)} darts", line)
@@ -474,7 +480,6 @@ def parse_graph(text: str) -> Multigraph:
 
 
 def serialize_graph(g: Multigraph) -> str:
-    kind = "directed" if isinstance(g, DirectedMultigraph) else "undirected"
-    lines = [kind, f"{g.vertex_count} {g.edge_count}"]
+    lines = [g.kind, f"{g.vertex_count} {g.edge_count}"]
     lines.extend(f"{u} {v}" for u, v in g.edges)
     return "\n".join(lines) + "\n"

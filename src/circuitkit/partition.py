@@ -143,28 +143,29 @@ def circuit_count(g: Multigraph, wirings: tuple[tuple, ...]) -> int:
     """Number of circuits of the transition system with these per-vertex
     wirings (0 for the empty system of an edgeless graph).
 
-    Each wiring joins pairs of half-edges at its vertex: in-slot i, the i-th
-    head (odd id) at v in file order, with out-slot sigma[i], the sigma[i]-th
-    tail (even id) (directed), or the two matched half-edges (undirected),
-    all read off g.half_edges(). The circuits are the loops of
+    Slots are positions in the vertex's list in g.half_edges(). A directed
+    vertex with d heads joins in-slot i to out-slot sigma[i], the half-edges
+    at positions i and d + sigma[i]; an undirected vertex joins the two
+    half-edges at each matched pair of positions. A graph that is not
+    Eulerian has no transition system and is refused (NotEulerianError, a
+    ValueError) before any wiring is read. The circuits are the loops of
     graphs.pairing_loop_count with twin h ^ 1.
     """
     if len(wirings) != g.vertex_count:
         raise ValueError("transition system does not match the graph's vertex count")
-    joined: list[tuple[int, int]] = []
+    require_eulerian(g)
     at = g.half_edges()
-    if isinstance(g, DirectedMultigraph):
-        for v, sigma in enumerate(wirings):
-            heads = [h for h in at[v] if h & 1]
-            tails = [h for h in at[v] if not h & 1]
-            if sorted(sigma) != list(range(len(heads))):
-                raise ValueError(f"wiring at vertex {v} is not a bijection on {len(heads)} slots")
-            joined.extend((h, tails[j]) for h, j in zip(heads, sigma))
-    else:
-        for v, pairs in enumerate(wirings):
-            if sorted(i for pair in pairs for i in pair) != list(range(len(at[v]))):
-                raise ValueError(f"wiring at vertex {v} is not a perfect matching of {len(at[v])} slots")
-            joined.extend((at[v][a], at[v][b]) for a, b in pairs)
+    joined: list[tuple[int, int]] = []
+    for v, wiring in enumerate(wirings):
+        slots = at.get(v, [])
+        d = len(slots) // 2
+        if isinstance(g, DirectedMultigraph):
+            if sorted(wiring) != list(range(d)):
+                raise ValueError(f"wiring at vertex {v} is not a bijection on {d} slots")
+            wiring = [(i, d + j) for i, j in enumerate(wiring)]
+        elif sorted(i for pair in wiring for i in pair) != list(range(len(slots))):
+            raise ValueError(f"wiring at vertex {v} is not a perfect matching of {len(slots)} slots")
+        joined.extend((slots[a], slots[b]) for a, b in wiring)
     return pairing_loop_count(joined, [h ^ 1 for h in range(g.half_edge_count)])
 
 

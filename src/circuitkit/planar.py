@@ -47,11 +47,11 @@ class PlanarMap(Record):
 
     def __init__(self, graph: UndirectedMultigraph, rotation: Iterable[Iterable[int]]):
         rotation = tuple(tuple(r) for r in rotation)
-        at = graph.half_edges()
-        if len(rotation) != len(at):
+        degrees = graph.degrees()
+        if len(rotation) != len(degrees):
             raise ValueError("one rotation per vertex required")
-        for v, (darts, halves) in enumerate(zip(rotation, at)):
-            check_rotation(graph, v, darts, len(halves))
+        for v, (darts, degree) in enumerate(zip(rotation, degrees)):
+            check_rotation(graph, v, darts, degree)
         object.__setattr__(self, "graph", graph)
         object.__setattr__(self, "rotation", rotation)
 

@@ -188,6 +188,12 @@ def test_input_error_exit_code(capsys, tmp_path):
     assert "expected 5 edges" in err
 
 
+def test_a_byte_order_mark_is_not_content(capsys, tmp_path):
+    path = tmp_path / "marked.graph"
+    path.write_bytes(b"\xef\xbb\xbfdirected\n1 1\n0 0\n")
+    assert run(capsys, "j", str(path)) == (cli.EXIT_OK, "0 1\n", "")
+
+
 def test_missing_file_exit_code(capsys, tmp_path):
     code, _, err = run(capsys, "j", str(tmp_path / "nope.graph"))
     assert code == cli.EXIT_INPUT_ERROR

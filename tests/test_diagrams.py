@@ -217,7 +217,7 @@ def brute_force_q(g, k: int, ensemble: Ensemble) -> Fraction:
                     + [e for e, (tail, _) in enumerate(g.edges) if tail == v] for v in range(g.vertex_count)]
         entry = permutation_entry
     else:
-        incident, entry = [[h >> 1 for h in halves] for halves in g.half_edges()], matching_entry
+        incident, entry = [[h >> 1 for h in halves] for halves in g.half_edges().values()], matching_entry
     total = 0
     for assign in itertools.product(range(k), repeat=g.edge_count):
         total += prod(entry(tuple(assign[e] for e in edges)) for edges in incident)
@@ -403,19 +403,19 @@ def test_oracle_edgeless_graph_is_one():
 def test_oracle_leaves_out_vertices_without_half_edges(fig1):
     """Isolated vertices are not in the absorption order; each is a factor of 1."""
     padded = DirectedMultigraph(fig1.vertex_count + 100_000, fig1.edges)
-    incident = diagrams._incidence(padded)
-    assert sorted(incident) == list(range(fig1.vertex_count))
-    order = diagrams._absorption_order(padded, incident)
+    slots = padded.half_edges()
+    assert sorted(slots) == list(range(fig1.vertex_count))
+    order = diagrams._absorption_order(padded, slots)
     assert sorted(v for v, *_ in order) == list(range(fig1.vertex_count))
     assert contract_q_exact(padded, 2, Ensemble.COMPLEX_SPHERE) == Fraction(1, 8)
 
     interleaved = UndirectedMultigraph(6, ((1, 3), (3, 1), (4, 4)))  # 0, 2 and 5 are isolated
-    incident = diagrams._incidence(interleaved)
-    assert sorted(v for v, *_ in diagrams._absorption_order(interleaved, incident)) == [1, 3, 4]
+    slots = interleaved.half_edges()
+    assert sorted(v for v, *_ in diagrams._absorption_order(interleaved, slots)) == [1, 3, 4]
     for k in (1, 2, 3):
         assert (contract_q_exact(interleaved, k, Ensemble.REAL_GAUSSIAN)
                 == predicted_q(interleaved, k, Ensemble.REAL_GAUSSIAN))
-    assert diagrams._absorption_order(DirectedMultigraph(3, ()), diagrams._incidence(DirectedMultigraph(3, ()))) == []
+    assert diagrams._absorption_order(DirectedMultigraph(3, ()), DirectedMultigraph(3, ()).half_edges()) == []
 
 
 def test_ensemble_parsing(capsys, corpus_dir):

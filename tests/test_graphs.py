@@ -237,11 +237,23 @@ def test_degree_sum_undirected(g):
 
 @given(st.one_of(directed_graphs(), undirected_graphs()))
 def test_half_edges_partition(g):
-    owned = sorted(h for halves in g.half_edges() for h in halves)
+    at = g.half_edges()
+    owned = sorted(h for halves in at.values() for h in halves)
     assert owned == list(range(g.half_edge_count))
-    for v, halves in enumerate(g.half_edges()):
-        assert halves == sorted(halves)
+    for v, halves in at.items():
+        assert halves  # a vertex without half-edges is not listed
         assert all(g.half_edge_vertex(h) == v for h in halves)
+        if isinstance(g, DirectedMultigraph):  # heads (in-slots) first, then tails
+            assert halves == sorted(h for h in halves if h % 2) + sorted(h for h in halves if not h % 2)
+        else:
+            assert halves == sorted(halves)
+
+
+def test_half_edges_is_the_slot_table():
+    edges = ((0, 2), (2, 0), (2, 2), (0, 2))  # vertices 1, 3 and 4 have no half-edges
+    assert DirectedMultigraph(5, edges).half_edges() == {0: [3, 0, 6], 2: [1, 5, 7, 2, 4]}
+    assert UndirectedMultigraph(5, edges).half_edges() == {0: [0, 3, 6], 2: [1, 2, 4, 5, 7]}
+    assert DirectedMultigraph(3_000_000, ()).half_edges() == {}
 
 
 @given(st.one_of(directed_graphs(), undirected_graphs()))

@@ -3,11 +3,11 @@ machinery without a caller, no public definition that no package module
 reads (an export alone is not a caller) and no public method that none
 reads as an attribute, an export list that resolves, a contraction oracle
 that imports nothing from the modules it checks, one vertex-order planner,
-one pairing-loop count, a map side that takes only the engine from
-partition, one module that lifts the int-digit limit for printing, no
-module that loads the sampling-only dependencies at import time, and no
-module that imports dataclasses (which loads inspect, a start-up cost every
-command would pay). Which modules each command loads at run time is checked
+one pairing-loop count, one slot table of half-edges, a map side that
+takes only the engine from partition, one module that lifts the int-digit
+limit for printing, no module that loads the sampling-only dependencies at
+import time, and no module that imports dataclasses (which loads inspect,
+a start-up cost every command would pay). Which modules each command loads at run time is checked
 in tests/test_cli.py.
 
 Uses only the standard library's ast module.
@@ -213,6 +213,38 @@ def test_the_map_side_takes_only_the_engine_from_partition():
                 and "partition" in _package_modules_imported(ast.Module(body=[node], type_ignores=[]))):
             taken.append(ast.unparse(node))
     assert taken == ["from .partition import circuit_partition_polynomial"]
+
+
+def _reads_a_half_edge_end(tree: ast.AST) -> bool:
+    """Whether `tree` takes `& 1` of a value (which end of its edge a
+    half-edge sits at) or calls half_edge_vertex."""
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.BinOp) and isinstance(node.op, ast.BitAnd)
+                and any(isinstance(side, ast.Constant) and side.value == 1 for side in (node.left, node.right))):
+            return True
+        if isinstance(node, ast.Call) and "half_edge_vertex" in _names_loaded([node.func], attributes=True):
+            return True
+    return False
+
+
+@pytest.mark.parametrize("source, expected", [
+    ("heads = [h for h in at[v] if h & 1]", True),
+    ("tails = [h for h in at[v] if not 1 & h]", True),
+    ("at.setdefault(g.half_edge_vertex(h), [])", True),
+    ("w = half_edge_vertex(h)", True),
+    ("e, twin = h >> 1, h ^ 1", False),
+    ("mask = bits & 3", False),
+])
+def test_half_edge_end_scan_sees_every_form(source, expected):
+    assert _reads_a_half_edge_end(ast.parse(source)) == expected
+
+
+def test_graphs_is_the_only_slot_table():
+    """g.half_edges() lists each vertex's half-edges in slot order, a
+    directed vertex's heads before its tails, so the transition systems and
+    the contraction oracle read slots by position there and no other module
+    works out a half-edge's end for itself."""
+    assert [path.stem for path in MODULES if _reads_a_half_edge_end(_tree(path))] == ["graphs"]
 
 
 def _names_mentioned(tree: ast.Module) -> set[str]:

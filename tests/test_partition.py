@@ -54,7 +54,7 @@ def walk_circuits_directed(g: DirectedMultigraph, wirings: tuple[tuple, ...]) ->
 
 def walk_circuits_undirected(g: UndirectedMultigraph, wirings: tuple[tuple, ...]) -> int:
     match: dict[int, int] = {}
-    for v, slots in enumerate(g.half_edges()):
+    for v, slots in g.half_edges().items():
         for a, b in wirings[v]:
             match[slots[a]] = slots[b]
             match[slots[b]] = slots[a]
@@ -137,6 +137,16 @@ def test_non_eulerian_enumeration_cites_report():
 ], ids=["directed", "undirected"])
 def test_non_eulerian_graphs_have_no_transition_system(g):
     assert transition_system_count(g) == 0
+
+
+@pytest.mark.parametrize("g, wirings", [
+    (DirectedMultigraph(2, ((0, 1),)), ((), (0,))),  # sigma as long as the in-degree
+    (UndirectedMultigraph(3, ((0, 1), (1, 2), (0, 1), (1, 2), (0, 2))),
+     (((0, 1),), ((0, 1), (2, 3)), ((0, 1),))),  # degree // 2 pairs per vertex
+], ids=["directed", "undirected"])
+def test_circuit_count_refuses_non_eulerian_graphs(g, wirings):
+    with pytest.raises(ValueError, match="not Eulerian"):
+        circuit_count(g, wirings)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from circuitkit import (
     DirectedMultigraph,
     EmbeddingError,
+    GraphFormatError,
     GuardExceededError,
     IntPolynomial,
     PlanarMap,
@@ -107,6 +108,17 @@ def test_map_validation():
         PlanarMap(g, ((0, 0), (1,)))  # dart 0 listed twice
     with pytest.raises(ValueError, match="one rotation per vertex"):
         PlanarMap(g, ((0,),))
+
+
+def test_a_repeated_dart_is_named_once():
+    """The file parser's message carries the line number once, in front;
+    PlanarMap's has no line to cite."""
+    with pytest.raises(GraphFormatError) as excinfo:
+        parse_planar_map("planar\n1 1\n0 0\n0 0\n")
+    assert str(excinfo.value) == "line 4: dart 0 already listed"
+    with pytest.raises(GraphFormatError) as excinfo:
+        PlanarMap(UndirectedMultigraph(1, ((0, 0),)), ((0, 0),))
+    assert str(excinfo.value) == "dart 0 already listed"
 
 
 def test_maps_are_immutable_values():
