@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import Callable
 
 from . import graphs
-from .cli import format_coefficients, format_rational
+from .cli import format_coefficients, format_rational, read_graph_file
 
 
 def _check(results: list[tuple[str, bool, str]], name: str, fn: Callable[[], str | None]) -> None:
@@ -51,8 +51,7 @@ def run_verification(corpus_dir: Path, n_mc: int, seed: int) -> list[tuple[str, 
     loaded: dict[str, graphs.Multigraph] = {}
     for path in graph_files:
         def parse_roundtrip(path=path):
-            text = path.read_text(encoding="utf-8-sig")
-            g = graphs.parse_graph(text)
+            g = graphs.parse_graph(read_graph_file(path))
             if graphs.parse_graph(graphs.serialize_graph(g)) != g:
                 raise AssertionError("parse(serialize(g)) != g")
             loaded[path.stem] = g
@@ -62,7 +61,7 @@ def run_verification(corpus_dir: Path, n_mc: int, seed: int) -> list[tuple[str, 
     maps: dict[str, planar.PlanarMap] = {}
     for path in planar_files:
         def parse_map(path=path):
-            pmap = planar.parse_planar_map(path.read_text(encoding="utf-8-sig"))
+            pmap = planar.parse_planar_map(read_graph_file(path))
             reparsed = planar.parse_planar_map(planar.serialize_planar_map(pmap))
             if reparsed != pmap:
                 raise AssertionError("parse(serialize(map)) != map")

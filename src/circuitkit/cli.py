@@ -85,7 +85,7 @@ def bundled_corpus_dir() -> Path:
     return Path(str(resources.files("circuitkit").joinpath("corpus")))
 
 
-def _read(path: str) -> str:
+def read_graph_file(path: str | Path) -> str:
     """The text of a graph file, less a leading UTF-8 byte-order mark."""
     try:
         return Path(path).read_text(encoding="utf-8-sig")
@@ -117,7 +117,7 @@ def _emit(args, text_value: str, json_value: dict) -> None:
 def cmd_j(args) -> int:
     from . import partition
 
-    g = graphs.parse_graph(_read(args.input))
+    g = graphs.parse_graph(read_graph_file(args.input))
     poly = partition.circuit_partition_polynomial(g, guard=args.guard_enumeration)
     coefficients = format_coefficients(poly)
     _emit(args, " ".join(coefficients), {"schema": SCHEMA, "variant": g.kind, "coefficients": coefficients})
@@ -127,7 +127,7 @@ def cmd_j(args) -> int:
 def cmd_q_predict(args) -> int:
     from . import sampling
 
-    g = graphs.parse_graph(_read(args.input))
+    g = graphs.parse_graph(read_graph_file(args.input))
     ensemble = graphs.Ensemble(args.ensemble)
     value = sampling.predicted_q(g, args.k, ensemble, guard=args.guard_enumeration)
     payload = {"schema": SCHEMA, "value": format_rational(value), "k": args.k,
@@ -141,7 +141,7 @@ def cmd_q_predict(args) -> int:
 def cmd_q_exact(args) -> int:
     from . import diagrams
 
-    g = graphs.parse_graph(_read(args.input))
+    g = graphs.parse_graph(read_graph_file(args.input))
     ensemble = graphs.Ensemble(args.ensemble)
     value = diagrams.contract_q_exact(g, args.k, ensemble, guard=args.guard_contraction)
     payload = {"schema": SCHEMA, "value": format_rational(value), "k": args.k,
@@ -153,7 +153,7 @@ def cmd_q_exact(args) -> int:
 def cmd_q_estimate(args) -> int:
     from . import sampling
 
-    g = graphs.parse_graph(_read(args.input))
+    g = graphs.parse_graph(read_graph_file(args.input))
     ensemble = graphs.Ensemble(args.ensemble)
     estimate = sampling.estimate_q(g, args.k, ensemble, args.n, args.seed, workers=args.workers)
     if estimate.zero_products:
@@ -171,7 +171,7 @@ def cmd_q_estimate(args) -> int:
 def cmd_medial(args) -> int:
     from . import planar
 
-    pmap = planar.parse_planar_map(_read(args.input))
+    pmap = planar.parse_planar_map(read_graph_file(args.input))
     medial = planar.medial_graph(pmap)
     _emit(args, graphs.serialize_graph(medial).rstrip("\n"), graph_to_json_dict(medial))
     return EXIT_OK
@@ -180,7 +180,7 @@ def cmd_medial(args) -> int:
 def cmd_tutte(args) -> int:
     from . import planar
 
-    g = graphs.parse_graph(_read(args.input))
+    g = graphs.parse_graph(read_graph_file(args.input))
     if isinstance(g, graphs.DirectedMultigraph):
         raise GraphFormatError("the subset expansion needs an undirected or planar file")
     value = planar.tutte_subset_expansion(g, args.x, args.y, guard=args.guard_subsets)
@@ -193,7 +193,7 @@ def cmd_tutte(args) -> int:
 def cmd_martin(args) -> int:
     from . import planar
 
-    pmap = planar.parse_planar_map(_read(args.input))
+    pmap = planar.parse_planar_map(read_graph_file(args.input))
     check = planar.martin_check(pmap, args.z, enumeration_guard=args.guard_enumeration,
                                 subset_guard=args.guard_subsets)
     payload = {

@@ -63,7 +63,9 @@ class Record:
     are refused after that. Two records are equal when they are of the same
     class and their fields are equal, so a directed graph never equals an
     undirected one on the same edges. They hash by their fields, and copy
-    and pickle by calling the class on them again.
+    and pickle by calling the class on them again. A subclass may keep
+    derived slots beyond _fields (in __slots__ only): they are set once, in
+    __init__, from the fields, and never compared, hashed or printed.
     """
 
     __slots__ = ()

@@ -4,12 +4,12 @@ Martin identity tying them to circuit partitions.
 A map stores, for each vertex, the counterclockwise cyclic order of its
 incident darts (dart ids are the half-edge ids 2i, 2i+1 of edge i; the twin
 of dart d is d ^ 1). Everything here reads one table, after[d]: the dart
-that follows d on its face, which is the rotation-successor of d ^ 1. The
-faces are the orbits of after; a rotation system is accepted as a plane
-embedding exactly when the orbit count satisfies n - m + f = 2c(G) - i, where
-i counts the vertices with no darts. Each component with edges has its own
-outer orbit and contributes 2; an isolated vertex has no orbit and
-contributes 1.
+that follows d on its face, which is the rotation-successor of d ^ 1.
+PlanarMap builds it, and its orbits, the faces, once, and accepts a rotation
+system as a plane embedding exactly when the orbit count satisfies
+n - m + f = 2c(G) - i, where i counts the vertices with no darts. Each
+component with edges has its own outer orbit and contributes 2; an isolated
+vertex has no orbit and contributes 1.
 
 The oriented medial graph has one vertex per edge of the underlying graph
 and one directed edge d // 2 -> after[d] // 2 per dart d, leaving along side
@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
+from operator import index
 from typing import Iterable, NamedTuple
 
 from .errors import (DEFAULT_ENUMERATION_GUARD, DEFAULT_SUBSET_GUARD, EmbeddingError, GraphFormatError,
@@ -39,62 +40,60 @@ from .partition import circuit_partition_polynomial
 
 
 class PlanarMap(Record):
-    """Undirected multigraph plus a rotation system over its darts."""
+    """Undirected multigraph plus a rotation system over its darts, checked to
+    be a plane embedding when it is built.
 
-    __slots__ = _fields = ("graph", "rotation")
+    Each dart passes operator.index, as a graph's endpoints do. The derived
+    slots `after` and `faces` (its orbits, each from its least dart) are
+    never compared. A rotation system that violates the Euler relation
+    embeds some component in a higher-genus surface, not the plane, and
+    raises EmbeddingError.
+    """
+
+    __slots__ = ("graph", "rotation", "after", "faces")
+    _fields = ("graph", "rotation")
     graph: UndirectedMultigraph
     rotation: tuple[tuple[int, ...], ...]
+    after: tuple[int, ...]
+    faces: tuple[tuple[int, ...], ...]
 
     def __init__(self, graph: UndirectedMultigraph, rotation: Iterable[Iterable[int]]):
-        rotation = tuple(tuple(r) for r in rotation)
+        rotation = tuple(tuple(index(d) for d in r) for r in rotation)
         degrees = graph.degrees()
         if len(rotation) != len(degrees):
             raise ValueError("one rotation per vertex required")
         for v, (darts, degree) in enumerate(zip(rotation, degrees)):
             check_rotation(graph, v, darts, degree)
-        object.__setattr__(self, "graph", graph)
-        object.__setattr__(self, "rotation", rotation)
-
-
-def _face_successors(pmap: PlanarMap) -> list[int]:
-    """after[d], the dart that follows dart d on its face: the
-    rotation-successor of its twin d ^ 1."""
-    after = [0] * pmap.graph.half_edge_count
-    for rot in pmap.rotation:
-        for d, d_next in zip(rot, rot[1:] + rot[:1]):
-            after[d ^ 1] = d_next
-    return after
+        after = [0] * graph.half_edge_count
+        for rot in rotation:
+            for d, d_next in zip(rot, rot[1:] + rot[:1]):
+                after[d ^ 1] = d_next
+        orbits = tuple(permutation_cycles(after))
+        n, m, f = graph.vertex_count, graph.edge_count, len(orbits)
+        c = component_count(graph)
+        i = rotation.count(())
+        if n - m + f != 2 * c - i:
+            raise EmbeddingError(
+                f"rotation system is not a plane embedding: n - m + f = {n - m + f}, "
+                f"expected 2c - i = {2 * c - i} (c components, i isolated vertices)"
+            )
+        for name, value in zip(PlanarMap.__slots__, (graph, rotation, tuple(after), orbits)):
+            object.__setattr__(self, name, value)
 
 
 def faces(pmap: PlanarMap) -> tuple[tuple[int, ...], ...]:
-    """Face orbits of the dart-successor rule, each starting at its least dart.
-
-    Raises EmbeddingError when the orbit count violates the planar Euler
-    relation n - m + f = 2c(G) - i, with i the vertices that have no darts:
-    the rotation system then embeds some component in a higher-genus
-    surface, not the plane.
-    """
-    orbits = permutation_cycles(_face_successors(pmap))
-    g = pmap.graph
-    n, m, f = g.vertex_count, g.edge_count, len(orbits)
-    c = component_count(g)
-    i = pmap.rotation.count(())
-    if n - m + f != 2 * c - i:
-        raise EmbeddingError(
-            f"rotation system is not a plane embedding: n - m + f = {n - m + f}, "
-            f"expected 2c - i = {2 * c - i} (c components, i isolated vertices)"
-        )
-    return tuple(orbits)
+    """Face orbits of the dart-successor rule, each starting at its least
+    dart, as the map stored them when it was built."""
+    return pmap.faces
 
 
 def medial_graph(pmap: PlanarMap) -> DirectedMultigraph:
     """The oriented medial graph (one vertex per edge, 2m directed edges).
 
     Its edges are d // 2 -> after[d] // 2 for every dart d, face by face in
-    the order of faces().
+    the order of the map's face orbits.
     """
-    edges = tuple((d // 2, d_next // 2)
-                  for orbit in faces(pmap) for d, d_next in zip(orbit, orbit[1:] + orbit[:1]))
+    edges = tuple((d // 2, pmap.after[d] // 2) for orbit in pmap.faces for d in orbit)
     return DirectedMultigraph(pmap.graph.edge_count, edges)
 
 
@@ -155,10 +154,10 @@ def martin_check(pmap: PlanarMap, z, enumeration_guard: int = DEFAULT_ENUMERATIO
                  subset_guard: int = DEFAULT_SUBSET_GUARD) -> MartinCheck:
     """Evaluate both sides of j(G_m; z) = z^(c(G) - i) * T(G; z+1, z+1) exactly.
 
-    The left side enumerates circuit partitions of the medial graph; the
-    right side is the subset expansion of the underlying graph on the
-    diagonal; the medial graph never sees the i vertices without darts. Both
-    are exact rationals, so equality is exact.
+    The left side is the splitting engine's circuit partition polynomial of
+    the medial graph; the right side is the subset expansion of the
+    underlying graph on the diagonal; the medial graph never sees the i
+    vertices without darts. Both are exact rationals, so equality is exact.
     """
     z = Fraction(z)
     j = circuit_partition_polynomial(medial_graph(pmap), guard=enumeration_guard)
@@ -181,7 +180,7 @@ def subset_to_partition_circuits(pmap: PlanarMap, subset: Iterable[int]) -> int:
     the tests verify subset by subset.
     """
     chosen = set(subset)
-    return len(permutation_cycles([s if s // 2 in chosen else s ^ 1 for s in _face_successors(pmap)]))
+    return len(permutation_cycles([s if s // 2 in chosen else s ^ 1 for s in pmap.after]))
 
 
 # ---------------------------------------------------------------------------
@@ -189,13 +188,11 @@ def subset_to_partition_circuits(pmap: PlanarMap, subset: Iterable[int]) -> int:
 # ---------------------------------------------------------------------------
 
 def parse_planar_map(text: str) -> PlanarMap:
-    """Parse a "planar" graph file and validate it as a plane embedding."""
+    """Parse a "planar" graph file; PlanarMap checks it is a plane embedding."""
     kind, graph, rotations = parse_graph_file(text)
     if kind != "planar":
         raise GraphFormatError(f"expected a planar map file, got kind {kind!r}", header_line(text))
-    pmap = PlanarMap(graph, rotations)
-    faces(pmap)  # Euler validation
-    return pmap
+    return PlanarMap(graph, rotations)
 
 
 def serialize_planar_map(pmap: PlanarMap) -> str:

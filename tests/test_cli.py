@@ -268,6 +268,18 @@ def test_verify_checks_edgeless_graphs(capsys, tmp_path, corpus_dir):
     assert {"name": "engine vs enumerator edgeless", "ok": True, "detail": "1 systems"} in data["checks"]
 
 
+def test_verify_reads_the_corpus_through_the_command_reader(capsys, tmp_path, corpus_dir):
+    """An unreadable corpus file fails its own check with the reader's error."""
+    (tmp_path / "edgeless.graph").write_text("directed\n3 0\n")
+    (tmp_path / "p2.planar").write_text((corpus_dir / "p2.planar").read_text())
+    (tmp_path / "unreadable.graph").mkdir()
+    code, out, _ = run(capsys, "verify", str(tmp_path), "--n", "2000", "--format", "json")
+    assert code == cli.EXIT_VERIFY_FAILED
+    failed = [check for check in json.loads(out)["checks"] if not check["ok"]]
+    assert [check["name"] for check in failed] == ["parse+roundtrip unreadable.graph"]
+    assert failed[0]["detail"].startswith(f"GraphFormatError: cannot read {tmp_path / 'unreadable.graph'}: ")
+
+
 @pytest.mark.parametrize("flag, value, message", [
     ("--n", "1", "error: --n must be >= 2, got 1\n"),
     ("--seed", "-5", "error: --seed must be in [0, 2**64), got -5\n"),

@@ -3,12 +3,13 @@ machinery without a caller, no public definition that no package module
 reads (an export alone is not a caller) and no public method that none
 reads as an attribute, an export list that resolves, a contraction oracle
 that imports nothing from the modules it checks, one vertex-order planner,
-one pairing-loop count, one slot table of half-edges, a map side that
-takes only the engine from partition, one module that lifts the int-digit
-limit for printing, no module that loads the sampling-only dependencies at
-import time, and no module that imports dataclasses (which loads inspect,
-a start-up cost every command would pay). Which modules each command loads at run time is checked
-in tests/test_cli.py.
+one pairing-loop count, one slot table of half-edges, one plane check (only
+PlanarMap's constructor raises EmbeddingError), a map side that takes only
+the engine from partition, one module that lifts the int-digit limit for
+printing, no module that loads the sampling-only dependencies at import
+time, and no module that imports dataclasses (which loads inspect, a
+start-up cost every command would pay). Which modules each command loads at
+run time is checked in tests/test_cli.py.
 
 Uses only the standard library's ast module.
 """
@@ -245,6 +246,50 @@ def test_graphs_is_the_only_slot_table():
     the contraction oracle read slots by position there and no other module
     works out a half-edge's end for itself."""
     assert [path.stem for path in MODULES if _reads_a_half_edge_end(_tree(path))] == ["graphs"]
+
+
+def _names_embedding_error(node: ast.AST) -> bool:
+    return ((isinstance(node, ast.Name) and node.id == "EmbeddingError")
+            or (isinstance(node, ast.Attribute) and node.attr == "EmbeddingError"))
+
+
+def _embedding_error_sites(tree: ast.Module) -> set[str]:
+    """Dotted paths of the classes and functions around each place where
+    `tree` makes an EmbeddingError or raises the class itself; "<module>"
+    outside any of them."""
+    sites: set[str] = set()
+    stack: list[tuple[ast.AST, tuple[str, ...]]] = [(tree, ())]
+    while stack:
+        node, path = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            path += (node.name,)
+        if ((isinstance(node, ast.Call) and _names_embedding_error(node.func))
+                or (isinstance(node, ast.Raise) and node.exc is not None and _names_embedding_error(node.exc))):
+            sites.add(".".join(path) or "<module>")
+        stack.extend((child, path) for child in ast.iter_child_nodes(node))
+    return sites
+
+
+@pytest.mark.parametrize("source, expected", [
+    ("class M:\n    def __init__(self):\n        raise EmbeddingError('x')", {"M.__init__"}),
+    ("def f():\n    raise errors.EmbeddingError('x') from None", {"f"}),
+    ("def f():\n    raise EmbeddingError", {"f"}),
+    ("def f():\n    error = EmbeddingError('x')\n    return error", {"f"}),
+    ("def f():\n    def g():\n        raise EmbeddingError('x')", {"f.g"}),
+    ("raise EmbeddingError('x')", {"<module>"}),
+    ("try:\n    f()\nexcept EmbeddingError:\n    raise ValueError('x')", set()),
+    ("class EmbeddingError(ValueError):\n    pass", set()),
+])
+def test_embedding_error_scan_sees_every_form(source, expected):
+    assert _embedding_error_sites(ast.parse(source)) == expected
+
+
+def test_planar_map_is_the_only_plane_check():
+    """A rotation system becomes a plane map in PlanarMap.__init__ alone, so
+    every map a reader gets has passed the Euler test and no other code
+    decides planarity."""
+    sites = {f"{path.stem}.{site}" for path in MODULES for site in _embedding_error_sites(_tree(path))}
+    assert sites == {"planar.PlanarMap.__init__"}
 
 
 def _names_mentioned(tree: ast.Module) -> set[str]:

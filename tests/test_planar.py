@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+import copy
+import pickle
 import random
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -68,9 +71,8 @@ def test_faces_partition_darts(corpus_maps):
 def test_interleaved_figure_eight_is_rejected():
     # One vertex, two loops with rotation a b a b is a torus embedding (f = 1).
     g = UndirectedMultigraph(1, ((0, 0), (0, 0)))
-    torus = PlanarMap(g, ((0, 2, 1, 3),))
-    with pytest.raises(EmbeddingError):
-        faces(torus)
+    with pytest.raises(EmbeddingError, match=r"n - m \+ f = 0, expected 2c - i = 2"):
+        PlanarMap(g, ((0, 2, 1, 3),))
 
 
 TWO_TRIANGLES = "planar\n6 6\n0 1\n1 2\n2 0\n3 4\n4 5\n5 3\n0 5\n2 1\n4 3\n6 11\n8 7\n10 9\n"
@@ -87,15 +89,53 @@ def test_each_component_has_its_own_outer_face():
 def test_a_torus_component_beside_a_plane_one_is_rejected():
     # The interleaved figure eight (f = 1) next to a triangle (f = 2).
     g = UndirectedMultigraph(4, ((0, 0), (0, 0), (1, 2), (2, 3), (3, 1)))
-    pmap = PlanarMap(g, ((0, 2, 1, 3), (4, 9), (6, 5), (8, 7)))
     with pytest.raises(EmbeddingError, match=r"n - m \+ f = 2, expected 2c - i = 4"):
-        faces(pmap)
+        PlanarMap(g, ((0, 2, 1, 3), (4, 9), (6, 5), (8, 7)))
 
 
 def test_the_edgeless_map_is_a_plane_map():
     pmap = parse_planar_map("planar\n1 0\n")
     assert faces(pmap) == ()
     assert medial_graph(pmap).edge_count == 0
+
+
+def test_a_martin_run_walks_the_face_table_once(corpus_dir, monkeypatch):
+    """PlanarMap walks the face orbits as it checks the embedding; parsing,
+    the medial graph and both sides of the identity walk none again."""
+    from circuitkit import planar
+
+    walks = []
+    walk = planar.permutation_cycles
+
+    def counted(successor):
+        walks.append(list(successor))
+        return walk(successor)
+
+    monkeypatch.setattr(planar, "permutation_cycles", counted)
+    pmap = parse_planar_map((corpus_dir / "hexmap.planar").read_text(encoding="utf-8"))
+    medial_graph(pmap)
+    assert martin_check(pmap, 2).equal
+    assert walks == [list(pmap.after)]
+
+
+def test_the_subset_walk_builds_no_face_table(corpus_maps):
+    """subset_to_partition_circuits reads the map's stored after table, never
+    the rotation system it is built from."""
+    read = []
+
+    class Watched(PlanarMap):
+        __slots__ = ()
+
+        def __getattribute__(self, name):
+            read.append(name)
+            return super().__getattribute__(name)
+
+    pmap = corpus_maps["hexmap"]
+    watched = Watched(pmap.graph, pmap.rotation)
+    read.clear()
+    for subset in all_subsets(pmap.graph.edge_count):
+        assert subset_to_partition_circuits(watched, subset) == subset_to_partition_circuits(pmap, subset)
+    assert set(read) == {"after"}
 
 
 def test_map_validation():
@@ -123,12 +163,24 @@ def test_a_repeated_dart_is_named_once():
 
 def test_maps_are_immutable_values():
     g = UndirectedMultigraph(2, ((0, 1),))
-    pmap = PlanarMap(g, [[0], [1]])
-    assert pmap.rotation == ((0,), (1,))
-    assert pmap == PlanarMap(g, ((0,), (1,))) and hash(pmap) == hash(PlanarMap(g, ((0,), (1,))))
-    assert pmap != PlanarMap(UndirectedMultigraph(3, ((0, 1),)), ((0,), (1,), ()))
-    with pytest.raises(AttributeError):
-        pmap.rotation = ()
+    plain = PlanarMap(g, ((0,), (1,)))
+    assert repr(plain) == f"PlanarMap(graph={g!r}, rotation=((0,), (1,)))"
+    # Darts pass operator.index: bools and numpy ints are stored as ints.
+    for rotation in ([[0], [1]], [[False], [True]], [np.array([0]), np.array([1])]):
+        pmap = PlanarMap(g, rotation)
+        assert pmap.rotation == ((0,), (1,))
+        assert all(type(d) is int for rot in pmap.rotation for d in rot)
+        assert serialize_planar_map(pmap) == "planar\n2 1\n0 1\n0\n1\n"
+        assert pmap == plain and hash(pmap) == hash(plain) and repr(pmap) == repr(plain)
+        for clone in (pickle.loads(pickle.dumps(pmap)), copy.deepcopy(pmap), copy.copy(pmap)):
+            assert clone == pmap
+            assert (clone.after, clone.faces) == (pmap.after, pmap.faces) == ((1, 0), ((0, 1),))
+    with pytest.raises(TypeError):
+        PlanarMap(g, ((0.0,), (1,)))
+    assert plain != PlanarMap(UndirectedMultigraph(3, ((0, 1),)), ((0,), (1,), ()))
+    for name in ("graph", "rotation", "after", "faces"):
+        with pytest.raises(AttributeError):
+            setattr(plain, name, ())
 
 
 def test_planar_roundtrip(corpus_maps):
