@@ -12,12 +12,15 @@ sampling; checks for `verify`), and json, numpy and importlib.resources are
 imported only where they are used. The parser reads the ensemble names from
 graphs and the default guards from errors, so `--help` loads no engine
 module, `j` only partition, and the commands that never sample start
-without numpy.
+without numpy. `main` keeps numpy's OpenBLAS to one thread unless the
+caller set OPENBLAS_NUM_THREADS; importing the package changes no
+environment variable.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
@@ -284,7 +287,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "branches x edges (default %(default)s)")
     for p in (tutte, martin):
         p.add_argument("--guard-subsets", type=int, default=DEFAULT_SUBSET_GUARD,
-                       help="max subsets 2^m (default %(default)s)")
+                       help="max work units of the Tutte frontier sweep, summed over its edges and "
+                            "states as branches x tally terms (default %(default)s)")
     verify.add_argument("corpus", nargs="?", default=None, help="corpus directory (default: bundled corpus)")
     verify.add_argument("--n", type=int, default=50_000, help="Monte Carlo samples per check (default 50000)")
     verify.add_argument("--seed", type=int, default=20260810, help="RNG seed (default 20260810)")
@@ -306,6 +310,10 @@ def _attach_negative_rationals(argv: list[str]) -> list[str]:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # The sampler never calls BLAS and --workers supplies its parallelism, so
+    # a command starts no BLAS thread pool when numpy loads, unless the
+    # caller chose a thread count.
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     args = build_parser().parse_args(_attach_negative_rationals(sys.argv[1:] if argv is None else argv))
     try:
         return args.handler(args)

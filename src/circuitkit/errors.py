@@ -12,7 +12,9 @@ from __future__ import annotations
 DEFAULT_ENUMERATION_GUARD = 10**8
 # Planned work of the contraction oracle; diagrams enforces it.
 DEFAULT_CONTRACTION_GUARD = 10**7
-# Edge subsets of the Tutte subset expansion; planar enforces it.
+# Work units of the Tutte frontier sweep (branches x tally terms per state),
+# and subsets 2^m of the subset walk that verify's bijection check runs;
+# planar enforces it.
 DEFAULT_SUBSET_GUARD = 2**24
 
 

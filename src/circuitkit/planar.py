@@ -1,5 +1,5 @@
-"""Combinatorial maps, medial graphs, the Tutte subset expansion, and the
-Martin identity tying them to circuit partitions.
+"""Combinatorial maps, medial graphs, the Tutte rank-nullity expansion, and
+the Martin identity tying them to circuit partitions.
 
 A map stores, for each vertex, the counterclockwise cyclic order of its
 incident darts (dart ids are the half-edge ids 2i, 2i+1 of edge i; the twin
@@ -15,11 +15,19 @@ The oriented medial graph has one vertex per edge of the underlying graph
 and one directed edge d // 2 -> after[d] // 2 per dart d, leaving along side
 d of its tail and arriving along side after[d] of its head. Every medial
 vertex has in- and out-degree 2, so the medial graph is Eulerian.
+
+The Tutte side never lists the 2^m edge subsets. A frontier sweep along
+graphs.max_adjacency_order tallies them by (components, excess): a state is
+the connectivity of the frontier vertices, each state carries its integer
+tally, and states merge after every edge, as in the Potts transfer matrix
+of Bedini and Jacobsen (J. Phys. A 43, 2010) and the frontier sweeps of
+Sekine, Imai and Tani (ISAAC 1995). It uses no circuit reasoning. The walk
+over all subsets stays as subset_expansion_terms, the oracle that verify's
+subset-by-subset bijection check and the tests read.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from fractions import Fraction
 from operator import index
 from typing import Iterable, NamedTuple
@@ -33,6 +41,7 @@ from .graphs import (
     check_rotation,
     component_count,
     header_line,
+    max_adjacency_order,
     parse_graph_file,
     permutation_cycles,
 )
@@ -105,6 +114,8 @@ def subset_expansion_terms(g: UndirectedMultigraph, guard: int = DEFAULT_SUBSET_
     One walk decides the edges from the last to the first, each left out
     before taken, with a component label per vertex: an edge taken inside one
     component raises the excess, one taken across two merges their labels.
+    It is the subset-by-subset oracle of verify's bijection check and of the
+    tests; `guard` caps 2^m.
     """
     m = g.edge_count
     if 2**m > guard:
@@ -126,17 +137,98 @@ def subset_expansion_terms(g: UndirectedMultigraph, guard: int = DEFAULT_SUBSET_
         stack.append((i, subset, label, c, excess))
 
 
+def _merge(layer: dict, state: tuple[int, ...], tally: dict[int, int], shift: int) -> None:
+    """Add `tally`, each key raised by `shift`, into the tally of `state`."""
+    acc = layer.get(state)
+    if acc is None:
+        layer[state] = {key + shift: count for key, count in tally.items()}
+    else:
+        for key, count in tally.items():
+            acc[key + shift] = acc.get(key + shift, 0) + count
+
+
+def _first_occurrence_labels(blocks) -> tuple[int, ...]:
+    """Block labels renumbered 0, 1, ... in order of first occurrence."""
+    seen: dict[int, int] = {}
+    return tuple(seen.setdefault(b, len(seen)) for b in blocks)
+
+
+def _frontier_tally(g: UndirectedMultigraph, guard: int) -> dict[tuple[int, int], int]:
+    """{(c(S), l(S)): number of edge subsets S}, swept along
+    graphs.max_adjacency_order instead of listing the subsets.
+
+    The vertices placed so far that still have undecided edges, and the one
+    just placed, form the frontier. A state labels each frontier vertex with
+    its block of the connectivity that the decided edges induce, in order of
+    first occurrence, and carries its tally: closed components * (m + 1) +
+    excess -> subsets. An edge is decided when its later end is placed: left
+    out, the state stays; taken inside a block (a loop always is), the
+    excess rises; taken across two blocks, they join. States are merged after
+    every edge. A vertex leaves the frontier with its last edge, and a block
+    that leaves with it closes a component. Vertices with no edge are never
+    placed and add one component each.
+
+    The work units are branches x tally terms, summed over the states of
+    every edge; the sweep refuses as soon as their running total passes the
+    guard.
+    """
+    order = max_adjacency_order(g.edges)
+    step = {v: i for i, v in enumerate(order)}
+    earlier_ends: list[list[int]] = [[] for _ in order]  # per step: the earlier end of each edge it decides
+    last = list(range(len(order)))  # the step that decides each vertex's last edge
+    for u, v in g.edges:
+        a, b = sorted((step[u], step[v]))
+        earlier_ends[b].append(a)
+        last[a] = max(last[a], b)
+    stride = g.edge_count + 1
+    frontier: list[int] = []  # the steps at which the frontier vertices were placed
+    layer: dict[tuple[int, ...], dict[int, int]] = {(): {0: 1}}
+    work = 0
+    for i, ends in enumerate(earlier_ends):
+        frontier.append(i)
+        layer = {state + (max(state, default=-1) + 1,): tally for state, tally in layer.items()}
+        here = len(frontier) - 1
+        for a in ends:
+            there = frontier.index(a)
+            following: dict[tuple[int, ...], dict[int, int]] = {}
+            for state, tally in layer.items():
+                work += 2 * len(tally)
+                if work > guard:
+                    raise GuardExceededError(
+                        "Tutte frontier sweep refused (work units: branches x tally terms per state)",
+                        work, guard)
+                _merge(following, state, tally, 0)
+                low, high = sorted((state[there], state[here]))
+                if low == high:
+                    _merge(following, state, tally, 1)
+                else:  # block `high` first occurs after `low`, so relabelling keeps first-occurrence order
+                    _merge(following, tuple(low if b == high else b - (b > high) for b in state), tally, 0)
+            layer = following
+        keep = [j for j, a in enumerate(frontier) if last[a] > i]
+        if len(keep) < len(frontier):
+            frontier = [frontier[j] for j in keep]
+            following = {}
+            for state, tally in layer.items():
+                kept = _first_occurrence_labels(state[j] for j in keep)
+                _merge(following, kept, tally, (max(state) - max(kept, default=-1)) * stride)
+            layer = following
+    (tally,) = layer.values()  # the frontier is empty again
+    isolated = g.vertex_count - len(order)
+    return {(key // stride + isolated, key % stride): count for key, count in tally.items()}
+
+
 def tutte_subset_expansion(g: UndirectedMultigraph, x, y, guard: int = DEFAULT_SUBSET_GUARD) -> Fraction:
     """Tutte polynomial value by the rank-nullity sum over all edge subsets.
 
     T(G;x,y) = sum over S of (x-1)^(c(S)-c(G)) (y-1)^(c(S)+|S|-n), with the
-    0^0 = 1 convention for degenerate bases.
+    0^0 = 1 convention for degenerate bases. The subsets are never listed:
+    the frontier sweep tallies them by (c(S), l(S)) as integers, and each
+    distinct exponent pair is raised once. `guard` caps the sweep's work
+    units (see _frontier_tally).
     """
     x = Fraction(x)
     y = Fraction(y)
-    # Subsets sharing (c(S), l(S)) share a term: tally them as integers and
-    # raise each distinct exponent pair once, at most about m^2 of them.
-    tally = Counter((c, excess) for _, c, excess in subset_expansion_terms(g, guard))
+    tally = _frontier_tally(g, guard)
     c_full = min(c for c, _ in tally)  # c(G), reached at S = all edges
     total = Fraction(0)
     for (components, excess), count in tally.items():
@@ -155,16 +247,19 @@ def martin_check(pmap: PlanarMap, z, enumeration_guard: int = DEFAULT_ENUMERATIO
     """Evaluate both sides of j(G_m; z) = z^(c(G) - i) * T(G; z+1, z+1) exactly.
 
     The left side is the splitting engine's circuit partition polynomial of
-    the medial graph; the right side is the subset expansion of the
-    underlying graph on the diagonal; the medial graph never sees the i
-    vertices without darts. Both are exact rationals, so equality is exact.
+    the medial graph; the right side is the Tutte value of the underlying
+    graph on the diagonal, from its frontier sweep; the medial graph never
+    sees the i vertices without darts. c(G) - i, the components with edges,
+    is (n - m + f - i) / 2 by the Euler relation the map met when it was
+    built, so no component count runs here. Both sides are exact rationals,
+    so equality is exact.
     """
     z = Fraction(z)
     j = circuit_partition_polynomial(medial_graph(pmap), guard=enumeration_guard)
     lhs = j.evaluate(z)
     g = pmap.graph
-    rhs = (z ** (component_count(g) - pmap.rotation.count(()))
-           * tutte_subset_expansion(g, z + 1, z + 1, guard=subset_guard))
+    with_edges = (g.vertex_count - g.edge_count + len(pmap.faces) - pmap.rotation.count(())) // 2
+    rhs = z ** with_edges * tutte_subset_expansion(g, z + 1, z + 1, guard=subset_guard)
     return MartinCheck(lhs, rhs, lhs == rhs)
 
 

@@ -32,6 +32,8 @@ from circuitkit import (
     tutte_subset_expansion,
 )
 
+from circuitkit.errors import DEFAULT_SUBSET_GUARD
+from circuitkit.planar import _frontier_tally
 from conftest import spanning_subgraph
 
 
@@ -258,9 +260,16 @@ def test_tutte_counts_spanning_objects():
 
 
 def test_tutte_guard():
-    big = UndirectedMultigraph(2, ((0, 1),) * 30)
-    with pytest.raises(GuardExceededError):
-        tutte_subset_expansion(big, 2, 2, guard=2**24)
+    """The guard caps the sweep's work units, not 2^m: 30 parallel edges
+    (2^30 subsets) take under a thousand, while the 5x5 grid takes about
+    10^5 and is refused under a guard of 10^4."""
+    parallel = UndirectedMultigraph(2, ((0, 1),) * 30)
+    assert tutte_subset_expansion(parallel, 2, 3, guard=1_000) == 2 + sum(3**k for k in range(1, 30))
+    grid = scrambled_grid_map(5, 5, 1).graph
+    with pytest.raises(GuardExceededError) as excinfo:
+        tutte_subset_expansion(grid, 2, 2, guard=10**4)
+    assert excinfo.value.limit == 10**4 < excinfo.value.required
+    assert tutte_subset_expansion(grid, 2, 2) == 2**40
 
 
 def test_subset_expansion_terms_invariants(corpus_maps):
@@ -278,11 +287,20 @@ def test_subset_expansion_terms_invariants(corpus_maps):
 
 @st.composite
 def loopy_multigraphs(draw):
-    """Undirected multigraphs on 0-6 vertices whose random edges may be loops
-    or parallel, and whose unchosen vertices stay isolated."""
-    n = draw(st.integers(0, 6))
-    ends = st.integers(0, max(n - 1, 0))
-    return UndirectedMultigraph(n, tuple(draw(st.lists(st.tuples(ends, ends), max_size=9 if n else 0))))
+    """Undirected multigraphs of one to three parts on 0-5 vertices each, with
+    their vertex labels shuffled together. A part's random edges may be loops
+    or parallel, and its unchosen vertices stay isolated."""
+    parts = []
+    for _ in range(draw(st.integers(1, 3))):
+        n = draw(st.integers(0, 5))
+        ends = st.integers(0, max(n - 1, 0))
+        parts.append((n, draw(st.lists(st.tuples(ends, ends), max_size=4 if n else 0))))
+    label = draw(st.permutations(range(sum(n for n, _ in parts))))
+    edges, offset = [], 0
+    for n, part in parts:
+        edges.extend((label[offset + u], label[offset + v]) for u, v in part)
+        offset += n
+    return UndirectedMultigraph(len(label), tuple(edges))
 
 
 @settings(max_examples=80, deadline=None)
@@ -295,6 +313,24 @@ def test_subset_walk_terms_equal_a_fresh_union_find_per_subset(g):
         c = component_count(spanning_subgraph(g, subset))
         expected.append((tuple(subset), c, c + len(subset) - g.vertex_count))
     assert list(subset_expansion_terms(g)) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(loopy_multigraphs())
+def test_the_frontier_sweep_tallies_what_the_subset_walk_lists(g):
+    """The sweep counts the subsets of each (c(S), l(S)) without listing them."""
+    expected = Counter((c, excess) for _, c, excess in subset_expansion_terms(g))
+    assert _frontier_tally(g, DEFAULT_SUBSET_GUARD) == expected
+
+
+def test_the_sweep_reaches_the_6x6_grid():
+    """m = 60, far past the subset walk: the tally still counts 2^60 subsets,
+    and the Martin identity holds under the default guards."""
+    pmap = scrambled_grid_map(6, 6, 2)
+    tally = _frontier_tally(pmap.graph, DEFAULT_SUBSET_GUARD)
+    assert sum(tally.values()) == 2**60
+    assert tally[1, 25] == tally[36, 0] == 1  # S = E and S = {}
+    assert martin_check(pmap, 2).equal
 
 
 # ---------------------------------------------------------------------------
@@ -392,6 +428,47 @@ def test_subset_walk_matches_the_slot_wiring_reference(corpus_maps):
         for subset in all_subsets(pmap.graph.edge_count):
             expected = circuit_count(medial, reference_subset_system(pmap, subset))
             assert subset_to_partition_circuits(pmap, subset) == expected, (name, subset)
+
+
+def induced_submap(pmap: PlanarMap, kept: list[int]) -> PlanarMap:
+    """The map on the edges `kept` (ascending, renumbered in that order), each
+    vertex keeping the rotation order of its remaining darts. Deleting edges
+    from a plane map leaves a plane map."""
+    new = {e: i for i, e in enumerate(kept)}
+    rotation = [[2 * new[d // 2] + d % 2 for d in rot if d // 2 in new] for rot in pmap.rotation]
+    g = pmap.graph
+    return PlanarMap(UndirectedMultigraph(g.vertex_count, [g.edges[e] for e in kept]), rotation)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([(5, 5), (4, 5), (3, 5), (2, 5), (1, 5), (4, 4), (3, 4)]), st.integers(0, 2**32),
+       st.sampled_from([1.0, 0.9, 0.75, 0.5]), st.sampled_from([2, 3, Fraction(-1, 2)]))
+def test_martin_identity_on_grid_submaps(size, seed, density, z):
+    """Random edge subsets of scrambled grid maps, with the rotations they
+    induce, up to m = 40: past the reach of a walk over all 2^m subsets."""
+    grid = scrambled_grid_map(*size, seed)
+    r = random.Random(f"submap/{seed}")
+    pmap = induced_submap(grid, [e for e in range(grid.graph.edge_count) if r.random() < density])
+    check = martin_check(pmap, z)
+    assert check.equal, check
+
+
+def test_a_martin_run_counts_components_once(corpus_dir, monkeypatch, capsys):
+    """The map counts its components for the Euler test when it is built; the
+    right side of the identity reads c(G) - i from that relation."""
+    from circuitkit import cli, planar
+
+    counted = []
+    count = planar.component_count
+
+    def counting(g):
+        counted.append(g)
+        return count(g)
+
+    monkeypatch.setattr(planar, "component_count", counting)
+    assert cli.main(["martin", str(corpus_dir / "hexmap.planar"), "--z", "2"]) == cli.EXIT_OK
+    assert capsys.readouterr().out.endswith("equal=true\n")
+    assert len(counted) == 1
 
 
 def test_subset_walk_generating_function_equals_medial_polynomial(corpus_maps):
