@@ -12,15 +12,12 @@ sampling; checks for `verify`), and json, numpy and importlib.resources are
 imported only where they are used. The parser reads the ensemble names from
 graphs and the default guards from errors, so `--help` loads no engine
 module, `j` only partition, and the commands that never sample start
-without numpy. `main` keeps numpy's OpenBLAS to one thread unless the
-caller set OPENBLAS_NUM_THREADS; importing the package changes no
-environment variable.
+without numpy.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
@@ -310,10 +307,6 @@ def _attach_negative_rationals(argv: list[str]) -> list[str]:
 
 
 def main(argv: list[str] | None = None) -> int:
-    # The sampler never calls BLAS and --workers supplies its parallelism, so
-    # a command starts no BLAS thread pool when numpy loads, unless the
-    # caller chose a thread count.
-    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     args = build_parser().parse_args(_attach_negative_rationals(sys.argv[1:] if argv is None else argv))
     try:
         return args.handler(args)

@@ -12,10 +12,12 @@ from __future__ import annotations
 DEFAULT_ENUMERATION_GUARD = 10**8
 # Planned work of the contraction oracle; diagrams enforces it.
 DEFAULT_CONTRACTION_GUARD = 10**7
-# Work units of the Tutte frontier sweep (branches x tally terms per state),
-# and subsets 2^m of the subset walk that verify's bijection check runs;
+# Work units of the Tutte frontier sweep (branches x tally terms per state);
 # planar enforces it.
 DEFAULT_SUBSET_GUARD = 2**24
+# Subsets 2^m of the subset walk that verify's bijection check runs; planar
+# enforces it.
+DEFAULT_SUBSET_WALK_GUARD = 2**24
 
 
 class GraphFormatError(ValueError):

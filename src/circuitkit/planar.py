@@ -32,8 +32,8 @@ from fractions import Fraction
 from operator import index
 from typing import Iterable, NamedTuple
 
-from .errors import (DEFAULT_ENUMERATION_GUARD, DEFAULT_SUBSET_GUARD, EmbeddingError, GraphFormatError,
-                     GuardExceededError)
+from .errors import (DEFAULT_ENUMERATION_GUARD, DEFAULT_SUBSET_GUARD, DEFAULT_SUBSET_WALK_GUARD, EmbeddingError,
+                     GraphFormatError, GuardExceededError)
 from .graphs import (
     DirectedMultigraph,
     Record,
@@ -106,7 +106,7 @@ def medial_graph(pmap: PlanarMap) -> DirectedMultigraph:
     return DirectedMultigraph(pmap.graph.edge_count, edges)
 
 
-def subset_expansion_terms(g: UndirectedMultigraph, guard: int = DEFAULT_SUBSET_GUARD):
+def subset_expansion_terms(g: UndirectedMultigraph, guard: int = DEFAULT_SUBSET_WALK_GUARD):
     """All 2^m terms (S, c(S), l(S)) of the rank-nullity expansion in bitmask
     order: S ascending, c(S) the components of (V, S), and the excess
     l(S) = c(S) + |S| - n, the edges to delete to make each component a tree.
@@ -224,7 +224,9 @@ def tutte_subset_expansion(g: UndirectedMultigraph, x, y, guard: int = DEFAULT_S
     0^0 = 1 convention for degenerate bases. The subsets are never listed:
     the frontier sweep tallies them by (c(S), l(S)) as integers, and each
     distinct exponent pair is raised once. `guard` caps the sweep's work
-    units (see _frontier_tally).
+    units, branches x tally terms (see _frontier_tally), not the 2^m subsets
+    it stands for: 30 parallel edges take under a thousand units, and the
+    5x5 grid about 10^5.
     """
     x = Fraction(x)
     y = Fraction(y)

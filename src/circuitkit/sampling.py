@@ -20,8 +20,7 @@ products run along contiguous sample rows; real draws stay
 numpy, and the thread pool of a multi-worker run, are imported by the
 functions that draw or multiply vectors, on first use. The exact path
 (predicted_q, norm_moment) and every command that never samples run
-without loading either. Only predicted_q loads the j engine (partition),
-so `q-estimate` runs without it.
+without loading either.
 """
 
 from __future__ import annotations
@@ -35,6 +34,7 @@ from typing import TYPE_CHECKING, NamedTuple
 from .diagrams import ensure_ensemble_matches, vertex_scaling, xd_scaling
 from .errors import DEFAULT_ENUMERATION_GUARD, GuardExceededError, NotEulerianError
 from .graphs import DirectedMultigraph, Ensemble, Multigraph
+from .partition import circuit_partition_polynomial
 
 if TYPE_CHECKING:
     import numpy as np
@@ -375,8 +375,6 @@ def predicted_q(g: Multigraph, k: int, ensemble: Ensemble,
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    from .partition import circuit_partition_polynomial
-
     ensure_ensemble_matches(g, ensemble)
     try:
         j = circuit_partition_polynomial(g, guard=guard)

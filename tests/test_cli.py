@@ -523,45 +523,6 @@ def test_sampling_loads_numpy_and_only_a_parallel_run_the_thread_pool(corpus_dir
     assert _modules_loaded_by(argv + ["--workers", "2"]) & SAMPLING_ONLY == SAMPLING_ONLY
 
 
-_BLAS_THREADS_AFTER = """
-import contextlib, io, os, sys
-before = dict(os.environ)
-
-def changed():
-    keys = sorted(k for k in before.keys() | os.environ.keys() if before.get(k) != os.environ.get(k))
-    return ",".join(keys) or "-"
-
-import circuitkit.cli, circuitkit.sampling
-from circuitkit import *
-after_import = changed()
-with contextlib.redirect_stdout(io.StringIO()):
-    circuitkit.cli.main(sys.argv[1:])
-print(after_import, changed(), os.environ["OPENBLAS_NUM_THREADS"], "numpy" in sys.modules,
-      len(os.listdir("/proc/self/task")))
-"""
-
-
-@pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="needs the Linux per-thread task list")
-@pytest.mark.parametrize("preset, changed, threads", [(None, "OPENBLAS_NUM_THREADS", "1"), ("2", "-", "2")],
-                         ids=["unset", "set by the caller"])
-def test_a_command_starts_no_blas_thread_pool(corpus_dir, preset, changed, threads):
-    """Importing the package changes no environment variable. cli.main caps
-    OpenBLAS at one thread and changes nothing else, so a one-worker
-    q-estimate runs on one thread with numpy loaded; a thread count the
-    caller set is kept."""
-    env = {k: v for k, v in os.environ.items() if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
-    env["PYTHONPATH"] = str(Path(circuitkit.__file__).parent.parent)
-    if preset is not None:
-        env["OPENBLAS_NUM_THREADS"] = preset
-    argv = ["q-estimate", corpus("fig1.graph", corpus_dir), "--k", "2", "--ensemble", "complex-sphere", "--n", "2000"]
-    done = subprocess.run([sys.executable, "-c", _BLAS_THREADS_AFTER, *argv], env=env,
-                          capture_output=True, text=True, check=True, timeout=120)
-    after_import, after_run, value, numpy_loaded, tasks = done.stdout.split()
-    assert (after_import, after_run, value, numpy_loaded) == ("-", changed, threads, "True")
-    if preset is None:
-        assert tasks == "1"
-
-
 _RESOLVES_LAZILY = """
 import sys
 import circuitkit
@@ -589,9 +550,6 @@ _IMPORT_BUDGETS = [
      ENGINES - {"circuitkit.partition"} | {"circuitkit.checks", "dataclasses", "json", "numpy"}),
     (["q-predict", "fig1.graph", "--k", "2", "--ensemble", "complex-sphere"], {"circuitkit.sampling"},
      {"circuitkit.planar", "circuitkit.checks", "dataclasses", "json", "numpy"}),
-    (["q-estimate", "fig1.graph", "--k", "2", "--ensemble", "complex-sphere", "--n", "2000"],
-     {"circuitkit.sampling", "numpy"},
-     {"circuitkit.partition", "circuitkit.planar", "circuitkit.checks", "dataclasses", "json"}),
     (["q-exact", "fig1.graph", "--k", "2", "--ensemble", "complex-sphere"], {"circuitkit.diagrams"},
      ENGINES - {"circuitkit.diagrams"} | {"circuitkit.checks", "dataclasses", "numpy"}),
     (["medial", "triangle.planar", "--format", "json"], {"circuitkit.planar", "json"},

@@ -287,14 +287,16 @@ def test_subset_expansion_terms_invariants(corpus_maps):
 
 @st.composite
 def loopy_multigraphs(draw):
-    """Undirected multigraphs of one to three parts on 0-5 vertices each, with
-    their vertex labels shuffled together. A part's random edges may be loops
-    or parallel, and its unchosen vertices stay isolated."""
+    """Undirected multigraphs whose random edges may be loops or parallel, and
+    whose unchosen vertices stay isolated: one part on 0-6 vertices with up
+    to 9 edges, beside up to two more on 0-4 vertices (12 edges in all), with
+    the vertex labels of the parts shuffled together."""
     parts = []
-    for _ in range(draw(st.integers(1, 3))):
-        n = draw(st.integers(0, 5))
+    for n, max_edges in [(draw(st.integers(0, 6)), 9)] + [(draw(st.integers(0, 4)), 12)
+                                                          for _ in range(draw(st.integers(0, 2)))]:
         ends = st.integers(0, max(n - 1, 0))
-        parts.append((n, draw(st.lists(st.tuples(ends, ends), max_size=4 if n else 0))))
+        room = min(max_edges, 12 - sum(len(part) for _, part in parts)) if n else 0
+        parts.append((n, draw(st.lists(st.tuples(ends, ends), max_size=room))))
     label = draw(st.permutations(range(sum(n for n, _ in parts))))
     edges, offset = [], 0
     for n, part in parts:
