@@ -6,29 +6,40 @@ exceeded. Exact integers and rationals are printed in full, whatever their
 length, and rationals cross this boundary as "p/q" strings, never floats.
 JSON payloads carry a "schema": "circuitkit/1" version tag.
 
-Start-up is most of the wall time of a command on a small input, so each
-handler imports the engine modules it runs (partition, diagrams, planar,
-sampling; checks for `verify`), and json, numpy and importlib.resources are
-imported only where they are used. The parser reads the ensemble names from
-graphs and the default guards from errors, so `--help` loads no engine
-module, `j` only partition, and the commands that never sample start
-without numpy.
+Start-up and exit are most of the wall time of a command on a small input,
+so each handler imports the engine modules it runs (partition, diagrams,
+planar, sampling; checks for `verify`), and json, numpy,
+importlib.resources and fractions (which loads decimal) are imported only
+where they are used. The parser reads the ensemble names from graphs and
+the default guards from errors, so `--help` loads no engine module, `j`
+only partition, and the commands that never sample start without numpy;
+`j`, `medial` and `--help` make no rational and load no fractions. Every
+subcommand is added to the parser, but only the one named on the command
+line gets its options.
+
+`run` is the process entry of `python -m circuitkit` and of the
+`circuitkit` script. It calls `main` and then freezes the heap
+(gc.freeze), so that the interpreter's collections at exit do not walk
+every object the command loaded; `main` stays the entry for callers in
+process, whose heap it leaves as it was.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 from contextlib import contextmanager
-from fractions import Fraction
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
 from . import graphs
 from .errors import (DEFAULT_CONTRACTION_GUARD, DEFAULT_ENUMERATION_GUARD, DEFAULT_SUBSET_GUARD,
                      GraphFormatError, GuardExceededError)
 
 if TYPE_CHECKING:
+    from fractions import Fraction
+
     from .partition import IntPolynomial
 
 SCHEMA = "circuitkit/1"
@@ -59,6 +70,8 @@ def unlimited_int_digits():
 
 
 def format_rational(value: Fraction) -> str:
+    from fractions import Fraction
+
     value = Fraction(value)
     with unlimited_int_digits():
         return f"{value.numerator}/{value.denominator}"
@@ -95,6 +108,8 @@ def read_graph_file(path: str | Path) -> str:
 
 def rational(text: str) -> Fraction:
     """A "p/q" or integer argument; a zero denominator is an input error."""
+    from fractions import Fraction
+
     try:
         return Fraction(text)
     except ZeroDivisionError:
@@ -238,59 +253,66 @@ def cmd_verify(args) -> int:
 # Parser and dispatch
 # ---------------------------------------------------------------------------
 
-def build_parser() -> argparse.ArgumentParser:
-    """The `circuitkit` parser. An option that several subcommands share is
-    declared once, for all of them. Declaration order fixes the order of the
-    usage lines and of argparse's missing-argument errors, so `input` comes
-    first and `--format` last."""
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The `circuitkit` parser. Every subcommand is added, so `--help` and an
+    invalid choice list them all, but only `command` gets its options (every
+    subcommand does when it is None). An option that several subcommands
+    share is declared once, for all of them. Declaration order fixes the
+    order of the usage lines and of argparse's missing-argument errors, so
+    `input` comes first and `--format` last."""
     parser = argparse.ArgumentParser(
         prog="circuitkit",
         description="Circuit partition polynomials and the inner-product moments they predict.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    for name, handler, help in (
+        ("j", cmd_j, "circuit partition polynomial"),
+        ("q-predict", cmd_q_predict, "exact q(G;k) from the partition polynomial"),
+        ("q-estimate", cmd_q_estimate, "Monte Carlo q(G;k)"),
+        ("q-exact", cmd_q_exact, "exact q(G;k) by tensor contraction along a vertex order"),
+        ("medial", cmd_medial, "oriented medial graph of a planar map"),
+        ("tutte", cmd_tutte, "Tutte polynomial by subset expansion"),
+        ("martin", cmd_martin, "check j(G_m;z) = z^c T(G;z+1,z+1)"),
+        ("verify", cmd_verify, "run the invariant suite over a corpus"),
+    ):
+        sub.add_parser(name, help=help).set_defaults(handler=handler)
 
-    def command(name: str, handler: Callable, help: str) -> argparse.ArgumentParser:
-        p = sub.add_parser(name, help=help)
-        p.set_defaults(handler=handler)
-        return p
-
-    j = command("j", cmd_j, "circuit partition polynomial")
-    q_predict = command("q-predict", cmd_q_predict, "exact q(G;k) from the partition polynomial")
-    q_estimate = command("q-estimate", cmd_q_estimate, "Monte Carlo q(G;k)")
-    q_exact = command("q-exact", cmd_q_exact, "exact q(G;k) by tensor contraction along a vertex order")
-    medial = command("medial", cmd_medial, "oriented medial graph of a planar map")
-    tutte = command("tutte", cmd_tutte, "Tutte polynomial by subset expansion")
-    martin = command("martin", cmd_martin, "check j(G_m;z) = z^c T(G;z+1,z+1)")
-    verify = command("verify", cmd_verify, "run the invariant suite over a corpus")
-
-    for p in (j, q_predict, q_estimate, q_exact, medial, tutte, martin):
-        p.add_argument("input", help="graph file (a planar map for medial and martin)")
-    for p in (q_predict, q_estimate, q_exact):
-        p.add_argument("--k", type=int, required=True, help="vector dimension")
-        p.add_argument("--ensemble", required=True, choices=[e.value for e in graphs.Ensemble],
-                       help="random-vector ensemble")
-    q_estimate.add_argument("--n", type=int, default=100_000, help="sample count (default 100000)")
-    q_estimate.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
-    q_estimate.add_argument("--workers", type=int, default=1, help="worker threads, at most the CPU count (default 1)")
-    q_exact.add_argument("--guard-contraction", type=int, default=DEFAULT_CONTRACTION_GUARD,
-                         help="max planned work of the contraction, summed over the vertex order as "
-                              "k^(open edges + new edges at the vertex) (default %(default)s)")
-    tutte.add_argument("--x", type=rational, required=True, help='x as "p/q" or integer')
-    tutte.add_argument("--y", type=rational, required=True, help='y as "p/q" or integer')
-    martin.add_argument("--z", type=rational, required=True, help='z as "p/q" or integer')
-    for p in (j, q_predict, martin):
-        p.add_argument("--guard-enumeration", type=int, default=DEFAULT_ENUMERATION_GUARD,
-                       help="max work units of the splitting recursion, summed over its states as "
-                            "branches x edges (default %(default)s)")
-    for p in (tutte, martin):
-        p.add_argument("--guard-subsets", type=int, default=DEFAULT_SUBSET_GUARD,
-                       help="max work units of the Tutte frontier sweep, summed over its edges and "
-                            "states as branches x tally terms (default %(default)s)")
-    verify.add_argument("corpus", nargs="?", default=None, help="corpus directory (default: bundled corpus)")
-    verify.add_argument("--n", type=int, default=50_000, help="Monte Carlo samples per check (default 50000)")
-    verify.add_argument("--seed", type=int, default=20260810, help="RNG seed (default 20260810)")
-    for p in sub.choices.values():
-        p.add_argument("--format", choices=("text", "json"), default="text", help="output format (default: text)")
+    moments = ("q-predict", "q-estimate", "q-exact")
+    options = [  # (the subcommands that take it, its name, its add_argument keywords)
+        (("j", *moments, "medial", "tutte", "martin"), "input",
+         dict(help="graph file (a planar map for medial and martin)")),
+        (moments, "--k", dict(type=int, required=True, help="vector dimension")),
+        (moments, "--ensemble", dict(required=True, choices=[e.value for e in graphs.Ensemble],
+                                     help="random-vector ensemble")),
+        (("q-estimate",), "--n", dict(type=int, default=100_000, help="sample count (default 100000)")),
+        (("q-estimate",), "--seed", dict(type=int, default=0, help="RNG seed (default 0)")),
+        (("q-estimate",), "--workers", dict(type=int, default=1,
+                                            help="worker threads, at most the CPU count (default 1)")),
+        (("q-exact",), "--guard-contraction", dict(
+            type=int, default=DEFAULT_CONTRACTION_GUARD,
+            help="max planned work of the contraction, summed over the vertex order as "
+                 "k^(open edges + new edges at the vertex) (default %(default)s)")),
+        (("tutte",), "--x", dict(type=rational, required=True, help='x as "p/q" or integer')),
+        (("tutte",), "--y", dict(type=rational, required=True, help='y as "p/q" or integer')),
+        (("martin",), "--z", dict(type=rational, required=True, help='z as "p/q" or integer')),
+        (("j", "q-predict", "martin"), "--guard-enumeration", dict(
+            type=int, default=DEFAULT_ENUMERATION_GUARD,
+            help="max work units of the splitting recursion, summed over its states as "
+                 "branches x edges (default %(default)s)")),
+        (("tutte", "martin"), "--guard-subsets", dict(
+            type=int, default=DEFAULT_SUBSET_GUARD,
+            help="max work units of the Tutte frontier sweep, summed over its edges and "
+                 "states as branches x (tally terms + frontier vertices) (default %(default)s)")),
+        (("verify",), "corpus", dict(nargs="?", default=None, help="corpus directory (default: bundled corpus)")),
+        (("verify",), "--n", dict(type=int, default=50_000, help="Monte Carlo samples per check (default 50000)")),
+        (("verify",), "--seed", dict(type=int, default=20260810, help="RNG seed (default 20260810)")),
+        (tuple(sub.choices), "--format", dict(choices=("text", "json"), default="text",
+                                              help="output format (default: text)")),
+    ]
+    for names, flag, keywords in options:
+        for name in names:
+            if command in (None, name):
+                sub.choices[name].add_argument(flag, **keywords)
     return parser
 
 
@@ -307,7 +329,13 @@ def _attach_negative_rationals(argv: list[str]) -> list[str]:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(_attach_negative_rationals(sys.argv[1:] if argv is None else argv))
+    argv = _attach_negative_rationals(sys.argv[1:] if argv is None else argv)
+    # The top-level parser has no option that takes a value, so its first
+    # positional argument, the subcommand, is the first one not led by "-";
+    # with none (the top-level --help or a usage error), no subcommand needs
+    # its options.
+    named = next((arg for arg in argv if arg[:1] != "-"), "")
+    args = build_parser(named).parse_args(argv)
     try:
         return args.handler(args)
     except GuardExceededError as exc:
@@ -318,5 +346,16 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_INPUT_ERROR
 
 
+def run() -> int:
+    """The process entry: `main`'s exit code, with the heap frozen after it
+    returns or exits (argparse's usage errors and --help), so that the
+    collections the interpreter runs at exit skip every object the command
+    loaded. Exit handlers and the flush of stdout still run as usual."""
+    try:
+        return main()
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(run())

@@ -40,13 +40,15 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_left, insort
 from collections import Counter
-from fractions import Fraction
 from math import factorial, prod
-from typing import Callable, Iterable, Iterator
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
 from .errors import DEFAULT_ENUMERATION_GUARD, GuardExceededError
 from .graphs import (DirectedMultigraph, Multigraph, Record, double_factorial, eulerian_check,
                      max_adjacency_order, pairing_loop_count, perfect_matchings, require_eulerian)
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 # ---------------------------------------------------------------------------
@@ -73,6 +75,8 @@ class IntPolynomial(Record):
 
     def evaluate(self, z) -> Fraction:
         """Horner evaluation at an exact rational point."""
+        from fractions import Fraction
+
         z = Fraction(z)
         acc = Fraction(0)
         for c in reversed(self.coefficients):

@@ -28,9 +28,8 @@ subset-by-subset bijection check and the tests read.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from operator import index
-from typing import Iterable, NamedTuple
+from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 from .errors import (DEFAULT_ENUMERATION_GUARD, DEFAULT_SUBSET_GUARD, DEFAULT_SUBSET_WALK_GUARD, EmbeddingError,
                      GraphFormatError, GuardExceededError)
@@ -46,6 +45,9 @@ from .graphs import (
     permutation_cycles,
 )
 from .partition import circuit_partition_polynomial
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 class PlanarMap(Record):
@@ -168,9 +170,11 @@ def _frontier_tally(g: UndirectedMultigraph, guard: int) -> dict[tuple[int, int]
     that leaves with it closes a component. Vertices with no edge are never
     placed and add one component each.
 
-    The work units are branches x tally terms, summed over the states of
-    every edge; the sweep refuses as soon as their running total passes the
-    guard.
+    The work units are branches x (tally terms + frontier vertices), summed
+    over the states of every edge, as the j engine counts key length: a
+    branch rebuilds the state's tuple as well as its tally, so a wide
+    frontier with one-term tallies costs what it holds. The sweep refuses as
+    soon as their running total passes the guard.
     """
     order = max_adjacency_order(g.edges)
     step = {v: i for i, v in enumerate(order)}
@@ -192,11 +196,11 @@ def _frontier_tally(g: UndirectedMultigraph, guard: int) -> dict[tuple[int, int]
             there = frontier.index(a)
             following: dict[tuple[int, ...], dict[int, int]] = {}
             for state, tally in layer.items():
-                work += 2 * len(tally)
+                work += 2 * (len(tally) + len(state))
                 if work > guard:
                     raise GuardExceededError(
-                        "Tutte frontier sweep refused (work units: branches x tally terms per state)",
-                        work, guard)
+                        "Tutte frontier sweep refused (work units: branches x (tally terms + frontier"
+                        " vertices) per state)", work, guard)
                 _merge(following, state, tally, 0)
                 low, high = sorted((state[there], state[here]))
                 if low == high:
@@ -224,10 +228,12 @@ def tutte_subset_expansion(g: UndirectedMultigraph, x, y, guard: int = DEFAULT_S
     0^0 = 1 convention for degenerate bases. The subsets are never listed:
     the frontier sweep tallies them by (c(S), l(S)) as integers, and each
     distinct exponent pair is raised once. `guard` caps the sweep's work
-    units, branches x tally terms (see _frontier_tally), not the 2^m subsets
-    it stands for: 30 parallel edges take under a thousand units, and the
-    5x5 grid about 10^5.
+    units, branches x (tally terms + frontier vertices) (see
+    _frontier_tally), not the 2^m subsets it stands for: 30 parallel edges
+    take 1,166 units, and the 5x5 grid about 10^5.
     """
+    from fractions import Fraction
+
     x = Fraction(x)
     y = Fraction(y)
     tally = _frontier_tally(g, guard)
@@ -256,6 +262,8 @@ def martin_check(pmap: PlanarMap, z, enumeration_guard: int = DEFAULT_ENUMERATIO
     built, so no component count runs here. Both sides are exact rationals,
     so equality is exact.
     """
+    from fractions import Fraction
+
     z = Fraction(z)
     j = circuit_partition_polynomial(medial_graph(pmap), guard=enumeration_guard)
     lhs = j.evaluate(z)

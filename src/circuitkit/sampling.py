@@ -307,8 +307,9 @@ def estimate_q(g: Multigraph, k: int, ensemble: Ensemble, n_samples: int, seed: 
     """Monte Carlo mean of the edge product over n_samples assignments.
 
     Bit-reproducible for a fixed (seed, n_samples) regardless of workers
-    (threads, at most one per CPU and per chunk); the standard error is the
-    per-sample standard deviation of the complex values over sqrt(n_samples).
+    (threads, at most one per chunk and per CPU the process may run on); the
+    standard error is the per-sample standard deviation of the complex
+    values over sqrt(n_samples).
     The seed must lie in [0, 2**64): it is the high half of every chunk's
     Philox key, so no two seeds share a stream. Each worker thread runs its
     chunks through one workspace; a run whose workspace would pass
@@ -338,7 +339,10 @@ def estimate_q(g: Multigraph, k: int, ensemble: Ensemble, n_samples: int, seed: 
         size = min(CHUNK_SIZE, n_samples - c * CHUNK_SIZE)
         return _chunk_sums(g, k, ensemble, seed, c, size, vars(workspaces))
 
-    threads = min(workers, n_chunks, os.cpu_count() or 1)  # a pool starts a thread per task up to its size
+    # A pool starts a thread per task up to its size; the CPUs are the ones
+    # this process may run on, where the platform says which.
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    threads = min(workers, n_chunks, cpus)
     if threads > 1:
         from concurrent.futures import ThreadPoolExecutor
 

@@ -30,9 +30,9 @@ SPEC_OPERATIONS = [
 ]
 
 
-def subcommands() -> dict[str, argparse.ArgumentParser]:
-    """The subparsers of `circuitkit`, by name."""
-    (action,) = (a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+def subcommands(command: str | None = None) -> dict[str, argparse.ArgumentParser]:
+    """The subparsers of `circuitkit`, by name, as built for `command`."""
+    (action,) = (a for a in cli.build_parser(command)._actions if isinstance(a, argparse._SubParsersAction))
     return action.choices
 
 
@@ -336,6 +336,57 @@ def test_every_operation_is_reachable_from_a_command(capsys, corpus_dir):
     assert not missing
 
 
+def test_main_in_process_leaves_the_heap_unfrozen(capsys, corpus_dir):
+    """Only the process entry freezes the heap, just before the interpreter
+    exits; a caller of main in process keeps collecting its garbage."""
+    import gc
+
+    before = gc.get_freeze_count()
+    assert cli.main(["j", corpus("fig1.graph", corpus_dir)]) == 0
+    with pytest.raises(SystemExit):
+        cli.main(["--help"])
+    capsys.readouterr()
+    assert gc.get_freeze_count() == before
+
+
+# Calls cli.run with each argv in turn, in a fresh interpreter, and prints
+# the heap's freeze count after each (a SystemExit ends only that call).
+_FROZEN_AFTER_RUN = """
+import contextlib, gc, io, sys
+from circuitkit import cli
+for arg in sys.argv[1:]:
+    sys.argv = ["circuitkit", *arg.split("\\t")]
+    gc.unfreeze()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            cli.run()
+        except SystemExit:
+            pass
+    print(gc.get_freeze_count())
+"""
+
+
+def test_the_process_entry_freezes_the_heap_however_main_ends(corpus_dir):
+    argvs = [["j", corpus("fig1.graph", corpus_dir)], ["--help"], ["j"],
+             ["j", corpus("fig1.graph", corpus_dir), "--guard-enumeration", "1"]]
+    env = dict(os.environ, PYTHONPATH=str(Path(circuitkit.__file__).parent.parent))
+    done = subprocess.run([sys.executable, "-c", _FROZEN_AFTER_RUN, *("\t".join(argv) for argv in argvs)],
+                          env=env, capture_output=True, text=True, check=True, timeout=120)
+    counts = [int(line) for line in done.stdout.split()]
+    assert len(counts) == len(argvs) and min(counts) > 0
+
+
+def test_only_the_named_subcommand_gets_its_options():
+    """The parser adds every subcommand, so --help and an invalid choice list
+    them all, but declares only the named one's options."""
+    def options(command=None):
+        return {name: [a.dest for a in p._actions] for name, p in subcommands(command).items()}
+
+    full = options()
+    for name in [*full, "no-such-command"]:
+        assert options(name) == {other: full[other] if other == name else ["help"] for other in full}
+
+
 def test_command_table_is_complete():
     assert subcommands().keys() == {"j", "q-predict", "q-estimate", "q-exact", "medial", "tutte", "martin", "verify"}
 
@@ -542,18 +593,20 @@ def test_the_package_resolves_its_names_on_first_use():
 
 
 # (argv, modules it must load, modules it must not load). Only verify loads
-# circuitkit.checks, its invariant suite.
+# circuitkit.checks, its invariant suite; fractions, which loads decimal,
+# only a command that makes a rational.
+RATIONALS = {"fractions", "decimal"}
 _IMPORT_BUDGETS = [
-    (["--help"], set(), ENGINES | {"circuitkit.checks", "dataclasses", "json"}),
-    (["j", "--help"], set(), ENGINES | {"circuitkit.checks", "dataclasses", "json"}),
+    (["--help"], set(), ENGINES | {"circuitkit.checks", "dataclasses", "json"} | RATIONALS),
+    (["j", "--help"], set(), ENGINES | {"circuitkit.checks", "dataclasses", "json"} | RATIONALS),
     (["j", "fig1.graph"], {"circuitkit.partition"},
-     ENGINES - {"circuitkit.partition"} | {"circuitkit.checks", "dataclasses", "json", "numpy"}),
+     ENGINES - {"circuitkit.partition"} | {"circuitkit.checks", "dataclasses", "json", "numpy"} | RATIONALS),
     (["q-predict", "fig1.graph", "--k", "2", "--ensemble", "complex-sphere"], {"circuitkit.sampling"},
      {"circuitkit.planar", "circuitkit.checks", "dataclasses", "json", "numpy"}),
     (["q-exact", "fig1.graph", "--k", "2", "--ensemble", "complex-sphere"], {"circuitkit.diagrams"},
      ENGINES - {"circuitkit.diagrams"} | {"circuitkit.checks", "dataclasses", "numpy"}),
     (["medial", "triangle.planar", "--format", "json"], {"circuitkit.planar", "json"},
-     {"circuitkit.diagrams", "circuitkit.sampling", "circuitkit.checks", "dataclasses", "numpy"}),
+     {"circuitkit.diagrams", "circuitkit.sampling", "circuitkit.checks", "dataclasses", "numpy"} | RATIONALS),
     (["verify", "--n", "2000"], {"circuitkit.checks"} | ENGINES, {"dataclasses"}),
 ]
 

@@ -7,7 +7,9 @@ file and on a few files that each command must refuse or handle at an edge
 (FILES), one refusal per --guard-* flag, `verify` on the bundled corpus and
 on two corpora that add a file to it, and `--help` and each subcommand's
 help at COLUMNS=80. Help text is compared only on the Python minor version
-that recorded it, since argparse's layout changes between versions.
+that recorded it, since argparse's layout changes between versions. A few
+cases, and argparse's usage errors, also run through the process entry,
+`python -m circuitkit`, in a fresh interpreter.
 
 After a deliberate output change, record the file again from the root of
 the repository and review its diff:
@@ -22,6 +24,7 @@ import io
 import json
 import os
 import shutil
+import subprocess
 import sys
 from pathlib import Path
 
@@ -118,6 +121,45 @@ def test_output_is_byte_identical(index, argv, golden, files, monkeypatch):
     monkeypatch.setenv("COLUMNS", "80")
     case = golden["cases"][index]
     assert replay(argv, files) == {"code": case["code"], "stdout": case["stdout"], "stderr": case["stderr"]}
+
+
+# Run once more through the process entry, `python -m circuitkit`, in a fresh
+# interpreter: a success, an input error, a guard refusal and the help.
+PROCESS_CASES = [
+    ["j", "{corpus}/fig1.graph", "--format", "text"],
+    ["martin", "{corpus}/hexmap.planar", "--z", "3/2", "--format", "json"],
+    ["medial", "{corpus}/fig1.graph", "--format", "text"],
+    ["tutte", "{corpus}/hexmap.planar", "--x", "2", "--y", "2", "--guard-subsets", "1", "--format", "text"],
+    ["--help"],
+]
+
+
+def run_process(argv: list[str], files: Path) -> dict:
+    """stdout, stderr and exit code of `python -m circuitkit argv`."""
+    resolved = [arg.format(corpus=CORPUS, files=files) for arg in argv]
+    env = dict(os.environ, COLUMNS="80", PYTHONPATH=str(Path(cli.__file__).parent.parent))
+    done = subprocess.run([sys.executable, "-m", "circuitkit", *resolved], env=env, capture_output=True,
+                          timeout=120)
+    return {"code": done.returncode, "stdout": done.stdout.decode("utf-8"), "stderr": done.stderr.decode("utf-8")}
+
+
+@pytest.mark.parametrize("argv", PROCESS_CASES, ids=" ".join)
+def test_the_process_entry_prints_the_golden_bytes(argv, golden, files):
+    if "--help" in argv and golden["python"] != PYTHON:
+        pytest.skip(f"help recorded on Python {golden['python']}")
+    case = golden["cases"][cases().index(argv)]
+    assert run_process(argv, files) == {"code": case["code"], "stdout": case["stdout"], "stderr": case["stderr"]}
+
+
+@pytest.mark.parametrize("argv", [["j"], ["q-exact", "x.graph", "--k", "two"], ["no-such-command"], []],
+                         ids=" ".join)
+def test_the_process_entry_exits_on_a_usage_error_as_in_process(argv, files, monkeypatch):
+    """argparse's usage errors leave main by SystemExit(2), which the process
+    entry passes on unchanged."""
+    monkeypatch.setenv("COLUMNS", "80")
+    expected = replay(argv, files)
+    assert expected["code"] == 2 and expected["stderr"]
+    assert run_process(argv, files) == expected
 
 
 def record() -> None:

@@ -7,8 +7,9 @@ one pairing-loop count, one slot table of half-edges, one plane check (only
 PlanarMap's constructor raises EmbeddingError), a map side that takes only
 the engine from partition, one module that lifts the int-digit limit for
 printing, no module that loads the sampling-only dependencies at import
-time, and no module that imports dataclasses (which loads inspect, a
-start-up cost every command would pay). Which modules each command loads at
+time, no module that imports dataclasses (which loads inspect, a start-up
+cost every command would pay), and a heap frozen by the process entry
+alone. Which modules each command loads at
 run time is checked in tests/test_cli.py.
 
 Uses only the standard library's ast module.
@@ -253,21 +254,27 @@ def _names_embedding_error(node: ast.AST) -> bool:
             or (isinstance(node, ast.Attribute) and node.attr == "EmbeddingError"))
 
 
-def _embedding_error_sites(tree: ast.Module) -> set[str]:
-    """Dotted paths of the classes and functions around each place where
-    `tree` makes an EmbeddingError or raises the class itself; "<module>"
-    outside any of them."""
+def _sites(tree: ast.Module, marked) -> set[str]:
+    """Dotted paths of the classes and functions around each node of `tree`
+    that `marked` accepts; "<module>" outside any of them."""
     sites: set[str] = set()
     stack: list[tuple[ast.AST, tuple[str, ...]]] = [(tree, ())]
     while stack:
         node, path = stack.pop()
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             path += (node.name,)
-        if ((isinstance(node, ast.Call) and _names_embedding_error(node.func))
-                or (isinstance(node, ast.Raise) and node.exc is not None and _names_embedding_error(node.exc))):
+        if marked(node):
             sites.add(".".join(path) or "<module>")
         stack.extend((child, path) for child in ast.iter_child_nodes(node))
     return sites
+
+
+def _embedding_error_sites(tree: ast.Module) -> set[str]:
+    """The sites (see _sites) where `tree` makes an EmbeddingError or raises
+    the class itself."""
+    return _sites(tree, lambda node: (
+        (isinstance(node, ast.Call) and _names_embedding_error(node.func))
+        or (isinstance(node, ast.Raise) and node.exc is not None and _names_embedding_error(node.exc))))
 
 
 @pytest.mark.parametrize("source, expected", [
@@ -290,6 +297,34 @@ def test_planar_map_is_the_only_plane_check():
     decides planarity."""
     sites = {f"{path.stem}.{site}" for path in MODULES for site in _embedding_error_sites(_tree(path))}
     assert sites == {"planar.PlanarMap.__init__"}
+
+
+def _freeze_sites(tree: ast.Module) -> set[str]:
+    """The sites (see _sites) where `tree` reads gc.freeze or imports it from gc."""
+    return _sites(tree, lambda node: (
+        (isinstance(node, ast.Attribute) and node.attr == "freeze"
+         and isinstance(node.value, ast.Name) and node.value.id == "gc")
+        or (isinstance(node, ast.ImportFrom) and node.module == "gc"
+            and any(alias.name == "freeze" for alias in node.names))))
+
+
+@pytest.mark.parametrize("source, expected", [
+    ("import gc\ngc.freeze()", {"<module>"}),
+    ("def run():\n    try:\n        pass\n    finally:\n        gc.freeze()", {"run"}),
+    ("def f():\n    from gc import freeze\n    freeze()", {"f"}),
+    ("class A:\n    def f(self):\n        g = gc.freeze", {"A.f"}),
+    ("def f():\n    gc.collect()\n    gc.get_freeze_count()", set()),
+])
+def test_freeze_scan_sees_every_form(source, expected):
+    assert _freeze_sites(ast.parse(source)) == expected
+
+
+def test_only_the_process_entry_freezes_the_heap():
+    """gc.freeze stops the collector from ever reclaiming what is loaded, so
+    only cli.run, which the interpreter leaves right after, may call it;
+    callers of cli.main in process keep a heap that is collected."""
+    sites = {f"{path.stem}.{site}" for path in sorted(PACKAGE_DIR.glob("*.py")) for site in _freeze_sites(_tree(path))}
+    assert sites == {"cli.run"}
 
 
 def _names_mentioned(tree: ast.Module) -> set[str]:

@@ -261,15 +261,51 @@ def test_tutte_counts_spanning_objects():
 
 def test_tutte_guard():
     """The guard caps the sweep's work units, not 2^m: 30 parallel edges
-    (2^30 subsets) take under a thousand, while the 5x5 grid takes about
-    10^5 and is refused under a guard of 10^4."""
+    (2^30 subsets) take 1,166, while the 5x5 grid takes about 10^5 and is
+    refused under a guard of 10^4."""
     parallel = UndirectedMultigraph(2, ((0, 1),) * 30)
-    assert tutte_subset_expansion(parallel, 2, 3, guard=1_000) == 2 + sum(3**k for k in range(1, 30))
+    assert tutte_subset_expansion(parallel, 2, 3, guard=1_166) == 2 + sum(3**k for k in range(1, 30))
     grid = scrambled_grid_map(5, 5, 1).graph
     with pytest.raises(GuardExceededError) as excinfo:
         tutte_subset_expansion(grid, 2, 2, guard=10**4)
     assert excinfo.value.limit == 10**4 < excinfo.value.required
     assert tutte_subset_expansion(grid, 2, 2) == 2**40
+
+
+def _refused_at(g: UndirectedMultigraph, guard: int) -> int:
+    """The running work count at which the sweep of g passes `guard`."""
+    with pytest.raises(GuardExceededError) as excinfo:
+        tutte_subset_expansion(g, 2, 2, guard=guard)
+    return excinfo.value.required
+
+
+@pytest.mark.parametrize("k", [1, 2, 5, 30])
+def test_the_sweep_work_of_parallel_edges(k):
+    """k parallel edges: the first costs 2 x (1 tally term + 2 frontier
+    vertices); the j-th (j >= 2) meets the two ends apart (one term) and
+    joined (j - 1 terms), 2 x (1 + 2) + 2 x (j - 1 + 2). In all
+    k^2 + 9k - 4 units, which a guard one below refuses at exactly."""
+    g = UndirectedMultigraph(2, ((0, 1),) * k)
+    total = k * k + 9 * k - 4
+    assert tutte_subset_expansion(g, 2, 2, guard=total) == 2**k
+    assert _refused_at(g, total - 1) == total
+
+
+def test_the_sweep_work_counts_the_frontier_it_rebuilds():
+    """On a 3 x 12 grid labelled row by row the sweep first walks the top
+    row, and every vertex it places keeps its edge downwards, so the frontier
+    widens by one vertex per edge while each state carries a one-term tally:
+    before the i-th row edge it holds 2^(i-1) states of i + 1 vertices. The
+    unit counts the tuple each branch rebuilds, 2 x (1 + i + 1) per state,
+    so the row costs sum 2^i (i + 2) units, and a guard of 2^12 refuses it,
+    which counting tally terms alone (2^12 - 2 units) let pass."""
+    rows, cols = 3, 12
+    edges = [(y * cols + x, y * cols + x + 1) for y in range(rows) for x in range(cols - 1)]
+    edges += [(y * cols + x, (y + 1) * cols + x) for y in range(rows - 1) for x in range(cols)]
+    g = UndirectedMultigraph(rows * cols, tuple(edges))
+    row = sum(2**i * (i + 2) for i in range(1, cols))
+    assert _refused_at(g, row - 1) == row
+    assert _refused_at(g, 2**cols) < row
 
 
 def test_subset_expansion_terms_invariants(corpus_maps):

@@ -191,8 +191,8 @@ def test_estimate_is_deterministic_across_workers(fig1):
 
 def test_the_pool_is_capped_at_the_cpu_and_chunk_counts(fig1, monkeypatch):
     """A pool starts a thread per submitted chunk up to its size, so the size
-    is min(workers, chunks, CPUs). A recording stub stands in for the pool:
-    no real threads are started."""
+    is min(workers, chunks, CPUs the process may run on). A recording stub
+    stands in for the pool: no real threads are started."""
     import concurrent.futures
     import os
 
@@ -219,6 +219,8 @@ def test_the_pool_is_capped_at_the_cpu_and_chunk_counts(fig1, monkeypatch):
     assert asked == []
     assert run(6 * CHUNK_SIZE, 10**6) == serial
     assert all(size <= min(6, os.cpu_count() or 1) for size in asked)
+    # Without an affinity mask, the cap is the machine's CPU count.
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
     assert run(6 * CHUNK_SIZE, 10**6) == serial
     monkeypatch.setattr(os, "cpu_count", lambda: 64)
@@ -229,6 +231,26 @@ def test_the_pool_is_capped_at_the_cpu_and_chunk_counts(fig1, monkeypatch):
     count = len(asked)
     assert run(6 * CHUNK_SIZE, 10**6) == serial
     assert len(asked) == count
+    # With one, the cap is the CPUs the process may run on, not the machine's.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(3)), raising=False)
+    run(6 * CHUNK_SIZE, 10**6)
+    assert asked[-1] == 3
+
+
+def test_one_usable_cpu_starts_no_pool(fig1, monkeypatch):
+    """A process pinned to one CPU (as `taskset -c 0` pins it) samples on its
+    own thread whatever --workers asks, however many CPUs the machine has."""
+    import concurrent.futures
+    import os
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a thread pool was started")
+
+    serial = estimate_q(fig1, 2, Ensemble.COMPLEX_SPHERE, 6 * CHUNK_SIZE, seed=7, workers=1).to_json()
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    assert estimate_q(fig1, 2, Ensemble.COMPLEX_SPHERE, 6 * CHUNK_SIZE, seed=7, workers=8).to_json() == serial
 
 
 _THICK_DIGON = DirectedMultigraph(2, ((0, 1),) * 16 + ((1, 0),) * 16)
