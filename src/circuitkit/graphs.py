@@ -12,13 +12,20 @@ Vertices are 0-indexed everywhere. Edge order is semantic: edge i owns
 half-edge (dart) ids 2i and 2i+1, which downstream modules rely on, so
 parsing and serialization preserve the listed edge order exactly.
 
-File format (UTF-8, line-oriented, '#' starts a comment line):
+File format (UTF-8, line-oriented):
 
     line 1:       "directed" | "undirected" | "planar"
     line 2:       "<n> <m>"
     next m lines: "<tail> <head>"  (directed)  or  "<u> <v>"  (otherwise)
     planar only,
     next n lines: vertex v's counterclockwise rotation of incident dart ids
+
+Each line is stripped of surrounding whitespace, a carriage return included;
+its fields are split on any run of whitespace and read by int(), so "+1" and
+"1_0" are integers. A line whose first non-blank character is '#' is a
+comment, and a '#' anywhere else is an error. Blank lines are skipped,
+except that a blank line in the rotation block is an empty rotation (and
+vertices without darts at the end of the file may omit theirs).
 
 Self-loops and parallel edges are permitted; a directed self-loop adds one
 to both the in- and the out-degree, an undirected one adds two to the degree.
@@ -28,6 +35,8 @@ from __future__ import annotations
 
 from enum import Enum
 from heapq import heapify, heappop, heappush
+from itertools import compress, islice
+from math import prod
 from operator import index
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -194,36 +203,28 @@ class EulerianReport(NamedTuple):
     offending_vertices: tuple[tuple[int, ...], ...]
 
     def describe(self) -> str:
-        if self.is_eulerian:
-            return "eulerian"
-        parts = []
-        for entry in self.offending_vertices:
-            if len(entry) == 3:
-                v, din, dout = entry
-                parts.append(f"vertex {v}: in={din} out={dout}")
-            else:
-                v, deg = entry
-                parts.append(f"vertex {v}: degree {deg} is odd")
-        return "; ".join(parts)
+        return "; ".join(f"vertex {e[0]}: in={e[1]} out={e[2]}" if len(e) == 3
+                         else f"vertex {e[0]}: degree {e[1]} is odd" for e in self.offending_vertices) or "eulerian"
 
 
 def eulerian_check(g: Multigraph) -> EulerianReport:
     """Degree balance only; connectivity is not required (circuit partitions
-    are defined per component)."""
-    offending: list[tuple[int, ...]] = []
-    if isinstance(g, DirectedMultigraph):
-        ins, outs = [0] * g.vertex_count, [0] * g.vertex_count
+    are defined per component). Only an unbalanced graph's vertices are walked."""
+    excess = [0] * g.vertex_count  # out- less in-degree, or the parity of the degree
+    directed = isinstance(g, DirectedMultigraph)
+    if directed:
         for u, v in g.edges:
-            outs[u] += 1
-            ins[v] += 1
-        for v in range(g.vertex_count):
-            if ins[v] != outs[v]:
-                offending.append((v, ins[v], outs[v]))
+            excess[u] += 1
+            excess[v] -= 1
     else:
-        for v, deg in enumerate(g.degrees()):
-            if deg % 2 != 0:
-                offending.append((v, deg))
-    return EulerianReport(not offending, tuple(offending))
+        for u, v in g.edges:
+            excess[u] ^= 1
+            excess[v] ^= 1
+    if excess.count(0) == len(excess):  # one C pass, which allocates nothing
+        return EulerianReport(True, ())
+    degs = g.degrees()  # a directed in-degree is (degree - excess) / 2
+    return EulerianReport(False, tuple((v, (degs[v] - excess[v]) // 2, (degs[v] + excess[v]) // 2) if directed
+                                       else (v, degs[v]) for v in compress(range(g.vertex_count), excess)))
 
 
 def require_eulerian(g: Multigraph) -> None:
@@ -238,12 +239,9 @@ def component_count(g: UndirectedMultigraph) -> int:
     parent = list(range(g.vertex_count))
 
     def find(x: int) -> int:
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]  # path halving
+        return x
 
     components = g.vertex_count
     for u, v in g.edges:
@@ -299,18 +297,13 @@ def perfect_matchings(points: tuple[int, ...]) -> Iterator[tuple[tuple[int, int]
         return
     a = points[0]
     for idx in range(1, len(points)):
-        rest = points[1:idx] + points[idx + 1:]
-        for tail in perfect_matchings(rest):
+        for tail in perfect_matchings(points[1:idx] + points[idx + 1:]):
             yield ((a, points[idx]),) + tail
 
 
 def double_factorial(n: int) -> int:
     """n!! = n(n-2)(n-4)...; by convention 0!! = (-1)!! = 1."""
-    result = 1
-    while n > 1:
-        result *= n
-        n -= 2
-    return result
+    return prod(range(n, 1, -2))
 
 
 def max_adjacency_order(edges: Iterable[tuple[int, int]]) -> list[int]:
@@ -349,17 +342,17 @@ def max_adjacency_order(edges: Iterable[tuple[int, int]]) -> list[int]:
 _KINDS = ("directed", "undirected", "planar")
 
 
-def _content_lines(text: str) -> Iterator[tuple[int, str]]:
-    """(1-based line number, stripped content) of every line that is not a '#' comment."""
-    for lineno, raw in enumerate(text.split("\n"), start=1):
-        stripped = raw.strip()
-        if not stripped.startswith("#"):
-            yield lineno, stripped
+def _content_lines(lines: list[str], start: int = 0) -> Iterator[tuple[int, str]]:
+    """(1-based line number, stripped content) of each of lines[start:] that is not a '#' comment."""
+    for lineno, line in enumerate(lines[start:], start + 1):
+        content = line.strip()
+        if content[:1] != "#":
+            yield lineno, content
 
 
 def header_line(text: str) -> int:
     """Line number of the kind header, the first line with content (1 if there is none)."""
-    return next((lineno for lineno, content in _content_lines(text) if content), 1)
+    return next((lineno for lineno, content in _content_lines(text.split("\n")) if content), 1)
 
 
 def parse_graph_file(text: str) -> tuple[str, Multigraph, tuple[tuple[int, ...], ...] | None]:
@@ -370,11 +363,12 @@ def parse_graph_file(text: str) -> tuple[str, Multigraph, tuple[tuple[int, ...],
     (every dart appears exactly once, at the vertex owning it); whether they
     describe a plane embedding is the planar module's Euler check.
     """
-    lines = _content_lines(text)
-    last_line = text.count("\n") + 1
+    lines = text.split("\n")
+    last_line = len(lines)
+    unread = _content_lines(lines)
 
     def next_content_line(allow_blank: bool = False) -> tuple[int, str] | None:
-        for lineno, content in lines:
+        for lineno, content in unread:
             if content or allow_blank:
                 return lineno, content
         return None
@@ -389,59 +383,68 @@ def parse_graph_file(text: str) -> tuple[str, Multigraph, tuple[tuple[int, ...],
     counts = next_content_line()
     if counts is None:
         raise GraphFormatError("missing '<n> <m>' line", last_line)
-    lineno, content = counts
-    fields = content.split()
-    if len(fields) != 2:
-        raise GraphFormatError(f"expected '<n> <m>', got {content!r}", lineno)
-    try:
-        n, m = int(fields[0]), int(fields[1])
-    except ValueError:
-        raise GraphFormatError(f"expected two integers, got {content!r}", lineno) from None
+    n, m = _two_ints(*counts, "<n> <m>")
     if n < 0 or m < 0:
-        raise GraphFormatError("vertex and edge counts must be nonnegative", lineno)
+        raise GraphFormatError("vertex and edge counts must be nonnegative", counts[0])
 
-    edges: list[tuple[int, int]] = []
-    for i in range(m):
-        entry = next_content_line()
-        if entry is None:
-            raise GraphFormatError(f"expected {m} edges, found only {i}", last_line)
-        lineno, content = entry
-        fields = content.split()
-        if len(fields) != 2:
-            raise GraphFormatError(f"expected '<u> <v>', got {content!r}", lineno)
-        try:
-            u, v = int(fields[0]), int(fields[1])
-        except ValueError:
-            raise GraphFormatError(f"expected two integers, got {content!r}", lineno) from None
-        if not (0 <= u < n and 0 <= v < n):
-            raise GraphFormatError(f"vertex index out of range [0, {n}) in edge ({u}, {v})", lineno)
-        edges.append((u, v))
+    # The edge block is read in bulk, from the next m lines if all are edges, else from the next m
+    # content lines; only if that fails too are its lines walked, to name the first fault.
+    start = counts[0]  # the index of the line after the counts
+    edges = _edges_in_bulk(lines[start:start + m], n, m)
+    if edges is not None:
+        unread = _content_lines(lines, start + m)
+    else:
+        block = list(islice(iter(next_content_line, None), m))
+        edges = _edges_in_bulk([content for _, content in block], n, m)
+        if edges is None:
+            for lineno, content in block:
+                u, v = _two_ints(lineno, content, "<u> <v>")
+                if not (0 <= u < n and 0 <= v < n):
+                    raise GraphFormatError(f"vertex index out of range [0, {n}) in edge ({u}, {v})", lineno)
+            raise GraphFormatError(f"expected {m} edges, found only {len(block)}", last_line)
 
-    graph = (DirectedMultigraph if kind == "directed" else UndirectedMultigraph)(n, tuple(edges))
+    graph = object.__new__(DirectedMultigraph if kind == "directed" else UndirectedMultigraph)
+    object.__setattr__(graph, "vertex_count", n)  # as Multigraph.__init__ would, less its checks:
+    object.__setattr__(graph, "edges", edges)  # the ends are ints, and in range
     rotations = _parse_rotations(graph, next_content_line, last_line) if kind == "planar" else None
 
     trailing = next_content_line()
     if trailing is not None:
-        raise GraphFormatError(
-            f"unexpected extra content {trailing[1]!r} (wrong edge count in header?)", trailing[0]
-        )
+        raise GraphFormatError(f"unexpected extra content {trailing[1]!r} (wrong edge count in header?)", trailing[0])
     return kind, graph, rotations
+
+
+def _two_ints(lineno: int, content: str, shape: str) -> tuple[int, int]:
+    fields = content.split()
+    if len(fields) != 2:
+        raise GraphFormatError(f"expected {shape!r}, got {content!r}", lineno)
+    try:
+        return int(fields[0]), int(fields[1])
+    except ValueError:
+        raise GraphFormatError(f"expected two integers, got {content!r}", lineno) from None
+
+
+def _edges_in_bulk(lines: list[str], n: int, m: int) -> tuple[tuple[int, int], ...] | None:
+    """The m edges that `lines` list one to a line, or None unless each holds
+    two integers in [0, n): one C pass per check, and no split line kept."""
+    if len(lines) != m or not set(map(len, map(str.split, lines))) <= {2}:
+        return None
+    try:
+        ends = list(map(int, " ".join(lines).split()))
+    except ValueError:
+        return None
+    return tuple(zip(ends[::2], ends[1::2])) if not ends or 0 <= min(ends) and max(ends) < n else None
 
 
 def _parse_rotations(g: UndirectedMultigraph, next_content_line, last_line: int) -> tuple[tuple[int, ...], ...]:
     rotations: list[tuple[int, ...]] = []
     for v, degree in enumerate(g.degrees()):
-        # Degree-0 vertices may omit their (empty) rotation line at EOF;
-        # otherwise a blank line stands for the empty rotation.
         entry = next_content_line(allow_blank=True)
-        if entry is None:
-            if not degree:
-                rotations.append(())
-                continue
+        if entry is None and degree:
             raise GraphFormatError(f"missing rotation line for vertex {v}", last_line)
-        lineno, content = entry
+        lineno, content = entry or (last_line, "")
         try:
-            darts = tuple(int(f) for f in content.split())
+            darts = tuple(map(int, content.split()))
         except ValueError:
             raise GraphFormatError(f"rotation for vertex {v} is not a list of ints: {content!r}", lineno) from None
         check_rotation(g, v, darts, degree, lineno)
@@ -472,11 +475,8 @@ def check_rotation(g: UndirectedMultigraph, v: int, darts: tuple[int, ...], degr
 
 
 def parse_graph(text: str) -> Multigraph:
-    """Parse a graph file; planar files yield their underlying undirected graph.
-
-    The full planar map (graph plus rotation system) is recovered with
-    planar.parse_planar_map.
-    """
+    """Parse a graph file; planar files yield their underlying undirected graph
+    (planar.parse_planar_map recovers the map, with its rotation system)."""
     _, graph, _ = parse_graph_file(text)
     return graph
 

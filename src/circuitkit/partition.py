@@ -41,6 +41,7 @@ import itertools
 from bisect import bisect_left, insort
 from collections import Counter
 from math import factorial, prod
+from operator import ne
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
 from .errors import DEFAULT_ENUMERATION_GUARD, GuardExceededError
@@ -209,43 +210,55 @@ def _contract(g: Multigraph) -> tuple[list[tuple[int, int]], int]:
     A vertex is forced when it has exactly two half-edges (d_v = 1 directed,
     degree 2 undirected); a chain enters it on one and leaves on the other.
     Directed chains are followed from their tails only, so each records its
-    ends tail first.
+    ends tail first. No pass runs in Python over the vertices.
     """
     ends = list(itertools.chain.from_iterable(g.edges))  # half-edge h sits at ends[h]
-    halves = [0] * g.vertex_count  # half-edges per vertex
-    first = [-1] * g.vertex_count  # the first half-edge seen at each vertex
-    other = [-1] * len(ends)  # the other half-edge at a vertex; read at forced vertices only
-    for h, v in enumerate(ends):
-        a = first[v]
-        if a < 0:
-            first[v] = h
-        else:
-            other[h] = a
-            other[a] = h
-        halves[v] += 1
-    forced = [c == 2 for c in halves]
+    # Entering a vertex on h, a chain leaves it on onward[h], or stops there (-1) if it branches.
+    onward = [-1] * len(ends)
+    if isinstance(g, DirectedMultigraph):  # a chain leaves a vertex on a tail
+        tails = range(0, len(ends), 2)
+        leaving = dict(zip(ends[::2], tails))  # each vertex's last tail: a forced vertex's only one
+        # A tail that is not its vertex's last shows a branching vertex. Every
+        # tail there starts a chain, and its vertex leaves `leaving`, so that
+        # a chain entering it stops.
+        extra = list(itertools.compress(tails, map(ne, map(leaving.__getitem__, ends[::2]), tails)))
+        branching = set(map(ends.__getitem__, extra))
+        starts = extra + [leaving.pop(v) for v in branching]
+        onward[1::2] = map(leaving.get, ends[1::2], itertools.repeat(-1))
+    else:
+        branching = set()
+        seen = [-1] * g.vertex_count  # the first half-edge at a vertex; -2 once a second pairs with it
+        for h, v in enumerate(ends):
+            a = seen[v]
+            if a >= 0:
+                onward[a], onward[h] = h, a
+                seen[v] = -2
+            elif a == -1:
+                seen[v] = h
+            else:  # a third half-edge, or later
+                branching.add(v)
+        starts = list(itertools.compress(range(len(ends)), map(branching.__contains__, ends)))
+        for h in starts:
+            onward[h] = -1
     used = bytearray(g.edge_count)
     pairs = []
-    step = 2 if isinstance(g, DirectedMultigraph) else 1
-    for start in range(0, len(ends), step):
-        u = ends[start]
-        if not forced[u] and not used[start >> 1]:  # follow the chain leaving a branching vertex
+    for start in starts:
+        if not used[start >> 1]:  # follow the chain leaving a branching vertex
             used[start >> 1] = 1
             h = start ^ 1
-            while forced[ends[h]]:
-                h = other[h]
-                used[h >> 1] = 1
-                h ^= 1
-            pairs.append((u, ends[h]))
+            while (out := onward[h]) >= 0:
+                used[out >> 1] = 1
+                h = out ^ 1
+            pairs.append((ends[start], ends[h]))
     closed = 0
-    for e in range(g.edge_count):
-        if not used[e]:  # a cycle through forced vertices only
-            closed += 1
-            used[e] = 1
-            h = other[2 * e + 1]
-            while not used[h >> 1]:
-                used[h >> 1] = 1
-                h = other[h ^ 1]
+    e = used.find(0)
+    while e >= 0:  # a cycle through forced vertices only
+        closed += 1
+        h = 2 * e
+        while not used[h >> 1]:
+            used[h >> 1] = 1
+            h = onward[h ^ 1]
+        e = used.find(0, e + 1)
     return pairs, closed
 
 

@@ -52,6 +52,15 @@ def test_j_fig1(capsys, corpus_dir):
     assert out == "0 1 1\n"
 
 
+@pytest.mark.parametrize("kind", ["directed", "undirected"])
+def test_j_on_millions_of_edgeless_vertices(capsys, tmp_path, kind):
+    """A 20-byte file names 3,000,000 vertices and no edges: j is 1, and no
+    pass over the vertices runs in Python on the way to it."""
+    path = tmp_path / "edgeless.graph"
+    path.write_text(f"{kind}\n3000000 0\n", encoding="utf-8")
+    assert run(capsys, "j", str(path)) == (0, "1\n", "")
+
+
 def test_j_json(capsys, corpus_dir):
     code, out, _ = run(capsys, "j", corpus("figure_eight.graph", corpus_dir), "--format", "json")
     assert code == 0

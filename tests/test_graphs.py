@@ -286,6 +286,42 @@ def test_integer_like_input_is_stored_as_int():
     assert all(type(v) is int for edge in g.edges for v in edge)
 
 
+GRAPH_KINDS = pytest.mark.parametrize("kind", [DirectedMultigraph, UndirectedMultigraph],
+                                      ids=["directed", "undirected"])
+
+
+@GRAPH_KINDS
+@pytest.mark.parametrize("end", [1.0, "1", Fraction(1)], ids=["float", "str", "Fraction"])
+def test_the_constructor_refuses_a_non_integer_endpoint(kind, end):
+    with pytest.raises(TypeError):
+        kind(2, ((0, 1), (end, 0)))
+    with pytest.raises(TypeError):
+        kind(2, ((0, end),))
+
+
+@GRAPH_KINDS
+@pytest.mark.parametrize("edge", [(0,), (0, 1, 1)], ids=["one end", "three ends"])
+def test_the_constructor_refuses_an_edge_without_two_ends(kind, edge):
+    with pytest.raises(ValueError):
+        kind(2, ((0, 1), edge))
+
+
+@GRAPH_KINDS
+def test_the_out_of_range_message_names_the_first_offending_edge(kind):
+    with pytest.raises(ValueError, match=r"^edge \(0, 3\) out of range for 3 vertices$"):
+        kind(3, ((0, 1), (0, 3), (-1, 0)))
+    with pytest.raises(ValueError, match=r"^edge \(-1, 0\) out of range for 3 vertices$"):
+        kind(3, ((0, 1), (-1, 0), (0, 3)))
+
+
+@GRAPH_KINDS
+def test_numpy_ints_and_bools_are_stored_as_int(kind):
+    g = kind(np.int16(3), [(np.int64(2), np.uint8(0)), (True, np.int32(1))])
+    assert g.vertex_count == 3 and g.edges == ((2, 0), (1, 1))
+    assert type(g.vertex_count) is int
+    assert all(type(v) is int for edge in g.edges for v in edge)
+
+
 def test_the_shared_base_has_no_kind_of_its_own():
     with pytest.raises(TypeError):
         Multigraph(1, ((0, 0),))

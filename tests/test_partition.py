@@ -484,6 +484,23 @@ def test_long_directed_cycle_with_loops(loops):
 
 
 @pytest.mark.parametrize("directed", [True, False])
+@pytest.mark.parametrize("seed", [1, 2])
+def test_long_relabelled_cycle_with_loops(directed, seed):
+    """The chains through forced vertices are spliced whatever the vertex
+    labels, the edge order and (undirected) the ends' order."""
+    rng = random.Random(seed)
+    m, loops = 5_000, 3
+    label = list(range(m))
+    rng.shuffle(label)
+    edges = [(label[u], label[(u + 1) % m]) for u in range(m)] + [(label[v], label[v]) for v in rng.sample(range(m), loops)]
+    edges = [(v, u) if not directed and rng.random() < 0.5 else (u, v) for u, v in edges]
+    rng.shuffle(edges)
+    poly = circuit_partition_polynomial((DirectedMultigraph if directed else UndirectedMultigraph)(m, edges))
+    # z (1 + z)^loops directed; z (z + 2)^loops undirected
+    assert poly.coefficients == (0, *(comb(loops, i) * (1 if directed else 2 ** (loops - i)) for i in range(loops + 1)))
+
+
+@pytest.mark.parametrize("directed", [True, False])
 def test_cycle_with_a_loop_at_every_vertex(directed):
     # The states form a chain deeper than the default recursion limit.
     n = 1000
