@@ -35,8 +35,7 @@ from __future__ import annotations
 
 from enum import Enum
 from heapq import heapify, heappop, heappush
-from itertools import compress, islice
-from math import prod
+from itertools import compress
 from operator import index
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -128,6 +127,18 @@ class Multigraph(Record):
         for u, v in edges:
             if not (0 <= u < vertex_count and 0 <= v < vertex_count):
                 raise ValueError(f"edge ({u}, {v}) out of range for {vertex_count} vertices")
+        self._set(vertex_count, edges)
+
+    @classmethod
+    def _of_checked(cls, vertex_count: int, edges: tuple[tuple[int, int], ...]) -> Multigraph:
+        """The graph cls(vertex_count, edges) is, made without its checks: for
+        the file parser, which has checked each end (an int in range) in bulk."""
+        graph = object.__new__(cls)
+        graph._set(vertex_count, edges)
+        return graph
+
+    def _set(self, vertex_count: int, edges: tuple[tuple[int, int], ...]) -> None:
+        """Set the fields, and any derived slot, for __init__ and _of_checked alike."""
         object.__setattr__(self, "vertex_count", vertex_count)
         object.__setattr__(self, "edges", edges)
 
@@ -203,8 +214,17 @@ class EulerianReport(NamedTuple):
     offending_vertices: tuple[tuple[int, ...], ...]
 
     def describe(self) -> str:
-        return "; ".join(f"vertex {e[0]}: in={e[1]} out={e[2]}" if len(e) == 3
-                         else f"vertex {e[0]}: degree {e[1]} is odd" for e in self.offending_vertices) or "eulerian"
+        if self.is_eulerian:
+            return "eulerian"
+        parts = []
+        for entry in self.offending_vertices:
+            if len(entry) == 3:
+                v, din, dout = entry
+                parts.append(f"vertex {v}: in={din} out={dout}")
+            else:
+                v, deg = entry
+                parts.append(f"vertex {v}: degree {deg} is odd")
+        return "; ".join(parts)
 
 
 def eulerian_check(g: Multigraph) -> EulerianReport:
@@ -239,9 +259,12 @@ def component_count(g: UndirectedMultigraph) -> int:
     parent = list(range(g.vertex_count))
 
     def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = x = parent[parent[x]]  # path halving
-        return x
+        root = x
+        while parent[root] != root:
+            root = parent[root]
+        while parent[x] != root:
+            parent[x], x = root, parent[x]
+        return root
 
     components = g.vertex_count
     for u, v in g.edges:
@@ -297,13 +320,18 @@ def perfect_matchings(points: tuple[int, ...]) -> Iterator[tuple[tuple[int, int]
         return
     a = points[0]
     for idx in range(1, len(points)):
-        for tail in perfect_matchings(points[1:idx] + points[idx + 1:]):
+        rest = points[1:idx] + points[idx + 1:]
+        for tail in perfect_matchings(rest):
             yield ((a, points[idx]),) + tail
 
 
 def double_factorial(n: int) -> int:
     """n!! = n(n-2)(n-4)...; by convention 0!! = (-1)!! = 1."""
-    return prod(range(n, 1, -2))
+    result = 1
+    while n > 1:
+        result *= n
+        n -= 2
+    return result
 
 
 def max_adjacency_order(edges: Iterable[tuple[int, int]]) -> list[int]:
@@ -387,30 +415,38 @@ def parse_graph_file(text: str) -> tuple[str, Multigraph, tuple[tuple[int, ...],
     if n < 0 or m < 0:
         raise GraphFormatError("vertex and edge counts must be nonnegative", counts[0])
 
-    # The edge block is read in bulk, from the next m lines if all are edges, else from the next m
-    # content lines; only if that fails too are its lines walked, to name the first fault.
+    # The edge block is read in bulk when its next m lines are all edges; else
+    # (or on a fault) its m content lines are walked, to name the first fault.
     start = counts[0]  # the index of the line after the counts
-    edges = _edges_in_bulk(lines[start:start + m], n, m)
-    if edges is not None:
+    block = lines[start:start + m]
+    ends = None
+    if len(block) == m and set(map(len, map(str.split, block))) <= {2}:  # no split line kept
+        try:
+            ends = list(map(int, " ".join(block).split()))
+        except ValueError:
+            pass
+    if ends is not None and (not ends or 0 <= min(ends) and max(ends) < n):
+        edges = tuple(zip(ends[::2], ends[1::2]))
         unread = _content_lines(lines, start + m)
     else:
-        block = list(islice(iter(next_content_line, None), m))
-        edges = _edges_in_bulk([content for _, content in block], n, m)
-        if edges is None:
-            for lineno, content in block:
-                u, v = _two_ints(lineno, content, "<u> <v>")
-                if not (0 <= u < n and 0 <= v < n):
-                    raise GraphFormatError(f"vertex index out of range [0, {n}) in edge ({u}, {v})", lineno)
-            raise GraphFormatError(f"expected {m} edges, found only {len(block)}", last_line)
-
-    graph = object.__new__(DirectedMultigraph if kind == "directed" else UndirectedMultigraph)
-    object.__setattr__(graph, "vertex_count", n)  # as Multigraph.__init__ would, less its checks:
-    object.__setattr__(graph, "edges", edges)  # the ends are ints, and in range
+        walked: list[tuple[int, int]] = []
+        for i in range(m):
+            entry = next_content_line()
+            if entry is None:
+                raise GraphFormatError(f"expected {m} edges, found only {i}", last_line)
+            u, v = _two_ints(*entry, "<u> <v>")
+            if not (0 <= u < n and 0 <= v < n):
+                raise GraphFormatError(f"vertex index out of range [0, {n}) in edge ({u}, {v})", entry[0])
+            walked.append((u, v))
+        edges = tuple(walked)
+    graph = (DirectedMultigraph if kind == "directed" else UndirectedMultigraph)._of_checked(n, edges)
     rotations = _parse_rotations(graph, next_content_line, last_line) if kind == "planar" else None
 
     trailing = next_content_line()
     if trailing is not None:
-        raise GraphFormatError(f"unexpected extra content {trailing[1]!r} (wrong edge count in header?)", trailing[0])
+        raise GraphFormatError(
+            f"unexpected extra content {trailing[1]!r} (wrong edge count in header?)", trailing[0]
+        )
     return kind, graph, rotations
 
 
@@ -424,27 +460,20 @@ def _two_ints(lineno: int, content: str, shape: str) -> tuple[int, int]:
         raise GraphFormatError(f"expected two integers, got {content!r}", lineno) from None
 
 
-def _edges_in_bulk(lines: list[str], n: int, m: int) -> tuple[tuple[int, int], ...] | None:
-    """The m edges that `lines` list one to a line, or None unless each holds
-    two integers in [0, n): one C pass per check, and no split line kept."""
-    if len(lines) != m or not set(map(len, map(str.split, lines))) <= {2}:
-        return None
-    try:
-        ends = list(map(int, " ".join(lines).split()))
-    except ValueError:
-        return None
-    return tuple(zip(ends[::2], ends[1::2])) if not ends or 0 <= min(ends) and max(ends) < n else None
-
-
 def _parse_rotations(g: UndirectedMultigraph, next_content_line, last_line: int) -> tuple[tuple[int, ...], ...]:
     rotations: list[tuple[int, ...]] = []
     for v, degree in enumerate(g.degrees()):
+        # Degree-0 vertices may omit their (empty) rotation line at EOF;
+        # otherwise a blank line stands for the empty rotation.
         entry = next_content_line(allow_blank=True)
-        if entry is None and degree:
+        if entry is None:
+            if not degree:
+                rotations.append(())
+                continue
             raise GraphFormatError(f"missing rotation line for vertex {v}", last_line)
-        lineno, content = entry or (last_line, "")
+        lineno, content = entry
         try:
-            darts = tuple(map(int, content.split()))
+            darts = tuple(int(f) for f in content.split())
         except ValueError:
             raise GraphFormatError(f"rotation for vertex {v} is not a list of ints: {content!r}", lineno) from None
         check_rotation(g, v, darts, degree, lineno)
@@ -475,8 +504,11 @@ def check_rotation(g: UndirectedMultigraph, v: int, darts: tuple[int, ...], degr
 
 
 def parse_graph(text: str) -> Multigraph:
-    """Parse a graph file; planar files yield their underlying undirected graph
-    (planar.parse_planar_map recovers the map, with its rotation system)."""
+    """Parse a graph file; planar files yield their underlying undirected graph.
+
+    The full planar map (graph plus rotation system) is recovered with
+    planar.parse_planar_map.
+    """
     _, graph, _ = parse_graph_file(text)
     return graph
 
