@@ -14,12 +14,19 @@ from importlib import import_module
 
 # The exported names, by the module that defines them.
 _EXPORTS = {
-    "diagrams": (
-        "contract_q_exact",
+    "checks": (
+        "circuit_count",
         "cycle_genfunc_matchings",
         "cycle_genfunc_permutations",
         "enumerate_matchings",
         "enumerate_permutations",
+        "enumerate_transition_systems",
+        "product_of_inner_products",
+        "subset_expansion_terms",
+        "subset_to_partition_circuits",
+    ),
+    "diagrams": (
+        "contract_q_exact",
         "xd_scaling",
     ),
     "errors": (
@@ -41,9 +48,7 @@ _EXPORTS = {
     ),
     "partition": (
         "IntPolynomial",
-        "circuit_count",
         "circuit_partition_polynomial",
-        "enumerate_transition_systems",
         "transition_system_count",
     ),
     "planar": (
@@ -54,8 +59,6 @@ _EXPORTS = {
         "medial_graph",
         "parse_planar_map",
         "serialize_planar_map",
-        "subset_expansion_terms",
-        "subset_to_partition_circuits",
         "tutte_subset_expansion",
     ),
     "sampling": (
@@ -63,7 +66,6 @@ _EXPORTS = {
         "estimate_q",
         "norm_moment",
         "predicted_q",
-        "product_of_inner_products",
         "sample_vector",
     ),
 }

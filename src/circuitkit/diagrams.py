@@ -1,15 +1,13 @@
-"""Permutation and matching diagrams, and the tensor-contraction oracle.
+"""Diagram counts in closed form, tensor scalings, and the tensor-contraction oracle.
 
-Diagrams are plain tuples. A size-d permutation diagram is an image tuple p
-wiring upper tensor index p[l] to lower index l; a size-d matching diagram is
-a tuple of pairs matching the 2d index endpoints (0..d-1 upper, d..2d-1
-lower), so it may also pair two upper or two lower indices with a cup or cap.
-Summing k^(loop count of the closed diagram) over a family gives the
-cycle-count generating functions with closed forms k(k+1)...(k+d-1)
-(permutations) and k(k+2)...(k+2d-2) (matchings). The expected tensor of an
-ensemble is a scaling times the sum over its family, and its entry at given
-index values counts the diagrams those values satisfy: permutation_entry and
-matching_entry give that count in closed form.
+A size-d permutation diagram wires each of d upper tensor indices to a lower
+one; a size-d matching diagram matches the 2d index endpoints (0..d-1 upper,
+d..2d-1 lower), so it may also pair two upper or two lower indices with a
+cup or cap. The expected tensor of an ensemble is a scaling (xd_scaling)
+times the sum over its family, and its entry at given index values counts
+the diagrams those values satisfy: permutation_entry and matching_entry give
+that count in closed form. The diagrams themselves, and their cycle-count
+generating functions, are listed only by the oracles in checks.
 
 The moment oracle contract_q_exact contracts the per-vertex expected
 tensors, one index in [0, k) per edge, absorbing vertices one at a time along
@@ -27,49 +25,16 @@ from collections import Counter
 from fractions import Fraction
 from math import factorial, prod
 from operator import itemgetter
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 from .errors import DEFAULT_CONTRACTION_GUARD, GuardExceededError
 from .graphs import (DirectedMultigraph, Ensemble, Multigraph, UndirectedMultigraph, double_factorial,
-                     max_adjacency_order, pairing_loop_count, perfect_matchings, permutation_cycles,
-                     require_eulerian)
-
-DEFAULT_PERMUTATION_LIMIT = 8
-DEFAULT_MATCHING_LIMIT = 7
+                     max_adjacency_order, require_eulerian)
 
 
 # ---------------------------------------------------------------------------
-# Diagrams, generating functions, satisfied-diagram counts and scalings
+# Satisfied-diagram counts and scalings
 # ---------------------------------------------------------------------------
-
-def enumerate_permutations(d: int) -> Iterator[tuple[int, ...]]:
-    """All d! permutation diagrams as image tuples, in lexicographic order."""
-    if d > DEFAULT_PERMUTATION_LIMIT:
-        raise GuardExceededError("permutation diagram enumeration refused", d, DEFAULT_PERMUTATION_LIMIT)
-    return itertools.permutations(range(d))
-
-
-def enumerate_matchings(d: int) -> Iterator[tuple[tuple[int, int], ...]]:
-    """All (2d-1)!! matching diagrams as sorted tuples of ascending pairs."""
-    if d > DEFAULT_MATCHING_LIMIT:
-        raise GuardExceededError("matching diagram enumeration refused", d, DEFAULT_MATCHING_LIMIT)
-    return perfect_matchings(tuple(range(2 * d)))
-
-
-def cycle_genfunc_permutations(d: int, k: int) -> int:
-    """sum over S_d of k^(cycle count), by brute-force enumeration.
-
-    Equals the rising factorial k(k+1)...(k+d-1), which the tests assert.
-    """
-    return sum(k ** len(permutation_cycles(p)) for p in enumerate_permutations(d))
-
-
-def cycle_genfunc_matchings(d: int, k: int) -> int:
-    """sum over matchings of k^(closure loop count); equals k(k+2)...(k+2d-2).
-    The closure joins upper endpoint i to lower endpoint d+i: twin (h + d) mod 2d."""
-    closure = [(h + d) % (2 * d) for h in range(2 * d)]
-    return sum(k ** pairing_loop_count(pairs, closure) for pairs in enumerate_matchings(d))
-
 
 def permutation_entry(values: Sequence[int]) -> int:
     """Permutation diagrams whose wiring the index values satisfy, in closed form.

@@ -1,23 +1,27 @@
-"""Exception types shared across the package, and the default guards whose
-refusals raise GuardExceededError.
+"""Exception types shared across the package, and the default guards and
+limits whose refusals raise GuardExceededError.
 
-The guards live here, beside the error they raise, so that the command
-parser can print them without loading the engines that enforce them.
+They live here, beside the error they raise, so that the command parser can
+print the guards without loading the engines that enforce them.
 """
 
 from __future__ import annotations
 
-# Work units of the j engine (branches x key length per expanded state), and
-# transition systems of the reference enumerator; partition enforces it.
+# Work units of the j engine (branches x key length per expanded state), which
+# partition enforces, and transition systems of the enumerator in checks.
 DEFAULT_ENUMERATION_GUARD = 10**8
 # Planned work of the contraction oracle; diagrams enforces it.
 DEFAULT_CONTRACTION_GUARD = 10**7
 # Work units of the Tutte frontier sweep (branches x (tally terms + frontier
 # vertices) per state); planar enforces it.
 DEFAULT_SUBSET_GUARD = 2**24
-# Subsets 2^m of the subset walk that verify's bijection check runs; planar
+# Subsets 2^m of the subset walk that verify's bijection check runs; checks
 # enforces it.
 DEFAULT_SUBSET_WALK_GUARD = 2**24
+# The largest diagram size d whose d! permutation and (2d-1)!! matching
+# diagrams checks lists; no parameter or flag overrides them.
+DEFAULT_PERMUTATION_LIMIT = 8
+DEFAULT_MATCHING_LIMIT = 7
 
 
 class GraphFormatError(ValueError):

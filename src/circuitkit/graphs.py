@@ -1,8 +1,8 @@
 """Multigraph data types and Record, the immutable value base they share
 with the polynomial and map types; the random-vector ensembles that pair
 with the graph kinds; degree checks, components, the cycles of a permutation
-of half-edges and the loops of a pairing, perfect matchings, the vertex
-order both exact engines sweep in, and text parsing and serialization.
+of half-edges, the vertex order both exact engines sweep in, and text
+parsing and serialization.
 
 Every command loads this module, so it imports only what start-up already
 loads or what is cheap: no dataclasses, whose import of inspect would cost
@@ -67,17 +67,23 @@ class Record:
     """Base of the immutable value types: graphs, polynomials and maps.
 
     A subclass lists its fields in _fields (and __slots__) and sets each
-    once, in __init__, through object.__setattr__; assignment and deletion
-    are refused after that. Two records are equal when they are of the same
-    class and their fields are equal, so a directed graph never equals an
-    undirected one on the same edges. They hash by their fields, and copy
-    and pickle by calling the class on them again. A subclass may keep
-    derived slots beyond _fields (in __slots__ only): they are set once, in
-    __init__, from the fields, and never compared, hashed or printed.
+    once, through _set: in __init__, or in a constructor that skips its
+    checks and makes the instance by object.__new__ (Multigraph._of_checked).
+    Assignment and deletion are refused. Two records are equal when they are
+    of the same class and their fields are equal, so a directed graph never
+    equals an undirected one on the same edges. They hash by their fields,
+    and copy and pickle by calling the class on them again. A subclass may
+    keep derived slots beyond _fields (in __slots__ only): they are set with
+    the fields, from them, and never compared, hashed or printed.
     """
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
+
+    def _set(self, **values) -> None:
+        """Set each named field or derived slot, once, as it is built."""
+        for name, value in values.items():
+            object.__setattr__(self, name, value)
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self._fields)
@@ -127,20 +133,15 @@ class Multigraph(Record):
         for u, v in edges:
             if not (0 <= u < vertex_count and 0 <= v < vertex_count):
                 raise ValueError(f"edge ({u}, {v}) out of range for {vertex_count} vertices")
-        self._set(vertex_count, edges)
+        self._set(vertex_count=vertex_count, edges=edges)
 
     @classmethod
     def _of_checked(cls, vertex_count: int, edges: tuple[tuple[int, int], ...]) -> Multigraph:
         """The graph cls(vertex_count, edges) is, made without its checks: for
         the file parser, which has checked each end (an int in range) in bulk."""
         graph = object.__new__(cls)
-        graph._set(vertex_count, edges)
+        graph._set(vertex_count=vertex_count, edges=edges)
         return graph
-
-    def _set(self, vertex_count: int, edges: tuple[tuple[int, int], ...]) -> None:
-        """Set the fields, and any derived slot, for __init__ and _of_checked alike."""
-        object.__setattr__(self, "vertex_count", vertex_count)
-        object.__setattr__(self, "edges", edges)
 
     @property
     def edge_count(self) -> int:
@@ -295,34 +296,6 @@ def permutation_cycles(successor: Sequence[int]) -> list[tuple[int, ...]]:
             h = successor[h]
         cycles.append(tuple(cycle))
     return cycles
-
-
-def pairing_loop_count(pairs: Iterable[tuple[int, int]], twin: Sequence[int]) -> int:
-    """Loops of the 2-regular graph on range(len(twin)) that joins the two
-    points of each pair and each point h to twin[h]: half the cycles of
-    h -> partner[twin[h]], which meets each loop once per direction.
-    Transition-system circuits and diagram closure loops are counted here."""
-    partner = [0] * len(twin)
-    for a, b in pairs:
-        partner[a] = b
-        partner[b] = a
-    return len(permutation_cycles([partner[t] for t in twin])) // 2
-
-
-def perfect_matchings(points: tuple[int, ...]) -> Iterator[tuple[tuple[int, int], ...]]:
-    """Perfect matchings of an ordered point list, smallest-endpoint-first order.
-
-    The wirings of an undirected vertex and the matching diagrams are both
-    listed here.
-    """
-    if not points:
-        yield ()
-        return
-    a = points[0]
-    for idx in range(1, len(points)):
-        rest = points[1:idx] + points[idx + 1:]
-        for tail in perfect_matchings(rest):
-            yield ((a, points[idx]),) + tail
 
 
 def double_factorial(n: int) -> int:

@@ -22,17 +22,10 @@ A loop paired with itself closes a circuit and contributes a factor z.
    passes the guard. The worst case stays exponential, as #P-completeness
    demands.
 
-The transition-system enumerator (`enumerate_transition_systems` and
-`circuit_count`) is kept apart as a reference oracle; it counts circuits
-with the pairing-loop count of `graphs`. The planar map side takes only
-the engine from this module: its subset walk counts circuits on darts
-without transition systems. A transition system picks, at every vertex, a
-bijection from incoming to outgoing edge slots (directed) or a perfect
-matching of the incident half-edge slots (undirected); tallying the
-circuits each induces gives the coefficients r_t again. Its guard counts
-transition systems.
-
-`IntPolynomial` is the bare coefficient vector; `cli` prints it.
+`transition_system_count` gives the number of transition systems; the
+enumerator that lists them, the oracle the engine is checked against,
+lives in `checks`. The planar map side takes only the engine from this
+module. `IntPolynomial` is the bare coefficient vector; `cli` prints it.
 """
 
 from __future__ import annotations
@@ -42,11 +35,11 @@ from bisect import bisect_left, insort
 from collections import Counter
 from math import factorial, prod
 from operator import ne
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator
+from typing import TYPE_CHECKING, Callable, Iterable
 
 from .errors import DEFAULT_ENUMERATION_GUARD, GuardExceededError
 from .graphs import (DirectedMultigraph, Multigraph, Record, double_factorial, eulerian_check,
-                     max_adjacency_order, pairing_loop_count, perfect_matchings, require_eulerian)
+                     max_adjacency_order, require_eulerian)
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -72,7 +65,7 @@ class IntPolynomial(Record):
         top = len(coeffs) - 1
         while top > 0 and coeffs[top] == 0:
             top -= 1
-        object.__setattr__(self, "coefficients", coeffs[:top + 1])
+        self._set(coefficients=coeffs[:top + 1])
 
     def evaluate(self, z) -> Fraction:
         """Horner evaluation at an exact rational point."""
@@ -100,78 +93,6 @@ def transition_system_count(g: Multigraph) -> int:
         return 0
     per_vertex = factorial if isinstance(g, DirectedMultigraph) else lambda d: double_factorial(2 * d - 1)
     return prod(per_vertex(h // 2) for h in g.degrees())
-
-
-def enumerate_transition_systems(g: Multigraph,
-                                 guard: int = DEFAULT_ENUMERATION_GUARD) -> Iterator[tuple[tuple, ...]]:
-    """Yield every transition system of g as its tuple of per-vertex wirings,
-    lexicographically, vertex 0 most significant: a permutation tuple sigma
-    (in-slot i continues to out-slot sigma[i]) per directed vertex, a perfect
-    matching of its half-edge slots as slot-index pairs per undirected one.
-
-    The graph must be Eulerian (directed) or all-even-degree (undirected), and
-    the total count must clear the guard. An odometer over lazy per-vertex
-    wiring generators: a single high-degree vertex never lists its wirings.
-    """
-    require_eulerian(g)
-    total = transition_system_count(g)
-    if total > guard:
-        raise GuardExceededError("transition-system enumeration refused", total, guard)
-    if isinstance(g, DirectedMultigraph):
-        wirings = lambda d: itertools.permutations(range(d))
-    else:
-        wirings = lambda d: perfect_matchings(tuple(range(2 * d)))
-    sizes = [h // 2 for h in g.degrees()]
-
-    wheels = [wirings(d) for d in sizes]
-    current = [next(it) for it in wheels]
-    while True:
-        yield tuple(current)
-        # Odometer increment, least significant vertex last; a digit that
-        # wraps restarts its vertex's generator.
-        for v in range(len(wheels) - 1, -1, -1):
-            wiring = next(wheels[v], None)
-            if wiring is not None:
-                current[v] = wiring
-                break
-            wheels[v] = wirings(sizes[v])
-            current[v] = next(wheels[v])
-        else:
-            return
-
-
-# ---------------------------------------------------------------------------
-# Circuit counting (reference oracle)
-# ---------------------------------------------------------------------------
-
-def circuit_count(g: Multigraph, wirings: tuple[tuple, ...]) -> int:
-    """Number of circuits of the transition system with these per-vertex
-    wirings (0 for the empty system of an edgeless graph).
-
-    Slots are positions in the vertex's list in g.half_edges(). A directed
-    vertex with d heads joins in-slot i to out-slot sigma[i], the half-edges
-    at positions i and d + sigma[i]; an undirected vertex joins the two
-    half-edges at each matched pair of positions. A graph that is not
-    Eulerian has no transition system and is refused (NotEulerianError, a
-    ValueError) before any wiring is read. The circuits are the loops of
-    graphs.pairing_loop_count with twin h ^ 1.
-    """
-    if len(wirings) != g.vertex_count:
-        raise ValueError("transition system does not match the graph's vertex count")
-    require_eulerian(g)
-    at = g.half_edges()
-    joined: list[tuple[int, int]] = []
-    for v, wiring in enumerate(wirings):
-        slots = at.get(v, [])
-        d = len(slots) // 2
-        if isinstance(g, DirectedMultigraph):
-            if sorted(wiring) != list(range(d)):
-                raise ValueError(f"wiring at vertex {v} is not a bijection on {d} slots")
-            wiring = [(i, d + j) for i, j in enumerate(wiring)]
-        elif sorted(i for pair in wiring for i in pair) != list(range(len(slots))):
-            raise ValueError(f"wiring at vertex {v} is not a perfect matching of {len(slots)} slots")
-        joined.extend((slots[a], slots[b]) for a, b in wiring)
-    return pairing_loop_count(joined, [h ^ 1 for h in range(g.half_edge_count)])
 
 
 # ---------------------------------------------------------------------------

@@ -22,8 +22,8 @@ the connectivity of the frontier vertices, each state carries its integer
 tally, and states merge after every edge, as in the Potts transfer matrix
 of Bedini and Jacobsen (J. Phys. A 43, 2010) and the frontier sweeps of
 Sekine, Imai and Tani (ISAAC 1995). It uses no circuit reasoning. The walk
-over all subsets stays as subset_expansion_terms, the oracle that verify's
-subset-by-subset bijection check and the tests read.
+over all 2^m subsets, and the medial circuit count of each, are the oracles
+of verify's subset-by-subset bijection check, in checks.
 """
 
 from __future__ import annotations
@@ -31,19 +31,9 @@ from __future__ import annotations
 from operator import index
 from typing import TYPE_CHECKING, Iterable, NamedTuple
 
-from .errors import (DEFAULT_ENUMERATION_GUARD, DEFAULT_SUBSET_GUARD, DEFAULT_SUBSET_WALK_GUARD, EmbeddingError,
-                     GraphFormatError, GuardExceededError)
-from .graphs import (
-    DirectedMultigraph,
-    Record,
-    UndirectedMultigraph,
-    check_rotation,
-    component_count,
-    header_line,
-    max_adjacency_order,
-    parse_graph_file,
-    permutation_cycles,
-)
+from .errors import DEFAULT_ENUMERATION_GUARD, DEFAULT_SUBSET_GUARD, EmbeddingError, GraphFormatError, GuardExceededError
+from .graphs import (DirectedMultigraph, Record, UndirectedMultigraph, check_rotation, component_count, header_line,
+                     max_adjacency_order, parse_graph_file, permutation_cycles)
 from .partition import circuit_partition_polynomial
 
 if TYPE_CHECKING:
@@ -88,8 +78,7 @@ class PlanarMap(Record):
                 f"rotation system is not a plane embedding: n - m + f = {n - m + f}, "
                 f"expected 2c - i = {2 * c - i} (c components, i isolated vertices)"
             )
-        for name, value in zip(PlanarMap.__slots__, (graph, rotation, tuple(after), orbits)):
-            object.__setattr__(self, name, value)
+        self._set(graph=graph, rotation=rotation, after=tuple(after), faces=orbits)
 
 
 def faces(pmap: PlanarMap) -> tuple[tuple[int, ...], ...]:
@@ -106,37 +95,6 @@ def medial_graph(pmap: PlanarMap) -> DirectedMultigraph:
     """
     edges = tuple((d // 2, pmap.after[d] // 2) for orbit in pmap.faces for d in orbit)
     return DirectedMultigraph(pmap.graph.edge_count, edges)
-
-
-def subset_expansion_terms(g: UndirectedMultigraph, guard: int = DEFAULT_SUBSET_WALK_GUARD):
-    """All 2^m terms (S, c(S), l(S)) of the rank-nullity expansion in bitmask
-    order: S ascending, c(S) the components of (V, S), and the excess
-    l(S) = c(S) + |S| - n, the edges to delete to make each component a tree.
-
-    One walk decides the edges from the last to the first, each left out
-    before taken, with a component label per vertex: an edge taken inside one
-    component raises the excess, one taken across two merges their labels.
-    It is the subset-by-subset oracle of verify's bijection check and of the
-    tests; `guard` caps 2^m.
-    """
-    m = g.edge_count
-    if 2**m > guard:
-        raise GuardExceededError("subset expansion refused", 2**m, guard)
-    n = g.vertex_count
-    stack = [(m, (), tuple(range(n)), n, 0)]  # (edges left to decide, S, labels, c(S), l(S))
-    while stack:
-        i, subset, label, c, excess = stack.pop()
-        if not i:
-            yield subset, c, excess
-            continue
-        i -= 1
-        u, v = g.edges[i]
-        a, b = label[u], label[v]
-        if a == b:
-            stack.append((i, (i,) + subset, label, c, excess + 1))
-        else:
-            stack.append((i, (i,) + subset, tuple(a if x == b else x for x in label), c - 1, excess))
-        stack.append((i, subset, label, c, excess))
 
 
 def _merge(layer: dict, state: tuple[int, ...], tally: dict[int, int], shift: int) -> None:
@@ -271,21 +229,6 @@ def martin_check(pmap: PlanarMap, z, enumeration_guard: int = DEFAULT_ENUMERATIO
     with_edges = (g.vertex_count - g.edge_count + len(pmap.faces) - pmap.rotation.count(())) // 2
     rhs = z ** with_edges * tutte_subset_expansion(g, z + 1, z + 1, guard=subset_guard)
     return MartinCheck(lhs, rhs, lhs == rhs)
-
-
-def subset_to_partition_circuits(pmap: PlanarMap, subset: Iterable[int]) -> int:
-    """Circuit count of the medial transition system an edge subset selects.
-
-    Medial edge d (the one leaving along side d) arrives at the medial vertex
-    over edge s // 2 along side s = after[d]. There it continues on the same
-    side, along medial edge s, when s // 2 is in the subset, and crosses to
-    medial edge s ^ 1 when it is not. The circuits are the cycles of that
-    map on darts. On a plane map their number equals c(S) + (c(S) + |S| - n),
-    the component count plus total excess of the spanning subgraph, which
-    the tests verify subset by subset.
-    """
-    chosen = set(subset)
-    return len(permutation_cycles([s if s // 2 in chosen else s ^ 1 for s in pmap.after]))
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,8 @@
 q(G;k) is the expectation over independent per-vertex random vectors of the
 product over edges (u, v) of <x_u, x_v>, where the first argument is the
 conjugated one. Estimates are plain Monte Carlo; predictions evaluate the
-circuit partition polynomial with the per-vertex ensemble scalings.
+circuit partition polynomial with the per-vertex ensemble scalings. The
+product at one given assignment, edge by edge, is an oracle, in checks.
 
 Reproducibility contract: sampling is split into fixed-size chunks; chunk c
 draws from a Philox generator keyed with the 128-bit value
@@ -201,27 +202,6 @@ def sample_vector(k: int, ensemble: Ensemble, rng: np.random.Generator) -> np.nd
     if k < 1:
         raise ValueError("k must be >= 1")
     return draw_assignments(rng, 1, 1, k, ensemble)[0, 0]
-
-
-def product_of_inner_products(g: Multigraph, vectors: np.ndarray) -> complex:
-    """prod over edges (u, v) of <x_u, x_v>, conjugating the tail vector x_u.
-
-    `vectors` holds one length-k row per vertex. Undirected edges use the
-    plain symmetric inner product. The empty product (edgeless graph) is 1.
-    """
-    import numpy as np
-
-    vectors = np.asarray(vectors)
-    if vectors.ndim != 2 or vectors.shape[0] != g.vertex_count:
-        raise ValueError(
-            f"assignment shape {vectors.shape} does not provide one vector per {g.vertex_count} vertices"
-        )
-    conjugate_tail = isinstance(g, DirectedMultigraph)
-    result = 1 + 0j
-    for u, v in g.edges:
-        tail = np.conj(vectors[u]) if conjugate_tail else vectors[u]
-        result *= complex(np.dot(tail, vectors[v]))
-    return result
 
 
 def _batch_products(g: Multigraph, x: np.ndarray, workspace: dict | None = None) -> np.ndarray:

@@ -23,7 +23,7 @@ from circuitkit import (
     subset_to_partition_circuits,
     transition_system_count,
 )
-from circuitkit.diagrams import cycle_genfunc_matchings, cycle_genfunc_permutations
+from circuitkit.checks import cycle_genfunc_matchings, cycle_genfunc_permutations
 
 from conftest import GRAPH_NAMES, MAP_NAMES, disjoint_union, load_graph, load_map, poly_product, spanning_subgraph
 

@@ -602,8 +602,8 @@ def test_the_package_resolves_its_names_on_first_use():
 
 
 # (argv, modules it must load, modules it must not load). Only verify loads
-# circuitkit.checks, its invariant suite; fractions, which loads decimal,
-# only a command that makes a rational.
+# circuitkit.checks, the oracles and the invariant suite; fractions, which
+# loads decimal, only a command that makes a rational.
 RATIONALS = {"fractions", "decimal"}
 _IMPORT_BUDGETS = [
     (["--help"], set(), ENGINES | {"circuitkit.checks", "dataclasses", "json"} | RATIONALS),
@@ -614,8 +614,14 @@ _IMPORT_BUDGETS = [
      {"circuitkit.planar", "circuitkit.checks", "dataclasses", "json", "numpy"}),
     (["q-exact", "fig1.graph", "--k", "2", "--ensemble", "complex-sphere"], {"circuitkit.diagrams"},
      ENGINES - {"circuitkit.diagrams"} | {"circuitkit.checks", "dataclasses", "numpy"}),
+    (["q-estimate", "fig1.graph", "--k", "2", "--ensemble", "complex-sphere", "--n", "2000"],
+     {"circuitkit.sampling", "numpy"}, {"circuitkit.planar", "circuitkit.checks", "dataclasses"}),
     (["medial", "triangle.planar", "--format", "json"], {"circuitkit.planar", "json"},
      {"circuitkit.diagrams", "circuitkit.sampling", "circuitkit.checks", "dataclasses", "numpy"} | RATIONALS),
+    (["tutte", "triangle.planar", "--x", "2", "--y", "3"], {"circuitkit.planar"},
+     {"circuitkit.diagrams", "circuitkit.sampling", "circuitkit.checks", "dataclasses", "numpy"}),
+    (["martin", "triangle.planar", "--z", "2"], {"circuitkit.planar"},
+     {"circuitkit.diagrams", "circuitkit.sampling", "circuitkit.checks", "dataclasses", "numpy"}),
     (["verify", "--n", "2000"], {"circuitkit.checks"} | ENGINES, {"dataclasses"}),
 ]
 
@@ -628,3 +634,12 @@ def test_a_command_loads_only_the_modules_it_runs(corpus_dir, argv, loaded, abse
     modules = _modules_loaded_by(argv)
     assert loaded <= modules
     assert not modules & absent, sorted(modules & absent)
+
+
+def test_the_oracles_load_no_command_layer():
+    """checks imports cli's formatters inside run_verification, so a caller
+    of an oracle loads neither cli nor argparse."""
+    env = dict(os.environ, PYTHONPATH=str(Path(circuitkit.__file__).parent.parent))
+    done = subprocess.run([sys.executable, "-c", "import sys, circuitkit.checks; print(*sys.modules)"],
+                          env=env, capture_output=True, text=True, check=True, timeout=120)
+    assert not set(done.stdout.split()) & {"circuitkit.cli", "argparse"}

@@ -22,8 +22,9 @@ from circuitkit import (
     xd_scaling,
 )
 from circuitkit import diagrams
+from circuitkit.checks import pairing_loop_count
 from circuitkit.diagrams import matching_entry, permutation_entry, vertex_scaling
-from circuitkit.graphs import pairing_loop_count, permutation_cycles
+from circuitkit.graphs import permutation_cycles
 
 CUPCAP = ((0, 1), (2, 3))
 EXCHANGE = ((0, 3), (1, 2))

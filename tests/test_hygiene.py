@@ -2,8 +2,9 @@
 machinery without a caller, no public definition that no package module
 reads (an export alone is not a caller) and no public method that none
 reads as an attribute, an export list that resolves, a contraction oracle
-that imports nothing from the modules it checks, one vertex-order planner,
-one pairing-loop count, one slot table of half-edges, one plane check (only
+that imports nothing from the modules it checks, no engine module that
+imports the oracles in checks, one vertex-order planner, one pairing-loop
+count, one slot table of half-edges, one plane check (only
 PlanarMap's constructor raises EmbeddingError), a map side that takes only
 the engine from partition, one module that lifts the int-digit limit for
 printing, no module that loads the sampling-only dependencies at import
@@ -197,18 +198,32 @@ def test_halving_scan_sees_every_form(source, expected):
     assert _halves_a_cycle_count(ast.parse(source)) == expected
 
 
-def test_graphs_is_the_only_pairing_loop_count():
+def test_checks_is_the_only_pairing_loop_count():
     """Transition-system circuits and diagram closure loops are both half the
-    cycles of one walk on paired points, so graphs.pairing_loop_count is the
-    one module that halves a permutation_cycles count."""
-    assert [path.stem for path in MODULES if _halves_a_cycle_count(_tree(path))] == ["graphs"]
+    cycles of one walk on paired points, so checks, home of
+    pairing_loop_count, is the one module that halves a permutation_cycles
+    count."""
+    assert [path.stem for path in MODULES if _halves_a_cycle_count(_tree(path))] == ["checks"]
+
+
+ENGINES = ("graphs", "partition", "diagrams", "planar", "sampling")
+
+
+def test_no_engine_imports_the_oracles():
+    """The oracles in checks are independent of the engines they check and
+    only verify and the tests call them, so no engine module imports checks,
+    at module level or inside a function, and no command but verify
+    compiles them."""
+    importers = [name for name in ENGINES if "checks" in _package_modules_imported(_tree(PACKAGE_DIR / f"{name}.py"))]
+    assert importers == []
 
 
 def test_the_map_side_takes_only_the_engine_from_partition():
     """The Martin identity compares the engine's j on medial graphs with the
     Tutte side, so planar may import circuit_partition_polynomial and nothing
-    else from partition: its faces, medial graphs and subset walk use no
-    transition-system machinery."""
+    else from partition: its faces, medial graphs and Tutte frontier sweep
+    use no transition-system machinery (nor does the subset walk, which
+    lives in checks with the other oracles)."""
     taken = []
     for node in ast.walk(_tree(PACKAGE_DIR / "planar.py")):
         if (isinstance(node, (ast.Import, ast.ImportFrom))

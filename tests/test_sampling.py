@@ -20,9 +20,8 @@ from circuitkit import (
     product_of_inner_products,
     sample_vector,
 )
-from circuitkit.diagrams import cycle_genfunc_matchings
+from circuitkit.checks import cycle_genfunc_matchings, perfect_matchings
 from circuitkit.errors import GuardExceededError
-from circuitkit.graphs import perfect_matchings
 from circuitkit.sampling import (
     CHUNK_SIZE,
     WORKSPACE_LIMIT,
