@@ -294,9 +294,7 @@ def run_verification(corpus_dir: Path, n_mc: int, seed: int) -> list[tuple[str, 
         _check(results, f"counting invariants {name}", counting)
 
     for name, g in loaded.items():
-        ensembles = ([graphs.Ensemble.COMPLEX_SPHERE, graphs.Ensemble.COMPLEX_GAUSSIAN]
-                     if isinstance(g, graphs.DirectedMultigraph)
-                     else [graphs.Ensemble.REAL_SPHERE, graphs.Ensemble.REAL_GAUSSIAN])
+        ensembles = [e for e in graphs.Ensemble if e.is_complex == isinstance(g, graphs.DirectedMultigraph)]
         if not graphs.eulerian_check(g).is_eulerian:
             continue
         for ensemble in ensembles:

@@ -28,8 +28,8 @@ from operator import itemgetter
 from typing import Callable, Sequence
 
 from .errors import DEFAULT_CONTRACTION_GUARD, GuardExceededError
-from .graphs import (DirectedMultigraph, Ensemble, Multigraph, UndirectedMultigraph, double_factorial,
-                     max_adjacency_order, require_eulerian)
+from .graphs import (DirectedMultigraph, Ensemble, Multigraph, double_factorial, max_adjacency_order,
+                     require_eulerian)
 
 
 # ---------------------------------------------------------------------------
@@ -89,11 +89,11 @@ def vertex_scaling(g: Multigraph, k: int, ensemble: Ensemble) -> Fraction:
     d_v = g.degrees()[v] // 2, half the vertex's half-edges: on an Eulerian
     graph, the in-degree of a directed vertex and half the degree of an
     undirected one, the tensor power of x_v that its edges contract.
-    Vertices are tallied by half-edge count, so each distinct scaling is
-    computed and raised to its multiplicity once.
+    Vertices with half-edges are tallied by count, so each distinct scaling
+    is computed and raised to its multiplicity once; isolated ones scale by 1.
     """
-    return prod((xd_scaling(h // 2, k, ensemble) ** count for h, count in Counter(g.degrees()).items()),
-                start=Fraction(1))
+    tally = Counter(filter(None, g.degrees()))
+    return prod((xd_scaling(h // 2, k, ensemble) ** count for h, count in tally.items()), start=Fraction(1))
 
 
 # ---------------------------------------------------------------------------
@@ -102,10 +102,10 @@ def vertex_scaling(g: Multigraph, k: int, ensemble: Ensemble) -> Fraction:
 
 def ensure_ensemble_matches(g: Multigraph, ensemble: Ensemble) -> None:
     """Directed graphs pair with complex ensembles, undirected with real ones."""
-    if isinstance(g, DirectedMultigraph) and not ensemble.is_complex:
-        raise ValueError("directed graphs pair with complex ensembles")
-    if isinstance(g, UndirectedMultigraph) and not ensemble.is_real:
-        raise ValueError("undirected graphs pair with real ensembles")
+    directed = isinstance(g, DirectedMultigraph)
+    if directed != ensemble.is_complex:
+        raise ValueError("directed graphs pair with complex ensembles" if directed
+                         else "undirected graphs pair with real ensembles")
 
 
 def _absorption_order(g: Multigraph, slots: dict[int, list[int]]) -> list[tuple[int, tuple[int, ...], ...]]:

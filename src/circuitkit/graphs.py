@@ -55,10 +55,6 @@ class Ensemble(str, Enum):
         return self in (Ensemble.COMPLEX_SPHERE, Ensemble.COMPLEX_GAUSSIAN)
 
     @property
-    def is_real(self) -> bool:
-        return not self.is_complex
-
-    @property
     def is_gaussian(self) -> bool:
         return self in (Ensemble.COMPLEX_GAUSSIAN, Ensemble.REAL_GAUSSIAN)
 

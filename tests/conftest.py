@@ -33,6 +33,16 @@ def spanning_subgraph(g: ck.UndirectedMultigraph, edge_subset: list[int]) -> ck.
     return ck.UndirectedMultigraph(g.vertex_count, [g.edges[i] for i in edge_subset])
 
 
+def directed_circulant(n: int, d: int) -> ck.DirectedMultigraph:
+    """circ(n, d): edges u -> u + s mod n for s = 1..d; every vertex has d_v = d."""
+    return ck.DirectedMultigraph(n, tuple((u, (u + s) % n) for u in range(n) for s in range(1, d + 1)))
+
+
+def undirected_circulant(n: int) -> ck.UndirectedMultigraph:
+    """C_n(1,2): u -- u+1 and u -- u+2 mod n."""
+    return ck.UndirectedMultigraph(n, tuple((u, (u + s) % n) for u in range(n) for s in (1, 2)))
+
+
 def poly_product(p: ck.IntPolynomial, q: ck.IntPolynomial) -> ck.IntPolynomial:
     """The product of two coefficient vectors."""
     out = [0] * (len(p.coefficients) + len(q.coefficients) - 1)

@@ -26,6 +26,8 @@ from circuitkit.checks import pairing_loop_count
 from circuitkit.diagrams import matching_entry, permutation_entry, vertex_scaling
 from circuitkit.graphs import permutation_cycles
 
+from conftest import directed_circulant, undirected_circulant
+
 CUPCAP = ((0, 1), (2, 3))
 EXCHANGE = ((0, 3), (1, 2))
 IDENTITY2 = ((0, 2), (1, 3))
@@ -225,16 +227,6 @@ def brute_force_q(g, k: int, ensemble: Ensemble) -> Fraction:
     return total * vertex_scaling(g, k, ensemble)
 
 
-def directed_circulant(n: int, d: int) -> DirectedMultigraph:
-    """circ(n, d): u -> u+s mod n for s = 1..d."""
-    return DirectedMultigraph(n, tuple((u, (u + s) % n) for u in range(n) for s in range(1, d + 1)))
-
-
-def undirected_circulant(n: int) -> UndirectedMultigraph:
-    """C_n(1,2): u -- u+1 and u -- u+2 mod n."""
-    return UndirectedMultigraph(n, tuple((u, (u + s) % n) for u in range(n) for s in (1, 2)))
-
-
 @st.composite
 def closed_walk_edges(draw):
     """(n, edges) of a union of closed walks, in a drawn edge order.
@@ -430,5 +422,5 @@ def test_ensemble_parsing(capsys, corpus_dir):
     assert "invalid choice: 'quaternion-sphere'" in capsys.readouterr().err
     assert Ensemble.COMPLEX_SPHERE.is_complex
     assert not Ensemble.COMPLEX_SPHERE.is_gaussian
-    assert Ensemble.REAL_GAUSSIAN.is_real and Ensemble.REAL_GAUSSIAN.is_gaussian
+    assert not Ensemble.REAL_GAUSSIAN.is_complex and Ensemble.REAL_GAUSSIAN.is_gaussian
 

@@ -9,8 +9,9 @@ PlanarMap's constructor raises EmbeddingError), a map side that takes only
 the engine from partition, one module that lifts the int-digit limit for
 printing, no module that loads the sampling-only dependencies at import
 time, no module that imports dataclasses (which loads inspect, a start-up
-cost every command would pay), and a heap frozen by the process entry
-alone. Which modules each command loads at
+cost every command would pay), a heap frozen by the process entry
+alone, and a branch on the graph kind only where the kinds differ (each
+on an allowlist with its reason). Which modules each command loads at
 run time is checked in tests/test_cli.py.
 
 Uses only the standard library's ast module.
@@ -340,6 +341,77 @@ def test_only_the_process_entry_freezes_the_heap():
     callers of cli.main in process keep a heap that is collected."""
     sites = {f"{path.stem}.{site}" for path in sorted(PACKAGE_DIR.glob("*.py")) for site in _freeze_sites(_tree(path))}
     assert sites == {"cli.run"}
+
+
+KINDS = ("DirectedMultigraph", "UndirectedMultigraph")
+
+
+def _kind_branch_sites(tree: ast.Module) -> set[str]:
+    """The sites (see _sites) where `tree` tests a value against a graph
+    kind: isinstance or issubclass with a kind class, by name, attribute,
+    tuple or import alias; `type(g) is` a kind class; or `g.kind ==` a
+    string."""
+    kinds = set(KINDS) | {alias.asname for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                          for alias in node.names if alias.name in KINDS and alias.asname}
+
+    def names_kind(node: ast.AST) -> bool:
+        return any((isinstance(n, ast.Name) and n.id in kinds) or (isinstance(n, ast.Attribute) and n.attr in KINDS)
+                   for n in ast.walk(node))
+
+    def branches(node: ast.AST) -> bool:
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id in ("isinstance", "issubclass") and len(node.args) == 2):
+            return names_kind(node.args[1])
+        if isinstance(node, ast.Compare):
+            sides = [node.left, *node.comparators]
+            return ((any(isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == "type"
+                         for n in sides) and any(names_kind(n) for n in sides))
+                    or any(isinstance(n, ast.Attribute) and n.attr == "kind" for n in sides))
+        return False
+
+    return _sites(tree, branches)
+
+
+@pytest.mark.parametrize("source, expected", [
+    ("def f(g):\n    return isinstance(g, DirectedMultigraph)", {"f"}),
+    ("class A:\n    def f(self):\n        return isinstance(self, graphs.UndirectedMultigraph)", {"A.f"}),
+    ("def f(g):\n    return isinstance(g, (ck.graphs.DirectedMultigraph, int))", {"f"}),
+    ("from .graphs import DirectedMultigraph as D\ndef f(g):\n    return isinstance(g, D)", {"f"}),
+    ("def f(c):\n    return issubclass(c, UndirectedMultigraph)", {"f"}),
+    ("def f(g):\n    return type(g) is DirectedMultigraph", {"f"}),
+    ("def f(g):\n    return g.kind == 'directed'", {"f"}),
+    ("x = isinstance(g, DirectedMultigraph)", {"<module>"}),
+    ("def f(g):\n    return isinstance(g, Multigraph)", set()),
+    ("def f(n):\n    return DirectedMultigraph(n, ())", set()),
+    ("def f(g):\n    return {'kind': g.kind}", set()),
+])
+def test_kind_branch_scan_sees_every_form(source, expected):
+    assert _kind_branch_sites(ast.parse(source)) == expected
+
+
+# Every function that branches on the graph kind, with the reason the kinds
+# differ there. A job both kinds share has one code path, so a per-kind copy
+# of it shows up here as a new site.
+KIND_BRANCHES = {
+    "graphs.Multigraph.half_edges": "the slot order: a directed vertex lists its heads before its tails",
+    "graphs.eulerian_check": "balance vs parity: in-degree equals out-degree, or the degree is even",
+    "partition.transition_system_count": "d! vs (2d-1)!! transitions at a vertex",
+    "partition._contract": "the measured splice fork: the directed splice runs at C speed (see its docstring)",
+    "partition.circuit_partition_polynomial": "the split's entering half-edge, a loop's halves, the core's edge code",
+    "diagrams.contract_q_exact": "the permutation vs the matching entry",
+    "diagrams.ensure_ensemble_matches": "the pairing check: directed graphs with complex ensembles",
+    "sampling._batch_products": "the conjugated tail of a directed edge's inner product",
+    "checks.product_of_inner_products": "the conjugated tail of a directed edge's inner product",
+    "checks.enumerate_transition_systems": "the wiring forms: permutations vs perfect matchings",
+    "checks.circuit_count": "the wiring forms: permutations vs perfect matchings",
+    "checks.run_verification": "the ensembles verify runs, by the pairing check's rule",
+    "cli.cmd_tutte": "Tutte needs an undirected graph",
+}
+
+
+def test_kind_branches_are_the_allowlisted_ones():
+    sites = {f"{path.stem}.{site}" for path in MODULES for site in _kind_branch_sites(_tree(path))}
+    assert sites == set(KIND_BRANCHES)
 
 
 def _names_mentioned(tree: ast.Module) -> set[str]:

@@ -22,7 +22,7 @@ from circuitkit import (
 )
 from circuitkit.partition import double_factorial
 
-from conftest import disjoint_union, poly_product
+from conftest import directed_circulant, disjoint_union, poly_product
 
 
 # ---------------------------------------------------------------------------
@@ -334,11 +334,6 @@ def tally_polynomial(g) -> IntPolynomial:
     """j(G;z) from the reference enumerator."""
     tally = Counter(circuit_count(g, ts) for ts in enumerate_transition_systems(g))
     return IntPolynomial(tuple(tally[t] for t in range(max(tally) + 1)))
-
-
-def directed_circulant(n: int, d: int) -> DirectedMultigraph:
-    """circ(n, d): edges u -> u + s mod n for s = 1..d; every vertex has d_v = d."""
-    return DirectedMultigraph(n, tuple((u, (u + s) % n) for u in range(n) for s in range(1, d + 1)))
 
 
 def best_r1(g: DirectedMultigraph) -> int:
