@@ -13,10 +13,12 @@ layout depends only on n_samples, so a run is bit-identical for any worker
 count, not just for a fixed one.
 
 Each worker thread runs its chunks through one workspace, a dict of flat
-buffers sized on its first chunk, so chunks do not allocate. Complex draws
-are stored sample-last, (vertex_count, k, count), so norms and inner
-products run along contiguous sample rows; real draws stay
-(count, vertex_count, k). Neither layout changes a bit of the result.
+buffers sized on its first chunk, so chunks do not allocate. It holds one
+copy of a chunk's draws and one scratch buffer bounded by SLAB_SIZE samples
+(or by one vertex's rows), plus a few sample-length rows. Complex draws are
+stored sample-last, (vertex_count, k, count), so norms and inner products
+run along contiguous sample rows; real draws stay (count, vertex_count, k).
+Neither layout changes a bit of the result.
 
 numpy, and the thread pool of a multi-worker run, are imported by the
 functions that draw or multiply vectors, on first use. The exact path
@@ -41,6 +43,7 @@ if TYPE_CHECKING:
     import numpy as np
 
 CHUNK_SIZE = 8192
+SLAB_SIZE = 4096  # samples per pass through the scratch buffer
 WORKSPACE_LIMIT = 2**30  # bytes of chunk buffers per worker thread
 
 
@@ -86,23 +89,33 @@ def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _buffer(workspace: dict, name: str, shape: tuple[int, ...], dtype) -> np.ndarray:
-    """A C-contiguous `dtype` array of `shape` over the leading bytes of the
-    named buffer of `workspace`, allocated (or grown) only when too small.
+def _buffers(workspace: dict, name: str, *arrays: tuple[tuple[int, ...], type]) -> list[np.ndarray]:
+    """C-contiguous arrays of the given (shape, dtype)s, laid end to end over
+    the leading bytes of the named buffer of `workspace`, which is allocated
+    (or grown) only when too small.
 
     A worker that hands the same dict to every chunk allocates its buffers on
     the first chunk only; a shorter last chunk takes leading slices of them.
-    One name may serve several arrays in turn, each done with before the next
-    is taken.
+    One name may serve several sets of arrays in turn, each done with before
+    the next is taken.
     """
     import numpy as np
 
-    dtype = np.dtype(dtype)
-    nbytes = prod(shape) * dtype.itemsize
+    dtypes = [np.dtype(dtype) for _, dtype in arrays]
+    sizes = [prod(shape) * dtype.itemsize for (shape, _), dtype in zip(arrays, dtypes)]
     raw = workspace.get(name)
-    if raw is None or raw.size < nbytes:
-        raw = workspace[name] = np.empty(nbytes, dtype=np.uint8)
-    return raw[:nbytes].view(dtype).reshape(shape)
+    if raw is None or raw.size < sum(sizes):
+        raw = workspace[name] = np.empty(sum(sizes), dtype=np.uint8)
+    views, offset = [], 0
+    for (shape, _), dtype, size in zip(arrays, dtypes, sizes):
+        views.append(raw[offset:offset + size].view(dtype).reshape(shape))
+        offset += size
+    return views
+
+
+def _buffer(workspace: dict, name: str, shape: tuple[int, ...], dtype) -> np.ndarray:
+    """The one array of `shape` and `dtype` over the named buffer (see _buffers)."""
+    return _buffers(workspace, name, (shape, dtype))[0]
 
 
 def draw_assignments(rng: np.random.Generator, count: int, vertex_count: int, k: int,
@@ -111,10 +124,11 @@ def draw_assignments(rng: np.random.Generator, count: int, vertex_count: int, k:
 
     Complex draws take all real parts of the chunk as one standard-normal
     block of that shape, then all imaginary parts as the next block (the
-    stream of one (2, count, vertex_count, k) draw), through one buffer.
-    Sphere ensembles normalize each vector; Gaussian ensembles scale
-    componentwise to variance 1/k (split over the real and imaginary parts
-    in the complex case), so E[|x|^2] = 1 throughout.
+    stream of one (2, count, vertex_count, k) draw). Each block is drawn
+    SLAB_SIZE samples at a time through the scratch buffer, which continues
+    the same Philox stream. Sphere ensembles normalize each vector; Gaussian
+    ensembles scale componentwise to variance 1/k (split over the real and
+    imaginary parts in the complex case), so E[|x|^2] = 1 throughout.
 
     Complex draws are stored sample-last: the result is a transposed view of
     a C-contiguous (vertex_count, k, count) array, so that the norms here and
@@ -122,17 +136,21 @@ def draw_assignments(rng: np.random.Generator, count: int, vertex_count: int, k:
     Real draws are C-contiguous (count, vertex_count, k): their inner
     products change in the last bit in the sample-last layout from k = 3 on.
 
-    `workspace` is a dict of reusable buffers (see _buffer): the draws and
-    their temporaries live there, and the next call through the same dict
-    overwrites them. Without one, each call allocates its own.
+    `workspace` is a dict of reusable buffers (see _buffers): the draws live
+    in its "draws" buffer and every temporary in its "scratch" one, and the
+    next call through the same dict overwrites them. Without one, each call
+    allocates its own.
 
     The result is bit-identical to x / sqrt(2k) or x / sqrt(k) (Gaussian)
     and x / np.linalg.norm(x, axis=2, keepdims=True) (sphere), with less
-    numpy work:
+    numpy work and memory:
+    - the complex Gaussian factor is applied as each slab is copied into the
+      draws;
     - squared norms are (x.conj() * x).real, as np.linalg.norm computes them
       (re*re + im*im can differ in the last bit; real draws use x * x),
       summed over the k columns as numpy's reduce sums them
-      (_pairwise_column_sum);
+      (_pairwise_column_sum), one vertex at a time (complex) or one slab of
+      samples at a time (real);
     - complex draws are scaled by the reciprocal, re and im each times 1/r:
       numpy's complex-by-real division computes exactly that;
     - real draws keep true division, x /= r: a reciprocal would change
@@ -141,34 +159,39 @@ def draw_assignments(rng: np.random.Generator, count: int, vertex_count: int, k:
     import numpy as np
 
     ws = {} if workspace is None else workspace
+    slab = min(SLAB_SIZE, count)
     if not ensemble.is_complex:
-        x = rng.standard_normal(out=_buffer(ws, "normal", (count, vertex_count, k), np.float64))
+        x = rng.standard_normal(out=_buffer(ws, "draws", (count, vertex_count, k), np.float64))
         if ensemble.is_gaussian:
             x /= sqrt(k)
-        else:
-            norm = _pairwise_column_sum(np.multiply(x, x, out=_buffer(ws, "squares", x.shape, x.dtype)),
-                                        _buffer(ws, "norm", (count, vertex_count), np.float64))
-            x /= np.sqrt(norm, out=norm)[..., None]
+            return x
+        squares, norm = _buffers(ws, "scratch", ((slab, vertex_count, k), np.float64),
+                                 ((slab, vertex_count), np.float64))
+        for start in range(0, count, SLAB_SIZE):
+            part = x[start:start + SLAB_SIZE]
+            rows = norm[:len(part)]
+            _pairwise_column_sum(np.multiply(part, part, out=squares[:len(part)]), rows)
+            part /= np.sqrt(rows, out=rows)[..., None]
         return x
-    # The conjugated tails of _batch_products come later: their buffer holds
-    # the normal block until then.
-    normal = rng.standard_normal(out=_buffer(ws, "tails", (count, vertex_count, k), np.float64))
     x = _buffer(ws, "draws", (vertex_count, k, count), np.complex128)
-    x.real = normal.transpose(1, 2, 0)
-    x.imag = rng.standard_normal(out=normal).transpose(1, 2, 0)
-    if ensemble.is_gaussian:
-        re_im = x.view(np.float64)  # (vertex_count, k, 2 count)
-        re_im *= 1 / sqrt(2 * k)
-    else:
-        conj, squares = _buffer(ws, "squares", (2, k, count), np.complex128)
-        norm = _buffer(ws, "norm", (vertex_count, count), np.float64)
+    normal = _buffer(ws, "scratch", (slab, vertex_count, k), np.float64)
+    for part in (x.real, x.imag):
+        for start in range(0, count, SLAB_SIZE):
+            block = rng.standard_normal(out=normal[:count - start]).transpose(1, 2, 0)
+            if ensemble.is_gaussian:
+                np.multiply(block, 1 / sqrt(2 * k), out=part[..., start:start + SLAB_SIZE])
+            else:
+                part[..., start:start + SLAB_SIZE] = block
+    if not ensemble.is_gaussian:
+        conj, squares, norm = _buffers(ws, "scratch", ((k, count), np.complex128),
+                                       ((k, count), np.complex128), ((count,), np.float64))
         for v in range(vertex_count):  # a vertex at a time keeps the temporaries small
             np.multiply(np.conjugate(x[v], out=conj), x[v], out=squares)
-            # The spent normal block takes the copy with k last that k >= 8 needs.
-            _pairwise_column_sum(squares.real.T, norm[v], normal.reshape(-1))
-        reciprocal = np.divide(1, np.sqrt(norm, out=norm), out=norm)
-        for part in (x.real, x.imag):
-            np.multiply(part, reciprocal[:, None, :], out=part)
+            # The spent conjugates take the copy with k last that k >= 8 needs.
+            _pairwise_column_sum(squares.real.T, norm, conj.view(np.float64).reshape(-1))
+            reciprocal = np.divide(1, np.sqrt(norm, out=norm), out=norm)
+            for part in (x[v].real, x[v].imag):
+                np.multiply(part, reciprocal, out=part)
     return x.transpose(2, 0, 1)
 
 
@@ -207,13 +230,15 @@ def sample_vector(k: int, ensemble: Ensemble, rng: np.random.Generator) -> np.nd
 def _batch_products(g: Multigraph, x: np.ndarray, workspace: dict | None = None) -> np.ndarray:
     """Per-sample product of edge inner products for a (count, n, k) batch.
 
-    The batch is conjugated once (directed graphs), each distinct ordered
-    pair (u, v) gets one inner product per sample, kept in a row of its own
-    when a later edge uses it again, and the products are multiplied in file
-    edge order, so a parallel edge costs one multiply. Complex batches are
-    read sample-last, as draw_assignments stores them; the (k, count) einsum
-    gives the same bits as the (count, k) one there. `workspace` is as in
-    draw_assignments; the returned row lives in it.
+    Each distinct ordered pair (u, v) gets one inner product per sample,
+    kept in a row of its own when a later edge uses it again, and the
+    products are multiplied in file edge order, so a parallel edge costs one
+    multiply. On a directed graph the tail's (k, count) rows are conjugated
+    into the scratch buffer just before its pair's inner product, unless
+    they are already there. Complex batches are read sample-last, as
+    draw_assignments stores them; the (k, count) einsum gives the same bits
+    as the (count, k) one there. `workspace` is as in draw_assignments; the
+    returned row lives in it.
     """
     import numpy as np
 
@@ -223,7 +248,9 @@ def _batch_products(g: Multigraph, x: np.ndarray, workspace: dict | None = None)
         x, subscripts = x.transpose(1, 2, 0), "is,is->s"
     else:
         x, subscripts = x.transpose(1, 0, 2), "si,si->s"
-    tails = np.conjugate(x, out=_buffer(ws, "tails", x.shape, x.dtype)) if isinstance(g, DirectedMultigraph) else x
+    directed = isinstance(g, DirectedMultigraph)
+    tail = _buffer(ws, "scratch", x.shape[1:], x.dtype) if directed else None
+    conjugated = None  # the vertex whose conjugated rows the tail holds
     rows = _reused_pair_rows(g.edges)
     inner = _buffer(ws, "inner", (len(rows) + 1, count), x.dtype)  # the last row serves single-use pairs
     ready: dict[tuple[int, int], np.ndarray] = {}
@@ -232,7 +259,10 @@ def _batch_products(g: Multigraph, x: np.ndarray, workspace: dict | None = None)
     for u, v in g.edges:
         ip = ready.get((u, v))
         if ip is None:
-            ip = np.einsum(subscripts, tails[u], x[v], out=inner[rows.get((u, v), -1)])
+            if directed and conjugated != u:
+                np.conjugate(x[u], out=tail)
+                conjugated = u
+            ip = np.einsum(subscripts, tail if directed else x[u], x[v], out=inner[rows.get((u, v), -1)])
             if (u, v) in rows:
                 ready[u, v] = ip
         # Into the other row, not in place: for a one-sample chunk numpy's
@@ -269,17 +299,28 @@ def _chunk_sums(g: Multigraph, k: int, ensemble: Ensemble, seed: int, c: int, co
 def _workspace_bytes(g: Multigraph, k: int, ensemble: Ensemble, count: int) -> int:
     """Bytes of the buffers that draw_assignments, _batch_products and the
     chunk sums take from one workspace for chunks of `count` samples of g,
-    an ensemble-matching graph (complex draws on a directed graph)."""
-    draws = count * g.vertex_count * k
+    an ensemble-matching graph (complex draws on a directed graph).
+
+    With n = g.vertex_count, p the number of reused pairs, f the bytes of a
+    field element (16 complex, 8 real) and s = min(SLAB_SIZE, count), that
+    is f·count·(n·k + p + 3) + 8·count for the draws, inner products,
+    products and |values|, plus the scratch buffer: the larger of a normal
+    slab, 8·s·n·k, and a conjugated tail, 16·k·count (complex Gaussian);
+    the larger of those and one vertex's conjugates, squares and norms,
+    (32·k + 8)·count (complex sphere); 8·s·n·(k + 1) for a slab's squares
+    and norms (real sphere); nothing (real Gaussian).
+    """
+    n = g.vertex_count
+    slab = min(SLAB_SIZE, count)
     field = 16 if ensemble.is_complex else 8
-    # inner products and products; |values|
-    total = field * count * (len(_reused_pair_rows(g.edges)) + 3) + 8 * count
-    # the draws and their conjugates, which first hold the normal block; real
-    # draws are made in the normal block
-    total += 2 * field * draws if ensemble.is_complex else 8 * draws
-    if not ensemble.is_gaussian:  # squares (one vertex's, with its conjugates, if complex); norms
-        total += (2 * field * k * count if ensemble.is_complex else 8 * draws) + 8 * count * g.vertex_count
-    return total
+    total = field * count * (n * k + len(_reused_pair_rows(g.edges)) + 3) + 8 * count
+    if ensemble.is_complex:
+        scratch = max(8 * slab * n * k, 16 * k * count)
+        if not ensemble.is_gaussian:
+            scratch = max(scratch, (32 * k + 8) * count)
+    else:
+        scratch = 0 if ensemble.is_gaussian else 8 * slab * n * (k + 1)
+    return total + scratch
 
 
 def estimate_q(g: Multigraph, k: int, ensemble: Ensemble, n_samples: int, seed: int,
@@ -310,8 +351,8 @@ def estimate_q(g: Multigraph, k: int, ensemble: Ensemble, n_samples: int, seed: 
     required = _workspace_bytes(g, k, ensemble, chunk)
     if required > WORKSPACE_LIMIT:
         raise GuardExceededError(
-            f"Monte Carlo refused (bytes of chunk buffers per worker: {chunk} samples"
-            f" x {g.vertex_count} vertices x k = {k})", required, WORKSPACE_LIMIT)
+            f"Monte Carlo refused (bytes of chunk buffers per worker: one copy of the draws, {chunk}"
+            f" samples x {g.vertex_count} vertices x k = {k}, plus scratch)", required, WORKSPACE_LIMIT)
 
     workspaces = threading.local()  # one per thread, so its chunks reuse one set of buffers
 

@@ -277,6 +277,35 @@ def test_verify_checks_edgeless_graphs(capsys, tmp_path, corpus_dir):
     assert {"name": "engine vs enumerator edgeless", "ok": True, "detail": "1 systems"} in data["checks"]
 
 
+def test_verify_runs_the_engine_once_per_graph_and_reports_its_failure_twice(capsys, monkeypatch, tmp_path,
+                                                                            corpus_dir):
+    """The enumerator check and the counting invariants share one engine
+    run; an engine that raises fails both checks, each with its own line."""
+    for name in ("fig1.graph", "digon.graph", "p2.planar"):
+        (tmp_path / name).write_text((corpus_dir / name).read_text())
+    engine = partition.circuit_partition_polynomial
+    calls = []
+
+    def counted(g, **kwargs):
+        calls.append(g)
+        return engine(g, **kwargs)
+
+    monkeypatch.setattr(partition, "circuit_partition_polynomial", counted)
+    code, out, _ = run(capsys, "verify", str(tmp_path), "--n", "2000")
+    assert code == 0
+    assert len(calls) == len(set(calls)) == 2
+
+    def broken(g, **kwargs):
+        raise RuntimeError("engine down")
+
+    monkeypatch.setattr(partition, "circuit_partition_polynomial", broken)
+    code, out, _ = run(capsys, "verify", str(tmp_path), "--n", "2000", "--format", "json")
+    assert code == cli.EXIT_VERIFY_FAILED
+    failed = {check["name"]: check["detail"] for check in json.loads(out)["checks"] if not check["ok"]}
+    assert failed == {f"{kind} {name}": "RuntimeError: engine down"
+                      for kind in ("engine vs enumerator", "counting invariants") for name in ("digon", "fig1")}
+
+
 def test_verify_reads_the_corpus_through_the_command_reader(capsys, tmp_path, corpus_dir):
     """An unreadable corpus file fails its own check with the reader's error."""
     (tmp_path / "edgeless.graph").write_text("directed\n3 0\n")

@@ -24,6 +24,7 @@ from circuitkit.checks import cycle_genfunc_matchings, perfect_matchings
 from circuitkit.errors import GuardExceededError
 from circuitkit.sampling import (
     CHUNK_SIZE,
+    SLAB_SIZE,
     WORKSPACE_LIMIT,
     _batch_products,
     _chunk_sums,
@@ -81,20 +82,23 @@ def test_real_gaussian_component_variance():
 @pytest.mark.parametrize("ensemble", ALL_ENSEMBLES, ids=lambda e: e.value)
 def test_draws_equal_the_plain_numpy_formulas(ensemble):
     """draw_assignments normalizes with less numpy work than the textbook
-    formulas, but to the same bits, at short and long vectors alike. Complex
+    formulas, but to the same bits, at short and long vectors alike, and
+    draws in slabs of SLAB_SIZE samples the stream of one whole block: the
+    longer count spans several slabs and ends in a partial one. Complex
     draws come back as a transposed view of sample-last storage, so their
     bits are read from a contiguous copy."""
-    count, n = 9, 3
-    for k in [*range(1, 21), 64, 129, 300]:
-        x = draw_assignments(rng(k), count, n, k, ensemble)
-        raw = rng(k).standard_normal((2 if ensemble.is_complex else 1, count, n, k))
-        plain = raw[0] + 1j * raw[1] if ensemble.is_complex else raw[0]
-        if ensemble.is_gaussian:
-            plain = plain / np.sqrt(2 * k if ensemble.is_complex else k)
-        else:
-            plain = plain / np.linalg.norm(plain, axis=2, keepdims=True)
-        assert plain.dtype == x.dtype
-        assert np.array_equal(np.ascontiguousarray(x).view(np.float64), plain.view(np.float64)), k
+    n = 3
+    for count, ks in ((9, [*range(1, 21), 64, 129, 300]), (2 * SLAB_SIZE + 5, [1, 3, 8, 9])):
+        for k in ks:
+            x = draw_assignments(rng(k), count, n, k, ensemble)
+            raw = rng(k).standard_normal((2 if ensemble.is_complex else 1, count, n, k))
+            plain = raw[0] + 1j * raw[1] if ensemble.is_complex else raw[0]
+            if ensemble.is_gaussian:
+                plain = plain / np.sqrt(2 * k if ensemble.is_complex else k)
+            else:
+                plain = plain / np.linalg.norm(plain, axis=2, keepdims=True)
+            assert plain.dtype == x.dtype
+            assert np.array_equal(np.ascontiguousarray(x).view(np.float64), plain.view(np.float64)), (count, k)
 
 
 # ---------------------------------------------------------------------------
@@ -281,10 +285,27 @@ def test_the_workspace_guard_counts_every_buffer(fig1, ensemble):
     """_workspace_bytes, which the guard reads, is what a chunk allocates."""
     graphs = (fig1, _THICK_DIGON) if ensemble.is_complex else (_LOOPED_TRIANGLE, UndirectedMultigraph(1, ()))
     for g in graphs:
-        for k, count in ((1, CHUNK_SIZE), (3, CHUNK_SIZE), (9, 5)):
+        for k, count in ((1, CHUNK_SIZE), (3, CHUNK_SIZE), (2, SLAB_SIZE + 5), (9, 5)):
             workspace: dict = {}
             _chunk_sums(g, k, ensemble, 0, 0, count, workspace)
             assert sum(b.nbytes for b in workspace.values()) == _workspace_bytes(g, k, ensemble, count)
+
+
+def _directed_cycle(n: int) -> DirectedMultigraph:
+    return DirectedMultigraph(n, tuple((v, (v + 1) % n) for v in range(n)))
+
+
+@pytest.mark.parametrize("ensemble", [Ensemble.COMPLEX_GAUSSIAN, Ensemble.COMPLEX_SPHERE], ids=lambda e: e.value)
+def test_a_worker_holds_one_copy_of_the_draws(ensemble):
+    """Besides the 16 n k count bytes of the draws themselves, a complex
+    chunk's workspace takes one bounded scratch buffer and a few
+    sample-length rows, never a second copy of the draws."""
+    cycle = _directed_cycle(64)
+    for k in (1, 2, 3, 8):
+        assert _workspace_bytes(cycle, k, ensemble, CHUNK_SIZE) < 1.5 * 16 * 64 * k * CHUNK_SIZE, k
+    # The largest cycle the guard admits at k = 2.
+    assert _workspace_bytes(_directed_cycle(3275), 2, ensemble, CHUNK_SIZE) <= WORKSPACE_LIMIT
+    assert _workspace_bytes(_directed_cycle(3276), 2, ensemble, CHUNK_SIZE) > WORKSPACE_LIMIT
 
 
 def test_an_oversized_workspace_is_refused_before_sampling(monkeypatch):
@@ -293,7 +314,7 @@ def test_an_oversized_workspace_is_refused_before_sampling(monkeypatch):
     def no_draws(*args):
         raise AssertionError("sampled before the guard")
 
-    cycle = DirectedMultigraph(5000, tuple((v, (v + 1) % 5000) for v in range(5000)))
+    cycle = _directed_cycle(5000)
     monkeypatch.setattr(sampling, "draw_assignments", no_draws)
     with pytest.raises(GuardExceededError, match="bytes of chunk buffers per worker") as refusal:
         estimate_q(cycle, 2, Ensemble.COMPLEX_SPHERE, 10**5, seed=0)
