@@ -90,9 +90,10 @@ def vertex_scaling(g: Multigraph, k: int, ensemble: Ensemble) -> Fraction:
     graph, the in-degree of a directed vertex and half the degree of an
     undirected one, the tensor power of x_v that its edges contract.
     Vertices with half-edges are tallied by count, so each distinct scaling
-    is computed and raised to its multiplicity once; isolated ones scale by 1.
+    is computed and raised to its multiplicity once; isolated ones scale by 1
+    and are never visited (g.degree_counts()), so the cost follows m, not n.
     """
-    tally = Counter(filter(None, g.degrees()))
+    tally = Counter(g.degree_counts().values())
     return prod((xd_scaling(h // 2, k, ensemble) ** count for h, count in tally.items()), start=Fraction(1))
 
 

@@ -33,9 +33,10 @@ to both the in- and the out-degree, an undirected one adds two to the degree.
 
 from __future__ import annotations
 
+from collections import Counter
 from enum import Enum
 from heapq import heapify, heappop, heappush
-from itertools import compress
+from itertools import chain, compress, repeat
 from operator import index
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -178,11 +179,13 @@ class Multigraph(Record):
         power of x_v that the vertex's edges contract: the in-degree of a
         directed vertex, half the degree of an undirected one.
         """
-        degs = [0] * self.vertex_count
-        for u, v in self.edges:
-            degs[u] += 1
-            degs[v] += 1
-        return tuple(degs)
+        counts = self.degree_counts()
+        return tuple(map(counts.get, range(self.vertex_count), repeat(0)))
+
+    def degree_counts(self) -> Counter[int]:
+        """degrees() over the vertices that have half-edges only, in order of
+        their first edge end, so its cost follows m, not n."""
+        return Counter(chain.from_iterable(self.edges))
 
 
 class DirectedMultigraph(Multigraph):
@@ -251,9 +254,14 @@ def require_eulerian(g: Multigraph) -> None:
         raise NotEulerianError(f"graph is not Eulerian: {report.describe()}", report)
 
 
-def component_count(g: UndirectedMultigraph) -> int:
-    """Connected components of g; isolated vertices count."""
-    parent = list(range(g.vertex_count))
+def edge_components(edges: Iterable[tuple[int, int]]) -> dict[int, int]:
+    """The root of each vertex that `edges` touch, in order of its first edge
+    end: two vertices share a root exactly when edges join them.
+
+    One union-find over the edge ends, so it costs O(m) and never visits an
+    isolated vertex.
+    """
+    parent: dict[int, int] = {}
 
     def find(x: int) -> int:
         root = x
@@ -263,13 +271,17 @@ def component_count(g: UndirectedMultigraph) -> int:
             parent[x], x = root, parent[x]
         return root
 
-    components = g.vertex_count
-    for u, v in g.edges:
-        ru, rv = find(u), find(v)
+    for u, v in edges:
+        ru, rv = find(parent.setdefault(u, u)), find(parent.setdefault(v, v))
         if ru != rv:
             parent[rv] = ru
-            components -= 1
-    return components
+    return {v: find(v) for v in parent}
+
+
+def component_count(g: UndirectedMultigraph) -> int:
+    """Connected components of g; isolated vertices count."""
+    roots = edge_components(g.edges)
+    return g.vertex_count - len(roots) + len(set(roots.values()))
 
 
 def permutation_cycles(successor: Sequence[int]) -> list[tuple[int, ...]]:

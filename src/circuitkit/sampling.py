@@ -6,17 +6,26 @@ conjugated one. Estimates are plain Monte Carlo; predictions evaluate the
 circuit partition polynomial with the per-vertex ensemble scalings. The
 product at one given assignment, edge by edge, is an oracle, in checks.
 
+Both ensembles are invariant under one global unitary (orthogonal, for real
+vectors) map, which leaves every <x_u, x_v> unchanged. So within each
+connected component one vertex, its anchor, can be pinned at |x_a|·e1
+without changing the law of the edge product: estimate_q draws vectors only
+for the other vertices that carry an edge. A sphere anchor is e1; a Gaussian
+anchor's squared norm is one gamma variate per sample.
+
 Reproducibility contract: sampling is split into fixed-size chunks; chunk c
 draws from a Philox generator keyed with the 128-bit value
-(seed << 64) | c, and chunk results are reduced in chunk order. The chunk
-layout depends only on n_samples, so a run is bit-identical for any worker
-count, not just for a fixed one.
+(seed << 64) | c, its normals first and then, for a Gaussian ensemble, its
+anchors' gamma variates, and chunk results are reduced in chunk order. The
+chunk layout depends only on n_samples, so a run is bit-identical for any
+worker count, not just for a fixed one.
 
 Each worker thread runs its chunks through one workspace, a dict of flat
 buffers sized on its first chunk, so chunks do not allocate. It holds one
-copy of a chunk's draws and one scratch buffer bounded by SLAB_SIZE samples
-(or by one vertex's rows), plus a few sample-length rows. Complex draws are
-stored sample-last, (vertex_count, k, count), so norms and inner products
+copy of a chunk's draws, of the drawn vertices only, and one scratch buffer
+bounded by SLAB_SIZE samples (or by one vertex's rows), plus a few
+sample-length rows (two more per anchor for a Gaussian ensemble). Complex
+draws are stored sample-last, (vertex_count, k, count), so norms and inner products
 run along contiguous sample rows; real draws stay (count, vertex_count, k).
 Neither layout changes a bit of the result.
 
@@ -36,7 +45,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 from .diagrams import ensure_ensemble_matches, vertex_scaling, xd_scaling
 from .errors import DEFAULT_ENUMERATION_GUARD, GuardExceededError, NotEulerianError
-from .graphs import DirectedMultigraph, Ensemble, Multigraph
+from .graphs import Ensemble, Multigraph, edge_components
 from .partition import circuit_partition_polynomial
 
 if TYPE_CHECKING:
@@ -89,6 +98,38 @@ def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
+class _Anchored(NamedTuple):
+    """A graph's edges as the sampler reads them (see _anchored)."""
+
+    edges: tuple[tuple[int, int], ...]  # each end a row r >= 0 of the draws, or ~i for anchor i
+    drawn: tuple[int, ...]  # the vertex of each row of the draws
+    anchors: tuple[int, ...]  # the anchor of each component that has an edge
+
+
+def _anchored(g: Multigraph) -> _Anchored:
+    """g's edges over its drawn vertices and anchors.
+
+    Each connected component that has an edge (graphs.edge_components) has
+    one anchor, its vertex of the most half-edges, ties to the least id,
+    whose vector is pinned at |x_a|·e1. The other vertices with an edge are
+    drawn, a row each, in order of their first edge end; isolated vertices
+    are neither, since no factor reads them. O(m): no pass over all n
+    vertices.
+    """
+    roots = edge_components(g.edges)
+    degree = g.degree_counts()
+    best: dict[int, int] = {}
+    for v, root in roots.items():
+        a = best.setdefault(root, v)
+        if (degree[v], a) > (degree[a], v):  # more half-edges, or as many and a lesser id
+            best[root] = v
+    anchors = tuple(best.values())
+    code = {a: ~i for i, a in enumerate(anchors)}
+    drawn = tuple(v for v in roots if v not in code)
+    code.update(zip(drawn, range(len(drawn))))
+    return _Anchored(tuple((code[u], code[v]) for u, v in g.edges), drawn, anchors)
+
+
 def _buffers(workspace: dict, name: str, *arrays: tuple[tuple[int, ...], type]) -> list[np.ndarray]:
     """C-contiguous arrays of the given (shape, dtype)s, laid end to end over
     the leading bytes of the named buffer of `workspace`, which is allocated
@@ -121,6 +162,10 @@ def _buffer(workspace: dict, name: str, shape: tuple[int, ...], dtype) -> np.nda
 def draw_assignments(rng: np.random.Generator, count: int, vertex_count: int, k: int,
                      ensemble: Ensemble, workspace: dict | None = None) -> np.ndarray:
     """(count, vertex_count, k) array of ensemble draws.
+
+    estimate_q asks for its drawn vertices only (see _anchored): an anchor
+    takes no draw here, and a Gaussian anchor's norm is drawn after these
+    normals, from the same generator (_chunk_sums).
 
     Complex draws take all real parts of the chunk as one standard-normal
     block of that shape, then all imaginary parts as the next block (the
@@ -227,15 +272,24 @@ def sample_vector(k: int, ensemble: Ensemble, rng: np.random.Generator) -> np.nd
     return draw_assignments(rng, 1, 1, k, ensemble)[0, 0]
 
 
-def _batch_products(g: Multigraph, x: np.ndarray, workspace: dict | None = None) -> np.ndarray:
-    """Per-sample product of edge inner products for a (count, n, k) batch.
+def _batch_products(plan: _Anchored, x: np.ndarray, norms: np.ndarray | None = None,
+                    workspace: dict | None = None) -> np.ndarray:
+    """Per-sample product of edge inner products for a (count, rows, k) batch
+    of the drawn vertices of `plan`.
+
+    Anchors sit at |x_a|·e1 (see _anchored). `norms` is None for a sphere
+    ensemble, whose anchors are e1, or the (2, anchors, count) rows of each
+    anchor's |x_a|^2 and |x_a| (_chunk_sums). An edge at an anchor runs no
+    einsum: its inner product is the other end's first coordinate, x_v[0],
+    or conj(x_u[0]) on the tail side, times |x_a| for a Gaussian. A loop at
+    an anchor is |x_a|^2, and a factor of 1, skipped, on a sphere.
 
     Each distinct ordered pair (u, v) gets one inner product per sample,
     kept in a row of its own when a later edge uses it again, and the
     products are multiplied in file edge order, so a parallel edge costs one
-    multiply. On a directed graph the tail's (k, count) rows are conjugated
-    into the scratch buffer just before its pair's inner product, unless
-    they are already there. Complex batches are read sample-last, as
+    multiply. Complex batches (a directed graph's) conjugate the tail's
+    (k, count) rows into the scratch buffer just before its pair's inner
+    product, unless they are already there, and are read sample-last, as
     draw_assignments stores them; the (k, count) einsum gives the same bits
     as the (count, k) one there. `workspace` is as in draw_assignments; the
     returned row lives in it.
@@ -244,25 +298,37 @@ def _batch_products(g: Multigraph, x: np.ndarray, workspace: dict | None = None)
 
     ws = {} if workspace is None else workspace
     count = x.shape[0]
-    if np.iscomplexobj(x):
+    conjugate = np.iscomplexobj(x)  # a directed graph's tails
+    if conjugate:
         x, subscripts = x.transpose(1, 2, 0), "is,is->s"
+        first = x[:, 0]
     else:
         x, subscripts = x.transpose(1, 0, 2), "si,si->s"
-    directed = isinstance(g, DirectedMultigraph)
-    tail = _buffer(ws, "scratch", x.shape[1:], x.dtype) if directed else None
-    conjugated = None  # the vertex whose conjugated rows the tail holds
-    rows = _reused_pair_rows(g.edges)
+        first = x[..., 0]
+    tail = _buffer(ws, "scratch", x.shape[1:], x.dtype) if conjugate else None
+    conjugated = None  # the row whose conjugate the tail holds
+    rows = _reused_pair_rows(plan.edges)
     inner = _buffer(ws, "inner", (len(rows) + 1, count), x.dtype)  # the last row serves single-use pairs
     ready: dict[tuple[int, int], np.ndarray] = {}
     values, spare = _buffer(ws, "products", (2, count), x.dtype)
     values.fill(1)
-    for u, v in g.edges:
+    for u, v in plan.edges:
+        if u == v < 0 and norms is None:
+            continue  # a loop at a sphere anchor: |e1|^2 = 1
         ip = ready.get((u, v))
         if ip is None:
-            if directed and conjugated != u:
-                np.conjugate(x[u], out=tail)
-                conjugated = u
-            ip = np.einsum(subscripts, tail if directed else x[u], x[v], out=inner[rows.get((u, v), -1)])
+            out = inner[rows.get((u, v), -1)]
+            if u >= 0 and v >= 0:
+                if conjugate and conjugated != u:
+                    np.conjugate(x[u], out=tail)
+                    conjugated = u
+                ip = np.einsum(subscripts, tail if conjugate else x[u], x[v], out=out)
+            elif u == v:
+                ip = norms[0, ~u]
+            else:
+                ip = first[v] if u < 0 else np.conjugate(first[u], out=out)
+                if norms is not None:
+                    ip = np.multiply(ip, norms[1, ~min(u, v)], out=out)
             if (u, v) in rows:
                 ready[u, v] = ip
         # Into the other row, not in place: for a one-sample chunk numpy's
@@ -283,37 +349,57 @@ def _reused_pair_rows(edges: tuple[tuple[int, int], ...]) -> dict[tuple[int, int
     return rows
 
 
-def _chunk_sums(g: Multigraph, k: int, ensemble: Ensemble, seed: int, c: int, count: int,
+def _chunk_sums(plan: _Anchored, k: int, ensemble: Ensemble, seed: int, c: int, count: int,
                 workspace: dict) -> tuple[complex, float, int]:
     """Sum of the edge products of chunk c, the sum of their squared moduli,
-    and the number of them that are exactly 0."""
+    and the number of them that are exactly 0.
+
+    A Gaussian anchor's |x_a|^2, after the chunk's normals, is one gamma
+    variate per sample: Gamma(k, 1/k) for a complex vector (2k real parts of
+    variance 1/(2k)) and Gamma(k/2, 2/k) for a real one, the scale the
+    reciprocal of the shape in both cases, so E|x_a|^2 = 1 as for every
+    vector drawn.
+    """
     import numpy as np
 
-    x = draw_assignments(_chunk_rng(seed, c), count, g.vertex_count, k, ensemble, workspace)
-    values = _batch_products(g, x, workspace)
+    rng = _chunk_rng(seed, c)
+    x = draw_assignments(rng, count, len(plan.drawn), k, ensemble, workspace)
+    norms = None
+    if ensemble.is_gaussian:
+        shape = k if ensemble.is_complex else k / 2
+        norms = _buffer(workspace, "norms", (2, len(plan.anchors), count), np.float64)
+        rng.standard_gamma(shape, out=norms[0])
+        norms[0] /= shape
+        np.sqrt(norms[0], out=norms[1])
+    values = _batch_products(plan, x, norms, workspace)
     magnitude = np.abs(values, out=_buffer(workspace, "magnitude", (count,), np.float64))
     zeros = count - int(np.count_nonzero(magnitude))
     return complex(np.sum(values)), float(np.sum(np.square(magnitude, out=magnitude))), zeros
 
 
-def _workspace_bytes(g: Multigraph, k: int, ensemble: Ensemble, count: int) -> int:
+def _workspace_bytes(plan: _Anchored, k: int, ensemble: Ensemble, count: int) -> int:
     """Bytes of the buffers that draw_assignments, _batch_products and the
-    chunk sums take from one workspace for chunks of `count` samples of g,
-    an ensemble-matching graph (complex draws on a directed graph).
+    chunk sums take from one workspace for chunks of `count` samples of
+    `plan`, for an ensemble that matches its graph (complex draws on a
+    directed graph).
 
-    With n = g.vertex_count, p the number of reused pairs, f the bytes of a
-    field element (16 complex, 8 real) and s = min(SLAB_SIZE, count), that
-    is f·count·(n·k + p + 3) + 8·count for the draws, inner products,
-    products and |values|, plus the scratch buffer: the larger of a normal
-    slab, 8·s·n·k, and a conjugated tail, 16·k·count (complex Gaussian);
-    the larger of those and one vertex's conjugates, squares and norms,
-    (32·k + 8)·count (complex sphere); 8·s·n·(k + 1) for a slab's squares
-    and norms (real sphere); nothing (real Gaussian).
+    With n = len(plan.drawn), the drawn vertices, p the number of reused
+    pairs, f the bytes of a field element (16 complex, 8 real) and
+    s = min(SLAB_SIZE, count), that is f·count·(n·k + p + 3) + 8·count for
+    the draws, inner products, products and |values|, plus 16·count per
+    anchor for a Gaussian's |x_a|^2 and |x_a|, plus the scratch buffer: the
+    larger of a normal slab, 8·s·n·k, and a conjugated tail, 16·k·count
+    (complex Gaussian); the larger of those and one vertex's conjugates,
+    squares and norms, (32·k + 8)·count (complex sphere); 8·s·n·(k + 1) for
+    a slab's squares and norms (real sphere); nothing (real Gaussian).
+    Anchors and isolated vertices take no draws.
     """
-    n = g.vertex_count
+    n = len(plan.drawn)
     slab = min(SLAB_SIZE, count)
     field = 16 if ensemble.is_complex else 8
-    total = field * count * (n * k + len(_reused_pair_rows(g.edges)) + 3) + 8 * count
+    total = field * count * (n * k + len(_reused_pair_rows(plan.edges)) + 3) + 8 * count
+    if ensemble.is_gaussian:
+        total += 16 * len(plan.anchors) * count
     if ensemble.is_complex:
         scratch = max(8 * slab * n * k, 16 * k * count)
         if not ensemble.is_gaussian:
@@ -332,9 +418,11 @@ def estimate_q(g: Multigraph, k: int, ensemble: Ensemble, n_samples: int, seed: 
     standard error is the per-sample standard deviation of the complex
     values over sqrt(n_samples).
     The seed must lie in [0, 2**64): it is the high half of every chunk's
-    Philox key, so no two seeds share a stream. Each worker thread runs its
-    chunks through one workspace; a run whose workspace would pass
-    WORKSPACE_LIMIT bytes is refused before any sampling.
+    Philox key, so no two seeds share a stream. One vertex per connected
+    component is pinned at |x_a|·e1 and takes no draw (_anchored). Each
+    worker thread runs its chunks through one workspace; a run whose
+    workspace would pass WORKSPACE_LIMIT bytes is refused before any
+    sampling.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -348,17 +436,18 @@ def estimate_q(g: Multigraph, k: int, ensemble: Ensemble, n_samples: int, seed: 
 
     n_chunks = (n_samples + CHUNK_SIZE - 1) // CHUNK_SIZE
     chunk = min(CHUNK_SIZE, n_samples)
-    required = _workspace_bytes(g, k, ensemble, chunk)
+    plan = _anchored(g)
+    required = _workspace_bytes(plan, k, ensemble, chunk)
     if required > WORKSPACE_LIMIT:
         raise GuardExceededError(
             f"Monte Carlo refused (bytes of chunk buffers per worker: one copy of the draws, {chunk}"
-            f" samples x {g.vertex_count} vertices x k = {k}, plus scratch)", required, WORKSPACE_LIMIT)
+            f" samples x {len(plan.drawn)} drawn vertices x k = {k}, plus scratch)", required, WORKSPACE_LIMIT)
 
     workspaces = threading.local()  # one per thread, so its chunks reuse one set of buffers
 
     def run_chunk(c: int) -> tuple[complex, float, int]:
         size = min(CHUNK_SIZE, n_samples - c * CHUNK_SIZE)
-        return _chunk_sums(g, k, ensemble, seed, c, size, vars(workspaces))
+        return _chunk_sums(plan, k, ensemble, seed, c, size, vars(workspaces))
 
     # A pool starts a thread per task up to its size; the CPUs are the ones
     # this process may run on, where the platform says which.

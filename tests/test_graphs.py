@@ -20,7 +20,8 @@ from circuitkit import (
     parse_graph,
     serialize_graph,
 )
-from circuitkit.graphs import max_adjacency_order, parse_graph_file, permutation_cycles, require_eulerian
+from circuitkit.graphs import (edge_components, max_adjacency_order, parse_graph_file, permutation_cycles,
+                               require_eulerian)
 
 from conftest import GRAPH_NAMES, disjoint_union, load_graph, spanning_subgraph
 
@@ -155,6 +156,27 @@ def test_component_count_monotone_under_edge_addition():
         current = component_count(spanning_subgraph(g, subset))
         assert current <= previous
         previous = current
+
+
+@given(st.integers(1, 8).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=12))))
+def test_edge_components_and_degree_counts_follow_the_edge_ends(case):
+    """edge_components keys the vertices that edges touch, in order of their
+    first edge end, and gives two of them one root exactly when a path of
+    edges joins them; degree_counts is degrees() less its zeros, in the same
+    order."""
+    n, edges = case
+    roots = edge_components(edges)
+    ends = [w for edge in edges for w in edge]
+    assert list(roots) == list(dict.fromkeys(ends))
+    reach = {v: {v} for v in roots}
+    for _ in range(n):
+        for u, v in edges:
+            reach[u] = reach[v] = reach[u] | reach[v]
+    assert all((roots[u] == roots[v]) == (v in reach[u]) for u in roots for v in roots)
+    g = UndirectedMultigraph(n, edges)
+    assert list(g.degree_counts().items()) == [(v, ends.count(v)) for v in roots]
+    assert g.degrees() == tuple(ends.count(v) for v in range(n))
 
 
 # ---------------------------------------------------------------------------

@@ -400,7 +400,6 @@ KIND_BRANCHES = {
     "partition.circuit_partition_polynomial": "the split's entering half-edge, a loop's halves, the core's edge code",
     "diagrams.contract_q_exact": "the permutation vs the matching entry",
     "diagrams.ensure_ensemble_matches": "the pairing check: directed graphs with complex ensembles",
-    "sampling._batch_products": "the conjugated tail of a directed edge's inner product",
     "checks.product_of_inner_products": "the conjugated tail of a directed edge's inner product",
     "checks.enumerate_transition_systems": "the wiring forms: permutations vs perfect matchings",
     "checks.circuit_count": "the wiring forms: permutations vs perfect matchings",

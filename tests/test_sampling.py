@@ -22,10 +22,12 @@ from circuitkit import (
 )
 from circuitkit.checks import cycle_genfunc_matchings, perfect_matchings
 from circuitkit.errors import GuardExceededError
+from circuitkit.graphs import edge_components
 from circuitkit.sampling import (
     CHUNK_SIZE,
     SLAB_SIZE,
     WORKSPACE_LIMIT,
+    _anchored,
     _batch_products,
     _chunk_sums,
     _workspace_bytes,
@@ -165,19 +167,143 @@ def random_multigraph(r: random.Random, directed: bool):
     return (DirectedMultigraph if directed else UndirectedMultigraph)(n, tuple(edges))
 
 
+def _rotation_to_e1(a: np.ndarray) -> np.ndarray:
+    """A unitary (orthogonal, for a real a) matrix U with U a = |a| e1: a
+    phase that makes a[0] real and nonnegative, then the Householder
+    reflection that sends that vector to -|a| e1 (the stable sign, with no
+    cancellation in w[0]), then -1."""
+    phase = a[0] / abs(a[0]) if a[0] != 0 else 1
+    w = a / phase
+    w[0] += np.linalg.norm(a)
+    reflection = np.eye(len(a), dtype=a.dtype) - 2 * np.outer(w, w.conj()) / np.vdot(w, w).real
+    return -reflection / phase
+
+
 @pytest.mark.parametrize("ensemble", ALL_ENSEMBLES, ids=lambda e: e.value)
-def test_batch_products_match_the_per_sample_product(ensemble):
-    """Each row of the chunk kernel, which computes one inner product per
-    distinct ordered pair, is the plain edge-by-edge product of its sample."""
+def test_anchored_batch_products_are_the_rotated_per_sample_product(ensemble):
+    """Rotate each component of a full assignment by the unitary map that
+    sends its anchor to |x_a| e1: every inner product is unchanged, and the
+    anchored batch kernel, which reads only the other vertices' rows and
+    the anchors' norms, gives the plain edge-by-edge product of the
+    unrotated assignment, sample by sample."""
     r, gen = random.Random(ensemble.value), rng()
     for _ in range(40):
         g = random_multigraph(r, directed=ensemble.is_complex)
-        x = draw_assignments(gen, r.choice([1, 2, 17]), g.vertex_count, r.randint(1, 4), ensemble)
-        batch = _batch_products(g, x)
-        assert batch.shape == (x.shape[0],)
-        for s in range(x.shape[0]):
-            single = product_of_inner_products(g, x[s])
+        plan = _anchored(g)
+        roots = edge_components(g.edges)
+        count, k = r.choice([1, 2, 17]), r.randint(1, 4)
+        full = np.array(draw_assignments(gen, count, g.vertex_count, k, ensemble))
+        rows = np.empty((count, len(plan.drawn), k), dtype=full.dtype)
+        norms = np.empty((2, len(plan.anchors), count))
+        for s in range(count):
+            turn = {roots[a]: _rotation_to_e1(full[s, a]) for a in plan.anchors}
+            for i, v in enumerate(plan.drawn):
+                rows[s, i] = turn[roots[v]] @ full[s, v]
+            for i, a in enumerate(plan.anchors):
+                assert np.allclose(turn[roots[a]] @ full[s, a], np.linalg.norm(full[s, a]) * np.eye(k)[0])
+                norms[:, i, s] = np.linalg.norm(full[s, a]) ** 2, np.linalg.norm(full[s, a])
+        batch = _batch_products(plan, rows, norms if ensemble.is_gaussian else None)
+        assert batch.shape == (count,)
+        for s in range(count):
+            single = product_of_inner_products(g, full[s])
             assert abs(batch[s] - single) <= 1e-12 * max(abs(single), 1e-300), (g, s)
+
+
+# Two components with loops, a loop-only vertex and isolated vertices.
+_SCATTERED = {
+    True: DirectedMultigraph(9, ((0, 1), (1, 2), (2, 0), (2, 2), (4, 5), (5, 4), (5, 5), (7, 7), (4, 5), (5, 4))),
+    False: UndirectedMultigraph(9, ((0, 1), (1, 2), (2, 0), (2, 2), (4, 5), (5, 4), (5, 5), (7, 7), (8, 8))),
+}
+
+
+def test_each_component_with_an_edge_has_one_anchor():
+    """The anchor is the vertex of the most half-edges, ties to the least
+    id; the other vertices with an edge are drawn and isolated ones are not."""
+    assert _anchored(_SCATTERED[True]) == (((0, 1), (1, -1), (-1, 0), (-1, -1), (2, -2), (-2, 2), (-2, -2), (-3, -3),
+                                            (2, -2), (-2, 2)), (0, 1, 4), (2, 5, 7))
+    assert _anchored(_SCATTERED[False]).drawn == (0, 1, 4)
+    assert _anchored(_SCATTERED[False]).anchors == (2, 5, 7, 8)
+    assert _anchored(DirectedMultigraph(3, ((2, 1), (1, 2)))).anchors == (1,)
+    assert _anchored(UndirectedMultigraph(4, ())) == ((), (), ())
+
+
+@pytest.mark.parametrize("ensemble", ALL_ENSEMBLES, ids=lambda e: e.value)
+def test_draws_skip_one_vertex_per_component_and_the_isolated_ones(ensemble, monkeypatch):
+    """Every chunk draws vectors for (vertices with an edge) - (components
+    with an edge) vertices."""
+    from circuitkit import sampling
+
+    g = _SCATTERED[ensemble.is_complex]
+    roots = edge_components(g.edges)
+    seen = []
+
+    def spy(rng, count, vertex_count, *args):
+        seen.append(vertex_count)
+        return draw_assignments(rng, count, vertex_count, *args)
+
+    monkeypatch.setattr(sampling, "draw_assignments", spy)
+    estimate_q(g, 2, ensemble, 2 * CHUNK_SIZE + 1, seed=3)
+    assert seen == [len(roots) - len(set(roots.values()))] * 3 == [3] * 3
+
+
+@pytest.mark.parametrize("ensemble", ALL_ENSEMBLES, ids=lambda e: e.value)
+def test_anchored_estimates_are_byte_identical_at_any_worker_count(ensemble):
+    g = _SCATTERED[ensemble.is_complex]
+    runs = {estimate_q(g, 3, ensemble, 3 * CHUNK_SIZE + 7, seed=11, workers=w).to_json() for w in (1, 2, 3)}
+    assert len(runs) == 1
+
+
+def random_eulerian_multigraph(r: random.Random, directed: bool):
+    """Closed walks, loops among them, over a few vertices, some of them
+    isolated: balanced (directed) or of even degrees (undirected), often in
+    several components."""
+    n = r.randint(1, 6)
+    edges = []
+    for _ in range(r.randint(1, 3)):
+        walk = [r.randrange(n) for _ in range(r.randint(1, 4))]
+        edges.extend(zip(walk, walk[1:] + walk[:1]))
+    return (DirectedMultigraph if directed else UndirectedMultigraph)(n, tuple(edges))
+
+
+@pytest.mark.parametrize("ensemble", ALL_ENSEMBLES, ids=lambda e: e.value)
+def test_anchored_estimates_land_within_five_exact_standard_errors(ensemble):
+    """The exact standard error is sqrt((E|p|^2 - q^2) / n), and E|p|^2 is q
+    of the doubled graph: every edge reversed and added (complex, since
+    conj<x_u, x_v> = <x_v, x_u>) or repeated (real)."""
+    r = random.Random(f"doubled/{ensemble.value}")
+    kind = DirectedMultigraph if ensemble.is_complex else UndirectedMultigraph
+    n = 20_000
+    for trial in range(8):
+        g = random_eulerian_multigraph(r, ensemble.is_complex)
+        k = r.randint(1, 3)
+        doubled = kind(g.vertex_count, g.edges + (tuple((v, u) for u, v in g.edges) if ensemble.is_complex
+                                                  else g.edges))
+        q, second = predicted_q(g, k, ensemble), predicted_q(doubled, k, ensemble)
+        se = float(second - q * q) ** 0.5 / n ** 0.5
+        est = estimate_q(g, k, ensemble, n, seed=trial)
+        assert abs(est.mean - float(q)) <= max(5 * se, 1e-12), (g, k, est, float(q), se)
+
+
+def test_isolated_vertices_are_never_drawn(fig1, monkeypatch):
+    """fig1 with 200,000 isolated vertices appended is admitted, draws what
+    fig1 draws and gives fig1's bytes; drawing every vertex would pass the
+    workspace guard many times over."""
+    from circuitkit import sampling
+
+    padded = DirectedMultigraph(fig1.vertex_count + 200_000, fig1.edges)
+    seen = []
+
+    def spy(rng, count, vertex_count, *args):
+        seen.append((count, vertex_count))
+        return draw_assignments(rng, count, vertex_count, *args)
+
+    monkeypatch.setattr(sampling, "draw_assignments", spy)
+    for ensemble in (Ensemble.COMPLEX_SPHERE, Ensemble.COMPLEX_GAUSSIAN):
+        seen.clear()
+        alone = estimate_q(fig1, 2, ensemble, CHUNK_SIZE + 3, seed=1).to_json()
+        drawn = list(seen)
+        assert estimate_q(padded, 2, ensemble, CHUNK_SIZE + 3, seed=1).to_json() == alone
+        assert seen == drawn * 2 == [(CHUNK_SIZE, 3), (3, 3)] * 2
 
 
 # ---------------------------------------------------------------------------
@@ -264,31 +390,33 @@ _LOOPED_TRIANGLE = UndirectedMultigraph(3, ((0, 1), (1, 2), (2, 0), (1, 0), (2, 
 def test_successive_chunks_share_one_workspace(fig1, ensemble):
     """Chunks drawn through one workspace reuse its buffers, a shorter last
     chunk included; without one, every call allocates afresh."""
-    g = fig1 if ensemble.is_complex else _LOOPED_TRIANGLE
+    plan = _anchored(fig1 if ensemble.is_complex else _LOOPED_TRIANGLE)
+    rows = len(plan.drawn)
     workspace: dict = {}
-    x1 = draw_assignments(rng(1), CHUNK_SIZE, g.vertex_count, 3, ensemble, workspace)
-    p1 = _batch_products(g, x1, workspace)
+    x1 = draw_assignments(rng(1), CHUNK_SIZE, rows, 3, ensemble, workspace)
+    p1 = _batch_products(plan, x1, None, workspace)
     buffers = {name: id(b) for name, b in workspace.items()}
-    x2 = draw_assignments(rng(2), 100, g.vertex_count, 3, ensemble, workspace)
-    p2 = _batch_products(g, x2, workspace)
+    x2 = draw_assignments(rng(2), 100, rows, 3, ensemble, workspace)
+    p2 = _batch_products(plan, x2, None, workspace)
     assert np.shares_memory(x1, x2)
     assert np.shares_memory(p1, workspace["products"]) and np.shares_memory(p2, workspace["products"])
     assert {name: id(b) for name, b in workspace.items()} == buffers
-    assert x2.shape == (100, g.vertex_count, 3) and p2.shape == (100,)
-    x3 = draw_assignments(rng(2), 100, g.vertex_count, 3, ensemble)
+    assert x2.shape == (100, rows, 3) and p2.shape == (100,)
+    x3 = draw_assignments(rng(2), 100, rows, 3, ensemble)
     assert not np.shares_memory(x2, x3)
-    assert np.array_equal(x2, x3) and np.array_equal(p2, _batch_products(g, x3))
+    assert np.array_equal(x2, x3) and np.array_equal(p2, _batch_products(plan, x3))
 
 
 @pytest.mark.parametrize("ensemble", ALL_ENSEMBLES, ids=lambda e: e.value)
 def test_the_workspace_guard_counts_every_buffer(fig1, ensemble):
     """_workspace_bytes, which the guard reads, is what a chunk allocates."""
-    graphs = (fig1, _THICK_DIGON) if ensemble.is_complex else (_LOOPED_TRIANGLE, UndirectedMultigraph(1, ()))
-    for g in graphs:
+    graphs = ((fig1, _THICK_DIGON) if ensemble.is_complex else (_LOOPED_TRIANGLE, UndirectedMultigraph(1, ())))
+    for g in (*graphs, _SCATTERED[ensemble.is_complex]):
+        plan = _anchored(g)
         for k, count in ((1, CHUNK_SIZE), (3, CHUNK_SIZE), (2, SLAB_SIZE + 5), (9, 5)):
             workspace: dict = {}
-            _chunk_sums(g, k, ensemble, 0, 0, count, workspace)
-            assert sum(b.nbytes for b in workspace.values()) == _workspace_bytes(g, k, ensemble, count)
+            _chunk_sums(plan, k, ensemble, 0, 0, count, workspace)
+            assert sum(b.nbytes for b in workspace.values()) == _workspace_bytes(plan, k, ensemble, count)
 
 
 def _directed_cycle(n: int) -> DirectedMultigraph:
@@ -297,15 +425,17 @@ def _directed_cycle(n: int) -> DirectedMultigraph:
 
 @pytest.mark.parametrize("ensemble", [Ensemble.COMPLEX_GAUSSIAN, Ensemble.COMPLEX_SPHERE], ids=lambda e: e.value)
 def test_a_worker_holds_one_copy_of_the_draws(ensemble):
-    """Besides the 16 n k count bytes of the draws themselves, a complex
-    chunk's workspace takes one bounded scratch buffer and a few
-    sample-length rows, never a second copy of the draws."""
-    cycle = _directed_cycle(64)
+    """Besides the 16 n k count bytes of the draws of the n drawn vertices
+    (a cycle's anchor takes none), a complex chunk's workspace takes one
+    bounded scratch buffer and a few sample-length rows, never a second copy
+    of the draws."""
+    cycle = _anchored(_directed_cycle(65))
     for k in (1, 2, 3, 8):
         assert _workspace_bytes(cycle, k, ensemble, CHUNK_SIZE) < 1.5 * 16 * 64 * k * CHUNK_SIZE, k
-    # The largest cycle the guard admits at k = 2.
-    assert _workspace_bytes(_directed_cycle(3275), 2, ensemble, CHUNK_SIZE) <= WORKSPACE_LIMIT
-    assert _workspace_bytes(_directed_cycle(3276), 2, ensemble, CHUNK_SIZE) > WORKSPACE_LIMIT
+    # The largest cycle the guard admits at k = 2: 3,275 drawn vertices (the
+    # Gaussian's anchor norms fill the last bytes exactly).
+    assert _workspace_bytes(_anchored(_directed_cycle(3276)), 2, ensemble, CHUNK_SIZE) <= WORKSPACE_LIMIT
+    assert _workspace_bytes(_anchored(_directed_cycle(3277)), 2, ensemble, CHUNK_SIZE) > WORKSPACE_LIMIT
 
 
 def test_an_oversized_workspace_is_refused_before_sampling(monkeypatch):
@@ -318,7 +448,7 @@ def test_an_oversized_workspace_is_refused_before_sampling(monkeypatch):
     monkeypatch.setattr(sampling, "draw_assignments", no_draws)
     with pytest.raises(GuardExceededError, match="bytes of chunk buffers per worker") as refusal:
         estimate_q(cycle, 2, Ensemble.COMPLEX_SPHERE, 10**5, seed=0)
-    assert refusal.value.required == _workspace_bytes(cycle, 2, Ensemble.COMPLEX_SPHERE, CHUNK_SIZE)
+    assert refusal.value.required == _workspace_bytes(_anchored(cycle), 2, Ensemble.COMPLEX_SPHERE, CHUNK_SIZE)
     assert refusal.value.limit == WORKSPACE_LIMIT < refusal.value.required
     monkeypatch.undo()
     assert estimate_q(cycle, 2, Ensemble.COMPLEX_SPHERE, 2, seed=0).n_samples == 2  # one 2-sample chunk fits
@@ -379,58 +509,63 @@ def test_estimate_validation(fig1, figure_eight):
             estimate_q(fig1, k, Ensemble.COMPLEX_SPHERE, 100, seed=0)
 
 
-# Exact to_json() output of estimate_q, recorded with the chunk kernel of
-# commit 5182066 (numpy 2.4, x86-64). Any change to the draw stream, the norm
-# or scaling arithmetic, the edge products or the reduction order changes
-# these bytes. Another numpy build may round complex products differently;
-# re-record them there from a known-good kernel, not from the one under test.
+# Exact to_json() output of estimate_q, recorded with the anchored chunk
+# kernel (one vertex per component pinned at |x_a| e1, a Gaussian anchor's
+# squared norm drawn as a gamma variate after the chunk's normals; numpy 2.4,
+# x86-64) at workers 1 and 2, and each recorded only after its mean had
+# passed the check of test_anchored_estimates_land_within_five_exact_standard_errors:
+# within 5 exact standard errors of predicted_q, the exact SE taken from q of
+# the doubled graph. The rows span both graph kinds, all four ensembles, k up
+# to 9 (k >= 8 sums squared norms with numpy's pairwise reduce), partial and
+# one-sample last chunks, n = 2 and seed 2^64 - 1. Any change to the draw
+# stream, the anchors, the norm or scaling arithmetic, the edge products or
+# the reduction order changes these bytes. Another numpy build may round
+# complex products differently; re-record them there from a known-good
+# kernel, not from the one under test.
 GOLDEN_ESTIMATES = [
     ("fig1", 2, Ensemble.COMPLEX_SPHERE, 20_000, 7,
-     '{"mean_re": 0.12431458461110513, "mean_im": -2.0707260171287212e-06, '
-     '"std_error": 0.0012331241030759058, "n": 20000, "k": 2, "ensemble": "complex-sphere", "seed": 7}'),
+     '{"mean_re": 0.12326961639378883, "mean_im": -0.0009546472813352679, '
+     '"std_error": 0.0012307360644103886, "n": 20000, "k": 2, "ensemble": "complex-sphere", "seed": 7}'),
     ("fig1", 3, Ensemble.COMPLEX_GAUSSIAN, 20_000, 7,
-     '{"mean_re": 0.04924057551011192, "mean_im": 0.0003404021985064245, '
-     '"std_error": 0.0017838356794090111, "n": 20000, "k": 3, "ensemble": "complex-gaussian", "seed": 7}'),
+     '{"mean_re": 0.04833975637481934, "mean_im": -0.0008537012450139347, '
+     '"std_error": 0.0017624423807031681, "n": 20000, "k": 3, "ensemble": "complex-gaussian", "seed": 7}'),
     ("fig1", 1, Ensemble.COMPLEX_SPHERE, 20_000, 7,
-     '{"mean_re": 1.0, "mean_im": -5.16402312893122e-19, '
+     '{"mean_re": 1.0, "mean_im": 1.9010946608884423e-19, '
      '"std_error": 0.0, "n": 20000, "k": 1, "ensemble": "complex-sphere", "seed": 7}'),
     ("digon16", 2, Ensemble.COMPLEX_SPHERE, 20_000, 11,
-     '{"mean_re": 0.057930846712403096, "mean_im": -1.5866837873859696e-19, '
-     '"std_error": 0.0011434549289177063, "n": 20000, "k": 2, "ensemble": "complex-sphere", "seed": 11}'),
+     '{"mean_re": 0.057895970538421715, "mean_im": 3.7423585223472807e-20, '
+     '"std_error": 0.0011321983244843943, "n": 20000, "k": 2, "ensemble": "complex-sphere", "seed": 11}'),
     ("looped", 3, Ensemble.REAL_SPHERE, 20_000, 5,
-     '{"mean_re": -0.00028080513281008115, "mean_im": 0.0, '
-     '"std_error": 0.0013008968852043082, "n": 20000, "k": 3, "ensemble": "real-sphere", "seed": 5}'),
+     '{"mean_re": 0.0022134459693143368, "mean_im": 0.0, '
+     '"std_error": 0.0012874143673392438, "n": 20000, "k": 3, "ensemble": "real-sphere", "seed": 5}'),
     ("looped", 3, Ensemble.REAL_GAUSSIAN, 20_000, 5,
-     '{"mean_re": 0.026157407708062942, "mean_im": 0.0, '
-     '"std_error": 0.023004984732553066, "n": 20000, "k": 3, "ensemble": "real-gaussian", "seed": 5}'),
+     '{"mean_re": -0.01790380614236972, "mean_im": 0.0, '
+     '"std_error": 0.011650862299854483, "n": 20000, "k": 3, "ensemble": "real-gaussian", "seed": 5}'),
     ("fig1", 2, Ensemble.COMPLEX_SPHERE, 100_003, 3,  # a partial last chunk
-     '{"mean_re": 0.124190956301962, "mean_im": 0.00016673437888420077, '
-     '"std_error": 0.0005514310092547803, "n": 100003, "k": 2, "ensemble": "complex-sphere", "seed": 3}'),
+     '{"mean_re": 0.12509309270169777, "mean_im": 0.00026327571123503624, '
+     '"std_error": 0.0005538697703453628, "n": 100003, "k": 2, "ensemble": "complex-sphere", "seed": 3}'),
     ("looped", 3, Ensemble.REAL_GAUSSIAN, 100_003, 3,
-     '{"mean_re": -0.006444813612035809, "mean_im": 0.0, '
-     '"std_error": 0.005798783926294078, "n": 100003, "k": 3, "ensemble": "real-gaussian", "seed": 3}'),
+     '{"mean_re": 0.011787096180680247, "mean_im": 0.0, '
+     '"std_error": 0.008429993507434353, "n": 100003, "k": 3, "ensemble": "real-gaussian", "seed": 3}'),
     ("fig1", 2, Ensemble.COMPLEX_GAUSSIAN, 2, 0,
-     '{"mean_re": -0.011156785913661562, "mean_im": 0.0011544714214414093, '
-     '"std_error": 0.05092065560241296, "n": 2, "k": 2, "ensemble": "complex-gaussian", "seed": 0}'),
-    ("fig1", 2, Ensemble.COMPLEX_SPHERE, 9_000, 2**64 - 1,
-     '{"mean_re": 0.1271142555748319, "mean_im": 0.0004886713335547022, '
-     '"std_error": 0.0018637475591736718, "n": 9000, "k": 2, "ensemble": "complex-sphere", '
+     '{"mean_re": 0.014755989521749956, "mean_im": -0.004120368732654985, '
+     '"std_error": 0.013371278218829915, "n": 2, "k": 2, "ensemble": "complex-gaussian", "seed": 0}'),
+    ("fig1", 2, Ensemble.COMPLEX_SPHERE, 9000, 2**64 - 1,
+     '{"mean_re": 0.1257060220137983, "mean_im": -0.0003115738875300987, '
+     '"std_error": 0.0018536501301356875, "n": 9000, "k": 2, "ensemble": "complex-sphere", '
      '"seed": 18446744073709551615}'),
-    # Recorded with the kernel of commit 25ad5df: k >= 8 sums squared norms
-    # with numpy's pairwise reduce, and n = 3 * CHUNK_SIZE + 1 ends in a
-    # one-sample chunk.
     ("fig1", 8, Ensemble.COMPLEX_SPHERE, 20_000, 13,
-     '{"mean_re": 0.001949001307474823, "mean_im": -6.587390767374259e-05, '
-     '"std_error": 5.210120275808206e-05, "n": 20000, "k": 8, "ensemble": "complex-sphere", "seed": 13}'),
+     '{"mean_re": 0.001963985848671297, "mean_im": 8.992653803668197e-06, '
+     '"std_error": 5.1957160284863586e-05, "n": 20000, "k": 8, "ensemble": "complex-sphere", "seed": 13}'),
     ("fig1", 9, Ensemble.COMPLEX_SPHERE, 20_000, 13,
-     '{"mean_re": 0.001405274304263391, "mean_im": 1.2257915548087759e-05, '
-     '"std_error": 3.9858627047758196e-05, "n": 20000, "k": 9, "ensemble": "complex-sphere", "seed": 13}'),
+     '{"mean_re": 0.0013511514045815803, "mean_im": 1.8128181886523153e-05, '
+     '"std_error": 3.9845122193714845e-05, "n": 20000, "k": 9, "ensemble": "complex-sphere", "seed": 13}'),
     ("looped", 8, Ensemble.REAL_SPHERE, 20_000, 13,
-     '{"mean_re": -0.0004775149786134797, "mean_im": 0.0, '
-     '"std_error": 0.00020785859247320307, "n": 20000, "k": 8, "ensemble": "real-sphere", "seed": 13}'),
-    ("fig1", 2, Ensemble.COMPLEX_GAUSSIAN, 24_577, 5,
-     '{"mean_re": 0.1983988938478798, "mean_im": 0.0001237483705202535, '
-     '"std_error": 0.0077369140162797095, "n": 24577, "k": 2, "ensemble": "complex-gaussian", "seed": 5}'),
+     '{"mean_re": 1.6954554539496016e-05, "mean_im": 0.0, '
+     '"std_error": 0.00020920117647383864, "n": 20000, "k": 8, "ensemble": "real-sphere", "seed": 13}'),
+    ("fig1", 2, Ensemble.COMPLEX_GAUSSIAN, 24_577, 5,  # 3 * CHUNK_SIZE + 1: a one-sample last chunk
+     '{"mean_re": 0.1811836213839958, "mean_im": -0.003679307788137715, '
+     '"std_error": 0.006199524991603494, "n": 24577, "k": 2, "ensemble": "complex-gaussian", "seed": 5}'),
 ]
 
 
@@ -451,10 +586,13 @@ def test_mcestimate_json_fields(fig1):
 
 
 def test_underflowed_products_are_counted_at_any_worker_count():
-    """The edge product |<x_0, x_1>|^1200 of 600 edges each way between two
-    vertices underflows to 0.0 in about half the samples. The count is summed
-    over chunks, so it is the same at any worker count, and the samples of
-    the second chunk add to those of the first."""
+    """The edge product of 600 edges each way between two vertices is
+    |x_1[0]|^1200, vertex 0 being the anchor at e1. At k = 2, |x_1[0]|^2 is
+    uniform on [0, 1], so the product falls below the least subnormal
+    double, 2^-1074, and underflows to 0.0 in about 29% of the samples
+    (where |x_1[0]|^2 < 0.289). The count is summed over chunks, so it is
+    the same at any worker count, and the samples of the second chunk add
+    to those of the first."""
     thick = DirectedMultigraph(2, ((0, 1), (1, 0)) * 600)
     n = CHUNK_SIZE + 100
     (count,) = {estimate_q(thick, 2, Ensemble.COMPLEX_SPHERE, n, 5, workers=w).zero_products for w in (1, 2)}
