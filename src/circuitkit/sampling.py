@@ -14,20 +14,19 @@ for the other vertices that carry an edge. A sphere anchor is e1; a Gaussian
 anchor's squared norm is one gamma variate per sample.
 
 Reproducibility contract: sampling is split into fixed-size chunks; chunk c
-draws from a Philox generator keyed with the 128-bit value
-(seed << 64) | c, its normals first and then, for a Gaussian ensemble, its
-anchors' gamma variates, and chunk results are reduced in chunk order. The
-chunk layout depends only on n_samples, so a run is bit-identical for any
-worker count, not just for a fixed one.
+draws from an SFC64 generator seeded by SeedSequence(seed, spawn_key=(c,)),
+which hashes each (seed, chunk) pair into a stream of its own: its normals
+first and then, for a Gaussian ensemble, its anchors' gamma variates. Chunk
+results are reduced in chunk order. The chunk layout depends only on
+n_samples, so a run is bit-identical for any worker count, not just for a
+fixed one.
 
 Each worker thread runs its chunks through one workspace, a dict of flat
 buffers sized on its first chunk, so chunks do not allocate. It holds one
-copy of a chunk's draws, of the drawn vertices only, and one scratch buffer
-bounded by SLAB_SIZE samples (or by one vertex's rows), plus a few
-sample-length rows (two more per anchor for a Gaussian ensemble). Complex
-draws are stored sample-last, (vertex_count, k, count), so norms and inner products
-run along contiguous sample rows; real draws stay (count, vertex_count, k).
-Neither layout changes a bit of the result.
+copy of a chunk's draws, of the drawn vertices only, stored sample-last,
+(vertex_count, k, count), so that norms and inner products run along
+contiguous rows of samples, plus one vertex's rows of scratch and a few
+sample-length rows (two more per anchor for a Gaussian ensemble).
 
 numpy, and the thread pool of a multi-worker run, are imported by the
 functions that draw or multiply vectors, on first use. The exact path
@@ -39,6 +38,7 @@ from __future__ import annotations
 
 import os
 import threading
+from collections import Counter
 from fractions import Fraction
 from math import prod, sqrt
 from typing import TYPE_CHECKING, NamedTuple
@@ -52,7 +52,6 @@ if TYPE_CHECKING:
     import numpy as np
 
 CHUNK_SIZE = 8192
-SLAB_SIZE = 4096  # samples per pass through the scratch buffer
 WORKSPACE_LIMIT = 2**30  # bytes of chunk buffers per worker thread
 
 
@@ -92,10 +91,11 @@ class MCEstimate(NamedTuple):
 
 
 def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
+    """The generator of chunk `chunk_index`: SFC64 seeded by the SeedSequence
+    of `seed` spawned at key (chunk_index,)."""
     import numpy as np
 
-    key = (seed << 64) | chunk_index
-    return np.random.Generator(np.random.Philox(key=key))
+    return np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed, spawn_key=(chunk_index,))))
 
 
 class _Anchored(NamedTuple):
@@ -161,108 +161,45 @@ def _buffer(workspace: dict, name: str, shape: tuple[int, ...], dtype) -> np.nda
 
 def draw_assignments(rng: np.random.Generator, count: int, vertex_count: int, k: int,
                      ensemble: Ensemble, workspace: dict | None = None) -> np.ndarray:
-    """(count, vertex_count, k) array of ensemble draws.
+    """(count, vertex_count, k) array of ensemble draws, a transposed view of
+    their C-contiguous sample-last storage, (vertex_count, k, count).
 
     estimate_q asks for its drawn vertices only (see _anchored): an anchor
     takes no draw here, and a Gaussian anchor's norm is drawn after these
     normals, from the same generator (_chunk_sums).
 
-    Complex draws take all real parts of the chunk as one standard-normal
-    block of that shape, then all imaginary parts as the next block (the
-    stream of one (2, count, vertex_count, k) draw). Each block is drawn
-    SLAB_SIZE samples at a time through the scratch buffer, which continues
-    the same Philox stream. Sphere ensembles normalize each vector; Gaussian
-    ensembles scale componentwise to variance 1/k (split over the real and
-    imaginary parts in the complex case), so E[|x|^2] = 1 throughout.
-
-    Complex draws are stored sample-last: the result is a transposed view of
-    a C-contiguous (vertex_count, k, count) array, so that the norms here and
-    the inner products of _batch_products run along contiguous sample rows.
-    Real draws are C-contiguous (count, vertex_count, k): their inner
-    products change in the last bit in the sample-last layout from k = 3 on.
+    One standard_normal call fills the storage in place: the normal block
+    of shape (vertex_count, k, count), or (vertex_count, k, count, 2) for
+    complex draws, whose float64 view it is, each entry's real and
+    imaginary parts side by side. Gaussian ensembles scale it by 1/sqrt(k),
+    or 1/sqrt(2k) for complex draws, so E[|x|^2] = 1. Sphere ensembles
+    normalize each vector, a vertex at a time: its k rows of squares are
+    summed into a row of squared norms (re and im parts added pairwise for
+    complex draws), whose reciprocal square roots scale the rows.
 
     `workspace` is a dict of reusable buffers (see _buffers): the draws live
     in its "draws" buffer and every temporary in its "scratch" one, and the
     next call through the same dict overwrites them. Without one, each call
     allocates its own.
-
-    The result is bit-identical to x / sqrt(2k) or x / sqrt(k) (Gaussian)
-    and x / np.linalg.norm(x, axis=2, keepdims=True) (sphere), with less
-    numpy work and memory:
-    - the complex Gaussian factor is applied as each slab is copied into the
-      draws;
-    - squared norms are (x.conj() * x).real, as np.linalg.norm computes them
-      (re*re + im*im can differ in the last bit; real draws use x * x),
-      summed over the k columns as numpy's reduce sums them
-      (_pairwise_column_sum), one vertex at a time (complex) or one slab of
-      samples at a time (real);
-    - complex draws are scaled by the reciprocal, re and im each times 1/r:
-      numpy's complex-by-real division computes exactly that;
-    - real draws keep true division, x /= r: a reciprocal would change
-      their last bit.
     """
     import numpy as np
 
     ws = {} if workspace is None else workspace
-    slab = min(SLAB_SIZE, count)
-    if not ensemble.is_complex:
-        x = rng.standard_normal(out=_buffer(ws, "draws", (count, vertex_count, k), np.float64))
-        if ensemble.is_gaussian:
-            x /= sqrt(k)
-            return x
-        squares, norm = _buffers(ws, "scratch", ((slab, vertex_count, k), np.float64),
-                                 ((slab, vertex_count), np.float64))
-        for start in range(0, count, SLAB_SIZE):
-            part = x[start:start + SLAB_SIZE]
-            rows = norm[:len(part)]
-            _pairwise_column_sum(np.multiply(part, part, out=squares[:len(part)]), rows)
-            part /= np.sqrt(rows, out=rows)[..., None]
-        return x
-    x = _buffer(ws, "draws", (vertex_count, k, count), np.complex128)
-    normal = _buffer(ws, "scratch", (slab, vertex_count, k), np.float64)
-    for part in (x.real, x.imag):
-        for start in range(0, count, SLAB_SIZE):
-            block = rng.standard_normal(out=normal[:count - start]).transpose(1, 2, 0)
-            if ensemble.is_gaussian:
-                np.multiply(block, 1 / sqrt(2 * k), out=part[..., start:start + SLAB_SIZE])
-            else:
-                part[..., start:start + SLAB_SIZE] = block
-    if not ensemble.is_gaussian:
-        conj, squares, norm = _buffers(ws, "scratch", ((k, count), np.complex128),
-                                       ((k, count), np.complex128), ((count,), np.float64))
-        for v in range(vertex_count):  # a vertex at a time keeps the temporaries small
-            np.multiply(np.conjugate(x[v], out=conj), x[v], out=squares)
-            # The spent conjugates take the copy with k last that k >= 8 needs.
-            _pairwise_column_sum(squares.real.T, norm, conj.view(np.float64).reshape(-1))
-            reciprocal = np.divide(1, np.sqrt(norm, out=norm), out=norm)
-            for part in (x[v].real, x[v].imag):
-                np.multiply(part, reciprocal, out=part)
+    x = _buffer(ws, "draws", (vertex_count, k, count), np.complex128 if ensemble.is_complex else np.float64)
+    normals = rng.standard_normal(out=x.view(np.float64))
+    if ensemble.is_gaussian:
+        normals *= 1 / sqrt(2 * k if ensemble.is_complex else k)
+        return x.transpose(2, 0, 1)
+    width = normals.shape[-1]
+    squares, norms = _buffers(ws, "scratch", ((k, width), np.float64), ((width,), np.float64))
+    for rows in normals:
+        np.add.reduce(np.multiply(rows, rows, out=squares), axis=0, out=norms)
+        if ensemble.is_complex:  # a sample's re and im squares, summed into both slots
+            pairs = norms.reshape(count, 2)
+            np.add(pairs[:, 0], pairs[:, 1], out=pairs[:, 0])
+            pairs[:, 1] = pairs[:, 0]
+        rows *= np.divide(1, np.sqrt(norms, out=norms), out=norms)
     return x.transpose(2, 0, 1)
-
-
-def _pairwise_column_sum(a: np.ndarray, out: np.ndarray, spare: np.ndarray | None = None) -> np.ndarray:
-    """Sum over the last axis of `a` into `out`, bit-identical to np.add.reduce(a, axis=-1).
-
-    numpy's pairwise summation adds fewer than 8 terms left to right, so
-    short rows are summed a whole column at a time, which is faster there;
-    from 8 terms on numpy's reduce is the faster of the two. It sums
-    pairwise only along an axis it walks innermost, so there an `a` that is
-    not C-contiguous is first copied into the leading elements of the flat
-    array `spare`.
-    """
-    import numpy as np
-
-    n = a.shape[-1]
-    if n >= 8:
-        if not a.flags.c_contiguous:
-            copy = spare[:a.size].reshape(a.shape)
-            np.copyto(copy, a)
-            a = copy
-        return np.add.reduce(a, axis=-1, out=out)
-    np.copyto(out, a[..., 0])
-    for i in range(1, n):
-        out += a[..., i]
-    return out
 
 
 def sample_vector(k: int, ensemble: Ensemble, rng: np.random.Generator) -> np.ndarray:
@@ -275,7 +212,9 @@ def sample_vector(k: int, ensemble: Ensemble, rng: np.random.Generator) -> np.nd
 def _batch_products(plan: _Anchored, x: np.ndarray, norms: np.ndarray | None = None,
                     workspace: dict | None = None) -> np.ndarray:
     """Per-sample product of edge inner products for a (count, rows, k) batch
-    of the drawn vertices of `plan`.
+    of the drawn vertices of `plan`, read sample-last, as draw_assignments
+    stores it, so every inner product is one "is,is->s" einsum along
+    contiguous rows of samples.
 
     Anchors sit at |x_a|·e1 (see _anchored). `norms` is None for a sphere
     ensemble, whose anchors are e1, or the (2, anchors, count) rows of each
@@ -285,68 +224,48 @@ def _batch_products(plan: _Anchored, x: np.ndarray, norms: np.ndarray | None = N
     an anchor is |x_a|^2, and a factor of 1, skipped, on a sphere.
 
     Each distinct ordered pair (u, v) gets one inner product per sample,
-    kept in a row of its own when a later edge uses it again, and the
-    products are multiplied in file edge order, so a parallel edge costs one
-    multiply. Complex batches (a directed graph's) conjugate the tail's
-    (k, count) rows into the scratch buffer just before its pair's inner
-    product, unless they are already there, and are read sample-last, as
-    draw_assignments stores them; the (k, count) einsum gives the same bits
-    as the (count, k) one there. `workspace` is as in draw_assignments; the
-    returned row lives in it.
+    raised to its multiplicity by repeated squaring, and the pairs are
+    multiplied in order of first use. Complex batches (a directed graph's)
+    conjugate the tail's (k, count) rows into the scratch buffer just before
+    its pair's inner product, unless they are already there. `workspace` is
+    as in draw_assignments; the returned row lives in it.
     """
     import numpy as np
 
     ws = {} if workspace is None else workspace
     count = x.shape[0]
+    x = x.transpose(1, 2, 0)
+    first = x[:, 0]
     conjugate = np.iscomplexobj(x)  # a directed graph's tails
-    if conjugate:
-        x, subscripts = x.transpose(1, 2, 0), "is,is->s"
-        first = x[:, 0]
-    else:
-        x, subscripts = x.transpose(1, 0, 2), "si,si->s"
-        first = x[..., 0]
     tail = _buffer(ws, "scratch", x.shape[1:], x.dtype) if conjugate else None
     conjugated = None  # the row whose conjugate the tail holds
-    rows = _reused_pair_rows(plan.edges)
-    inner = _buffer(ws, "inner", (len(rows) + 1, count), x.dtype)  # the last row serves single-use pairs
-    ready: dict[tuple[int, int], np.ndarray] = {}
-    values, spare = _buffer(ws, "products", (2, count), x.dtype)
+    values, spare, inner = _buffer(ws, "products", (3, count), x.dtype)
     values.fill(1)
-    for u, v in plan.edges:
+    for (u, v), power in Counter(plan.edges).items():
         if u == v < 0 and norms is None:
             continue  # a loop at a sphere anchor: |e1|^2 = 1
-        ip = ready.get((u, v))
-        if ip is None:
-            out = inner[rows.get((u, v), -1)]
-            if u >= 0 and v >= 0:
-                if conjugate and conjugated != u:
-                    np.conjugate(x[u], out=tail)
-                    conjugated = u
-                ip = np.einsum(subscripts, tail if conjugate else x[u], x[v], out=out)
-            elif u == v:
-                ip = norms[0, ~u]
-            else:
-                ip = first[v] if u < 0 else np.conjugate(first[u], out=out)
-                if norms is not None:
-                    ip = np.multiply(ip, norms[1, ~min(u, v)], out=out)
-            if (u, v) in rows:
-                ready[u, v] = ip
-        # Into the other row, not in place: for a one-sample chunk numpy's
-        # in-place complex product differs from the out-of-place one in the
-        # last bit.
-        values, spare = np.multiply(values, ip, out=spare), values
+        if u >= 0 and v >= 0:
+            if conjugate and conjugated != u:
+                np.conjugate(x[u], out=tail)
+                conjugated = u
+            ip = np.einsum("is,is->s", tail if conjugate else x[u], x[v], out=inner)
+        elif u == v:
+            ip = norms[0, ~u]
+        else:
+            ip = first[v] if u < 0 else np.conjugate(first[u], out=inner)
+            if norms is not None:
+                ip = np.multiply(ip, norms[1, ~min(u, v)], out=inner)
+        while True:
+            if power % 2:
+                # Into the other row, not in place: for a one-sample chunk
+                # numpy's in-place complex product differs from the
+                # out-of-place one in the last bit.
+                values, spare = np.multiply(values, ip, out=spare), values
+            power //= 2
+            if not power:
+                break
+            ip = np.multiply(ip, ip, out=inner)
     return values
-
-
-def _reused_pair_rows(edges: tuple[tuple[int, int], ...]) -> dict[tuple[int, int], int]:
-    """Row index, in first-use order, of each ordered pair that labels more than one edge."""
-    seen: set[tuple[int, int]] = set()
-    rows: dict[tuple[int, int], int] = {}
-    for edge in edges:
-        if edge in seen:
-            rows.setdefault(edge, len(rows))
-        seen.add(edge)
-    return rows
 
 
 def _chunk_sums(plan: _Anchored, k: int, ensemble: Ensemble, seed: int, c: int, count: int,
@@ -383,30 +302,19 @@ def _workspace_bytes(plan: _Anchored, k: int, ensemble: Ensemble, count: int) ->
     `plan`, for an ensemble that matches its graph (complex draws on a
     directed graph).
 
-    With n = len(plan.drawn), the drawn vertices, p the number of reused
-    pairs, f the bytes of a field element (16 complex, 8 real) and
-    s = min(SLAB_SIZE, count), that is f·count·(n·k + p + 3) + 8·count for
-    the draws, inner products, products and |values|, plus 16·count per
-    anchor for a Gaussian's |x_a|^2 and |x_a|, plus the scratch buffer: the
-    larger of a normal slab, 8·s·n·k, and a conjugated tail, 16·k·count
-    (complex Gaussian); the larger of those and one vertex's conjugates,
-    squares and norms, (32·k + 8)·count (complex sphere); 8·s·n·(k + 1) for
-    a slab's squares and norms (real sphere); nothing (real Gaussian).
-    Anchors and isolated vertices take no draws.
+    With n = len(plan.drawn), the drawn vertices, and f the bytes of a field
+    element (16 complex, 8 real), that is f·count·(n·k + 3) + 8·count for
+    the draws, the product, spare and inner product rows and |values|, plus
+    16·count per anchor for a Gaussian's |x_a|^2 and |x_a|, plus the scratch
+    buffer: one vertex's squares and squared norms, f·(k + 1)·count
+    (sphere), or a conjugated tail, 16·k·count (complex Gaussian), or
+    nothing (real Gaussian). Anchors and isolated vertices take no draws.
     """
-    n = len(plan.drawn)
-    slab = min(SLAB_SIZE, count)
     field = 16 if ensemble.is_complex else 8
-    total = field * count * (n * k + len(_reused_pair_rows(plan.edges)) + 3) + 8 * count
-    if ensemble.is_gaussian:
-        total += 16 * len(plan.anchors) * count
-    if ensemble.is_complex:
-        scratch = max(8 * slab * n * k, 16 * k * count)
-        if not ensemble.is_gaussian:
-            scratch = max(scratch, (32 * k + 8) * count)
-    else:
-        scratch = 0 if ensemble.is_gaussian else 8 * slab * n * (k + 1)
-    return total + scratch
+    total = field * count * (len(plan.drawn) * k + 3) + 8 * count
+    if not ensemble.is_gaussian:
+        return total + field * (k + 1) * count
+    return total + 16 * len(plan.anchors) * count + (16 * k * count if ensemble.is_complex else 0)
 
 
 def estimate_q(g: Multigraph, k: int, ensemble: Ensemble, n_samples: int, seed: int,
@@ -417,12 +325,12 @@ def estimate_q(g: Multigraph, k: int, ensemble: Ensemble, n_samples: int, seed: 
     (threads, at most one per chunk and per CPU the process may run on); the
     standard error is the per-sample standard deviation of the complex
     values over sqrt(n_samples).
-    The seed must lie in [0, 2**64): it is the high half of every chunk's
-    Philox key, so no two seeds share a stream. One vertex per connected
-    component is pinned at |x_a|·e1 and takes no draw (_anchored). Each
-    worker thread runs its chunks through one workspace; a run whose
-    workspace would pass WORKSPACE_LIMIT bytes is refused before any
-    sampling.
+    The seed must lie in [0, 2**64): it is the entropy of every chunk's
+    SeedSequence, spawned at the chunk index (_chunk_rng). One vertex per
+    connected component is pinned at |x_a|·e1 and takes no draw
+    (_anchored). Each worker thread runs its chunks through one workspace;
+    a run whose workspace would pass WORKSPACE_LIMIT bytes is refused before
+    any sampling.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -441,7 +349,8 @@ def estimate_q(g: Multigraph, k: int, ensemble: Ensemble, n_samples: int, seed: 
     if required > WORKSPACE_LIMIT:
         raise GuardExceededError(
             f"Monte Carlo refused (bytes of chunk buffers per worker: one copy of the draws, {chunk}"
-            f" samples x {len(plan.drawn)} drawn vertices x k = {k}, plus scratch)", required, WORKSPACE_LIMIT)
+            f" samples x {len(plan.drawn)} drawn vertices x k = {k}, plus one vertex's rows of scratch)",
+            required, WORKSPACE_LIMIT)
 
     workspaces = threading.local()  # one per thread, so its chunks reuse one set of buffers
 

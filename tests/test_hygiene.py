@@ -4,7 +4,8 @@ reads (an export alone is not a caller) and no public method that none
 reads as an attribute, an export list that resolves, a contraction oracle
 that imports nothing from the modules it checks, no engine module that
 imports the oracles in checks, one vertex-order planner, one pairing-loop
-count, one slot table of half-edges, one plane check (only
+count, one slot table of half-edges, one place in sampling that builds a
+numpy generator (_chunk_rng), one plane check (only
 PlanarMap's constructor raises EmbeddingError), a map side that takes only
 the engine from partition, one module that lifts the int-digit limit for
 printing, no module that loads the sampling-only dependencies at import
@@ -433,6 +434,40 @@ def test_only_the_command_layer_lifts_the_int_digit_limit():
     users = [path.name for path in sorted(PACKAGE_DIR.glob("*.py"))
              if "set_int_max_str_digits" in _names_mentioned(_tree(path))]
     assert users == ["cli.py"]
+
+
+# numpy's generator and bit generator classes and the functions that build
+# or seed one.
+GENERATOR_BUILDERS = ("Generator", "default_rng", "RandomState", "SeedSequence", "BitGenerator",
+                      "SFC64", "PCG64", "PCG64DXSM", "Philox", "MT19937")
+
+
+def _generator_sites(tree: ast.Module) -> set[str]:
+    """The sites (see _sites) where `tree` calls a GENERATOR_BUILDERS name,
+    by attribute (np.random.SFC64(...)) or by a name imported from
+    numpy.random; an annotation that names a class builds nothing."""
+    return _sites(tree, lambda node: isinstance(node, ast.Call) and (
+        (isinstance(node.func, ast.Attribute) and node.func.attr in GENERATOR_BUILDERS)
+        or (isinstance(node.func, ast.Name) and node.func.id in GENERATOR_BUILDERS)))
+
+
+@pytest.mark.parametrize("source, expected", [
+    ("def f():\n    return np.random.Generator(np.random.SFC64(1))", {"f"}),
+    ("def f():\n    return numpy.random.default_rng(3)", {"f"}),
+    ("from numpy.random import PCG64\ndef f():\n    return PCG64(1)", {"f"}),
+    ("rng = np.random.RandomState(0)", {"<module>"}),
+    ("class A:\n    def f(self):\n        return np.random.SeedSequence(1).spawn(2)", {"A.f"}),
+    ("def f(rng: np.random.Generator) -> np.random.Generator:\n    return rng.standard_normal(3)", set()),
+])
+def test_generator_scan_sees_every_form(source, expected):
+    assert _generator_sites(ast.parse(source)) == expected
+
+
+def test_sampling_builds_a_generator_only_in_chunk_rng():
+    """Every draw of estimate_q comes from the stream that _chunk_rng
+    defines, so no other code in sampling builds or seeds a numpy
+    generator."""
+    assert _generator_sites(_tree(PACKAGE_DIR / "sampling.py")) == {"_chunk_rng"}
 
 
 # Loaded on first use by the code that samples, never at import time: every

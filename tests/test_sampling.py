@@ -25,10 +25,10 @@ from circuitkit.errors import GuardExceededError
 from circuitkit.graphs import edge_components
 from circuitkit.sampling import (
     CHUNK_SIZE,
-    SLAB_SIZE,
     WORKSPACE_LIMIT,
     _anchored,
     _batch_products,
+    _chunk_rng,
     _chunk_sums,
     _workspace_bytes,
     draw_assignments,
@@ -83,24 +83,56 @@ def test_real_gaussian_component_variance():
 
 @pytest.mark.parametrize("ensemble", ALL_ENSEMBLES, ids=lambda e: e.value)
 def test_draws_equal_the_plain_numpy_formulas(ensemble):
-    """draw_assignments normalizes with less numpy work than the textbook
-    formulas, but to the same bits, at short and long vectors alike, and
-    draws in slabs of SLAB_SIZE samples the stream of one whole block: the
-    longer count spans several slabs and ends in a partial one. Complex
-    draws come back as a transposed view of sample-last storage, so their
-    bits are read from a contiguous copy."""
+    """draw_assignments takes one normal block of shape (n, k, c), or
+    (n, k, c, 2) for complex draws (each entry's re and im side by side),
+    from the chunk's generator, and scales or normalizes it as the textbook
+    formulas do, up to rounding: it multiplies by a reciprocal, and sums the
+    2k (complex) or k squares of a norm row by row where np.linalg.norm sums
+    them pairwise, so the two differ by at most about 2k + 8 units in the
+    last place."""
     n = 3
-    for count, ks in ((9, [*range(1, 21), 64, 129, 300]), (2 * SLAB_SIZE + 5, [1, 3, 8, 9])):
+    for count, ks in ((9, [*range(1, 21), 64, 129, 300]), (CHUNK_SIZE, [1, 3, 8, 9])):
         for k in ks:
-            x = draw_assignments(rng(k), count, n, k, ensemble)
-            raw = rng(k).standard_normal((2 if ensemble.is_complex else 1, count, n, k))
-            plain = raw[0] + 1j * raw[1] if ensemble.is_complex else raw[0]
+            x = draw_assignments(_chunk_rng(k, 0), count, n, k, ensemble)
+            raw = _chunk_rng(k, 0).standard_normal((n, k, count, 2) if ensemble.is_complex else (n, k, count))
+            plain = (raw[..., 0] + 1j * raw[..., 1] if ensemble.is_complex else raw).transpose(2, 0, 1)
             if ensemble.is_gaussian:
                 plain = plain / np.sqrt(2 * k if ensemble.is_complex else k)
             else:
                 plain = plain / np.linalg.norm(plain, axis=2, keepdims=True)
-            assert plain.dtype == x.dtype
-            assert np.array_equal(np.ascontiguousarray(x).view(np.float64), plain.view(np.float64)), (count, k)
+            assert x.dtype == plain.dtype and x.shape == plain.shape == (count, n, k)
+            tolerance = (2 * k + 8) * np.finfo(np.float64).eps
+            assert np.all(np.abs(x - plain) <= tolerance * np.abs(plain)), (count, k)
+
+
+def test_each_chunk_draws_the_spawned_stream_of_its_seed(monkeypatch):
+    """Chunk c of seed s draws from SFC64 seeded by SeedSequence(s,
+    spawn_key=(c,)); estimate_q takes chunk c's generator from _chunk_rng(s,
+    c), accepts the seeds 0 and 2^64 - 1 and refuses 2^64; different seeds,
+    and different chunks of one seed, start different streams."""
+    from circuitkit import sampling
+
+    seeds, chunks = (0, 1, 2, 2**64 - 1), (0, 1, 2, 122)
+    for seed in seeds:
+        for c in chunks:
+            spawned = np.random.SFC64(np.random.SeedSequence(seed, spawn_key=(c,)))
+            assert np.array_equal(_chunk_rng(seed, c).bit_generator.random_raw(64), spawned.random_raw(64))
+    starts = {tuple(_chunk_rng(seed, c).bit_generator.random_raw(4)) for seed in seeds for c in chunks}
+    assert len(starts) == len(seeds) * len(chunks)
+
+    asked = []
+
+    def spy(seed, c):
+        asked.append((seed, c))
+        return _chunk_rng(seed, c)
+
+    monkeypatch.setattr(sampling, "_chunk_rng", spy)
+    digon = DirectedMultigraph(2, ((0, 1), (1, 0)))
+    for seed in (0, 2**64 - 1):
+        estimate_q(digon, 2, Ensemble.COMPLEX_SPHERE, 2 * CHUNK_SIZE + 1, seed)
+    assert asked == [(seed, c) for seed in (0, 2**64 - 1) for c in range(3)]
+    with pytest.raises(ValueError, match=r"seed must be in \[0, 2\*\*64\)"):
+        estimate_q(digon, 2, Ensemble.COMPLEX_SPHERE, 100, 2**64)
 
 
 # ---------------------------------------------------------------------------
@@ -413,7 +445,7 @@ def test_the_workspace_guard_counts_every_buffer(fig1, ensemble):
     graphs = ((fig1, _THICK_DIGON) if ensemble.is_complex else (_LOOPED_TRIANGLE, UndirectedMultigraph(1, ())))
     for g in (*graphs, _SCATTERED[ensemble.is_complex]):
         plan = _anchored(g)
-        for k, count in ((1, CHUNK_SIZE), (3, CHUNK_SIZE), (2, SLAB_SIZE + 5), (9, 5)):
+        for k, count in ((1, CHUNK_SIZE), (3, CHUNK_SIZE), (2, 4101), (9, 5)):
             workspace: dict = {}
             _chunk_sums(plan, k, ensemble, 0, 0, count, workspace)
             assert sum(b.nbytes for b in workspace.values()) == _workspace_bytes(plan, k, ensemble, count)
@@ -423,19 +455,28 @@ def _directed_cycle(n: int) -> DirectedMultigraph:
     return DirectedMultigraph(n, tuple((v, (v + 1) % n) for v in range(n)))
 
 
-@pytest.mark.parametrize("ensemble", [Ensemble.COMPLEX_GAUSSIAN, Ensemble.COMPLEX_SPHERE], ids=lambda e: e.value)
+# The largest cycle the workspace guard admits at k = 2, by ensemble.
+_LARGEST_CYCLE = {Ensemble.COMPLEX_SPHERE: 4093, Ensemble.COMPLEX_GAUSSIAN: 4093,
+                  Ensemble.REAL_SPHERE: 8189, Ensemble.REAL_GAUSSIAN: 8190}
+
+
+@pytest.mark.parametrize("ensemble", ALL_ENSEMBLES, ids=lambda e: e.value)
 def test_a_worker_holds_one_copy_of_the_draws(ensemble):
-    """Besides the 16 n k count bytes of the draws of the n drawn vertices
-    (a cycle's anchor takes none), a complex chunk's workspace takes one
-    bounded scratch buffer and a few sample-length rows, never a second copy
-    of the draws."""
-    cycle = _anchored(_directed_cycle(65))
+    """Besides the f n k count bytes of the draws of the n drawn vertices
+    (a cycle's anchor takes none; f = 16 complex, 8 real), a chunk's
+    workspace takes one vertex's rows of scratch and a few sample-length
+    rows, never a second copy of the draws."""
+    def cycle(n):
+        if ensemble.is_complex:
+            return _anchored(_directed_cycle(n))
+        return _anchored(UndirectedMultigraph(n, tuple((v, (v + 1) % n) for v in range(n))))
+
+    field = 16 if ensemble.is_complex else 8
     for k in (1, 2, 3, 8):
-        assert _workspace_bytes(cycle, k, ensemble, CHUNK_SIZE) < 1.5 * 16 * 64 * k * CHUNK_SIZE, k
-    # The largest cycle the guard admits at k = 2: 3,275 drawn vertices (the
-    # Gaussian's anchor norms fill the last bytes exactly).
-    assert _workspace_bytes(_anchored(_directed_cycle(3276)), 2, ensemble, CHUNK_SIZE) <= WORKSPACE_LIMIT
-    assert _workspace_bytes(_anchored(_directed_cycle(3277)), 2, ensemble, CHUNK_SIZE) > WORKSPACE_LIMIT
+        assert _workspace_bytes(cycle(65), k, ensemble, CHUNK_SIZE) < 1.1 * field * 64 * k * CHUNK_SIZE, k
+    largest = _LARGEST_CYCLE[ensemble]
+    assert _workspace_bytes(cycle(largest), 2, ensemble, CHUNK_SIZE) <= WORKSPACE_LIMIT
+    assert _workspace_bytes(cycle(largest + 1), 2, ensemble, CHUNK_SIZE) > WORKSPACE_LIMIT
 
 
 def test_an_oversized_workspace_is_refused_before_sampling(monkeypatch):
@@ -509,63 +550,65 @@ def test_estimate_validation(fig1, figure_eight):
             estimate_q(fig1, k, Ensemble.COMPLEX_SPHERE, 100, seed=0)
 
 
-# Exact to_json() output of estimate_q, recorded with the anchored chunk
-# kernel (one vertex per component pinned at |x_a| e1, a Gaussian anchor's
-# squared norm drawn as a gamma variate after the chunk's normals; numpy 2.4,
-# x86-64) at workers 1 and 2, and each recorded only after its mean had
-# passed the check of test_anchored_estimates_land_within_five_exact_standard_errors:
+# Exact to_json() output of estimate_q, recorded with the chunk kernel that
+# draws each chunk from SFC64 seeded by SeedSequence(seed, spawn_key=(c,)),
+# its normals in place in one sample-last layout, and raises each distinct
+# edge pair's inner product to its multiplicity by repeated squaring (one
+# vertex per component pinned at |x_a| e1, a Gaussian anchor's squared norm
+# drawn as a gamma variate after the chunk's normals; numpy 2.4, x86-64) at
+# workers 1 and 2, and each recorded only after its mean had passed the
+# check of test_anchored_estimates_land_within_five_exact_standard_errors:
 # within 5 exact standard errors of predicted_q, the exact SE taken from q of
 # the doubled graph. The rows span both graph kinds, all four ensembles, k up
-# to 9 (k >= 8 sums squared norms with numpy's pairwise reduce), partial and
-# one-sample last chunks, n = 2 and seed 2^64 - 1. Any change to the draw
-# stream, the anchors, the norm or scaling arithmetic, the edge products or
-# the reduction order changes these bytes. Another numpy build may round
-# complex products differently; re-record them there from a known-good
-# kernel, not from the one under test.
+# to 9, a 16-fold parallel edge, partial and one-sample last chunks, n = 2
+# and seed 2^64 - 1. Any change to the draw stream, the anchors, the norm or
+# scaling arithmetic, the edge products or the reduction order changes these
+# bytes. Another numpy build may round complex products differently;
+# re-record them there from a known-good kernel, not from the one under test.
 GOLDEN_ESTIMATES = [
     ("fig1", 2, Ensemble.COMPLEX_SPHERE, 20_000, 7,
-     '{"mean_re": 0.12326961639378883, "mean_im": -0.0009546472813352679, '
-     '"std_error": 0.0012307360644103886, "n": 20000, "k": 2, "ensemble": "complex-sphere", "seed": 7}'),
+     '{"mean_re": 0.12271097622867932, "mean_im": 0.00017214261268609619, '
+     '"std_error": 0.0012264222072343768, "n": 20000, "k": 2, "ensemble": "complex-sphere", "seed": 7}'),
     ("fig1", 3, Ensemble.COMPLEX_GAUSSIAN, 20_000, 7,
-     '{"mean_re": 0.04833975637481934, "mean_im": -0.0008537012450139347, '
-     '"std_error": 0.0017624423807031681, "n": 20000, "k": 3, "ensemble": "complex-gaussian", "seed": 7}'),
+     '{"mean_re": 0.04934839461977485, "mean_im": 0.000747108054688033, '
+     '"std_error": 0.00198332335416527, "n": 20000, "k": 3, "ensemble": "complex-gaussian", "seed": 7}'),
     ("fig1", 1, Ensemble.COMPLEX_SPHERE, 20_000, 7,
-     '{"mean_re": 1.0, "mean_im": 1.9010946608884423e-19, '
+     '{"mean_re": 1.0, "mean_im": -6.06909528199049e-19, '
      '"std_error": 0.0, "n": 20000, "k": 1, "ensemble": "complex-sphere", "seed": 7}'),
     ("digon16", 2, Ensemble.COMPLEX_SPHERE, 20_000, 11,
-     '{"mean_re": 0.057895970538421715, "mean_im": 3.7423585223472807e-20, '
-     '"std_error": 0.0011321983244843943, "n": 20000, "k": 2, "ensemble": "complex-sphere", "seed": 11}'),
+     '{"mean_re": 0.05888126179003299, "mean_im": -6.856841546227142e-21, '
+     '"std_error": 0.0011582468715441328, "n": 20000, "k": 2, "ensemble": "complex-sphere", "seed": 11}'),
     ("looped", 3, Ensemble.REAL_SPHERE, 20_000, 5,
-     '{"mean_re": 0.0022134459693143368, "mean_im": 0.0, '
-     '"std_error": 0.0012874143673392438, "n": 20000, "k": 3, "ensemble": "real-sphere", "seed": 5}'),
+     '{"mean_re": -0.0012299958872485056, "mean_im": 0.0, '
+     '"std_error": 0.001260501170720724, "n": 20000, "k": 3, "ensemble": "real-sphere", "seed": 5}'),
     ("looped", 3, Ensemble.REAL_GAUSSIAN, 20_000, 5,
-     '{"mean_re": -0.01790380614236972, "mean_im": 0.0, '
-     '"std_error": 0.011650862299854483, "n": 20000, "k": 3, "ensemble": "real-gaussian", "seed": 5}'),
+     '{"mean_re": -0.01020926245818756, "mean_im": 0.0, '
+     '"std_error": 0.015686665298338107, "n": 20000, "k": 3, "ensemble": "real-gaussian", "seed": 5}'),
     ("fig1", 2, Ensemble.COMPLEX_SPHERE, 100_003, 3,  # a partial last chunk
-     '{"mean_re": 0.12509309270169777, "mean_im": 0.00026327571123503624, '
-     '"std_error": 0.0005538697703453628, "n": 100003, "k": 2, "ensemble": "complex-sphere", "seed": 3}'),
+     '{"mean_re": 0.12535330285055504, "mean_im": -5.002369692253109e-05, '
+     '"std_error": 0.0005554239608716145, "n": 100003, "k": 2, "ensemble": "complex-sphere", "seed": 3}'),
     ("looped", 3, Ensemble.REAL_GAUSSIAN, 100_003, 3,
-     '{"mean_re": 0.011787096180680247, "mean_im": 0.0, '
-     '"std_error": 0.008429993507434353, "n": 100003, "k": 3, "ensemble": "real-gaussian", "seed": 3}'),
+     '{"mean_re": -0.0007682708272868178, "mean_im": 0.0, '
+     '"std_error": 0.006805132621590026, "n": 100003, "k": 3, "ensemble": "real-gaussian", "seed": 3}'),
     ("fig1", 2, Ensemble.COMPLEX_GAUSSIAN, 2, 0,
-     '{"mean_re": 0.014755989521749956, "mean_im": -0.004120368732654985, '
-     '"std_error": 0.013371278218829915, "n": 2, "k": 2, "ensemble": "complex-gaussian", "seed": 0}'),
+     '{"mean_re": 0.0059647650150743345, "mean_im": -0.002285205247027804, '
+     '"std_error": 0.004556602131236758, "n": 2, "k": 2, "ensemble": "complex-gaussian", "seed": 0}'),
     ("fig1", 2, Ensemble.COMPLEX_SPHERE, 9000, 2**64 - 1,
-     '{"mean_re": 0.1257060220137983, "mean_im": -0.0003115738875300987, '
-     '"std_error": 0.0018536501301356875, "n": 9000, "k": 2, "ensemble": "complex-sphere", '
+     '{"mean_re": 0.12524360834954154, "mean_im": -2.9499640370593334e-06, '
+     '"std_error": 0.001835843644684719, "n": 9000, "k": 2, "ensemble": "complex-sphere", '
      '"seed": 18446744073709551615}'),
     ("fig1", 8, Ensemble.COMPLEX_SPHERE, 20_000, 13,
-     '{"mean_re": 0.001963985848671297, "mean_im": 8.992653803668197e-06, '
-     '"std_error": 5.1957160284863586e-05, "n": 20000, "k": 8, "ensemble": "complex-sphere", "seed": 13}'),
+     '{"mean_re": 0.0019930680996686463, "mean_im": 1.5978837357303015e-05, '
+     '"std_error": 5.412414003200688e-05, "n": 20000, "k": 8, "ensemble": "complex-sphere", "seed": 13}'),
     ("fig1", 9, Ensemble.COMPLEX_SPHERE, 20_000, 13,
-     '{"mean_re": 0.0013511514045815803, "mean_im": 1.8128181886523153e-05, '
-     '"std_error": 3.9845122193714845e-05, "n": 20000, "k": 9, "ensemble": "complex-sphere", "seed": 13}'),
+     '{"mean_re": 0.0013563388365174468, "mean_im": -5.899860021806594e-05, '
+     '"std_error": 3.92313782776916e-05, "n": 20000, "k": 9, "ensemble": "complex-sphere", "seed": 13}'),
     ("looped", 8, Ensemble.REAL_SPHERE, 20_000, 13,
-     '{"mean_re": 1.6954554539496016e-05, "mean_im": 0.0, '
-     '"std_error": 0.00020920117647383864, "n": 20000, "k": 8, "ensemble": "real-sphere", "seed": 13}'),
+     '{"mean_re": 3.8076498538521845e-05, "mean_im": 0.0, '
+     '"std_error": 0.00020393924355471593, "n": 20000, "k": 8, "ensemble": "real-sphere", "seed": 13}'),
     ("fig1", 2, Ensemble.COMPLEX_GAUSSIAN, 24_577, 5,  # 3 * CHUNK_SIZE + 1: a one-sample last chunk
-     '{"mean_re": 0.1811836213839958, "mean_im": -0.003679307788137715, '
-     '"std_error": 0.006199524991603494, "n": 24577, "k": 2, "ensemble": "complex-gaussian", "seed": 5}'),
+     '{"mean_re": 0.17852226657252485, "mean_im": -0.005887614609716821, '
+     '"std_error": 0.006003691545459456, "n": 24577, "k": 2, "ensemble": "complex-gaussian", "seed": 5}'),
 ]
 
 
