@@ -59,6 +59,11 @@ class Ensemble(str, Enum):
     def is_gaussian(self) -> bool:
         return self in (Ensemble.COMPLEX_GAUSSIAN, Ensemble.REAL_GAUSSIAN)
 
+    @property
+    def sphere(self) -> Ensemble:
+        """The sphere ensemble of the same field."""
+        return Ensemble.COMPLEX_SPHERE if self.is_complex else Ensemble.REAL_SPHERE
+
 
 class Record:
     """Base of the immutable value types: graphs, polynomials and maps.

@@ -6,27 +6,32 @@ conjugated one. Estimates are plain Monte Carlo; predictions evaluate the
 circuit partition polynomial with the per-vertex ensemble scalings. The
 product at one given assignment, edge by edge, is an oracle, in checks.
 
-Both ensembles are invariant under one global unitary (orthogonal, for real
-vectors) map, which leaves every <x_u, x_v> unchanged. So within each
-connected component one vertex, its anchor, can be pinned at |x_a|·e1
-without changing the law of the edge product: estimate_q draws vectors only
-for the other vertices that carry an edge. A sphere anchor is e1; a Gaussian
-anchor's squared norm is one gamma variate per sample.
+estimate_q samples unit vectors only. A Gaussian vector is its norm times
+an independent uniform unit vector, so a Gaussian edge product is
+prod_v |x_v|^(2 d_v) times the sphere one, and its mean is R times the
+sphere mean, where R = prod_v E|x_v|^(2 d_v) is exact (vertex_scaling of
+the Gaussian over that of the sphere): the norms are integrated out, not
+sampled.
+
+The sphere ensembles are invariant under one global unitary (orthogonal,
+for real vectors) map, which leaves every <x_u, x_v> unchanged. So within
+each connected component one vertex, its anchor, is pinned at e1 without
+changing the law of the edge product: estimate_q draws vectors only for the
+other vertices that carry an edge.
 
 Reproducibility contract: sampling is split into fixed-size chunks; chunk c
-draws from an SFC64 generator seeded by SeedSequence(seed, spawn_key=(c,)),
-which hashes each (seed, chunk) pair into a stream of its own: its normals
-first and then, for a Gaussian ensemble, its anchors' gamma variates. Chunk
-results are reduced in chunk order. The chunk layout depends only on
-n_samples, so a run is bit-identical for any worker count, not just for a
-fixed one.
+draws its normals from an SFC64 generator seeded by SeedSequence(seed,
+spawn_key=(c,)), which hashes each (seed, chunk) pair into a stream of its
+own. Chunk results are reduced in chunk order. The chunk layout depends
+only on n_samples, so a run is bit-identical for any worker count, not just
+for a fixed one.
 
 Each worker thread runs its chunks through one workspace, a dict of flat
 buffers sized on its first chunk, so chunks do not allocate. It holds one
 copy of a chunk's draws, of the drawn vertices only, stored sample-last,
 (vertex_count, k, count), so that norms and inner products run along
 contiguous rows of samples, plus one vertex's rows of scratch and a few
-sample-length rows (two more per anchor for a Gaussian ensemble).
+sample-length rows.
 
 numpy, and the thread pool of a multi-worker run, are imported by the
 functions that draw or multiply vectors, on first use. The exact path
@@ -40,7 +45,7 @@ import os
 import threading
 from collections import Counter
 from fractions import Fraction
-from math import prod, sqrt
+from math import log10, prod, sqrt
 from typing import TYPE_CHECKING, NamedTuple
 
 from .diagrams import ensure_ensemble_matches, vertex_scaling, xd_scaling
@@ -111,7 +116,7 @@ def _anchored(g: Multigraph) -> _Anchored:
 
     Each connected component that has an edge (graphs.edge_components) has
     one anchor, its vertex of the most half-edges, ties to the least id,
-    whose vector is pinned at |x_a|·e1. The other vertices with an edge are
+    whose unit vector is pinned at e1. The other vertices with an edge are
     drawn, a row each, in order of their first edge end; isolated vertices
     are neither, since no factor reads them. O(m): no pass over all n
     vertices.
@@ -164,9 +169,9 @@ def draw_assignments(rng: np.random.Generator, count: int, vertex_count: int, k:
     """(count, vertex_count, k) array of ensemble draws, a transposed view of
     their C-contiguous sample-last storage, (vertex_count, k, count).
 
-    estimate_q asks for its drawn vertices only (see _anchored): an anchor
-    takes no draw here, and a Gaussian anchor's norm is drawn after these
-    normals, from the same generator (_chunk_sums).
+    estimate_q asks for the sphere draws of its drawn vertices only (see
+    _anchored): an anchor takes no draw. The Gaussian scale serves
+    sample_vector and other direct callers.
 
     One standard_normal call fills the storage in place: the normal block
     of shape (vertex_count, k, count), or (vertex_count, k, count, 2) for
@@ -209,19 +214,16 @@ def sample_vector(k: int, ensemble: Ensemble, rng: np.random.Generator) -> np.nd
     return draw_assignments(rng, 1, 1, k, ensemble)[0, 0]
 
 
-def _batch_products(plan: _Anchored, x: np.ndarray, norms: np.ndarray | None = None,
-                    workspace: dict | None = None) -> np.ndarray:
+def _batch_products(plan: _Anchored, x: np.ndarray, workspace: dict | None = None) -> np.ndarray:
     """Per-sample product of edge inner products for a (count, rows, k) batch
     of the drawn vertices of `plan`, read sample-last, as draw_assignments
     stores it, so every inner product is one "is,is->s" einsum along
     contiguous rows of samples.
 
-    Anchors sit at |x_a|·e1 (see _anchored). `norms` is None for a sphere
-    ensemble, whose anchors are e1, or the (2, anchors, count) rows of each
-    anchor's |x_a|^2 and |x_a| (_chunk_sums). An edge at an anchor runs no
-    einsum: its inner product is the other end's first coordinate, x_v[0],
-    or conj(x_u[0]) on the tail side, times |x_a| for a Gaussian. A loop at
-    an anchor is |x_a|^2, and a factor of 1, skipped, on a sphere.
+    Anchors sit at e1 (see _anchored). An edge at an anchor runs no einsum:
+    its inner product is the other end's first coordinate, x_v[0], or
+    conj(x_u[0]) on the tail side. A loop at an anchor is a factor of 1,
+    skipped.
 
     Each distinct ordered pair (u, v) gets one inner product per sample,
     raised to its multiplicity by repeated squaring, and the pairs are
@@ -242,19 +244,15 @@ def _batch_products(plan: _Anchored, x: np.ndarray, norms: np.ndarray | None = N
     values, spare, inner = _buffer(ws, "products", (3, count), x.dtype)
     values.fill(1)
     for (u, v), power in Counter(plan.edges).items():
-        if u == v < 0 and norms is None:
-            continue  # a loop at a sphere anchor: |e1|^2 = 1
+        if u == v < 0:
+            continue  # a loop at an anchor: |e1|^2 = 1
         if u >= 0 and v >= 0:
             if conjugate and conjugated != u:
                 np.conjugate(x[u], out=tail)
                 conjugated = u
             ip = np.einsum("is,is->s", tail if conjugate else x[u], x[v], out=inner)
-        elif u == v:
-            ip = norms[0, ~u]
         else:
             ip = first[v] if u < 0 else np.conjugate(first[u], out=inner)
-            if norms is not None:
-                ip = np.multiply(ip, norms[1, ~min(u, v)], out=inner)
         while True:
             if power % 2:
                 # Into the other row, not in place: for a one-sample chunk
@@ -268,29 +266,15 @@ def _batch_products(plan: _Anchored, x: np.ndarray, norms: np.ndarray | None = N
     return values
 
 
-def _chunk_sums(plan: _Anchored, k: int, ensemble: Ensemble, seed: int, c: int, count: int,
+def _chunk_sums(plan: _Anchored, k: int, sphere: Ensemble, seed: int, c: int, count: int,
                 workspace: dict) -> tuple[complex, float, int]:
-    """Sum of the edge products of chunk c, the sum of their squared moduli,
-    and the number of them that are exactly 0.
-
-    A Gaussian anchor's |x_a|^2, after the chunk's normals, is one gamma
-    variate per sample: Gamma(k, 1/k) for a complex vector (2k real parts of
-    variance 1/(2k)) and Gamma(k/2, 2/k) for a real one, the scale the
-    reciprocal of the shape in both cases, so E|x_a|^2 = 1 as for every
-    vector drawn.
-    """
+    """Sum of the edge products of chunk c, drawn from the `sphere` ensemble,
+    the sum of their squared moduli, and the number of them that are
+    exactly 0. Every draw of the chunk is one standard_normal block."""
     import numpy as np
 
-    rng = _chunk_rng(seed, c)
-    x = draw_assignments(rng, count, len(plan.drawn), k, ensemble, workspace)
-    norms = None
-    if ensemble.is_gaussian:
-        shape = k if ensemble.is_complex else k / 2
-        norms = _buffer(workspace, "norms", (2, len(plan.anchors), count), np.float64)
-        rng.standard_gamma(shape, out=norms[0])
-        norms[0] /= shape
-        np.sqrt(norms[0], out=norms[1])
-    values = _batch_products(plan, x, norms, workspace)
+    x = draw_assignments(_chunk_rng(seed, c), count, len(plan.drawn), k, sphere, workspace)
+    values = _batch_products(plan, x, workspace)
     magnitude = np.abs(values, out=_buffer(workspace, "magnitude", (count,), np.float64))
     zeros = count - int(np.count_nonzero(magnitude))
     return complex(np.sum(values)), float(np.sum(np.square(magnitude, out=magnitude))), zeros
@@ -300,37 +284,44 @@ def _workspace_bytes(plan: _Anchored, k: int, ensemble: Ensemble, count: int) ->
     """Bytes of the buffers that draw_assignments, _batch_products and the
     chunk sums take from one workspace for chunks of `count` samples of
     `plan`, for an ensemble that matches its graph (complex draws on a
-    directed graph).
+    directed graph). Every ensemble of a field takes the same bytes, since
+    estimate_q draws its sphere ensemble for each.
 
     With n = len(plan.drawn), the drawn vertices, and f the bytes of a field
     element (16 complex, 8 real), that is f·count·(n·k + 3) + 8·count for
     the draws, the product, spare and inner product rows and |values|, plus
-    16·count per anchor for a Gaussian's |x_a|^2 and |x_a|, plus the scratch
-    buffer: one vertex's squares and squared norms, f·(k + 1)·count
-    (sphere), or a conjugated tail, 16·k·count (complex Gaussian), or
-    nothing (real Gaussian). Anchors and isolated vertices take no draws.
+    the scratch buffer, f·(k + 1)·count: one vertex's squares and squared
+    norms, which a conjugated tail, 16·k·count, reuses. Anchors and
+    isolated vertices take no draws.
     """
     field = 16 if ensemble.is_complex else 8
     total = field * count * (len(plan.drawn) * k + 3) + 8 * count
-    if not ensemble.is_gaussian:
-        return total + field * (k + 1) * count
-    return total + 16 * len(plan.anchors) * count + (16 * k * count if ensemble.is_complex else 0)
+    return total + field * (k + 1) * count
 
 
 def estimate_q(g: Multigraph, k: int, ensemble: Ensemble, n_samples: int, seed: int,
                workers: int = 1) -> MCEstimate:
     """Monte Carlo mean of the edge product over n_samples assignments.
 
+    Draws come from the field's sphere ensemble. The mean and the standard
+    error are multiplied by the exact norm moment R = prod_v E|x_v|^(2 d_v),
+    the ratio of the ensemble's vertex_scaling to its sphere's (1 for a
+    sphere), converted to a float once, before any sampling; an R past float
+    range is refused (ValueError) with its log10. That is unbiased on any
+    graph: on an Eulerian one the Gaussian product is the sphere one times
+    independent norms, and on any other both q and the sphere mean's
+    expectation are 0, by the phase or sign symmetry of predicted_q.
+
     Bit-reproducible for a fixed (seed, n_samples) regardless of workers
     (threads, at most one per chunk and per CPU the process may run on); the
     standard error is the per-sample standard deviation of the complex
-    values over sqrt(n_samples).
+    sphere values over sqrt(n_samples), times R.
     The seed must lie in [0, 2**64): it is the entropy of every chunk's
     SeedSequence, spawned at the chunk index (_chunk_rng). One vertex per
-    connected component is pinned at |x_a|·e1 and takes no draw
-    (_anchored). Each worker thread runs its chunks through one workspace;
-    a run whose workspace would pass WORKSPACE_LIMIT bytes is refused before
-    any sampling.
+    connected component is pinned at e1 and takes no draw (_anchored).
+    Each worker thread runs its chunks through one workspace; a run whose
+    workspace would pass WORKSPACE_LIMIT bytes is refused before any
+    sampling.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -341,6 +332,14 @@ def estimate_q(g: Multigraph, k: int, ensemble: Ensemble, n_samples: int, seed: 
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     ensure_ensemble_matches(g, ensemble)
+    sphere = ensemble.sphere
+    moment = vertex_scaling(g, k, ensemble) / vertex_scaling(g, k, sphere)
+    try:
+        r = float(moment)
+    except OverflowError:
+        digits = log10(moment.numerator) - log10(moment.denominator)
+        raise ValueError(f"the Gaussian norm moment R exceeds float range (log10 R = {digits:.1f});"
+                         f" the {sphere.value} q, which is q / R, can be estimated") from None
 
     n_chunks = (n_samples + CHUNK_SIZE - 1) // CHUNK_SIZE
     chunk = min(CHUNK_SIZE, n_samples)
@@ -356,7 +355,7 @@ def estimate_q(g: Multigraph, k: int, ensemble: Ensemble, n_samples: int, seed: 
 
     def run_chunk(c: int) -> tuple[complex, float, int]:
         size = min(CHUNK_SIZE, n_samples - c * CHUNK_SIZE)
-        return _chunk_sums(plan, k, ensemble, seed, c, size, vars(workspaces))
+        return _chunk_sums(plan, k, sphere, seed, c, size, vars(workspaces))
 
     # A pool starts a thread per task up to its size; the CPUs are the ones
     # this process may run on, where the platform says which.
@@ -379,7 +378,8 @@ def estimate_q(g: Multigraph, k: int, ensemble: Ensemble, n_samples: int, seed: 
         zeros += z
     mean = total / n_samples
     variance = max(total_sq - n_samples * abs(mean) ** 2, 0.0) / (n_samples - 1)
-    return MCEstimate(mean, sqrt(variance / n_samples), n_samples, ensemble, k, seed, zeros)
+    return MCEstimate(complex(mean.real * r, mean.imag * r), sqrt(variance / n_samples) * r,
+                      n_samples, ensemble, k, seed, zeros)
 
 
 def predicted_q(g: Multigraph, k: int, ensemble: Ensemble,
@@ -414,6 +414,5 @@ def norm_moment(d: int, k: int, ensemble: Ensemble) -> Fraction:
     both are scalings of the same diagram sum: the moment is the ratio of
     the two xd_scaling values (1 for a sphere ensemble).
     """
-    sphere = Ensemble.COMPLEX_SPHERE if ensemble.is_complex else Ensemble.REAL_SPHERE
-    return xd_scaling(d, k, ensemble) / xd_scaling(d, k, sphere)
+    return xd_scaling(d, k, ensemble) / xd_scaling(d, k, ensemble.sphere)
 

@@ -5,7 +5,8 @@ reads as an attribute, an export list that resolves, a contraction oracle
 that imports nothing from the modules it checks, no engine module that
 imports the oracles in checks, one vertex-order planner, one pairing-loop
 count, one slot table of half-edges, one place in sampling that builds a
-numpy generator (_chunk_rng), one plane check (only
+numpy generator (_chunk_rng) and one generator method it draws by
+(standard_normal), one plane check (only
 PlanarMap's constructor raises EmbeddingError), a map side that takes only
 the engine from partition, one module that lifts the int-digit limit for
 printing, no module that loads the sampling-only dependencies at import
@@ -15,7 +16,8 @@ alone, and a branch on the graph kind only where the kinds differ (each
 on an allowlist with its reason). Which modules each command loads at
 run time is checked in tests/test_cli.py.
 
-Uses only the standard library's ast module.
+Uses the standard library's ast module, and numpy only for the names of
+its generator's methods.
 """
 
 from __future__ import annotations
@@ -468,6 +470,36 @@ def test_sampling_builds_a_generator_only_in_chunk_rng():
     defines, so no other code in sampling builds or seeds a numpy
     generator."""
     assert _generator_sites(_tree(PACKAGE_DIR / "sampling.py")) == {"_chunk_rng"}
+
+
+def _draw_methods(tree: ast.Module) -> set[str]:
+    """The public methods of numpy's Generator that `tree` reads as an
+    attribute (rng.standard_gamma, called or not) of anything but the numpy
+    module itself, whose functions np.power or np.random are not draws."""
+    import numpy as np
+
+    methods = {name for name in dir(np.random.Generator) if not name.startswith("_")}
+    return {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute) and node.attr in methods
+            and not (isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy"))}
+
+
+@pytest.mark.parametrize("source, expected", [
+    ("def f(rng):\n    return rng.standard_normal(out=x)", {"standard_normal"}),
+    ("rng.standard_gamma(2.0, out=x)", {"standard_gamma"}),
+    ("_chunk_rng(1, 0).integers(5)", {"integers"}),
+    ("draw = rng.uniform\ndraw()", {"uniform"}),
+    ("np.random.random(3)\nnumpy.random.normal()", {"random", "normal"}),
+    ("np.power(x, 2)\nnumpy.random.Generator(np.random.SFC64(1))", set()),
+])
+def test_draw_scan_sees_every_form(source, expected):
+    assert _draw_methods(ast.parse(source)) == expected
+
+
+def test_sampling_draws_only_standard_normals():
+    """Each chunk's stream is one standard_normal block: the sphere draws of
+    every ensemble, whose norms estimate_q integrates exactly, so sampling
+    reads no other method of a numpy generator."""
+    assert _draw_methods(_tree(PACKAGE_DIR / "sampling.py")) == {"standard_normal"}
 
 
 # Loaded on first use by the code that samples, never at import time: every
