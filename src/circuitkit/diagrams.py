@@ -11,8 +11,8 @@ generating functions, are listed only by the oracles in checks.
 
 The moment oracle contract_q_exact contracts the per-vertex expected
 tensors, one index in [0, k) per edge, absorbing vertices one at a time along
-graphs.max_adjacency_order, the order the j engine splits in (after Markov and
-Shi, SIAM J. Comput. 38, 2008), so its cost is exponential in the cut width of
+graphs.sweep_plan, the order the j engine splits in (after Markov and Shi,
+SIAM J. Comput. 38, 2008), so its cost is exponential in the cut width of
 that order rather than in the edge count. It never touches circuit-partition
 reasoning, which is exactly what makes it an independent check of the
 partition-based predictions.
@@ -28,8 +28,7 @@ from operator import itemgetter
 from typing import Callable, Sequence
 
 from .errors import DEFAULT_CONTRACTION_GUARD, GuardExceededError
-from .graphs import (DirectedMultigraph, Ensemble, Multigraph, double_factorial, max_adjacency_order,
-                     require_eulerian)
+from .graphs import DirectedMultigraph, Ensemble, Multigraph, double_factorial, require_eulerian, sweep_plan
 
 
 # ---------------------------------------------------------------------------
@@ -109,32 +108,6 @@ def ensure_ensemble_matches(g: Multigraph, ensemble: Ensemble) -> None:
                          else "undirected graphs pair with real ensembles")
 
 
-def _absorption_order(g: Multigraph, slots: dict[int, list[int]]) -> list[tuple[int, tuple[int, ...], ...]]:
-    """(v, edges v closes, edges v opens, loops at v) along graphs.max_adjacency_order.
-
-    At vertex v, the open edges (one end absorbed) close; its other edges are
-    new: those to later vertices open, and its loops close at once. Each tuple
-    lists distinct edges in the order of first appearance in slots[v], the
-    slot table g.half_edges(). Vertices without half-edges are left out:
-    their entry is the empty contraction, a factor of 1.
-    """
-    is_open = bytearray(g.edge_count)
-    order = []
-    for v in max_adjacency_order(g.edges):
-        closed, opened, loops = [], [], []
-        for e in dict.fromkeys(h >> 1 for h in slots[v]):
-            a, b = g.edges[e]
-            if is_open[e]:
-                closed.append(e)
-            elif a == b:
-                loops.append(e)
-            else:
-                is_open[e] = 1
-                opened.append(e)
-        order.append((v, tuple(closed), tuple(opened), tuple(loops)))
-    return order
-
-
 def _picker(positions: list[int]) -> Callable[[tuple[int, ...]], tuple[int, ...]]:
     """The function mapping a tuple to the tuple of its items at `positions`."""
     if len(positions) == 1:
@@ -154,16 +127,18 @@ def contract_q_exact(g: Multigraph, k: int, ensemble: Ensemble,
     satisfy); that number has a closed form (permutation_entry,
     matching_entry), memoized on the value tuple.
 
-    Vertices are absorbed one at a time in maximum-adjacency order
-    (_absorption_order). A sparse table maps the index values of the open
-    edges, those with one end absorbed, to an exact integer count. Absorbing
-    v enumerates only the values of its new edges, multiplies by v's entry
-    and drops the edges v closes from the key. The one count left at the end
-    is scaled once by vertex_scaling. The cost is exponential in the number
-    of open edges (the cut width of the order), not in m. The guard bounds the
-    planned work, the sum over vertices of k^(open edges before v + new edges
-    at v), and refuses before any table is built. The contraction never
-    touches circuit-partition reasoning, so it is an independent check.
+    Vertices are absorbed one at a time along graphs.sweep_plan. A sparse
+    table maps the index values of the open edges, those with one end
+    absorbed, to an exact integer count. Absorbing v enumerates only the
+    values of its new edges, those it opens and its loops, multiplies by v's
+    entry and drops the edges v closes from the key. The one count left at
+    the end is scaled once by vertex_scaling. The cost is exponential in the
+    number of open edges (the cut width of the order), not in m. The guard
+    bounds the planned work, the sum over vertices of k^(open edges before v
+    + new edges at v), which is k^(open edges after v + edges v closes, its
+    loops among them), and refuses before any table is built. The
+    contraction never touches circuit-partition reasoning, so it is an
+    independent check.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -171,11 +146,11 @@ def contract_q_exact(g: Multigraph, k: int, ensemble: Ensemble,
     require_eulerian(g)
     slots = g.half_edges()
     entry = permutation_entry if isinstance(g, DirectedMultigraph) else matching_entry
-    order = _absorption_order(g, slots)
-    work = width = 0  # width: the open edges before v
-    for _, closed, opened, loops in order:
-        work += k ** (width + len(opened) + len(loops))
-        width += len(opened) - len(closed)
+    plan = sweep_plan(g.edges)
+    work = width = 0  # width: the open edges after step i
+    for i, (closes, opens) in enumerate(zip(plan.closes, plan.opens)):
+        width += len(opens) - sum(a < i for _, a in closes)
+        work += k ** (width + len(closes))
     if work > guard:
         raise GuardExceededError("contraction oracle refused (planned work: sum over vertices "
                                  "of k^(open edges + new edges))", work, guard)
@@ -183,13 +158,17 @@ def contract_q_exact(g: Multigraph, k: int, ensemble: Ensemble,
     frontier: list[int] = []  # the open edges, in key order
     table = {(): 1}
     memo: dict[tuple[int, ...], int] = {}
-    for v, closed, opened, loops in order:
-        # A key extended by the values of v's new edges is the source tuple;
-        # v's entry and the next key are read off it by position.
-        where = {e: i for i, e in enumerate(frontier + list(opened + loops))}
-        frontier = [e for e in frontier if e not in closed] + list(opened)
+    for i, (v, closes, opens) in enumerate(zip(*plan)):
+        # A key extended by the values of v's new edges, those it opens and
+        # its loops, is the source tuple; v's entry and the next key are read
+        # off it by position.
+        opened = [e for e, _ in opens]
+        new = opened + [e for e, a in closes if a == i]
+        closed = {e for e, _ in closes}
+        where = {e: j for j, e in enumerate(frontier + new)}
+        frontier = [e for e in frontier if e not in closed] + opened
         values_of, key_of = _picker([where[h >> 1] for h in slots[v]]), _picker([where[e] for e in frontier])
-        assignments = list(itertools.product(range(k), repeat=len(opened) + len(loops)))
+        assignments = list(itertools.product(range(k), repeat=len(new)))
         following: dict[tuple[int, ...], int] = {}
         for key, count in table.items():
             for assign in assignments:

@@ -1,8 +1,8 @@
 """Multigraph data types and Record, the immutable value base they share
 with the polynomial and map types; the random-vector ensembles that pair
 with the graph kinds; degree checks, components, the cycles of a permutation
-of half-edges, the vertex order both exact engines sweep in, and text
-parsing and serialization.
+of half-edges, sweep_plan, the vertex order and step tables of the three
+exact sweeps, and text parsing and serialization.
 
 Every command loads this module, so it imports only what start-up already
 loads or what is cheap: no dataclasses, whose import of inspect would cost
@@ -320,13 +320,29 @@ def double_factorial(n: int) -> int:
     return result
 
 
-def max_adjacency_order(edges: Iterable[tuple[int, int]]) -> list[int]:
-    """The vertices that `edges` touch, each next the one with the most edges
-    into those placed, ties to the least half-edge count, then the least id.
+class SweepPlan(NamedTuple):
+    """The vertex order every exact sweep walks, and the edges each step meets.
+
+    Step i places order[i]. closes[i] lists (edge, earlier step) for each
+    edge whose later end step i places, a loop closing at its own step;
+    opens[i] lists (edge, later step) for each edge from step i to a later
+    one. Both list edges in ascending index.
+    """
+
+    order: list[int]
+    closes: list[list[tuple[int, int]]]
+    opens: list[list[tuple[int, int]]]
+
+
+def sweep_plan(edges: Sequence[tuple[int, int]]) -> SweepPlan:
+    """The plan of the vertices that `edges` touch, in maximum-adjacency
+    order: each next the one with the most edges into those placed, ties to
+    the least half-edge count, then the least id.
 
     Edge direction is ignored; a heap with lazily dropped stale entries keeps
-    this O(m log m). The j engine splits and the contraction oracle absorbs
-    vertices in this order: it changes their cost, never their values.
+    this O(m log m). The j engine splits, the contraction oracle absorbs and
+    the Tutte sweep places vertices in this order: it changes their cost,
+    never their values.
     """
     ends: dict[int, list[int]] = {}  # the other end of each half-edge at a vertex
     for u, v in edges:
@@ -346,7 +362,15 @@ def max_adjacency_order(edges: Iterable[tuple[int, int]]) -> list[int]:
             if links[w] >= 0:
                 links[w] += 1
                 heappush(heap, (-links[w], len(ends[w]), w))
-    return order
+    step = {v: i for i, v in enumerate(order)}
+    closes: list[list[tuple[int, int]]] = [[] for _ in order]
+    opens: list[list[tuple[int, int]]] = [[] for _ in order]
+    for e, (u, v) in enumerate(edges):
+        a, b = sorted((step[u], step[v]))
+        closes[b].append((e, a))
+        if a < b:
+            opens[a].append((e, b))
+    return SweepPlan(order, closes, opens)
 
 
 # ---------------------------------------------------------------------------

@@ -14,11 +14,11 @@ A loop paired with itself closes a circuit and contributes a factor z.
    vertices, and a chain that closes on itself is one circuit, a factor z.
    Directed graphs take a faster splice path of their own (see `_contract`).
 2. What remains is a sorted tuple of edge codes, the memo key. Branching
-   vertices are split along `graphs.max_adjacency_order` by one rule for both
-   kinds (`_split`), each removing exactly one edge, so the states are swept
-   layer by layer in decreasing edge count: equal keys within a layer merge
-   (the memo), and only two layers are held at a time. Nothing recurses in
-   Python, whatever the depth.
+   vertices are split along the order of `graphs.sweep_plan` by one rule for
+   both kinds (`_split`), each removing exactly one edge, so the states are
+   swept layer by layer in decreasing edge count: equal keys within a layer
+   merge (the memo), and only two layers are held at a time. Nothing
+   recurses in Python, whatever the depth.
 3. The guard counts work units: for every expanded state, its branch count
    times its key length. The sweep refuses as soon as the running total
    passes the guard. The worst case stays exponential, as #P-completeness
@@ -41,7 +41,7 @@ from typing import TYPE_CHECKING, Iterable
 
 from .errors import DEFAULT_ENUMERATION_GUARD, GuardExceededError
 from .graphs import (DirectedMultigraph, Multigraph, Record, double_factorial, eulerian_check,
-                     max_adjacency_order, require_eulerian)
+                     require_eulerian, sweep_plan)
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -104,7 +104,7 @@ def transition_system_count(g: Multigraph) -> int:
 # The contracted (core) graph is a key: its edges among n branching vertices
 # as a sorted tuple of codes. A directed edge a -> b is coded a * n + b; an
 # undirected edge {a, b} is coded min * n + max. Branching vertices are
-# labelled along graphs.max_adjacency_order. A split removes edges at the
+# labelled along the order of graphs.sweep_plan. A split removes edges at the
 # split vertex only and joins vertices labelled after it, so the next split
 # vertex is the least label still touched, the one of key[0]. All of its
 # out-edges (directed) or edges (undirected) form a prefix of the key.
@@ -116,7 +116,7 @@ def _core_key(pairs: list[tuple[int, int]], directed: bool) -> tuple[tuple[int, 
     """Label the branching vertices that `pairs` join in maximum-adjacency
     order and code the core edges, so that vertices split one after another
     are joined by many edges and few partial states coexist in a layer."""
-    label = {v: i for i, v in enumerate(max_adjacency_order(pairs))}
+    label = {v: i for i, v in enumerate(sweep_plan(pairs).order)}
     n = len(label)
     if directed:
         codes = [label[u] * n + label[v] for u, v in pairs]

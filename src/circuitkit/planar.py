@@ -17,7 +17,7 @@ d of its tail and arriving along side after[d] of its head. Every medial
 vertex has in- and out-degree 2, so the medial graph is Eulerian.
 
 The Tutte side never lists the 2^m edge subsets. A frontier sweep along
-graphs.max_adjacency_order tallies them by (components, excess): a state is
+graphs.sweep_plan tallies them by (components, excess): a state is
 the connectivity of the frontier vertices, each state carries its integer
 tally, and states merge after every edge, as in the Potts transfer matrix
 of Bedini and Jacobsen (J. Phys. A 43, 2010) and the frontier sweeps of
@@ -33,7 +33,7 @@ from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 from .errors import DEFAULT_ENUMERATION_GUARD, DEFAULT_SUBSET_GUARD, EmbeddingError, GraphFormatError, GuardExceededError
 from .graphs import (DirectedMultigraph, Record, UndirectedMultigraph, check_rotation, component_count, header_line,
-                     max_adjacency_order, parse_graph_file, permutation_cycles)
+                     parse_graph_file, permutation_cycles, sweep_plan)
 from .partition import circuit_partition_polynomial
 
 if TYPE_CHECKING:
@@ -115,7 +115,7 @@ def _first_occurrence_labels(blocks) -> tuple[int, ...]:
 
 def _frontier_tally(g: UndirectedMultigraph, guard: int) -> dict[tuple[int, int], int]:
     """{(c(S), l(S)): number of edge subsets S}, swept along
-    graphs.max_adjacency_order instead of listing the subsets.
+    graphs.sweep_plan instead of listing the subsets.
 
     The vertices placed so far that still have undecided edges, and the one
     just placed, form the frontier. A state labels each frontier vertex with
@@ -134,23 +134,18 @@ def _frontier_tally(g: UndirectedMultigraph, guard: int) -> dict[tuple[int, int]
     frontier with one-term tallies costs what it holds. The sweep refuses as
     soon as their running total passes the guard.
     """
-    order = max_adjacency_order(g.edges)
-    step = {v: i for i, v in enumerate(order)}
-    earlier_ends: list[list[int]] = [[] for _ in order]  # per step: the earlier end of each edge it decides
-    last = list(range(len(order)))  # the step that decides each vertex's last edge
-    for u, v in g.edges:
-        a, b = sorted((step[u], step[v]))
-        earlier_ends[b].append(a)
-        last[a] = max(last[a], b)
+    plan = sweep_plan(g.edges)
+    # The step that decides each vertex's last edge.
+    last = [max((b for _, b in opens), default=i) for i, opens in enumerate(plan.opens)]
     stride = g.edge_count + 1
     frontier: list[int] = []  # the steps at which the frontier vertices were placed
     layer: dict[tuple[int, ...], dict[int, int]] = {(): {0: 1}}
     work = 0
-    for i, ends in enumerate(earlier_ends):
+    for i, closes in enumerate(plan.closes):
         frontier.append(i)
         layer = {state + (max(state, default=-1) + 1,): tally for state, tally in layer.items()}
         here = len(frontier) - 1
-        for a in ends:
+        for _, a in closes:
             there = frontier.index(a)
             following: dict[tuple[int, ...], dict[int, int]] = {}
             for state, tally in layer.items():
@@ -175,7 +170,7 @@ def _frontier_tally(g: UndirectedMultigraph, guard: int) -> dict[tuple[int, int]
                 _merge(following, kept, tally, (max(state) - max(kept, default=-1)) * stride)
             layer = following
     (tally,) = layer.values()  # the frontier is empty again
-    isolated = g.vertex_count - len(order)
+    isolated = g.vertex_count - len(plan.order)
     return {(key // stride + isolated, key % stride): count for key, count in tally.items()}
 
 

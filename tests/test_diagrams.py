@@ -24,7 +24,7 @@ from circuitkit import (
 from circuitkit import diagrams
 from circuitkit.checks import pairing_loop_count
 from circuitkit.diagrams import matching_entry, permutation_entry, vertex_scaling
-from circuitkit.graphs import permutation_cycles
+from circuitkit.graphs import permutation_cycles, sweep_plan
 
 from conftest import directed_circulant, undirected_circulant
 
@@ -369,10 +369,16 @@ def test_oracle_on_one_vertex_bouquets(loops):
 
 
 def test_oracle_guard():
+    """The default guard refuses with the planned work: 2^25 for 25 loops at
+    one vertex, and for circ(10,3) the sum of k^width along its sweep plan."""
     big = DirectedMultigraph(1, ((0, 0),) * 25)
     with pytest.raises(GuardExceededError) as excinfo:
         contract_q_exact(big, 2, Ensemble.COMPLEX_SPHERE)
     assert excinfo.value.required == 2**25
+    for k, planned in ((3, 67_317_318), (4, 4_840_235_008)):
+        with pytest.raises(GuardExceededError) as excinfo:
+            contract_q_exact(directed_circulant(10, 3), k, Ensemble.COMPLEX_SPHERE)
+        assert excinfo.value.required == planned
 
 
 def test_oracle_kind_mismatch(fig1, figure_eight):
@@ -394,21 +400,19 @@ def test_oracle_edgeless_graph_is_one():
 
 
 def test_oracle_leaves_out_vertices_without_half_edges(fig1):
-    """Isolated vertices are not in the absorption order; each is a factor of 1."""
+    """Isolated vertices are not in the sweep plan the oracle absorbs along;
+    each is a factor of 1."""
     padded = DirectedMultigraph(fig1.vertex_count + 100_000, fig1.edges)
-    slots = padded.half_edges()
-    assert sorted(slots) == list(range(fig1.vertex_count))
-    order = diagrams._absorption_order(padded, slots)
-    assert sorted(v for v, *_ in order) == list(range(fig1.vertex_count))
+    assert sorted(padded.half_edges()) == list(range(fig1.vertex_count))
+    assert sorted(sweep_plan(padded.edges).order) == list(range(fig1.vertex_count))
     assert contract_q_exact(padded, 2, Ensemble.COMPLEX_SPHERE) == Fraction(1, 8)
 
     interleaved = UndirectedMultigraph(6, ((1, 3), (3, 1), (4, 4)))  # 0, 2 and 5 are isolated
-    slots = interleaved.half_edges()
-    assert sorted(v for v, *_ in diagrams._absorption_order(interleaved, slots)) == [1, 3, 4]
+    assert sorted(sweep_plan(interleaved.edges).order) == [1, 3, 4]
     for k in (1, 2, 3):
         assert (contract_q_exact(interleaved, k, Ensemble.REAL_GAUSSIAN)
                 == predicted_q(interleaved, k, Ensemble.REAL_GAUSSIAN))
-    assert diagrams._absorption_order(DirectedMultigraph(3, ()), DirectedMultigraph(3, ()).half_edges()) == []
+    assert sweep_plan(DirectedMultigraph(3, ()).edges) == ([], [], [])
 
 
 def test_ensemble_parsing(capsys, corpus_dir):

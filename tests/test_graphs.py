@@ -20,8 +20,7 @@ from circuitkit import (
     parse_graph,
     serialize_graph,
 )
-from circuitkit.graphs import (edge_components, max_adjacency_order, parse_graph_file, permutation_cycles,
-                               require_eulerian)
+from circuitkit.graphs import edge_components, parse_graph_file, permutation_cycles, require_eulerian, sweep_plan
 
 from conftest import GRAPH_NAMES, disjoint_union, load_graph, spanning_subgraph
 
@@ -195,12 +194,15 @@ def test_permutation_cycles_are_the_orbits_from_their_least_elements(successor):
             assert successor[h] == h_next
 
 
-@given(st.lists(st.tuples(st.integers(0, 11), st.integers(0, 11)), max_size=30), st.data())
-def test_max_adjacency_order_places_the_most_linked_vertex_next(edges, data):
+SWEEP_EDGES = st.lists(st.tuples(st.integers(0, 11), st.integers(0, 11)), max_size=30)
+
+
+@given(SWEEP_EDGES, st.data())
+def test_sweep_plan_places_the_most_linked_vertex_next(edges, data):
     """Each placed vertex has the most edges into the vertices placed before
     it, ties broken by least half-edge count, then least id; untouched ids
     are left out, and neither edge direction nor edge order matters."""
-    order = max_adjacency_order(edges)
+    order = sweep_plan(edges).order
     assert sorted(order) == sorted({v for edge in edges for v in edge})
     halves = Counter(v for edge in edges for v in edge)
 
@@ -210,8 +212,27 @@ def test_max_adjacency_order_places_the_most_linked_vertex_next(edges, data):
     for i, v in enumerate(order):
         placed = set(order[:i])
         assert rank(v, placed) == min(rank(w, placed) for w in order[i:])
-    assert max_adjacency_order([(b, a) for a, b in edges]) == order
-    assert max_adjacency_order(data.draw(st.permutations(edges))) == order
+    assert sweep_plan([(b, a) for a, b in edges]).order == order
+    assert sweep_plan(data.draw(st.permutations(edges))).order == order
+
+
+@given(SWEEP_EDGES)
+def test_sweep_plan_closes_every_edge_once_and_opens_every_non_loop(edges):
+    """Each edge closes exactly once, at its later end's step, paired with its
+    earlier end's step (a loop at the step that places it), and opens at its
+    earlier step, paired with its later one, exactly when it is not a loop.
+    Each step lists its edges by ascending index. An id that no edge touches
+    is placed at no step, so it is in no table."""
+    plan = sweep_plan(edges)
+    step = {v: i for i, v in enumerate(plan.order)}
+    assert len(step) == len(plan.order) == len(plan.closes) == len(plan.opens)
+    assert step.keys() == {v for edge in edges for v in edge}
+    spans = [sorted((step[u], step[v])) for u, v in edges]
+    assert (sorted((e, i, a) for i, pairs in enumerate(plan.closes) for e, a in pairs)
+            == [(e, b, a) for e, (a, b) in enumerate(spans)])
+    assert (sorted((e, i, b) for i, pairs in enumerate(plan.opens) for e, b in pairs)
+            == [(e, a, b) for e, (a, b) in enumerate(spans) if edges[e][0] != edges[e][1]])
+    assert all(pairs == sorted(pairs) for pairs in plan.closes + plan.opens)
 
 
 # ---------------------------------------------------------------------------

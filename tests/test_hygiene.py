@@ -176,11 +176,21 @@ def test_the_contraction_oracle_imports_no_circuit_reasoning():
 
 
 def test_graphs_is_the_only_order_planner():
-    """Both exact engines sweep their vertices along
-    graphs.max_adjacency_order, so no other module keeps a heap."""
+    """The three exact sweeps, the j engine (partition), the contraction
+    oracle (diagrams) and the Tutte sweep (planar), read their vertex order
+    and step tables from graphs.sweep_plan, so no other module keeps a heap
+    or names max_adjacency_order, and a new planner changes one function."""
     users = [path.stem for path in MODULES
              if any(name == "heapq" or name.startswith("heapq.") for name in _modules_imported(_tree(path)))]
     assert users == ["graphs"]
+
+    def named(path: Path) -> set[str]:  # names read, attributes read and names imported
+        tree = _tree(path)
+        return _names_loaded(tree.body, attributes=True) | {
+            alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names}
+
+    assert [path.stem for path in MODULES if "sweep_plan" in named(path)] == ["diagrams", "partition", "planar"]
+    assert [path.stem for path in MODULES if path.stem != "graphs" and "max_adjacency_order" in named(path)] == []
 
 
 def _halves_a_cycle_count(tree: ast.AST) -> bool:

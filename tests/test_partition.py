@@ -514,6 +514,9 @@ def test_engine_guard_refuses_with_work_count():
     assert excinfo.value.limit == 50
     assert excinfo.value.required > 50
     assert circuit_partition_polynomial(g, guard=10**5).coefficient_sum() == 6**6
+    with pytest.raises(GuardExceededError) as excinfo:
+        circuit_partition_polynomial(directed_circulant(8, 5), guard=10**5)
+    assert excinfo.value.required == 100_008  # the running total that first passes the guard
 
 
 def test_normalization_of_long_coefficient_tuples():

@@ -270,6 +270,16 @@ def test_tutte_guard():
         tutte_subset_expansion(grid, 2, 2, guard=10**4)
     assert excinfo.value.limit == 10**4 < excinfo.value.required
     assert tutte_subset_expansion(grid, 2, 2) == 2**40
+    # The 4 x 30 grid labelled row by row, each vertex's east edge before its
+    # south edge, is refused at the running total that first passes 10^5.
+    rows, cols = 4, 30
+    edges = []
+    for v in range(rows * cols):
+        if (v + 1) % cols:
+            edges.append((v, v + 1))
+        if v + cols < rows * cols:
+            edges.append((v, v + cols))
+    assert _refused_at(UndirectedMultigraph(rows * cols, tuple(edges)), 10**5) == 100_026
 
 
 def _refused_at(g: UndirectedMultigraph, guard: int) -> int:
