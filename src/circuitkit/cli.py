@@ -173,8 +173,8 @@ def cmd_q_estimate(args) -> int:
     estimate = sampling.estimate_q(g, args.k, ensemble, args.n, args.seed, workers=args.workers)
     if estimate.zero_products:
         print(f"warning: {estimate.zero_products} of {estimate.n_samples} sampled edge products are"
-              " exactly 0.0, most likely by float underflow; the mean and its standard error"
-              " leave out what underflowed", file=sys.stderr)
+              " exactly 0.0 once scaled by R, most likely by float underflow; the mean and its"
+              " standard error leave out what underflowed", file=sys.stderr)
     payload = {"schema": SCHEMA}
     payload.update(estimate.to_json_dict())
     text = (f"mean = {estimate.mean.real!r} + {estimate.mean.imag!r}i"

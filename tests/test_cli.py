@@ -525,11 +525,12 @@ def test_q_estimate_rejects_aliasing_arguments(capsys, corpus_dir):
 
 
 def test_q_estimate_refuses_an_oversized_workspace(capsys, tmp_path):
-    """A 5,000-edge directed cycle at k = 2 would need gigabytes of chunk
+    """A 5,000-vertex directed cycle with every edge four times over (d_v =
+    4, so no vertex is averaged out) at k = 2 would need gigabytes of chunk
     buffers per worker: refused with the guard's exit code, not a numpy
     MemoryError."""
     path = tmp_path / "cycle.graph"
-    path.write_text("directed\n5000 5000\n" + "".join(f"{v} {(v + 1) % 5000}\n" for v in range(5000)))
+    path.write_text("directed\n5000 20000\n" + "".join(f"{v} {(v + 1) % 5000}\n" for v in range(5000)) * 4)
     code, out, err = run(capsys, "q-estimate", str(path), "--k", "2", "--ensemble", "complex-sphere",
                          "--n", "100000")
     assert code == cli.EXIT_GUARD_EXCEEDED
@@ -605,11 +606,13 @@ def test_exact_commands_load_neither_numpy_nor_the_thread_pool(corpus_dir):
     ) & SAMPLING_ONLY
 
 
-def test_sampling_loads_numpy_and_only_a_parallel_run_the_thread_pool(corpus_dir):
+def test_sampling_loads_numpy_and_no_thread_pool_at_any_worker_count(corpus_dir):
+    """A parallel run starts plain threading.Threads: neither it nor a
+    serial one loads concurrent.futures or the logging it imports."""
     argv = ["q-estimate", corpus("fig1.graph", corpus_dir), "--k", "2",
             "--ensemble", "complex-sphere", "--n", "20000"]
-    assert _modules_loaded_by(argv) & SAMPLING_ONLY == {"numpy"}
-    assert _modules_loaded_by(argv + ["--workers", "2"]) & SAMPLING_ONLY == SAMPLING_ONLY
+    assert _modules_loaded_by(argv) & (SAMPLING_ONLY | {"logging"}) == {"numpy"}
+    assert _modules_loaded_by(argv + ["--workers", "2"]) & (SAMPLING_ONLY | {"logging"}) == {"numpy"}
 
 
 _RESOLVES_LAZILY = """

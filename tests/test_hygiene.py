@@ -8,7 +8,8 @@ count, one slot table of half-edges, one place in sampling that builds a
 numpy generator (_chunk_rng) and one generator method it draws by
 (standard_normal), one plane check (only
 PlanarMap's constructor raises EmbeddingError), a map side that takes only
-the engine from partition, one module that lifts the int-digit limit for
+the engine from partition, averaging code in sampling that names nothing of
+partition or checks, one module that lifts the int-digit limit for
 printing, no module that loads the sampling-only dependencies at import
 time, no module that imports dataclasses (which loads inspect, a start-up
 cost every command would pay), a heap frozen by the process entry
@@ -232,6 +233,33 @@ def test_no_engine_imports_the_oracles():
     assert importers == []
 
 
+def _defined_names(tree: ast.Module) -> set[str]:
+    """The functions, classes and assigned names at the top level of `tree`."""
+    found = {node.name for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            found.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+    return found
+
+
+# The code in sampling that chooses the averaged-out set I and evaluates its
+# members' local sums.
+AVERAGING = ("_anchored", "_pairings", "_batch_products")
+
+
+def test_the_averaging_code_names_nothing_from_partition_or_checks():
+    """A member's local sum happens to equal the transitions at its vertex,
+    but the sampler traces no circuit and reads no oracle: the averaging
+    code names neither module nor anything either defines."""
+    tree = _tree(PACKAGE_DIR / "sampling.py")
+    functions = [node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name in AVERAGING]
+    assert sorted(f.name for f in functions) == sorted(AVERAGING)
+    foreign = {"partition", "checks"} | _defined_names(_tree(PACKAGE_DIR / "partition.py")) | _defined_names(
+        _tree(PACKAGE_DIR / "checks.py"))
+    assert not _names_loaded(functions, attributes=True) & foreign
+
+
 def test_the_map_side_takes_only_the_engine_from_partition():
     """The Martin identity compares the engine's j on medial graphs with the
     Tutte side, so planar may import circuit_partition_polynomial and nothing
@@ -414,6 +442,7 @@ KIND_BRANCHES = {
     "diagrams.contract_q_exact": "the permutation vs the matching entry",
     "diagrams.ensure_ensemble_matches": "the pairing check: directed graphs with complex ensembles",
     "checks.product_of_inner_products": "the conjugated tail of a directed edge's inner product",
+    "sampling._anchored": "balance vs parity, and a member's local sum: a permanent vs a hafnian",
     "checks.enumerate_transition_systems": "the wiring forms: permutations vs perfect matchings",
     "checks.circuit_count": "the wiring forms: permutations vs perfect matchings",
     "checks.run_verification": "the ensembles verify runs, by the pairing check's rule",
