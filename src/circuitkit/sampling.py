@@ -29,19 +29,32 @@ edges outside I, so its mean is unchanged and its variance cannot grow, and
 the members' xd_scalings join R in one exact scale. Only the other vertices
 that carry an edge are drawn.
 
+Those draws keep a symmetry that the anchor leaves: the maps that fix e1,
+the unitary (orthogonal) group of the other k - 1 coordinates, and at a
+balanced vertex, whose edges in and out cancel its phase (sign), the
+vertex's own phase, the symmetry behind q = 0 on graphs that are not
+Eulerian. Both leave each sample's value unchanged, local sums included.
+Together they pin each component's first balanced drawn vertex at (c,
+sqrt(1 - c^2), 0, ..., 0), c >= 0 of the law of |x[0]|, which
+draw_assignments draws exactly, from one uniform where it can. Each
+sample's value keeps its law, so the mean and the standard error mean
+what they did. An unbalanced vertex is never pinned: its phase scales the
+product.
+
 Reproducibility contract: sampling is split into fixed-size chunks; chunk c
-draws its normals from an SFC64 generator seeded by SeedSequence(seed,
-spawn_key=(c,)), which hashes each (seed, chunk) pair into a stream of its
-own. Chunk results are reduced in chunk order. The chunk layout depends
-only on n_samples, so a run is bit-identical for any worker count, not just
+draws from an SFC64 generator seeded by SeedSequence(seed, spawn_key=(c,)),
+which hashes each (seed, chunk) pair into a stream of its own: first the
+pinned rows' variates, then one block of normals (see draw_assignments).
+Chunk results are reduced in chunk order. The chunk layout depends only
+on n_samples, so a run is bit-identical for any worker count, not just
 for a fixed one.
 
 Each worker thread runs its chunks through one workspace, a dict of flat
 buffers sized on its first chunk, so chunks do not allocate. It holds one
 copy of a chunk's draws, of the drawn vertices only, stored sample-last,
 (vertex_count, k, count), so that norms and inner products run along
-contiguous rows of samples, plus one vertex's rows of scratch, one row per
-inner product that the local sums read, and a few sample-length rows.
+contiguous rows of samples, plus k + 1 rows of scratch, one row per inner
+product that the local sums read, and a few sample-length rows.
 
 numpy is imported by the functions that draw or multiply vectors, on first
 use, and a multi-worker run starts plain threading.Threads. The exact path
@@ -126,7 +139,8 @@ class _Plan(NamedTuple):
     of ends, or for a real ensemble the lesser end first."""
 
     edges: tuple[tuple[int, int], ...]  # the edges with no end in I
-    drawn: tuple[int, ...]  # the vertex of each row of the draws
+    drawn: tuple[int, ...]  # the vertex of each row of the draws, the pinned ones first
+    pinned: int  # the leading rows of the draws that are pinned in their component's frame
     anchors: tuple[int, ...]  # the anchor of each component that has an edge
     averaged: tuple[tuple[int, int], ...]  # each member v of I, in order of choice, and its d_v
     sums: tuple[tuple[tuple[tuple[tuple[int, int], ...], int], ...], ...]  # each member's local sum, below
@@ -156,7 +170,9 @@ def _anchored(g: Multigraph) -> _Plan:
     member.
     The other vertices with an edge are drawn, a row each, in order of
     their first edge end; isolated vertices are neither, since no factor
-    reads them.
+    reads them. Each component's first drawn vertex that is balanced is
+    pinned (see the module docstring), and the pinned rows come first, so
+    the rest are one block of normals (draw_assignments).
 
     Given every other vector, the mean over x_v of a member's edge factors
     is xd_scaling(d_v) times its local sum (the sphere's moment tensor): the
@@ -186,14 +202,23 @@ def _anchored(g: Multigraph) -> _Plan:
         if u != v:
             outs.setdefault(u, []).append(v)
             ins.setdefault(v, []).append(u)
+
+    def balanced(v: int) -> bool:
+        into, out = len(ins.get(v, ())), len(outs.get(v, ()))
+        return into == out if directed else (into + out) % 2 == 0
+
     members: dict[int, int] = {}
     for v in sorted(roots, key=lambda v: (degree[v], v)):
-        into, out = ins.get(v, []), outs.get(v, [])
-        ends = into + out
-        balanced = len(into) == len(out) if directed else len(ends) % 2 == 0
-        if v not in code and balanced and len(ends) <= 6 and not any(u in members for u in ends):
+        ends = ins.get(v, []) + outs.get(v, [])
+        if v not in code and balanced(v) and len(ends) <= 6 and not any(u in members for u in ends):
             members[v] = len(ends) // 2
-    drawn = tuple(v for v in roots if v not in code and v not in members)
+    free = [v for v in roots if v not in code and v not in members]
+    first: dict[int, int] = {}  # each component's first balanced drawn vertex
+    for v in free:
+        if balanced(v):
+            first.setdefault(roots[v], v)
+    pinned = set(first.values())
+    drawn = (*first.values(), *(v for v in free if v not in pinned))
     code.update(zip(drawn, range(len(drawn))))
     edges = tuple((code[u], code[v]) for u, v in g.edges if u not in members and v not in members)
 
@@ -205,7 +230,7 @@ def _anchored(g: Multigraph) -> _Plan:
                         for wiring in wirings)
         sums.append(tuple(terms.items()))
     pairs = tuple(sorted({p for terms in sums for term, _ in terms for p in term if p[0] >= 0}))
-    return _Plan(edges, drawn, anchors, tuple(members.items()), tuple(sums), pairs)
+    return _Plan(edges, drawn, len(pinned), anchors, tuple(members.items()), tuple(sums), pairs)
 
 
 def _buffers(workspace: dict, name: str, *arrays: tuple[tuple[int, ...], type]) -> list[np.ndarray]:
@@ -238,7 +263,7 @@ def _buffer(workspace: dict, name: str, shape: tuple[int, ...], dtype) -> np.nda
 
 
 def draw_assignments(rng: np.random.Generator, count: int, vertex_count: int, k: int,
-                     ensemble: Ensemble, workspace: dict | None = None) -> np.ndarray:
+                     ensemble: Ensemble, workspace: dict | None = None, pinned: int = 0) -> np.ndarray:
     """(count, vertex_count, k) array of ensemble draws, a transposed view of
     their C-contiguous sample-last storage, (vertex_count, k, count).
 
@@ -246,37 +271,76 @@ def draw_assignments(rng: np.random.Generator, count: int, vertex_count: int, k:
     _anchored): an anchor or a member of I takes no draw. The Gaussian scale serves
     sample_vector and other direct callers.
 
-    One standard_normal call fills the storage in place: the normal block
-    of shape (vertex_count, k, count), or (vertex_count, k, count, 2) for
+    The first `pinned` rows are sphere vectors in the pinned frame, (c,
+    sqrt(1 - c^2), 0, ..., 0) with c >= 0 of the law of |x[0]|, drawn
+    first: 1 at k = 1, with no draw; one uniform U per sample for a
+    complex row, 1 - c^2 = U^(1/(k-1)), since c^2 ~ Beta(1, k - 1); one
+    for a real row at k = 3, c = U, since c^2 ~ Beta(1/2, 1) (Archimedes:
+    x[0] is uniform on [-1, 1]). A real row at any other k takes its k
+    normals from the head of the block below, as a plain row would, and
+    once normalized is folded into the frame, c = |x[0]|: c^2 = g^2 / (g^2
+    + S), S ~ chi^2 with k - 1 degrees of freedom.
+
+    One standard_normal call then fills the other rows in place: the
+    normal block of shape (rows, k, count), or (rows, k, count, 2) for
     complex draws, whose float64 view it is, each entry's real and
-    imaginary parts side by side. Gaussian ensembles scale it by 1/sqrt(k),
-    or 1/sqrt(2k) for complex draws, so E[|x|^2] = 1. Sphere ensembles
-    normalize each vector, a vertex at a time: its k rows of squares are
-    summed into a row of squared norms (re and im parts added pairwise for
-    complex draws), whose reciprocal square roots scale the rows.
+    imaginary parts side by side. Gaussian ensembles scale it by
+    1/sqrt(k), or 1/sqrt(2k) for complex draws, so E[|x|^2] = 1. Sphere
+    ensembles normalize it k + 1 vertices at a time, in one pass each: an
+    einsum sums each vector's squares into a row of squared norms (re and
+    im parts added pairwise for complex draws), whose reciprocal square
+    roots scale the vectors.
 
     `workspace` is a dict of reusable buffers (see _buffers): the draws live
-    in its "draws" buffer and every temporary in its "scratch" one, and the
-    next call through the same dict overwrites them. Without one, each call
+    in its "draws" buffer and every temporary in its "scratch" one, k + 1
+    rows of squared norms or of pinned rows' uniforms, and the next call
+    through the same dict overwrites them. Without one, each call
     allocates its own.
     """
     import numpy as np
 
+    if pinned and ensemble.is_gaussian:
+        raise ValueError("pinned rows are sphere draws")
     ws = {} if workspace is None else workspace
     x = _buffer(ws, "draws", (vertex_count, k, count), np.complex128 if ensemble.is_complex else np.float64)
-    normals = rng.standard_normal(out=x.view(np.float64))
+    frame = x[:pinned]
+    folded = k not in (1, 3) and not ensemble.is_complex  # pinned rows drawn as normals, then folded
+    width = 2 * count if ensemble.is_complex else count
+    room = _buffer(ws, "scratch", (k + 1, width), np.float64)
+    if k == 1:
+        frame.fill(1)
+    elif not folded:
+        frame[:, 2:] = 0
+        for start in range(0, pinned, k + 1):
+            rows = frame[start:start + k + 1]
+            u = room.reshape(-1, count)[:len(rows)]
+            rng.random(out=u)
+            if ensemble.is_complex:  # u = 1 - c^2, then c^2
+                if k > 2:
+                    np.power(u, 1 / (k - 1), out=u)
+                np.sqrt(u, out=rows[:, 1])
+                np.sqrt(np.subtract(1, u, out=u), out=rows[:, 0])
+            else:  # u = c, then 1 - c^2
+                rows[:, 0] = u
+                np.sqrt(np.subtract(1, np.square(u, out=u), out=u), out=rows[:, 1])
+    normals = rng.standard_normal(out=(x if folded else x[pinned:]).view(np.float64))
     if ensemble.is_gaussian:
         normals *= 1 / sqrt(2 * k if ensemble.is_complex else k)
         return x.transpose(2, 0, 1)
-    width = normals.shape[-1]
-    squares, norms = _buffers(ws, "scratch", ((k, width), np.float64), ((width,), np.float64))
-    for rows in normals:
-        np.add.reduce(np.multiply(rows, rows, out=squares), axis=0, out=norms)
+    for start in range(0, len(normals), k + 1):
+        rows = normals[start:start + k + 1]
+        norms = np.einsum("vkw,vkw->vw", rows, rows, out=room[:len(rows)])
         if ensemble.is_complex:  # a sample's re and im squares, summed into both slots
-            pairs = norms.reshape(count, 2)
-            np.add(pairs[:, 0], pairs[:, 1], out=pairs[:, 0])
-            pairs[:, 1] = pairs[:, 0]
-        rows *= np.divide(1, np.sqrt(norms, out=norms), out=norms)
+            pairs = norms.reshape(len(rows), count, 2)
+            np.add(pairs[..., 0], pairs[..., 1], out=pairs[..., 0])
+            pairs[..., 1] = pairs[..., 0]
+        rows *= np.divide(1, np.sqrt(norms, out=norms), out=norms)[:, np.newaxis]
+    if folded and pinned:
+        c, s = frame[:, 0], frame[:, 1]
+        np.abs(c, out=c)
+        np.subtract(1, np.square(c, out=s), out=s)
+        np.sqrt(np.maximum(s, 0, out=s), out=s)  # a rounded c may pass 1
+        frame[:, 2:] = 0
     return x.transpose(2, 0, 1)
 
 
@@ -381,10 +445,10 @@ def _chunk_sums(plan: _Plan, k: int, sphere: Ensemble, seed: int, c: int, count:
     """Sum of the products of chunk c (_batch_products), drawn from the
     `sphere` ensemble, the sum of their squared moduli, and the number of
     them whose term of the estimate, r times the product, is exactly 0.
-    Every draw of the chunk is one standard_normal block."""
+    The chunk draws its pinned rows, then one standard_normal block."""
     import numpy as np
 
-    x = draw_assignments(_chunk_rng(seed, c), count, len(plan.drawn), k, sphere, workspace)
+    x = draw_assignments(_chunk_rng(seed, c), count, len(plan.drawn), k, sphere, workspace, plan.pinned)
     values = _batch_products(plan, x, workspace)
     magnitude = np.abs(values, out=_buffer(workspace, "magnitude", (count,), np.float64))
     scaled = _buffer(workspace, "scratch", (count,), np.float64)  # the draws' scratch, free again
@@ -405,9 +469,10 @@ def _workspace_bytes(plan: _Plan, k: int, ensemble: Ensemble, count: int) -> int
     8 real), that is f·count·(n·k + 3 + P) + 8·count for the draws, the
     product, spare and inner product rows, the pair rows and |values|, plus
     a row for a local sum's total when I is not empty, plus the scratch
-    buffer, f·(k + 1)·count: one vertex's squares and squared norms, which
-    a conjugated tail, 16·k·count, reuses. Anchors, members of I and
-    isolated vertices take no draws.
+    buffer, f·(k + 1)·count: the squared norms of k + 1 vertices, or the
+    uniforms of k + 1 pinned rows, which a conjugated tail, 16·k·count,
+    reuses. Pinned rows are stored whole, k rows each. Anchors, members
+    of I and isolated vertices take no draws.
     """
     field = 16 if ensemble.is_complex else 8
     total = field * count * (len(plan.drawn) * k + 3 + bool(plan.sums) + len(plan.pairs)) + 8 * count
@@ -420,9 +485,10 @@ def estimate_q(g: Multigraph, k: int, ensemble: Ensemble, n_samples: int, seed: 
     with an independent set I of vertices averaged out exactly.
 
     Draws come from the field's sphere ensemble, for the vertices that are
-    neither anchors nor in I (_anchored). Each sample's value is the
-    product of the edges outside I times each member's local sum. The mean
-    and the standard error are multiplied by the exact scale R: the norm
+    neither anchors nor in I (_anchored), each pinned one in its
+    component's frame. Each sample's value is the product of the edges
+    outside I times each member's local sum. The mean and the standard
+    error are multiplied by the exact scale R: the norm
     moment prod_v E|x_v|^(2 d_v), the ratio of the ensemble's
     vertex_scaling to its sphere's (1 for a sphere), times the sphere's
     xd_scaling(d_v, k) of each member. R is converted to a float once,
@@ -432,7 +498,8 @@ def estimate_q(g: Multigraph, k: int, ensemble: Ensemble, n_samples: int, seed: 
     independent norms, and a member's local sum times its xd_scaling is
     the mean of its edge factors given the other vectors; on any other
     graph both q and the sphere mean's expectation are 0, by the phase or
-    sign symmetry of predicted_q, since members are balanced.
+    sign symmetry of predicted_q, since members and pinned vertices are
+    balanced.
 
     Bit-reproducible for a fixed (seed, n_samples) regardless of workers
     (threads, at most one per chunk and per CPU the process may run on;
@@ -474,7 +541,7 @@ def estimate_q(g: Multigraph, k: int, ensemble: Ensemble, n_samples: int, seed: 
         raise GuardExceededError(
             f"Monte Carlo refused (bytes of chunk buffers per worker: one copy of the draws, {chunk}"
             f" samples x {len(plan.drawn)} drawn vertices x k = {k}, plus {len(plan.pairs)} rows of"
-            f" inner products and one vertex's rows of scratch)", required, WORKSPACE_LIMIT)
+            f" inner products and k + 1 rows of scratch)", required, WORKSPACE_LIMIT)
 
     workspaces = threading.local()  # one per thread, so its chunks reuse one set of buffers
     results: list = [None] * n_chunks  # each chunk's sums, at its index

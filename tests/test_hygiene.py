@@ -534,11 +534,12 @@ def test_draw_scan_sees_every_form(source, expected):
     assert _draw_methods(ast.parse(source)) == expected
 
 
-def test_sampling_draws_only_standard_normals():
-    """Each chunk's stream is one standard_normal block: the sphere draws of
-    every ensemble, whose norms estimate_q integrates exactly, so sampling
-    reads no other method of a numpy generator."""
-    assert _draw_methods(_tree(PACKAGE_DIR / "sampling.py")) == {"standard_normal"}
+def test_sampling_draws_only_uniforms_and_standard_normals():
+    """Each chunk's stream is the pinned rows' uniforms, then one
+    standard_normal block: the sphere draws of every ensemble, whose norms
+    estimate_q integrates exactly, so sampling reads no other method of a
+    numpy generator."""
+    assert _draw_methods(_tree(PACKAGE_DIR / "sampling.py")) == {"random", "standard_normal"}
 
 
 # Loaded on first use by the code that samples, never at import time: every

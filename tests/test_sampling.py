@@ -109,6 +109,65 @@ def test_draws_equal_the_plain_numpy_formulas(ensemble):
             assert np.all(np.abs(x - plain) <= tolerance * np.abs(plain)), (count, k)
 
 
+@pytest.mark.parametrize("k", [1, 2, 3, 5])
+@pytest.mark.parametrize("sphere", [Ensemble.COMPLEX_SPHERE, Ensemble.REAL_SPHERE], ids=lambda e: e.value)
+def test_a_pinned_row_is_in_the_frame_with_the_exact_law_of_its_first_coordinate(sphere, k):
+    """A pinned row is (c, sqrt(1 - c^2), 0, ..., 0), real, c >= 0, and c
+    has the law of |x[0]| on the sphere: c^2 ~ Beta(1, k - 1) (complex) or
+    Beta(1/2, (k - 1)/2) (real), whose moments E[c^(2j)] are j!(k-1)!/(k+j-1)!
+    and (2j-1)!!/(k(k+2)...(k+2j-2)). At k = 1 the row is exactly 1. Each
+    sample mean of c^(2j), j = 1..3, lies within 5 of its exact standard
+    errors, the variance taken from the exact moment of twice the order."""
+    n = 200_000
+    x = draw_assignments(_chunk_rng(k, 0), n, 2, k, sphere, pinned=1)[:, 0]
+    assert x.shape == (n, k) and np.all(x.imag == 0)
+    c = x[:, 0].real
+    if k == 1:
+        assert np.all(c == 1)
+        return
+    assert np.all(x[:, 2:] == 0) and np.all(c >= 0) and np.all(x[:, 1].real >= 0)
+    assert np.allclose(c * c + x[:, 1].real ** 2, 1, rtol=0, atol=1e-15)
+
+    def moment(j):
+        if sphere.is_complex:
+            return Fraction(factorial(j) * factorial(k - 1), factorial(k + j - 1))
+        return Fraction(prod(range(1, 2 * j, 2)), prod(range(k, k + 2 * j, 2)))
+
+    for j in (1, 2, 3):
+        se = sqrt(float(moment(2 * j) - moment(j) ** 2) / n)
+        assert abs(float(np.mean(c ** (2 * j))) - float(moment(j))) <= 5 * se, j
+
+
+@pytest.mark.parametrize("ensemble, gaussian", [(Ensemble.COMPLEX_SPHERE, Ensemble.COMPLEX_GAUSSIAN),
+                                               (Ensemble.REAL_SPHERE, Ensemble.REAL_GAUSSIAN)], ids=["complex", "real"])
+def test_pinned_rows_draw_first_and_leave_the_rest_a_plain_block(ensemble, gaussian):
+    """A chunk draws its pinned rows' variates first: one uniform per sample
+    and row (complex, and real at k = 3), none at k = 1. The other rows are
+    then the plain normal block of a fresh call, bit for bit. A real pinned
+    row at k = 2 or k >= 4 takes its k normals from the head of that block
+    and is folded into the frame: c = |x[0]|. Six pinned rows span two
+    passes of k + 1 rows at k <= 3. A Gaussian ensemble has no pinned
+    rows."""
+    count, n, pinned = 1000, 9, 6
+    for k in (1, 2, 3, 4, 5):
+        x = draw_assignments(_chunk_rng(k, 0), count, n, k, ensemble, pinned=pinned)
+        uniforms = k > 1 and (ensemble.is_complex or k == 3)
+        if uniforms or k == 1:
+            generator = _chunk_rng(k, 0)
+            if uniforms:
+                u = generator.random((pinned, count))
+                c = np.sqrt(1 - u ** (1 / (k - 1))) if ensemble.is_complex else u
+                assert np.allclose(x[:, :pinned, 0].real, c.T, rtol=0, atol=1e-15)
+            rest = draw_assignments(generator, count, n - pinned, k, ensemble)
+            assert np.array_equal(x[:, pinned:], rest), k
+        else:
+            plain = draw_assignments(_chunk_rng(k, 0), count, n, k, ensemble)
+            assert np.array_equal(x[:, pinned:], plain[:, pinned:]), k
+            assert np.array_equal(x[:, :pinned, 0], np.abs(plain[:, :pinned, 0])), k
+    with pytest.raises(ValueError, match="pinned rows are sphere draws"):
+        draw_assignments(_chunk_rng(0, 0), count, n, 2, gaussian, pinned=1)
+
+
 def test_each_chunk_draws_the_spawned_stream_of_its_seed(monkeypatch):
     """Chunk c of seed s draws from SFC64 seeded by SeedSequence(s,
     spawn_key=(c,)); estimate_q takes chunk c's generator from _chunk_rng(s,
@@ -237,20 +296,25 @@ def _local_sum(g, v: int, vectors: np.ndarray) -> complex:
 @pytest.mark.parametrize("ensemble", ALL_ENSEMBLES, ids=lambda e: e.value)
 def test_anchored_batch_products_are_the_rotated_per_sample_product(ensemble):
     """Rotate each component of a full assignment, whose anchors are unit
-    vectors, by the unitary map that sends its anchor to e1: every inner
-    product is unchanged, and the anchored batch kernel, which reads only
-    the drawn vertices' rows, gives the plain edge-by-edge product of the
-    unrotated assignment over the edges with no end in I, times each
-    member's local sum (_local_sum), sample by sample. A Gaussian
-    ensemble's drawn rows keep their norms. Half the graphs are Eulerian,
-    so that most of them average some vertex out."""
+    vectors, by the unitary map that sends its anchor to e1, then by the
+    one that fixes e1 and sends its pinned vertex into the (e1, e2) plane,
+    and multiply the pinned vertex by the phase (sign) that makes its first
+    two coordinates real and nonnegative. Every inner product is unchanged
+    but those at the pinned vertex, which is balanced, so the product is
+    too, and the anchored batch kernel, which reads only the drawn
+    vertices' rows, gives the plain edge-by-edge product of the unrotated
+    assignment over the edges with no end in I, times each member's local
+    sum (_local_sum), sample by sample. A Gaussian ensemble's drawn rows
+    keep their norms. Half the graphs are Eulerian, so that most of them
+    average some vertex out and pin another."""
     r, gen = random.Random(ensemble.value), rng()
-    averaged = 0
+    averaged = pinned = 0
     for trial in range(80):
         g = (random_multigraph, random_eulerian_multigraph)[trial % 2](r, ensemble.is_complex)
         plan = _anchored(g)
         members = [v for v, _ in plan.averaged]
         averaged += len(members)
+        pinned += plan.pinned
         outside = type(g)(g.vertex_count, tuple(e for e in g.edges if not set(e) & set(members)))
         roots = edge_components(g.edges)
         count, k = r.choice([1, 2, 17]), r.randint(1, 4)
@@ -259,16 +323,27 @@ def test_anchored_batch_products_are_the_rotated_per_sample_product(ensemble):
         rows = np.empty((count, len(plan.drawn), k), dtype=full.dtype)
         for s in range(count):
             turn = {roots[a]: _rotation_to_e1(full[s, a]) for a in plan.anchors}
+            phases = {}
+            for b in plan.drawn[:plan.pinned]:
+                y = turn[roots[b]] @ full[s, b]
+                phases[b] = y[0].conjugate() / abs(y[0])
+                if k > 1:
+                    frame = np.eye(k, dtype=full.dtype)
+                    frame[1:, 1:] = _rotation_to_e1(y[1:])
+                    frame[1] *= phases[b].conjugate()  # the second coordinate's phase undone
+                    turn[roots[b]] = frame @ turn[roots[b]]
             for i, v in enumerate(plan.drawn):
-                rows[s, i] = turn[roots[v]] @ full[s, v]
+                rows[s, i] = phases.get(v, 1) * (turn[roots[v]] @ full[s, v])
             for a in plan.anchors:
                 assert np.allclose(turn[roots[a]] @ full[s, a], np.eye(k)[0])
+            for row in rows[s, :plan.pinned]:
+                assert np.allclose(row.imag, 0) and np.allclose(row[2:], 0) and np.all(row[:2].real >= 0)
         batch = _batch_products(plan, rows)
         assert batch.shape == (count,)
         for s in range(count):
             single = product_of_inner_products(outside, full[s]) * prod(_local_sum(g, v, full[s]) for v in members)
             assert abs(batch[s] - single) <= 1e-12 * max(abs(single), 1e-300), (g, s)
-    assert averaged > 30, averaged
+    assert averaged > 30 and pinned > 10, (averaged, pinned)
 
 
 # Two components with loops, a loop-only vertex and isolated vertices.
@@ -282,14 +357,15 @@ def test_each_component_with_an_edge_has_one_anchor():
     """The anchor is the vertex of the most half-edges, ties to the least
     id; the other vertices with an edge are averaged out or drawn, and
     isolated ones are neither. Only the edges with no end in I stay, their
-    ends coded as rows or anchors."""
+    ends coded as rows or anchors. The one drawn vertex, balanced, is
+    pinned."""
     plan = _anchored(_SCATTERED[True])
-    assert (plan.anchors, plan.averaged, plan.drawn) == ((2, 5, 7), ((0, 1), (4, 2)), (1,))
+    assert (plan.anchors, plan.averaged, plan.drawn, plan.pinned) == ((2, 5, 7), ((0, 1), (4, 2)), (1,), 1)
     assert plan.edges == ((0, -1), (-1, -1), (-2, -2), (-3, -3))
-    assert _anchored(_SCATTERED[False]).drawn == (1,)
+    assert _anchored(_SCATTERED[False])[1:3] == ((1,), 1)
     assert _anchored(_SCATTERED[False]).anchors == (2, 5, 7, 8)
     assert _anchored(DirectedMultigraph(3, ((2, 1), (1, 2)))).anchors == (1,)
-    assert _anchored(UndirectedMultigraph(4, ())) == ((), (), (), (), (), ())
+    assert _anchored(UndirectedMultigraph(4, ())) == ((), (), 0, (), (), (), ())
 
 
 def test_the_averaged_set_is_chosen_greedily_fewest_half_edges_first():
@@ -304,7 +380,7 @@ def test_the_averaged_set_is_chosen_greedily_fewest_half_edges_first():
     edges = ((0, 1), (1, 0), (0, 2), (2, 3), (3, 0), (0, 4), (0, 4), (4, 0), *((0, 5), (5, 0)) * 4,
              (6, 6), (6, 6), (0, 6), (6, 0), *((0, 7), (7, 0)) * 3, (0, 8), (8, 9), (9, 8), (8, 0))
     plan = _anchored(DirectedMultigraph(10, edges))
-    assert (plan.anchors, plan.drawn) == ((0,), (3, 4, 5, 8))
+    assert (plan.anchors, plan.drawn, plan.pinned) == ((0,), (3, 4, 5, 8), 1)
     assert plan.averaged == ((1, 1), (2, 1), (9, 1), (6, 1), (7, 3))
     assert plan.sums == ((((), 1),), ((((-1, 0),), 1),), (((), 1),), (((), 1),), (((), 6),))
     assert plan.edges == ((0, -1), *((-1, 1),) * 2, (1, -1), *((-1, 2), (2, -1)) * 4, (-1, 3), (3, -1))
@@ -333,6 +409,41 @@ def test_the_averaged_set_is_a_maximal_independent_set_of_eligible_vertices(dire
         assert all(any(v in e and set(e) & set(members) for e in ends)
                    for v in edge_components(g.edges) if eligible(v) and v not in members)
         assert sorted(plan.anchors + plan.drawn + tuple(members)) == sorted(edge_components(g.edges))
+
+
+@pytest.mark.parametrize("directed", [True, False], ids=["directed", "undirected"])
+def test_only_each_components_first_balanced_drawn_vertex_is_pinned(directed):
+    """The pinned rows lead the drawn ones: each component's first drawn
+    vertex, in order of first edge end, that is balanced (in-degree equals
+    out-degree, or an even degree, loops left out). A component whose drawn
+    vertices are all unbalanced pins none, so the edge 0 -> 1, whose
+    drawn vertex 1 has in-degree 1 and out-degree 0, keeps a sampled
+    phase, and the looped triangle's two drawn vertices, of odd degree,
+    pin nothing."""
+    assert _anchored(DirectedMultigraph(2, ((0, 1),)))[1:3] == ((1,), 0)
+    assert _anchored(UndirectedMultigraph(2, ((0, 1),)))[1:3] == ((1,), 0)
+    assert _anchored(_LOOPED_TRIANGLE)[1:3] == ((0, 1), 0)
+    r = random.Random(f"pinned/{directed}")
+    unbalanced_drawn = 0
+    for trial in range(300):
+        g = (random_multigraph, random_eulerian_multigraph)[trial % 2](r, directed)
+        plan = _anchored(g)
+        roots = edge_components(g.edges)
+        ends = [(u, v) for u, v in g.edges if u != v]
+
+        def balanced(v):
+            into, out = sum(e[1] == v for e in ends), sum(e[0] == v for e in ends)
+            return into == out if directed else (into + out) % 2 == 0
+
+        free = sorted(plan.drawn, key=lambda v: list(roots).index(v))  # order of first edge end
+        first = {}
+        for v in free:
+            if balanced(v):
+                first.setdefault(roots[v], v)
+        assert plan.drawn[:plan.pinned] == tuple(first.values())
+        assert plan.drawn[plan.pinned:] == tuple(v for v in free if v not in first.values())
+        unbalanced_drawn += sum(not balanced(v) for v in plan.drawn)
+    assert unbalanced_drawn > 50, unbalanced_drawn
 
 
 @pytest.mark.parametrize("ensemble", ALL_ENSEMBLES, ids=lambda e: e.value)
@@ -437,14 +548,15 @@ def test_averaging_out_I_cuts_the_exact_variance(name, k):
         assert deviation <= 5 * _exact_se(g, k, ensemble, n), (ensemble, est, float(q))
 
 
-def test_a_graph_with_no_averaged_vertex_keeps_the_plain_bytes():
-    """The 16-fold digon's one vertex besides its anchor has d_v = 16, and
-    the looped triangle's two are of odd degree: I is empty, and their
-    pinned estimates (GOLDEN_ESTIMATES), recorded before any vertex was
-    averaged out, still hold."""
-    for name, g in (("digon16", _THICK_DIGON), ("looped", _LOOPED_TRIANGLE)):
+def test_a_graph_with_no_averaged_or_pinned_vertex_keeps_the_plain_bytes():
+    """The looped triangle's two drawn vertices and the edge 0 -> 1's one are
+    unbalanced (of odd degree; in-degree 1, out-degree 0): I is empty and
+    nothing is pinned, and their estimates in GOLDEN_ESTIMATES, recorded
+    before any vertex was averaged out (looped) or pinned (edge), still
+    hold."""
+    for name, g in (("looped", _LOOPED_TRIANGLE), ("edge", _EDGE)):
         plan = _anchored(g)
-        assert plan.averaged == plan.sums == plan.pairs == ()
+        assert plan.averaged == plan.sums == plan.pairs == () and plan.pinned == 0
         rows = [row for row in GOLDEN_ESTIMATES if row[0] == name]
         assert rows
         for _, k, ensemble, n, seed, expected in rows:
@@ -730,6 +842,7 @@ def test_a_worker_exception_is_raised_in_the_caller(fig1, monkeypatch):
 
 _THICK_DIGON = _digon(16)
 _LOOPED_TRIANGLE = UndirectedMultigraph(3, ((0, 1), (1, 2), (2, 0), (1, 0), (2, 2)))
+_EDGE = DirectedMultigraph(2, ((0, 1),))
 
 
 @pytest.mark.parametrize("ensemble", ALL_ENSEMBLES, ids=lambda e: e.value)
@@ -870,36 +983,40 @@ def test_estimate_validation(fig1, figure_eight):
 
 # Exact to_json() output of estimate_q, recorded with the chunk kernel that
 # draws each chunk from SFC64 seeded by SeedSequence(seed, spawn_key=(c,)),
-# its normals in place in one sample-last layout, and raises each distinct
-# edge pair's inner product to its multiplicity by repeated squaring (one
-# vertex per component pinned at e1; an independent set I of vertices
-# averaged out by the local sums of _anchored, their xd_scalings joined to
-# R; a Gaussian ensemble drawn on its field's sphere, its mean and standard
-# error multiplied by the exact norm moment R; numpy 2.4, x86-64) at
-# workers 1 and 2, and each recorded only after its mean had passed the
-# check of test_anchored_estimates_land_within_five_exact_standard_errors:
-# within 5 exact standard errors of predicted_q, the exact SE taken from
-# the sphere q of the split graph times R (_second_moment). The digon16 and
-# looped rows have an empty I and keep the bytes they had before I. The
-# rows span both graph kinds, all four ensembles, k up to 9, a 16-fold
-# parallel edge, partial and one-sample last chunks, n = 2 and seed
-# 2^64 - 1. Any change to the draw stream, the anchors, I, the norm or
-# scaling arithmetic, the edge products or the reduction order changes
-# these bytes. Another numpy build may round complex products differently;
-# re-record them there from a known-good kernel, not from the one under test.
+# its pinned rows' variates first and then its normals in place in one
+# sample-last layout, and raises each distinct edge pair's inner product to
+# its multiplicity by repeated squaring (one vertex per component pinned at
+# e1 and its first balanced drawn vertex pinned in the frame (c, sqrt(1 -
+# c^2), 0, ...); an independent set I of vertices averaged out by the local
+# sums of _anchored, their xd_scalings joined to R; a Gaussian ensemble
+# drawn on its field's sphere, its mean and standard error multiplied by
+# the exact norm moment R; numpy 2.4, x86-64) at workers 1, 2 and 4, and
+# each recorded only after its mean had passed the check of
+# test_anchored_estimates_land_within_five_exact_standard_errors: within 5
+# exact standard errors of predicted_q, the exact SE taken from the sphere
+# q of the split graph times R (_second_moment). The looped and edge rows
+# have an empty I and no pinned vertex, and keep the bytes they had before
+# either. The rows span both graph kinds, all four ensembles, k up to 9, a
+# 16-fold parallel edge, a real pinned row drawn from a uniform (k = 3)
+# and one folded from normals (k = 4), partial and one-sample last chunks,
+# n = 2 and seed 2^64 - 1. Any change to the draw stream, the anchors, I,
+# the pinned rows, the norm or scaling arithmetic, the edge products or the
+# reduction order changes these bytes. Another numpy build may round
+# complex products differently; re-record them there from a known-good
+# kernel, not from the one under test.
 GOLDEN_ESTIMATES = [
     ("fig1", 2, Ensemble.COMPLEX_SPHERE, 20_000, 7,
-     '{"mean_re": 0.12428449504189851, "mean_im": -1.0980633204703525e-20, '
-     '"std_error": 0.0005091109641637795, "n": 20000, "k": 2, "ensemble": "complex-sphere", "seed": 7}'),
+     '{"mean_re": 0.12423398474426975, "mean_im": 0.0, '
+     '"std_error": 0.0005089790223305787, "n": 20000, "k": 2, "ensemble": "complex-sphere", "seed": 7}'),
     ("fig1", 3, Ensemble.COMPLEX_GAUSSIAN, 20_000, 7,
-     '{"mean_re": 0.049131794555948335, "mean_im": -8.355094604272362e-21, '
-     '"std_error": 0.0002456248856451359, "n": 20000, "k": 3, "ensemble": "complex-gaussian", "seed": 7}'),
+     '{"mean_re": 0.048975098697381855, "mean_im": 0.0, '
+     '"std_error": 0.0002455558067729879, "n": 20000, "k": 3, "ensemble": "complex-gaussian", "seed": 7}'),
     ("fig1", 1, Ensemble.COMPLEX_SPHERE, 20_000, 7,
-     '{"mean_re": 1.0, "mean_im": -5.361099504945706e-20, '
+     '{"mean_re": 1.0, "mean_im": 0.0, '
      '"std_error": 0.0, "n": 20000, "k": 1, "ensemble": "complex-sphere", "seed": 7}'),
     ("digon16", 2, Ensemble.COMPLEX_SPHERE, 20_000, 11,
-     '{"mean_re": 0.05888126179003299, "mean_im": -6.856841546227142e-21, '
-     '"std_error": 0.0011582468715441328, "n": 20000, "k": 2, "ensemble": "complex-sphere", "seed": 11}'),
+     '{"mean_re": 0.06021086051096783, "mean_im": 0.0, '
+     '"std_error": 0.0011660938044512853, "n": 20000, "k": 2, "ensemble": "complex-sphere", "seed": 11}'),
     ("looped", 3, Ensemble.REAL_SPHERE, 20_000, 5,
      '{"mean_re": -0.0012299958872485056, "mean_im": 0.0, '
      '"std_error": 0.001260501170720724, "n": 20000, "k": 3, "ensemble": "real-sphere", "seed": 5}'),
@@ -907,38 +1024,51 @@ GOLDEN_ESTIMATES = [
      '{"mean_re": -0.002049993145414176, "mean_im": 0.0, '
      '"std_error": 0.00210083528453454, "n": 20000, "k": 3, "ensemble": "real-gaussian", "seed": 5}'),
     ("fig1", 2, Ensemble.COMPLEX_SPHERE, 100_003, 3,  # a partial last chunk
-     '{"mean_re": 0.12521083290837645, "mean_im": 1.9588724795458772e-21, '
-     '"std_error": 0.00022824421259634114, "n": 100003, "k": 2, "ensemble": "complex-sphere", "seed": 3}'),
+     '{"mean_re": 0.12477184120075474, "mean_im": 0.0, '
+     '"std_error": 0.00022777222006292519, "n": 100003, "k": 2, "ensemble": "complex-sphere", "seed": 3}'),
     ("looped", 3, Ensemble.REAL_GAUSSIAN, 100_003, 3,
      '{"mean_re": 0.0016540273067465329, "mean_im": 0.0, '
      '"std_error": 0.0009483354425803854, "n": 100003, "k": 3, "ensemble": "real-gaussian", "seed": 3}'),
     ("fig1", 2, Ensemble.COMPLEX_GAUSSIAN, 2, 0,
-     '{"mean_re": 0.05137861549395229, "mean_im": -1.4783235750855368e-18, '
-     '"std_error": 0.006157204781351612, "n": 2, "k": 2, "ensemble": "complex-gaussian", "seed": 0}'),
+     '{"mean_re": 0.196265665719818, "mean_im": 0.0, '
+     '"std_error": 0.026922726589514678, "n": 2, "k": 2, "ensemble": "complex-gaussian", "seed": 0}'),
     ("fig1", 2, Ensemble.COMPLEX_SPHERE, 9000, 2**64 - 1,
-     '{"mean_re": 0.12516734396853474, "mean_im": -8.517506452116191e-21, '
-     '"std_error": 0.0007612608880224499, "n": 9000, "k": 2, "ensemble": "complex-sphere", '
+     '{"mean_re": 0.12582513359982367, "mean_im": 0.0, '
+     '"std_error": 0.0007544311898545036, "n": 9000, "k": 2, "ensemble": "complex-sphere", '
      '"seed": 18446744073709551615}'),
     ("fig1", 8, Ensemble.COMPLEX_SPHERE, 20_000, 13,
-     '{"mean_re": 0.0019449472661597924, "mean_im": 1.567208054298871e-22, '
-     '"std_error": 1.222013495424247e-05, "n": 20000, "k": 8, "ensemble": "complex-sphere", "seed": 13}'),
+     '{"mean_re": 0.001955635428714001, "mean_im": 0.0, '
+     '"std_error": 1.2114063473466933e-05, "n": 20000, "k": 8, "ensemble": "complex-sphere", "seed": 13}'),
     ("fig1", 9, Ensemble.COMPLEX_SPHERE, 20_000, 13,
-     '{"mean_re": 0.0013646254231926493, "mean_im": 3.111195059187488e-22, '
-     '"std_error": 8.69423358612664e-06, "n": 20000, "k": 9, "ensemble": "complex-sphere", "seed": 13}'),
+     '{"mean_re": 0.0013733881900011879, "mean_im": 0.0, '
+     '"std_error": 8.627724353159853e-06, "n": 20000, "k": 9, "ensemble": "complex-sphere", "seed": 13}'),
     ("looped", 8, Ensemble.REAL_SPHERE, 20_000, 13,
      '{"mean_re": 3.8076498538521845e-05, "mean_im": 0.0, '
      '"std_error": 0.00020393924355471593, "n": 20000, "k": 8, "ensemble": "real-sphere", "seed": 13}'),
     ("fig1", 2, Ensemble.COMPLEX_GAUSSIAN, 24_577, 5,  # 3 * CHUNK_SIZE + 1: a one-sample last chunk
-     '{"mean_re": 0.18725734452461168, "mean_im": -1.1345765037293742e-20, '
-     '"std_error": 0.0006906291184710562, "n": 24577, "k": 2, "ensemble": "complex-gaussian", "seed": 5}'),
+     '{"mean_re": 0.18688116479481517, "mean_im": 0.0, '
+     '"std_error": 0.0006906754838601551, "n": 24577, "k": 2, "ensemble": "complex-gaussian", "seed": 5}'),
+    ("edge", 2, Ensemble.COMPLEX_SPHERE, 20_000, 3,
+     '{"mean_re": 0.002288632242093897, "mean_im": 0.007366994154172461, '
+     '"std_error": 0.004993761099669937, "n": 20000, "k": 2, "ensemble": "complex-sphere", "seed": 3}'),
+    ("edge", 3, Ensemble.COMPLEX_GAUSSIAN, 20_000, 3,
+     '{"mean_re": 0.001226263735742899, "mean_im": 0.005901096441651828, '
+     '"std_error": 0.004066491993735093, "n": 20000, "k": 3, "ensemble": "complex-gaussian", "seed": 3}'),
+    ("C_6(1,2)", 3, Ensemble.REAL_SPHERE, 20_000, 5,
+     '{"mean_re": 0.0004934300562989223, "mean_im": 0.0, '
+     '"std_error": 1.3050119121999769e-05, "n": 20000, "k": 3, "ensemble": "real-sphere", "seed": 5}'),
+    ("C_6(1,2)", 4, Ensemble.REAL_GAUSSIAN, 20_000, 5,
+     '{"mean_re": 0.0006019329649978937, "mean_im": 0.0, '
+     '"std_error": 2.1226313729470635e-05, "n": 20000, "k": 4, "ensemble": "real-gaussian", "seed": 5}'),
 ]
 
 
 @pytest.mark.parametrize("name, k, ensemble, n, seed, expected", GOLDEN_ESTIMATES,
                          ids=[f"{c[0]}-k{c[1]}-{c[2].value}-n{c[3]}-seed{c[4]}" for c in GOLDEN_ESTIMATES])
 def test_estimate_bits_are_pinned(fig1, name, k, ensemble, n, seed, expected):
-    g = {"fig1": fig1, "digon16": _THICK_DIGON, "looped": _LOOPED_TRIANGLE}[name]
-    for workers in (1, 2):
+    g = {"fig1": fig1, "digon16": _THICK_DIGON, "looped": _LOOPED_TRIANGLE, "edge": _EDGE,
+         "C_6(1,2)": undirected_circulant(6)}[name]
+    for workers in (1, 2, 4):
         assert estimate_q(g, k, ensemble, n, seed, workers=workers).to_json() == expected
 
 
