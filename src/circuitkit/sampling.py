@@ -34,27 +34,29 @@ the unitary (orthogonal) group of the other k - 1 coordinates, and at a
 balanced vertex, whose edges in and out cancel its phase (sign), the
 vertex's own phase, the symmetry behind q = 0 on graphs that are not
 Eulerian. Both leave each sample's value unchanged, local sums included.
-Together they pin each component's first balanced drawn vertex at (c,
-sqrt(1 - c^2), 0, ..., 0), c >= 0 of the law of |x[0]|, which
-draw_assignments draws exactly, from one uniform where it can. Each
-sample's value keeps its law, so the mean and the standard error mean
-what they did. An unbalanced vertex is never pinned: its phase scales the
-product.
+Together they allow each component's first balanced drawn vertex to be
+pinned at (c, sqrt(1 - c^2), 0, ..., 0), c >= 0 of the law of |x[0]|.
+draw_assignments pins it where that law takes one uniform per sample:
+complex rows at any k, real rows at k = 3, and k = 1 (no draw). A real row
+at any other k is drawn whole, as a plain row. Either way each sample's
+value keeps its law, so the mean and the standard error mean what they
+did. An unbalanced vertex is never pinned: its phase scales the product.
 
 Reproducibility contract: sampling is split into fixed-size chunks; chunk c
 draws from an SFC64 generator seeded by SeedSequence(seed, spawn_key=(c,)),
 which hashes each (seed, chunk) pair into a stream of its own: first the
 pinned rows' variates, then one block of normals (see draw_assignments).
-Chunk results are reduced in chunk order. The chunk layout depends only
-on n_samples, so a run is bit-identical for any worker count, not just
-for a fixed one.
+Worker thread t of T runs chunks t, t + T, t + 2T, ..., and the chunk
+results are reduced in chunk order. The chunk layout depends only on
+n_samples, so a run is bit-identical for any worker count, not just for a
+fixed one.
 
-Each worker thread runs its chunks through one workspace, a dict of flat
-buffers sized on its first chunk, so chunks do not allocate. It holds one
-copy of a chunk's draws, of the drawn vertices only, stored sample-last,
-(vertex_count, k, count), so that norms and inner products run along
-contiguous rows of samples, plus k + 1 rows of scratch, one row per inner
-product that the local sums read, and a few sample-length rows.
+Each worker thread runs its chunks through one workspace of its own, a
+dict of flat buffers sized on its first chunk, so chunks do not allocate.
+It holds one copy of a chunk's draws, of the drawn vertices only, stored
+sample-last, (vertex_count, k, count), so that norms and inner products
+run along contiguous rows of samples, plus k + 1 rows of scratch, one row
+per inner product that the local sums read, and a few sample-length rows.
 
 numpy is imported by the functions that draw or multiply vectors, on first
 use, and a multi-worker run starts plain threading.Threads. The exact path
@@ -140,7 +142,7 @@ class _Plan(NamedTuple):
 
     edges: tuple[tuple[int, int], ...]  # the edges with no end in I
     drawn: tuple[int, ...]  # the vertex of each row of the draws, the pinned ones first
-    pinned: int  # the leading rows of the draws that are pinned in their component's frame
+    pinned: int  # the leading rows of the draws that may be pinned in their component's frame
     anchors: tuple[int, ...]  # the anchor of each component that has an edge
     averaged: tuple[tuple[int, int], ...]  # each member v of I, in order of choice, and its d_v
     sums: tuple[tuple[tuple[tuple[tuple[int, int], ...], int], ...], ...]  # each member's local sum, below
@@ -170,9 +172,9 @@ def _anchored(g: Multigraph) -> _Plan:
     member.
     The other vertices with an edge are drawn, a row each, in order of
     their first edge end; isolated vertices are neither, since no factor
-    reads them. Each component's first drawn vertex that is balanced is
-    pinned (see the module docstring), and the pinned rows come first, so
-    the rest are one block of normals (draw_assignments).
+    reads them. Each component's first drawn vertex that is balanced may
+    be pinned (see the module docstring), and its row comes first, so the
+    rest are one block of normals (draw_assignments).
 
     Given every other vector, the mean over x_v of a member's edge factors
     is xd_scaling(d_v) times its local sum (the sphere's moment tensor): the
@@ -233,33 +235,24 @@ def _anchored(g: Multigraph) -> _Plan:
     return _Plan(edges, drawn, len(pinned), anchors, tuple(members.items()), tuple(sums), pairs)
 
 
-def _buffers(workspace: dict, name: str, *arrays: tuple[tuple[int, ...], type]) -> list[np.ndarray]:
-    """C-contiguous arrays of the given (shape, dtype)s, laid end to end over
-    the leading bytes of the named buffer of `workspace`, which is allocated
-    (or grown) only when too small.
+def _buffer(workspace: dict, name: str, shape: tuple[int, ...], dtype) -> np.ndarray:
+    """A C-contiguous array of `shape` and `dtype` over the leading bytes of
+    the named buffer of `workspace`, which is allocated (or grown) only when
+    too small.
 
     A worker that hands the same dict to every chunk allocates its buffers on
     the first chunk only; a shorter last chunk takes leading slices of them.
-    One name may serve several sets of arrays in turn, each done with before
-    the next is taken.
+    One name may serve several arrays in turn, each done with before the
+    next is taken.
     """
     import numpy as np
 
-    dtypes = [np.dtype(dtype) for _, dtype in arrays]
-    sizes = [prod(shape) * dtype.itemsize for (shape, _), dtype in zip(arrays, dtypes)]
+    dtype = np.dtype(dtype)
+    size = prod(shape) * dtype.itemsize
     raw = workspace.get(name)
-    if raw is None or raw.size < sum(sizes):
-        raw = workspace[name] = np.empty(sum(sizes), dtype=np.uint8)
-    views, offset = [], 0
-    for (shape, _), dtype, size in zip(arrays, dtypes, sizes):
-        views.append(raw[offset:offset + size].view(dtype).reshape(shape))
-        offset += size
-    return views
-
-
-def _buffer(workspace: dict, name: str, shape: tuple[int, ...], dtype) -> np.ndarray:
-    """The one array of `shape` and `dtype` over the named buffer (see _buffers)."""
-    return _buffers(workspace, name, (shape, dtype))[0]
+    if raw is None or raw.size < size:
+        raw = workspace[name] = np.empty(size, dtype=np.uint8)
+    return raw[:size].view(dtype).reshape(shape)
 
 
 def draw_assignments(rng: np.random.Generator, count: int, vertex_count: int, k: int,
@@ -276,10 +269,10 @@ def draw_assignments(rng: np.random.Generator, count: int, vertex_count: int, k:
     first: 1 at k = 1, with no draw; one uniform U per sample for a
     complex row, 1 - c^2 = U^(1/(k-1)), since c^2 ~ Beta(1, k - 1); one
     for a real row at k = 3, c = U, since c^2 ~ Beta(1/2, 1) (Archimedes:
-    x[0] is uniform on [-1, 1]). A real row at any other k takes its k
-    normals from the head of the block below, as a plain row would, and
-    once normalized is folded into the frame, c = |x[0]|: c^2 = g^2 / (g^2
-    + S), S ~ chi^2 with k - 1 degrees of freedom.
+    x[0] is uniform on [-1, 1]). A real row at any other k has no such
+    one-uniform law, and pinning it would spare no work, since
+    _batch_products reads all k coordinates of a row: `pinned` is ignored
+    there, and every row is drawn as a plain one.
 
     One standard_normal call then fills the other rows in place: the
     normal block of shape (rows, k, count), or (rows, k, count, 2) for
@@ -291,7 +284,7 @@ def draw_assignments(rng: np.random.Generator, count: int, vertex_count: int, k:
     im parts added pairwise for complex draws), whose reciprocal square
     roots scale the vectors.
 
-    `workspace` is a dict of reusable buffers (see _buffers): the draws live
+    `workspace` is a dict of reusable buffers (see _buffer): the draws live
     in its "draws" buffer and every temporary in its "scratch" one, k + 1
     rows of squared norms or of pinned rows' uniforms, and the next call
     through the same dict overwrites them. Without one, each call
@@ -301,15 +294,16 @@ def draw_assignments(rng: np.random.Generator, count: int, vertex_count: int, k:
 
     if pinned and ensemble.is_gaussian:
         raise ValueError("pinned rows are sphere draws")
+    if not ensemble.is_complex and k not in (1, 3):
+        pinned = 0
     ws = {} if workspace is None else workspace
     x = _buffer(ws, "draws", (vertex_count, k, count), np.complex128 if ensemble.is_complex else np.float64)
     frame = x[:pinned]
-    folded = k not in (1, 3) and not ensemble.is_complex  # pinned rows drawn as normals, then folded
     width = 2 * count if ensemble.is_complex else count
     room = _buffer(ws, "scratch", (k + 1, width), np.float64)
     if k == 1:
         frame.fill(1)
-    elif not folded:
+    else:
         frame[:, 2:] = 0
         for start in range(0, pinned, k + 1):
             rows = frame[start:start + k + 1]
@@ -323,7 +317,7 @@ def draw_assignments(rng: np.random.Generator, count: int, vertex_count: int, k:
             else:  # u = c, then 1 - c^2
                 rows[:, 0] = u
                 np.sqrt(np.subtract(1, np.square(u, out=u), out=u), out=rows[:, 1])
-    normals = rng.standard_normal(out=(x if folded else x[pinned:]).view(np.float64))
+    normals = rng.standard_normal(out=x[pinned:].view(np.float64))
     if ensemble.is_gaussian:
         normals *= 1 / sqrt(2 * k if ensemble.is_complex else k)
         return x.transpose(2, 0, 1)
@@ -335,12 +329,6 @@ def draw_assignments(rng: np.random.Generator, count: int, vertex_count: int, k:
             np.add(pairs[..., 0], pairs[..., 1], out=pairs[..., 0])
             pairs[..., 1] = pairs[..., 0]
         rows *= np.divide(1, np.sqrt(norms, out=norms), out=norms)[:, np.newaxis]
-    if folded and pinned:
-        c, s = frame[:, 0], frame[:, 1]
-        np.abs(c, out=c)
-        np.subtract(1, np.square(c, out=s), out=s)
-        np.sqrt(np.maximum(s, 0, out=s), out=s)  # a rounded c may pass 1
-        frame[:, 2:] = 0
     return x.transpose(2, 0, 1)
 
 
@@ -485,10 +473,10 @@ def estimate_q(g: Multigraph, k: int, ensemble: Ensemble, n_samples: int, seed: 
     with an independent set I of vertices averaged out exactly.
 
     Draws come from the field's sphere ensemble, for the vertices that are
-    neither anchors nor in I (_anchored), each pinned one in its
-    component's frame. Each sample's value is the product of the edges
-    outside I times each member's local sum. The mean and the standard
-    error are multiplied by the exact scale R: the norm
+    neither anchors nor in I (_anchored), a pinned one in its component's
+    frame where draw_assignments pins it. Each sample's value is the
+    product of the edges outside I times each member's local sum. The mean
+    and the standard error are multiplied by the exact scale R: the norm
     moment prod_v E|x_v|^(2 d_v), the ratio of the ensemble's
     vertex_scaling to its sphere's (1 for a sphere), times the sphere's
     xd_scaling(d_v, k) of each member. R is converted to a float once,
@@ -507,8 +495,9 @@ def estimate_q(g: Multigraph, k: int, ensemble: Ensemble, n_samples: int, seed: 
     is the per-sample standard deviation of the complex sphere values over
     sqrt(n_samples), times R.
     The seed must lie in [0, 2**64): it is the entropy of every chunk's
-    SeedSequence, spawned at the chunk index (_chunk_rng). Each worker
-    thread runs its chunks through one workspace; a run whose workspace
+    SeedSequence, spawned at the chunk index (_chunk_rng). Worker thread t
+    of T runs chunks t, t + T, ... through one workspace of its own, and
+    stops early once any thread has failed; a run whose workspace
     would pass WORKSPACE_LIMIT bytes is refused before any sampling.
     """
     if k < 1:
@@ -543,21 +532,19 @@ def estimate_q(g: Multigraph, k: int, ensemble: Ensemble, n_samples: int, seed: 
             f" samples x {len(plan.drawn)} drawn vertices x k = {k}, plus {len(plan.pairs)} rows of"
             f" inner products and k + 1 rows of scratch)", required, WORKSPACE_LIMIT)
 
-    workspaces = threading.local()  # one per thread, so its chunks reuse one set of buffers
     results: list = [None] * n_chunks  # each chunk's sums, at its index
     errors: list[BaseException] = []
-    unclaimed, claiming = iter(range(n_chunks)), threading.Lock()
 
-    def work() -> None:
-        """Run unclaimed chunks until none is left or some thread has failed."""
+    def work(t: int) -> None:
+        """Run chunks t, t + threads, t + 2 threads, ... through one workspace
+        of this thread's own, until they are done or some thread has failed."""
+        workspace: dict = {}
         try:
-            while not errors:
-                with claiming:
-                    c = next(unclaimed, None)
-                if c is None:
+            for c in range(t, n_chunks, threads):
+                if errors:
                     return
                 size = min(CHUNK_SIZE, n_samples - c * CHUNK_SIZE)
-                results[c] = _chunk_sums(plan, k, sphere, seed, c, size, r, vars(workspaces))
+                results[c] = _chunk_sums(plan, k, sphere, seed, c, size, r, workspace)
         except BaseException as exc:  # re-raised by the calling thread
             errors.append(exc)
 
@@ -568,9 +555,9 @@ def estimate_q(g: Multigraph, k: int, ensemble: Ensemble, n_samples: int, seed: 
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     threads = min(workers, n_chunks, cpus)
     if threads == 1:
-        work()
+        work(0)
     else:
-        started = [threading.Thread(target=work) for _ in range(threads)]
+        started = [threading.Thread(target=work, args=(t,)) for t in range(threads)]
         for thread in started:
             thread.start()
         for thread in started:
