@@ -18,7 +18,12 @@ A loop paired with itself closes a circuit and contributes a factor z.
    both kinds (`_split`), each removing exactly one edge, so the states are
    swept layer by layer in decreasing edge count: equal keys within a layer
    merge (the memo), and only two layers are held at a time. Nothing
-   recurses in Python, whatever the depth.
+   recurses in Python, whatever the depth. Each state holds its polynomial
+   as one int, coefficient t in bits [t B, (t + 1) B) with B the bit length
+   of the transition system count T (Kronecker substitution; von zur Gathen
+   and Gerhard, Modern Computer Algebra, 8.4), so a move is one shift and
+   one multiply-add. No coefficient of any state exceeds T, so no slot
+   carries into the next (see `_sweep`).
 3. The guard counts work units: for every expanded state, its branch count
    times its key length. The sweep refuses as soon as the running total
    passes the guard. The worst case stays exponential, as #P-completeness
@@ -34,7 +39,7 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_left, insort
-from collections import Counter
+from collections import Counter, defaultdict
 from math import factorial, prod
 from operator import ne
 from typing import TYPE_CHECKING, Iterable
@@ -87,14 +92,20 @@ class IntPolynomial(Record):
 # Transition systems
 # ---------------------------------------------------------------------------
 
+def _transitions(half_edges: Iterable[int], directed: bool) -> int:
+    """The transition system count from an Eulerian graph's half-edge counts
+    2 d_v: d_v! transitions at a directed vertex, (2 d_v - 1)!! at an
+    undirected one. A vertex left out has no half-edges and would contribute
+    0! = (-1)!! = 1."""
+    return prod(factorial(h // 2) if directed else double_factorial(h - 1) for h in half_edges)
+
+
 def transition_system_count(g: Multigraph) -> int:
-    """prod_v d_v! (directed) or prod_v (2 d_v - 1)!! (undirected), with
-    d_v = g.degrees()[v] // 2; 0 when g is not Eulerian, since then it has
-    no transition system."""
-    if not eulerian_check(g).is_eulerian:
-        return 0
-    per_vertex = factorial if isinstance(g, DirectedMultigraph) else lambda d: double_factorial(2 * d - 1)
-    return prod(per_vertex(h // 2) for h in g.degrees())
+    """prod_v d_v! (directed) or prod_v (2 d_v - 1)!! (undirected) over the
+    vertices with half-edges (`degree_counts`), so its cost follows m, not n;
+    0 when g is not Eulerian, since then it has no transition system."""
+    directed = isinstance(g, DirectedMultigraph)
+    return _transitions(g.degree_counts().values(), directed) if eulerian_check(g).is_eulerian else 0
 
 
 # ---------------------------------------------------------------------------
@@ -207,17 +218,36 @@ def _split(key: tuple[int, ...], n: int, directed: bool) -> list[_Move]:
     return moves
 
 
-def _sweep(key: tuple[int, ...], n: int, directed: bool, guard: int) -> list[int]:
-    """Coefficients of the partition polynomial of the core graph `key`.
+def _core_systems(pairs: list[tuple[int, int]], directed: bool) -> int:
+    """T, the transition system count of the core that `_contract` leaves,
+    from its edges' half-edges per branching vertex. Splicing keeps every
+    branching vertex's half-edges and a forced vertex contributes 1, so T is
+    g's count too."""
+    return _transitions(Counter(itertools.chain.from_iterable(pairs)).values(), directed)
+
+
+def _sweep(key: tuple[int, ...], n: int, directed: bool, guard: int, width: int) -> int:
+    """The partition polynomial of the core graph `key`, packed into one int:
+    coefficient t sits in bits [t * width, (t + 1) * width).
 
     Every move removes exactly one edge, so all states of a layer have the
-    same key length and each layer feeds only the next. A state's value is
-    the polynomial summed over the paths that reach it from the start.
+    same key length and each layer feeds only the next. A state's weight is
+    the polynomial summed over the paths that reach it from the start; a
+    move adds it, times the move's copies and shifted one slot per circuit
+    closed, to its successor's weight.
+
+    No slot carries into the next when width >= T.bit_length(), T the core's
+    transition system count. Every coefficient is nonnegative, and every
+    state has at least one completion, since a split of an Eulerian graph is
+    Eulerian. Each transition system passes through exactly one state of a
+    layer, so sum_s w_s(1) c_s(1) = j(G;1) = T, with w_s a state's weight
+    and c_s(1) >= 1 its completions. So no coefficient of a weight, or of a
+    partial sum of one, exceeds T < 2^width.
     """
-    layer = {key: [1]}
+    layer = {key: 1}
     work = 0
     for _ in range(len(key)):
-        following: dict[tuple[int, ...], list[int]] = {}
+        following: defaultdict[tuple[int, ...], int] = defaultdict(int)
         for state, weight in layer.items():
             moves = _split(state, n, directed)
             work += len(moves) * len(state)
@@ -231,11 +261,7 @@ def _sweep(key: tuple[int, ...], n: int, directed: bool, guard: int) -> list[int
                     del rest[bisect_left(rest, c)]
                 if added is not None:
                     insort(rest, added)
-                acc = following.setdefault(tuple(rest), [])
-                if len(acc) < len(weight) + shift:
-                    acc.extend([0] * (len(weight) + shift - len(acc)))
-                for i, c in enumerate(weight, shift):
-                    acc[i] += copies * c
+                following[tuple(rest)] += copies * weight << shift * width
         layer = following
     return layer[()]
 
@@ -252,5 +278,8 @@ def circuit_partition_polynomial(g: Multigraph, guard: int = DEFAULT_ENUMERATION
     directed = isinstance(g, DirectedMultigraph)
     pairs, closed = _contract(g)
     key, n = _core_key(pairs, directed)
-    coeffs = _sweep(key, n, directed, guard)
-    return IntPolynomial((0,) * closed + tuple(coeffs))
+    width = _core_systems(pairs, directed).bit_length()
+    packed = _sweep(key, n, directed, guard, width) << closed * width  # each closed cycle: one factor z
+    # Whole slots, the top one first, read in one pass: a shift per slot would take quadratic time.
+    bits = f"{packed:0{(packed.bit_length() // width + 1) * width}b}"
+    return IntPolynomial([int(bits[i:i + width], 2) for i in range(0, len(bits), width)][::-1])

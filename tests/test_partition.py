@@ -3,10 +3,11 @@ from __future__ import annotations
 import random
 from collections import Counter
 from fractions import Fraction
+from functools import reduce
 from math import comb, factorial, prod
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from circuitkit import (
     DirectedMultigraph,
@@ -20,7 +21,7 @@ from circuitkit import (
     enumerate_transition_systems,
     transition_system_count,
 )
-from circuitkit.partition import double_factorial
+from circuitkit.partition import _contract, _core_systems, double_factorial
 
 from conftest import directed_circulant, disjoint_union, poly_product
 
@@ -468,6 +469,39 @@ def test_engine_laws_past_the_enumeration_guard(g, h, data):
             assert poly.coefficients[1] == best_r1(g)
     if type(h) is type(g):
         assert engine_or_skip(disjoint_union(g, h)) == poly_product(poly, circuit_partition_polynomial(h))
+
+
+# Loops, a closed chain of forced vertices (one of them a lone loop) and
+# isolated vertices, beside a branching vertex, in one graph of each kind.
+_FORCED_AND_BRANCHING = ((0, 0), (0, 1), (1, 0), (2, 3), (3, 4), (4, 2), (5, 5))
+
+
+@settings(max_examples=200, deadline=None)
+@given(larger_eulerian_multigraphs())
+@example(DirectedMultigraph(8, _FORCED_AND_BRANCHING))
+@example(UndirectedMultigraph(8, _FORCED_AND_BRANCHING))
+def test_the_packing_bound_is_the_transition_system_count(g):
+    """The engine sizes each coefficient's slot by the core's transition
+    system count; no slot carries only if that count is g's."""
+    pairs, _ = _contract(g)
+    assert _core_systems(pairs, isinstance(g, DirectedMultigraph)) == transition_system_count(g)
+
+
+@pytest.mark.parametrize("d, bits, loops", [(12, 58, 0), (25, 168, 2), (40, 319, 1000)])
+def test_thick_digon_coefficients_past_64_bits(d, bits, loops):
+    """d edges 0 -> 1 and d edges 1 -> 0. A transition system is a bijection
+    s of the first bundle onto the second at vertex 1 and one, t, back at
+    vertex 0, and its circuits are the cycles of t s. For each of the d!
+    choices of s, t s runs over all permutations of d elements, whose cycle
+    counts z (z + 1) ... (z + d - 1) generates, so j is d! times that: its
+    coefficients, and packing slots, are wider than a machine word. Each
+    loop on a vertex of its own is one more factor z."""
+    g = DirectedMultigraph(2 + loops, ((0, 1),) * d + ((1, 0),) * d + tuple((v, v) for v in range(2, 2 + loops)))
+    assert transition_system_count(g).bit_length() == bits
+    rising = reduce(poly_product, [IntPolynomial((i, 1)) for i in range(d)])
+    poly = circuit_partition_polynomial(g)
+    assert poly.coefficients == (0,) * loops + tuple(factorial(d) * c for c in rising.coefficients)
+    assert poly.coefficient_sum() == factorial(d) ** 2
 
 
 @pytest.mark.parametrize("loops", [0, 1, 3, 40])
