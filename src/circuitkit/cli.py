@@ -302,7 +302,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         (("tutte", "martin"), "--guard-subsets", dict(
             type=int, default=DEFAULT_SUBSET_GUARD,
             help="max work units of the Tutte frontier sweep, summed over its edges and "
-                 "states as branches x (tally terms + frontier vertices) (default %(default)s)")),
+                 "states as branches x (1 + frontier vertices) (default %(default)s)")),
         (("verify",), "corpus", dict(nargs="?", default=None, help="corpus directory (default: bundled corpus)")),
         (("verify",), "--n", dict(type=int, default=50_000, help="Monte Carlo samples per check (default 50000)")),
         (("verify",), "--seed", dict(type=int, default=20260810, help="RNG seed (default 20260810)")),

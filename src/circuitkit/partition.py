@@ -279,7 +279,8 @@ def circuit_partition_polynomial(g: Multigraph, guard: int = DEFAULT_ENUMERATION
     pairs, closed = _contract(g)
     key, n = _core_key(pairs, directed)
     width = _core_systems(pairs, directed).bit_length()
-    packed = _sweep(key, n, directed, guard, width) << closed * width  # each closed cycle: one factor z
+    packed = _sweep(key, n, directed, guard, width)
     # Whole slots, the top one first, read in one pass: a shift per slot would take quadratic time.
     bits = f"{packed:0{(packed.bit_length() // width + 1) * width}b}"
-    return IntPolynomial([int(bits[i:i + width], 2) for i in range(0, len(bits), width)][::-1])
+    # Each closed cycle is one factor z: a zero slot below the core's.
+    return IntPolynomial([0] * closed + [int(bits[i:i + width], 2) for i in range(0, len(bits), width)][::-1])

@@ -17,17 +17,19 @@ d of its tail and arriving along side after[d] of its head. Every medial
 vertex has in- and out-degree 2, so the medial graph is Eulerian.
 
 The Tutte side never lists the 2^m edge subsets. A frontier sweep along
-graphs.sweep_plan tallies them by (components, excess): a state is
-the connectivity of the frontier vertices, each state carries its integer
-tally, and states merge after every edge, as in the Potts transfer matrix
-of Bedini and Jacobsen (J. Phys. A 43, 2010) and the frontier sweeps of
-Sekine, Imai and Tani (ISAAC 1995). It uses no circuit reasoning. The walk
+graphs.sweep_plan sums them at the asked point: a state is the
+connectivity of the frontier vertices, each state carries one exact
+integer, its subsets' weight with the point's denominators cleared, and
+states merge after every edge, as in the Potts transfer matrix of Bedini
+and Jacobsen (J. Phys. A 43, 2010) and the frontier sweeps of Sekine, Imai
+and Tani (ISAAC 1995). It uses no circuit reasoning. The walk
 over all 2^m subsets, and the medial circuit count of each, are the oracles
 of verify's subset-by-subset bijection check, in checks.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from operator import index
 from typing import TYPE_CHECKING, Iterable, NamedTuple
 
@@ -97,104 +99,88 @@ def medial_graph(pmap: PlanarMap) -> DirectedMultigraph:
     return DirectedMultigraph(pmap.graph.edge_count, edges)
 
 
-def _merge(layer: dict, state: tuple[int, ...], tally: dict[int, int], shift: int) -> None:
-    """Add `tally`, each key raised by `shift`, into the tally of `state`."""
-    acc = layer.get(state)
-    if acc is None:
-        layer[state] = {key + shift: count for key, count in tally.items()}
-    else:
-        for key, count in tally.items():
-            acc[key + shift] = acc.get(key + shift, 0) + count
-
-
 def _first_occurrence_labels(blocks) -> tuple[int, ...]:
     """Block labels renumbered 0, 1, ... in order of first occurrence."""
     seen: dict[int, int] = {}
     return tuple(seen.setdefault(b, len(seen)) for b in blocks)
 
 
-def _frontier_tally(g: UndirectedMultigraph, guard: int) -> dict[tuple[int, int], int]:
-    """{(c(S), l(S)): number of edge subsets S}, swept along
-    graphs.sweep_plan instead of listing the subsets.
-
-    The vertices placed so far that still have undecided edges, and the one
-    just placed, form the frontier. A state labels each frontier vertex with
-    its block of the connectivity that the decided edges induce, in order of
-    first occurrence, and carries its tally: closed components * (m + 1) +
-    excess -> subsets. An edge is decided when its later end is placed: left
-    out, the state stays; taken inside a block (a loop always is), the
-    excess rises; taken across two blocks, they join. States are merged after
-    every edge. A vertex leaves the frontier with its last edge, and a block
-    that leaves with it closes a component. Vertices with no edge are never
-    placed and add one component each.
-
-    The work units are branches x (tally terms + frontier vertices), summed
-    over the states of every edge, as the j engine counts key length: a
-    branch rebuilds the state's tuple as well as its tally, so a wide
-    frontier with one-term tallies costs what it holds. The sweep refuses as
-    soon as their running total passes the guard.
-    """
-    plan = sweep_plan(g.edges)
-    # The step that decides each vertex's last edge.
-    last = [max((b for _, b in opens), default=i) for i, opens in enumerate(plan.opens)]
-    stride = g.edge_count + 1
-    frontier: list[int] = []  # the steps at which the frontier vertices were placed
-    layer: dict[tuple[int, ...], dict[int, int]] = {(): {0: 1}}
-    work = 0
-    for i, closes in enumerate(plan.closes):
-        frontier.append(i)
-        layer = {state + (max(state, default=-1) + 1,): tally for state, tally in layer.items()}
-        here = len(frontier) - 1
-        for _, a in closes:
-            there = frontier.index(a)
-            following: dict[tuple[int, ...], dict[int, int]] = {}
-            for state, tally in layer.items():
-                work += 2 * (len(tally) + len(state))
-                if work > guard:
-                    raise GuardExceededError(
-                        "Tutte frontier sweep refused (work units: branches x (tally terms + frontier"
-                        " vertices) per state)", work, guard)
-                _merge(following, state, tally, 0)
-                low, high = sorted((state[there], state[here]))
-                if low == high:
-                    _merge(following, state, tally, 1)
-                else:  # block `high` first occurs after `low`, so relabelling keeps first-occurrence order
-                    _merge(following, tuple(low if b == high else b - (b > high) for b in state), tally, 0)
-            layer = following
-        keep = [j for j, a in enumerate(frontier) if last[a] > i]
-        if len(keep) < len(frontier):
-            frontier = [frontier[j] for j in keep]
-            following = {}
-            for state, tally in layer.items():
-                kept = _first_occurrence_labels(state[j] for j in keep)
-                _merge(following, kept, tally, (max(state) - max(kept, default=-1)) * stride)
-            layer = following
-    (tally,) = layer.values()  # the frontier is empty again
-    isolated = g.vertex_count - len(plan.order)
-    return {(key // stride + isolated, key % stride): count for key, count in tally.items()}
-
-
 def tutte_subset_expansion(g: UndirectedMultigraph, x, y, guard: int = DEFAULT_SUBSET_GUARD) -> Fraction:
     """Tutte polynomial value by the rank-nullity sum over all edge subsets.
 
     T(G;x,y) = sum over S of (x-1)^(c(S)-c(G)) (y-1)^(c(S)+|S|-n), with the
-    0^0 = 1 convention for degenerate bases. The subsets are never listed:
-    the frontier sweep tallies them by (c(S), l(S)) as integers, and each
-    distinct exponent pair is raised once. `guard` caps the sweep's work
-    units, branches x (tally terms + frontier vertices) (see
-    _frontier_tally), not the 2^m subsets it stands for: 30 parallel edges
-    take 1,166 units, and the 5x5 grid about 10^5.
+    0^0 = 1 convention for degenerate bases. The subsets are never listed: a
+    frontier sweep along graphs.sweep_plan carries, for each state, one
+    exact integer, the weighted sum over the partial subsets that reach it.
+
+    The vertices placed so far that still have undecided edges, and the one
+    just placed, form the frontier. A state labels each frontier vertex with
+    its block of the connectivity that the decided edges induce, in order of
+    first occurrence. With x - 1 = a/b and y - 1 = c/d in lowest terms, an
+    edge is decided when its later end is placed: left out, it multiplies by
+    d; taken inside a block (a loop always is), by c; taken across two
+    blocks, which join, by b d. A vertex leaves the frontier with its last
+    edge, and each block that leaves with it closes a component of S and
+    multiplies by a, save one at each step that empties the frontier: that
+    step ends a component of G, since the plan places a component whole
+    before it starts the next. Vertices with no edge are never placed.
+
+    A subset with e = c(S) - c(G) and l = c(S) + |S| - n joins r - e
+    times, r = n - c(G), and leaves out or joins m - l edges, so it weighs
+    a^e b^(r-e) c^l d^(m-l), and T is the final sum over b^r d^m. A factor
+    a or c only enters with a positive exponent, so x = 1 and y = 1 are
+    exact.
+
+    `guard` caps the sweep's work units, not the 2^m subsets they stand
+    for: branches x (1 + frontier vertices), summed over the states of
+    every edge, as the j engine counts key length, since a branch rebuilds
+    the state's tuple. 30 parallel edges take 354 units, and the 5x5 grid
+    about 2.5x10^4. The sweep refuses as soon as their running total passes
+    the guard.
     """
     from fractions import Fraction
 
-    x = Fraction(x)
-    y = Fraction(y)
-    tally = _frontier_tally(g, guard)
-    c_full = min(c for c, _ in tally)  # c(G), reached at S = all edges
-    total = Fraction(0)
-    for (components, excess), count in tally.items():
-        total += count * (x - 1) ** (components - c_full) * (y - 1) ** excess
-    return total
+    x, y = Fraction(x) - 1, Fraction(y) - 1
+    a, b, c, d = x.numerator, x.denominator, y.numerator, y.denominator
+    plan = sweep_plan(g.edges)
+    # The step that decides each vertex's last edge.
+    last = [max((later for _, later in opens), default=i) for i, opens in enumerate(plan.opens)]
+    frontier: list[int] = []  # the steps at which the frontier vertices were placed
+    layer: dict[tuple[int, ...], int] = {(): 1}
+    components = 0  # of G, with edges
+    work = 0
+    for i, closes in enumerate(plan.closes):
+        frontier.append(i)
+        layer = {state + (max(state, default=-1) + 1,): weight for state, weight in layer.items()}
+        here = len(frontier) - 1
+        for _, earlier in closes:
+            there = frontier.index(earlier)
+            following: defaultdict[tuple[int, ...], int] = defaultdict(int)
+            for state, weight in layer.items():
+                work += 2 * (1 + len(state))
+                if work > guard:
+                    raise GuardExceededError(
+                        "Tutte frontier sweep refused (work units: branches x (1 + frontier vertices)"
+                        " per state)", work, guard)
+                low, high = sorted((state[there], state[here]))
+                if low == high:
+                    following[state] += weight * (d + c)
+                else:  # block `high` first occurs after `low`, so relabelling keeps first-occurrence order
+                    following[state] += weight * d
+                    joined = tuple(low if label == high else label - (label > high) for label in state)
+                    following[joined] += weight * (b * d)
+            layer = following
+        keep = [j for j, step in enumerate(frontier) if last[step] > i]
+        if len(keep) < len(frontier):
+            frontier = [frontier[j] for j in keep]
+            components += not keep
+            following = defaultdict(int)
+            for state, weight in layer.items():
+                kept = _first_occurrence_labels(state[j] for j in keep)
+                following[kept] += weight * a ** (max(state) - max(kept, default=-1) - (not keep))
+            layer = following
+    (total,) = layer.values()  # the frontier is empty again
+    return Fraction(total, b ** (len(plan.order) - components) * d ** g.edge_count)
 
 
 class MartinCheck(NamedTuple):

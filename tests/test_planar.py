@@ -32,8 +32,6 @@ from circuitkit import (
     tutte_subset_expansion,
 )
 
-from circuitkit.errors import DEFAULT_SUBSET_GUARD
-from circuitkit.planar import _frontier_tally
 from conftest import spanning_subgraph
 
 
@@ -261,10 +259,10 @@ def test_tutte_counts_spanning_objects():
 
 def test_tutte_guard():
     """The guard caps the sweep's work units, not 2^m: 30 parallel edges
-    (2^30 subsets) take 1,166, while the 5x5 grid takes about 10^5 and is
-    refused under a guard of 10^4."""
+    (2^30 subsets) take 354, while the 5x5 grid takes about 2.5x10^4 and
+    is refused under a guard of 10^4."""
     parallel = UndirectedMultigraph(2, ((0, 1),) * 30)
-    assert tutte_subset_expansion(parallel, 2, 3, guard=1_166) == 2 + sum(3**k for k in range(1, 30))
+    assert tutte_subset_expansion(parallel, 2, 3, guard=354) == 2 + sum(3**k for k in range(1, 30))
     grid = scrambled_grid_map(5, 5, 1).graph
     with pytest.raises(GuardExceededError) as excinfo:
         tutte_subset_expansion(grid, 2, 2, guard=10**4)
@@ -272,14 +270,19 @@ def test_tutte_guard():
     assert tutte_subset_expansion(grid, 2, 2) == 2**40
     # The 4 x 30 grid labelled row by row, each vertex's east edge before its
     # south edge, is refused at the running total that first passes 10^5.
-    rows, cols = 4, 30
+    assert _refused_at(row_major_grid(4, 30), 10**5) == 100_026
+
+
+def row_major_grid(rows: int, cols: int) -> UndirectedMultigraph:
+    """The rows x cols grid labelled row by row, each vertex's east edge
+    listed before its south edge."""
     edges = []
     for v in range(rows * cols):
         if (v + 1) % cols:
             edges.append((v, v + 1))
         if v + cols < rows * cols:
             edges.append((v, v + cols))
-    assert _refused_at(UndirectedMultigraph(rows * cols, tuple(edges)), 10**5) == 100_026
+    return UndirectedMultigraph(rows * cols, tuple(edges))
 
 
 def _refused_at(g: UndirectedMultigraph, guard: int) -> int:
@@ -291,12 +294,12 @@ def _refused_at(g: UndirectedMultigraph, guard: int) -> int:
 
 @pytest.mark.parametrize("k", [1, 2, 5, 30])
 def test_the_sweep_work_of_parallel_edges(k):
-    """k parallel edges: the first costs 2 x (1 tally term + 2 frontier
-    vertices); the j-th (j >= 2) meets the two ends apart (one term) and
-    joined (j - 1 terms), 2 x (1 + 2) + 2 x (j - 1 + 2). In all
-    k^2 + 9k - 4 units, which a guard one below refuses at exactly."""
+    """k parallel edges: the first costs 2 x (1 + 2 frontier vertices) on
+    its one state; each later one meets two states, the two ends apart and
+    joined, 2 x 2 x (1 + 2). In all 12k - 6 units, which a guard one below
+    refuses at exactly."""
     g = UndirectedMultigraph(2, ((0, 1),) * k)
-    total = k * k + 9 * k - 4
+    total = 12 * k - 6
     assert tutte_subset_expansion(g, 2, 2, guard=total) == 2**k
     assert _refused_at(g, total - 1) == total
 
@@ -304,11 +307,11 @@ def test_the_sweep_work_of_parallel_edges(k):
 def test_the_sweep_work_counts_the_frontier_it_rebuilds():
     """On a 3 x 12 grid labelled row by row the sweep first walks the top
     row, and every vertex it places keeps its edge downwards, so the frontier
-    widens by one vertex per edge while each state carries a one-term tally:
-    before the i-th row edge it holds 2^(i-1) states of i + 1 vertices. The
-    unit counts the tuple each branch rebuilds, 2 x (1 + i + 1) per state,
-    so the row costs sum 2^i (i + 2) units, and a guard of 2^12 refuses it,
-    which counting tally terms alone (2^12 - 2 units) let pass."""
+    widens by one vertex per edge: before the i-th row edge it holds
+    2^(i-1) states of i + 1 vertices. The unit counts the tuple each branch
+    rebuilds, 2 x (1 + i + 1) per state, so the row costs sum 2^i (i + 2)
+    units, and a guard of 2^12 refuses it, which counting branches alone
+    (2^12 - 2 units) let pass."""
     rows, cols = 3, 12
     edges = [(y * cols + x, y * cols + x + 1) for y in range(rows) for x in range(cols - 1)]
     edges += [(y * cols + x, (y + 1) * cols + x) for y in range(rows - 1) for x in range(cols)]
@@ -363,22 +366,59 @@ def test_subset_walk_terms_equal_a_fresh_union_find_per_subset(g):
     assert list(subset_expansion_terms(g)) == expected
 
 
+# Points where a weight vanishes (x or y = 1), turns negative, or is not an integer.
+tutte_points = st.one_of(st.sampled_from([1, 0, -1, 2]), st.fractions(-3, 3, max_denominator=6))
+
+
 @settings(max_examples=200, deadline=None)
-@given(loopy_multigraphs())
-def test_the_frontier_sweep_tallies_what_the_subset_walk_lists(g):
-    """The sweep counts the subsets of each (c(S), l(S)) without listing them."""
-    expected = Counter((c, excess) for _, c, excess in subset_expansion_terms(g))
-    assert _frontier_tally(g, DEFAULT_SUBSET_GUARD) == expected
+@given(loopy_multigraphs(), tutte_points, tutte_points)
+def test_the_frontier_sweep_sums_what_the_subset_walk_lists(g, x, y):
+    """The sweep's value is the rank-nullity sum over the listed subsets."""
+    c_full = component_count(g)
+    expected = sum(((x - 1) ** (c - c_full) * (y - 1) ** excess
+                    for _, c, excess in subset_expansion_terms(g)), Fraction(0))
+    assert tutte_subset_expansion(g, x, y) == expected
+
+
+def spanning_tree_count(g: UndirectedMultigraph) -> int:
+    """The matrix-tree theorem: the determinant of the Laplacian of a
+    connected loopless g with its last row and column struck, by exact
+    Gaussian elimination."""
+    n = g.vertex_count - 1
+    laplacian = [[Fraction(0)] * n for _ in range(n)]
+    for u, v in g.edges:
+        for a, b in ((u, v), (v, u)):
+            if a < n:
+                laplacian[a][a] += 1
+                if b < n:
+                    laplacian[a][b] -= 1
+    det = Fraction(1)
+    for i in range(n):
+        pivot = next(r for r in range(i, n) if laplacian[r][i])
+        if pivot != i:
+            laplacian[i], laplacian[pivot] = laplacian[pivot], laplacian[i]
+            det = -det
+        det *= laplacian[i][i]
+        for r in range(i + 1, n):
+            factor = laplacian[r][i] / laplacian[i][i]
+            laplacian[r] = [a - factor * b for a, b in zip(laplacian[r], laplacian[i])]
+    return int(det)
 
 
 def test_the_sweep_reaches_the_6x6_grid():
-    """m = 60, far past the subset walk: the tally still counts 2^60 subsets,
-    and the Martin identity holds under the default guards."""
+    """m = 60, far past the subset walk: T(2,2) counts all 2^60 subsets,
+    T(1,1) the spanning trees, and the Martin identity holds under the
+    default guards."""
     pmap = scrambled_grid_map(6, 6, 2)
-    tally = _frontier_tally(pmap.graph, DEFAULT_SUBSET_GUARD)
-    assert sum(tally.values()) == 2**60
-    assert tally[1, 25] == tally[36, 0] == 1  # S = E and S = {}
+    assert spanning_tree_count(UndirectedMultigraph(2, ((0, 1),) * 3)) == 3
+    assert tutte_subset_expansion(pmap.graph, 2, 2) == 2**60
+    assert tutte_subset_expansion(pmap.graph, 1, 1) == spanning_tree_count(pmap.graph)
     assert martin_check(pmap, 2).equal
+
+
+def test_the_sweep_reaches_the_8x8_grid():
+    """m = 112 under the default guard: T(2,2) counts all 2^112 subsets."""
+    assert tutte_subset_expansion(row_major_grid(8, 8), 2, 2) == 2**112
 
 
 # ---------------------------------------------------------------------------
